@@ -98,6 +98,51 @@ func DependencyFixpoint(b *Batch, a *model.Assignment) *model.Assignment {
 	}
 }
 
+// DispatchOrder returns m's pairs ordered so that every pair follows the
+// pairs of its in-assignment dependencies, letting a platform compute each
+// task's service start from its dependencies' finish times in one pass.
+// It is a permutation of m.Pairs that keeps the given order wherever the
+// dependencies allow: a task-sorted assignment whose tasks depend only on
+// lower IDs (what the built-in allocators return on registration-ordered
+// instances) comes back unchanged, and a task listed twice keeps both
+// pairs, together at its first position. Dependency sets are acyclic, so
+// the order exists.
+func DispatchOrder(in *model.Instance, m *model.Assignment) []model.Pair {
+	n := len(m.Pairs)
+	// first[t] is t's first position in m; next chains its later ones.
+	first := make(map[model.TaskID]int, n)
+	next := make([]int, n)
+	for i := n - 1; i >= 0; i-- {
+		t := m.Pairs[i].Task
+		next[i] = -1
+		if j, ok := first[t]; ok {
+			next[i] = j
+		}
+		first[t] = i
+	}
+	visited := make(map[model.TaskID]bool, len(first))
+	out := make([]model.Pair, 0, n)
+	var visit func(id model.TaskID)
+	visit = func(id model.TaskID) {
+		if visited[id] {
+			return
+		}
+		visited[id] = true
+		for _, dep := range in.Task(id).Deps {
+			if _, ok := first[dep]; ok {
+				visit(dep)
+			}
+		}
+		for i := first[id]; i >= 0; i = next[i] {
+			out = append(out, m.Pairs[i])
+		}
+	}
+	for _, p := range m.Pairs {
+		visit(p.Task)
+	}
+	return out
+}
+
 // newRNG returns a deterministic generator for the given seed.
 func newRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 

@@ -55,11 +55,8 @@ type Platform struct {
 
 	// view is the atomically swapped read snapshot (view.go): every mutation
 	// republishes it under mu, and the read endpoints serve from it without
-	// touching the big mutex. assignVer changes whenever the assignment
-	// bookkeeping may have (ticks, snapshot restores), letting an unchanged
-	// assignment view be reused across registration-only publishes.
-	view      atomic.Pointer[readView]
-	assignVer uint64
+	// touching the big mutex.
+	view atomic.Pointer[readView]
 
 	// reg and traces are the server's observability surface: every tick is
 	// recorded as an obs.BatchTrace, folded into reg (GET /v1/metrics) and
@@ -71,6 +68,11 @@ type Platform struct {
 	// lookup is a mutex + map access the per-request path should not pay).
 	cIngEnq *obs.Counter
 	cIngRej *obs.Counter
+	// The candidate-engine counters statsLocked reads on every publish.
+	cRevalidated *obs.Counter
+	cRebuilt     *obs.Counter
+	cMemoHits    *obs.Counter
+	cMemoMisses  *obs.Counter
 
 	// log is the structured event logger (never nil — discard by default);
 	// mw is the per-request telemetry state behind instrument (middleware.go).
@@ -84,6 +86,18 @@ type Platform struct {
 	assigned map[model.TaskID]model.WorkerID // validly assigned tasks
 	botched  map[model.TaskID]bool           // consumed by invalid dispatch
 	finishAt map[model.TaskID]float64
+	// satisfied holds the keys of assigned, in the form core.Batch reads
+	// (Batch.Satisfied); every tick's batch shares it, and core never
+	// writes it.
+	satisfied map[model.TaskID]bool
+	// assignLog lists every valid pair in dispatch order, one per assigned
+	// task. It only grows (a snapshot restore replaces it on an empty
+	// platform), so read views alias it (view.go).
+	assignLog []model.Pair
+	// pop holds the workers and tasks a tick can still present to the
+	// allocator, so a tick walks the live population instead of the
+	// registries (populationLocked).
+	pop core.Population
 
 	now     float64
 	batches int
@@ -229,10 +243,15 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		assigned:     make(map[model.TaskID]model.WorkerID),
 		botched:      make(map[model.TaskID]bool),
 		finishAt:     make(map[model.TaskID]float64),
+		satisfied:    make(map[model.TaskID]bool),
 	}
 	p.mw = newMiddleware(p.log, cfg.AccessLogEvery)
 	p.cIngEnq = p.reg.Counter(obs.MIngestEnqueuedTotal)
 	p.cIngRej = p.reg.Counter(obs.MIngestRejectedTotal)
+	p.cRevalidated = p.reg.Counter(obs.MCacheRevalidatedTotal)
+	p.cRebuilt = p.reg.Counter(obs.MCacheRebuiltTotal)
+	p.cMemoHits = p.reg.Counter(obs.MMemoHitsTotal)
+	p.cMemoMisses = p.reg.Counter(obs.MMemoMissesTotal)
 	// Process-level runtime gauges (dasc_runtime_*), sampled when scraped.
 	obs.RegisterRuntimeMetrics(p.reg)
 	// The journal reports durability metrics through the platform registry
@@ -471,32 +490,7 @@ func (p *Platform) TickTagged(now float64, requestID string) (*BatchOutcome, err
 	rec.SetRequestID(requestID)
 
 	in := &model.Instance{Workers: p.workers, Tasks: p.tasks, Dist: p.dist}
-	var bws []core.BatchWorker
-	var wIdx []int
-	for i := range p.workers {
-		w := &p.workers[i]
-		if w.Start > now || now > w.Expiry() || p.wstate[i].busyUntil > now {
-			continue
-		}
-		bws = append(bws, core.BatchWorker{
-			W:          w,
-			Loc:        p.wstate[i].loc,
-			ReadyAt:    now,
-			DistBudget: w.MaxDist - p.wstate[i].distUsed,
-		})
-		wIdx = append(wIdx, i)
-	}
-	var pending []*model.Task
-	for i := range p.tasks {
-		t := &p.tasks[i]
-		if _, ok := p.assigned[t.ID]; ok {
-			continue
-		}
-		if p.botched[t.ID] || t.Start > now || t.Deadline() < now {
-			continue
-		}
-		pending = append(pending, t)
-	}
+	bws, wIdx, pending := p.populationLocked(now)
 	out.Workers, out.Tasks = len(bws), len(pending)
 	rec.SetPopulation(out.Workers, out.Tasks)
 	if len(bws) == 0 || len(pending) == 0 {
@@ -505,11 +499,7 @@ func (p *Platform) TickTagged(now float64, requestID string) (*BatchOutcome, err
 		return out, nil
 	}
 
-	satisfied := make(map[model.TaskID]bool, len(p.assigned))
-	for id := range p.assigned {
-		satisfied[id] = true
-	}
-	b := core.NewBatch(in, bws, pending, satisfied)
+	b := core.NewBatch(in, bws, pending, p.satisfied)
 	b.SetRecorder(rec)
 	phaseStart := time.Now()
 	if !p.noCache {
@@ -544,7 +534,10 @@ func (p *Platform) TickTagged(now float64, requestID string) (*BatchOutcome, err
 	phaseStart = time.Now()
 
 	validSet := valid.TaskSet()
-	for _, pair := range raw.Pairs {
+	// Dispatch dependencies first, so a dependant co-assigned in this batch
+	// waits for its dependency's finish whatever order the allocator
+	// listed the pairs in.
+	for _, pair := range core.DispatchOrder(in, raw) {
 		// DropUnknownWorkers already removed pairs naming workers outside
 		// the batch; the guard stays as a backstop so a miss can never
 		// dispatch through batch index 0.
@@ -571,7 +564,9 @@ func (p *Platform) TickTagged(now float64, requestID string) (*BatchOutcome, err
 		p.wstate[i].busyUntil = finish
 		p.wstate[i].done++
 		if validSet[pair.Task] {
+			p.logAssignmentLocked(pair)
 			p.assigned[pair.Task] = pair.Worker
+			p.satisfied[pair.Task] = true
 			p.finishAt[pair.Task] = finish
 		} else {
 			p.botched[pair.Task] = true
@@ -582,6 +577,69 @@ func (p *Platform) TickTagged(now float64, requestID string) (*BatchOutcome, err
 	p.recordTick(out, rec)
 	p.maybeSnapshotLocked()
 	return out, nil
+}
+
+// logAssignmentLocked records a valid dispatch in the assignment log. A
+// task that is already assigned (a misbehaving allocator dispatched it
+// twice) keeps one entry, the last dispatch's, as in p.assigned. Read views
+// alias the log, so that rewrite happens on a fresh copy.
+//
+// requires: p.mu
+func (p *Platform) logAssignmentLocked(pair model.Pair) {
+	if _, again := p.assigned[pair.Task]; !again {
+		p.assignLog = append(p.assignLog, pair)
+		return
+	}
+	log := append([]model.Pair(nil), p.assignLog...)
+	for k := range log {
+		if log[k].Task == pair.Task {
+			log[k] = pair
+		}
+	}
+	p.assignLog = log
+}
+
+// populationLocked builds the batch population at now: the active workers
+// (appeared, not expired, not busy) with their registry indexes, and the
+// pending tasks (appeared, deadline not passed, neither assigned nor
+// botched), both in registration order. It walks only p.pop's candidates,
+// after admitting everything registered since the last tick, and drops for
+// good what can never qualify again: an expired worker, and an assigned,
+// botched or overdue task. p.now never goes backwards, so those predicates
+// stay true at every later tick.
+//
+// requires: p.mu
+func (p *Platform) populationLocked(now float64) (bws []core.BatchWorker, wIdx []int, pending []*model.Task) {
+	p.pop.Admit(len(p.workers), len(p.tasks))
+	p.pop.Workers(func(i int) bool {
+		w := &p.workers[i]
+		if now > w.Expiry() {
+			return false
+		}
+		if w.Start > now || p.wstate[i].busyUntil > now {
+			return true
+		}
+		bws = append(bws, core.BatchWorker{
+			W:          w,
+			Loc:        p.wstate[i].loc,
+			ReadyAt:    now,
+			DistBudget: w.MaxDist - p.wstate[i].distUsed,
+		})
+		wIdx = append(wIdx, i)
+		return true
+	})
+	p.pop.Tasks(func(i int) bool {
+		t := &p.tasks[i]
+		if _, ok := p.assigned[t.ID]; ok || p.botched[t.ID] || t.Deadline() < now {
+			return false
+		}
+		if t.Start > now {
+			return true
+		}
+		pending = append(pending, t)
+		return true
+	})
+	return bws, wIdx, pending
 }
 
 // recordTick finalises the tick's trace, copies the cache counters onto the
@@ -597,7 +655,6 @@ func (p *Platform) recordTick(out *BatchOutcome, rec *obs.BatchRec) {
 	out.MemoHits = tr.MemoHits
 	p.traces.Add(tr)
 	obs.RecordBatch(p.reg, tr)
-	p.assignVer++
 	p.publishViewLocked()
 }
 
@@ -644,10 +701,10 @@ func (p *Platform) statsLocked() Stats {
 		RoguePairs:    p.rogue,
 		Allocator:     p.alloc.Name(),
 
-		WorkersRevalidated: p.reg.Counter(obs.MCacheRevalidatedTotal).Value(),
-		WorkersRebuilt:     p.reg.Counter(obs.MCacheRebuiltTotal).Value(),
-		MemoHits:           p.reg.Counter(obs.MMemoHitsTotal).Value(),
-		MemoMisses:         p.reg.Counter(obs.MMemoMissesTotal).Value(),
+		WorkersRevalidated: p.cRevalidated.Value(),
+		WorkersRebuilt:     p.cRebuilt.Value(),
+		MemoHits:           p.cMemoHits.Value(),
+		MemoMisses:         p.cMemoMisses.Value(),
 	}
 }
 
@@ -655,12 +712,7 @@ func (p *Platform) statsLocked() Stats {
 func (p *Platform) Assignments() *model.Assignment {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	a := model.NewAssignment()
-	for tid, wid := range p.assigned {
-		a.Add(wid, tid)
-	}
-	a.Sort()
-	return a
+	return sortedAssignment(p.assignLog)
 }
 
 // Instance returns a deep copy of the current worker and task registries,

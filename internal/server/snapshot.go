@@ -127,7 +127,9 @@ func (p *Platform) ReadSnapshot(r io.Reader) error {
 		}
 	}
 	assigned := make(map[model.TaskID]model.WorkerID, len(sf.Assigned))
+	satisfied := make(map[model.TaskID]bool, len(sf.Assigned))
 	finishAt := make(map[model.TaskID]float64, len(sf.Assigned))
+	assignLog := make([]model.Pair, 0, len(sf.Assigned))
 	for _, a := range sf.Assigned {
 		if a.Task < 0 || int(a.Task) >= nTasks || a.Worker < 0 || int(a.Worker) >= len(in.Workers) {
 			return fmt.Errorf("server: snapshot assignment (w%d, t%d) out of range", a.Worker, a.Task)
@@ -136,7 +138,9 @@ func (p *Platform) ReadSnapshot(r io.Reader) error {
 			return fmt.Errorf("server: snapshot assigns task t%d twice", a.Task)
 		}
 		assigned[a.Task] = a.Worker
+		satisfied[a.Task] = true
 		finishAt[a.Task] = a.FinishAt
+		assignLog = append(assignLog, model.Pair{Worker: a.Worker, Task: a.Task})
 	}
 	botched := make(map[model.TaskID]bool, len(sf.Botched))
 	for _, tid := range sf.Botched {
@@ -149,13 +153,16 @@ func (p *Platform) ReadSnapshot(r io.Reader) error {
 	p.tasks = in.Tasks
 	p.wstate = wstate
 	p.assigned = assigned
+	p.satisfied = satisfied
+	p.assignLog = assignLog
 	p.finishAt = finishAt
 	p.botched = botched
 	p.now = sf.Now
 	p.batches = sf.Batches
 	p.wasted = sf.Wasted
 	p.rogue = sf.Rogue
-	p.assignVer++
+	// p.pop is still empty (only ticks admit, and none has run), so the
+	// first tick admits and filters the whole restored history once.
 	p.publishViewLocked()
 	return nil
 }

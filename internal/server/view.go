@@ -1,6 +1,10 @@
 package server
 
-import "dasc/internal/model"
+import (
+	"sync"
+
+	"dasc/internal/model"
+)
 
 // readView is the atomically swapped read snapshot the HTTP read endpoints
 // (/v1/stats, /v1/assignments, /v1/instance, /v1/svg) serve from instead of
@@ -14,39 +18,68 @@ import "dasc/internal/model"
 // view's length or reallocates, and readers never look past v.workers/tasks'
 // own bounds. The three-index slice expressions in publishViewLocked pin the
 // capacity so the aliasing contract is explicit.
+//
+// The assignment view aliases Platform.assignLog under the same contract:
+// a tick only appends to the log, and the one in-place rewrite (a task
+// dispatched twice, logAssignmentLocked) happens on a fresh copy, so an
+// entry a view can see is never written again.
 type readView struct {
-	stats       Stats
-	assignments *model.Assignment
-	assignVer   uint64
-	workers     []model.Worker
-	tasks       []model.Task
+	stats   Stats
+	assign  *assignView
+	workers []model.Worker
+	tasks   []model.Task
 }
 
-// publishViewLocked swaps in a read view of the current state. Registration
-// publishes are O(1): the assignment view is rebuilt only when assignVer
-// moved (ticks, snapshot restores), otherwise the previous one — immutable
-// once published — is reused.
+// assignView is the read side of the assignment log: its first len(pairs)
+// entries, in dispatch order. The task-sorted assignment the endpoints
+// serve is built from a copy on first read, once per view, off the
+// platform lock; a publish that leaves the log unchanged (every
+// registration) shares the previous assignView, sorted copy included.
+type assignView struct {
+	pairs  []model.Pair
+	once   sync.Once
+	sorted *model.Assignment
+}
+
+func (a *assignView) assignment() *model.Assignment {
+	a.once.Do(func() { a.sorted = sortedAssignment(a.pairs) })
+	return a.sorted
+}
+
+// sortedAssignment returns a task-sorted copy of pairs.
+func sortedAssignment(pairs []model.Pair) *model.Assignment {
+	a := &model.Assignment{Pairs: append([]model.Pair(nil), pairs...)}
+	a.Sort()
+	return a
+}
+
+// publishViewLocked swaps in a read view of the current state. It is O(1):
+// the registries and the assignment log are aliased, not copied, and the
+// assignment view is reused while the log is the same slice (same backing
+// array, same length).
 //
 // requires: p.mu
 func (p *Platform) publishViewLocked() {
-	prev := p.view.Load()
-	var a *model.Assignment
-	if prev != nil && prev.assignVer == p.assignVer {
-		a = prev.assignments
+	n := len(p.assignLog)
+	var av *assignView
+	if prev := p.view.Load(); prev != nil && sameLog(prev.assign.pairs, p.assignLog) {
+		av = prev.assign
 	} else {
-		a = model.NewAssignment()
-		for tid, wid := range p.assigned {
-			a.Add(wid, tid)
-		}
-		a.Sort()
+		av = &assignView{pairs: p.assignLog[:n:n]}
 	}
 	p.view.Store(&readView{
-		stats:       p.statsLocked(),
-		assignments: a,
-		assignVer:   p.assignVer,
-		workers:     p.workers[:len(p.workers):len(p.workers)],
-		tasks:       p.tasks[:len(p.tasks):len(p.tasks)],
+		stats:   p.statsLocked(),
+		assign:  av,
+		workers: p.workers[:len(p.workers):len(p.workers)],
+		tasks:   p.tasks[:len(p.tasks):len(p.tasks)],
 	})
+}
+
+// sameLog reports whether a and b are the same slice of one backing array.
+// Entries a view can see are never rewritten in place, so that means the
+// same content.
+func sameLog(a, b []model.Pair) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // loadView returns the current read view, building one on the rare path of
@@ -67,7 +100,7 @@ func (p *Platform) StatsView() Stats { return p.loadView().stats }
 // AssignmentsView returns every valid pair so far, sorted by task ID, from
 // the read view. The returned assignment is shared and MUST be treated as
 // read-only; use Assignments for a private copy.
-func (p *Platform) AssignmentsView() *model.Assignment { return p.loadView().assignments }
+func (p *Platform) AssignmentsView() *model.Assignment { return p.loadView().assign.assignment() }
 
 // InstanceView returns the current worker and task registries from the read
 // view without copying. The instance aliases live platform storage and MUST

@@ -1,0 +1,63 @@
+package sim
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"strings"
+	"testing"
+
+	"dasc/internal/core"
+	"dasc/internal/gen"
+)
+
+// simGoldens pins whole simulation runs — every batch's population and
+// assignment plus the aggregate result — captured before the batch
+// population became incremental. Service time keeps workers busy across
+// batches, so the population's skip-but-keep and drop rules both matter.
+var simGoldens = map[string]string{
+	"G-G/reuse":       "batches=31 assigned=81 wasted=0 expired=19 travel=15.8423569 busy=634.892597 delay=7.50706782 log=3b69dbb18cd1cd4f",
+	"G-G/no-reuse":    "batches=31 assigned=77 wasted=0 expired=23 travel=14.7691304 busy=596.546887 delay=7.51593114 log=3d7fdb9704de7084",
+	"Greedy/reuse":    "batches=31 assigned=88 wasted=0 expired=12 travel=12.7764338 busy=565.729124 delay=6.63056266 log=e0b421997b93006e",
+	"Greedy/no-reuse": "batches=31 assigned=81 wasted=0 expired=19 travel=13.0420802 busy=555.789939 delay=7.15077514 log=c0ff16db6ff18021",
+	"Closest/reuse":   "batches=31 assigned=76 wasted=10 expired=14 travel=15.6780054 busy=637.941522 delay=7.12003144 log=0112601b4fedb687",
+}
+
+func TestSimGoldenRuns(t *testing.T) {
+	c := gen.DefaultSynthetic().Scale(0.02)
+	c.Seed = 5
+	in, err := gen.Synthetic(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range simGoldens {
+		t.Run(name, func(t *testing.T) {
+			alg, reuse, _ := strings.Cut(name, "/")
+			alloc, err := core.NewByName(alg, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			p, err := New(in, Config{
+				Allocator: alloc, BatchInterval: 3, ServiceTime: 2,
+				DisableReuse: reuse == "no-reuse",
+				OnBatch: func(r BatchResult) {
+					fmt.Fprintf(h, "%d %v %d %d %s\n", r.Index, r.Time, r.Workers, r.Tasks, r.Assignment)
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := p.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := fmt.Sprintf("batches=%d assigned=%d wasted=%d expired=%d travel=%.9g busy=%.9g delay=%.9g log=%s",
+				res.Batches, res.AssignedPairs, res.WastedPairs, res.ExpiredTasks,
+				res.TotalTravel, res.WorkerBusyTime, res.MeanStartDelay, hex.EncodeToString(h.Sum(nil)[:8]))
+			if got != want {
+				t.Errorf("%s run digest\n got: %s\nwant: %s", name, got, want)
+			}
+		})
+	}
+}

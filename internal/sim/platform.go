@@ -183,19 +183,25 @@ func (p *Platform) Run() (*Result, error) {
 	// strategy sets are revalidated by time arithmetic instead of rebuilt.
 	cache := core.NewEngineCache()
 
+	// Batch time only grows, so a worker that expired (or, without reuse,
+	// has served) and a task that was consumed or missed its deadline never
+	// return: the population drops them instead of rescanning them.
+	var pop core.Population
+	pop.Admit(len(in.Workers), len(in.Tasks))
+
 	for batch := 0; batch < maxBatches; batch++ {
 		now := start + float64(batch)*cfg.BatchInterval
 
 		// Active workers: appeared, within window, not busy.
 		var bws []core.BatchWorker
 		var wIdx []int
-		for i := range in.Workers {
+		pop.Workers(func(i int) bool {
 			w := &in.Workers[i]
-			if w.Start > now || now > w.Expiry() || ws[i].busyUntil > now {
-				continue
+			if now > w.Expiry() || cfg.DisableReuse && res.WorkerAssignments[w.ID] > 0 {
+				return false
 			}
-			if cfg.DisableReuse && res.WorkerAssignments[w.ID] > 0 {
-				continue
+			if w.Start > now || ws[i].busyUntil > now {
+				return true
 			}
 			bws = append(bws, core.BatchWorker{
 				W:          w,
@@ -204,23 +210,26 @@ func (p *Platform) Run() (*Result, error) {
 				DistBudget: w.MaxDist - ws[i].distUsed,
 			})
 			wIdx = append(wIdx, i)
-		}
+			return true
+		})
 		// Pending tasks: appeared, deadline not passed, never assigned.
 		var tasks []*model.Task
-		for i := range in.Tasks {
+		pop.Tasks(func(i int) bool {
 			t := &in.Tasks[i]
-			if assigned[t.ID] || botched[t.ID] || t.Start > now || t.Deadline() < now {
-				continue
+			if assigned[t.ID] || botched[t.ID] || t.Deadline() < now {
+				return false
+			}
+			if t.Start > now {
+				return true
 			}
 			tasks = append(tasks, t)
-		}
+			return true
+		})
 
 		if len(bws) > 0 && len(tasks) > 0 {
-			satisfied := make(map[model.TaskID]bool, len(assigned))
-			for id := range assigned {
-				satisfied[id] = true
-			}
-			b := core.NewBatch(in, bws, tasks, satisfied)
+			// assigned doubles as the batch's Satisfied set: it changes
+			// only below, after the allocator and the fixpoint have read it.
+			b := core.NewBatch(in, bws, tasks, assigned)
 			// Instrumentation is driven by the observer: no OnBatch sink
 			// means a nil recorder, and the engine's recording sites reduce
 			// to nil checks.
@@ -284,7 +293,7 @@ func (p *Platform) Run() (*Result, error) {
 			for _, pair := range valid.Pairs {
 				delete(botched, pair.Task)
 			}
-			order := dependencyOrder(in, m)
+			order := core.DispatchOrder(in, m)
 			validTask := valid.TaskSet()
 			if rec != nil {
 				phaseStart = time.Now()
@@ -361,34 +370,4 @@ func (p *Platform) Run() (*Result, error) {
 		res.MeanStartDelay = math.NaN()
 	}
 	return res, nil
-}
-
-// dependencyOrder returns the assignment's pairs ordered so that every task
-// appears after its in-assignment dependencies, enabling single-pass finish
-// time computation. The assignment's dependency consistency guarantees the
-// order exists.
-func dependencyOrder(in *model.Instance, m *model.Assignment) []model.Pair {
-	byTask := make(map[model.TaskID]model.Pair, len(m.Pairs))
-	for _, p := range m.Pairs {
-		byTask[p.Task] = p
-	}
-	visited := make(map[model.TaskID]bool, len(m.Pairs))
-	out := make([]model.Pair, 0, len(m.Pairs))
-	var visit func(id model.TaskID)
-	visit = func(id model.TaskID) {
-		if visited[id] {
-			return
-		}
-		visited[id] = true
-		for _, dep := range in.Task(id).Deps {
-			if _, ok := byTask[dep]; ok {
-				visit(dep)
-			}
-		}
-		out = append(out, byTask[id])
-	}
-	for _, p := range m.Pairs {
-		visit(p.Task)
-	}
-	return out
 }

@@ -289,7 +289,7 @@ func TestDependencyOrder(t *testing.T) {
 	m.Add(2, 2) // t3 depends on t1, t2
 	m.Add(0, 1) // t2 depends on t1
 	m.Add(1, 0) // t1
-	order := dependencyOrder(in, m)
+	order := core.DispatchOrder(in, m)
 	pos := map[model.TaskID]int{}
 	for i, p := range order {
 		pos[p.Task] = i
@@ -298,12 +298,12 @@ func TestDependencyOrder(t *testing.T) {
 		t.Fatalf("order = %v", order)
 	}
 	if !(pos[0] < pos[1] && pos[1] < pos[2]) {
-		t.Errorf("dependencyOrder violated: %v", order)
+		t.Errorf("DispatchOrder violated: %v", order)
 	}
 	// Pairs whose dependencies are outside the assignment keep their place.
 	m2 := model.NewAssignment()
 	m2.Add(0, 2) // deps t0, t1 not assigned
-	if got := dependencyOrder(in, m2); len(got) != 1 || got[0].Task != 2 {
+	if got := core.DispatchOrder(in, m2); len(got) != 1 || got[0].Task != 2 {
 		t.Errorf("partial order = %v", got)
 	}
 }

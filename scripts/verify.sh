@@ -87,6 +87,13 @@ echo "== bench smoke"
 BENCH_OUT=$(mktemp) GAME_OUT=$(mktemp) INGEST_OUT=$(mktemp) sh scripts/bench.sh -quick >/dev/null
 echo "bench smoke: OK"
 
+# A tick's cost must not grow with history: one iteration of each history
+# size (0, 50K, 200K expired or assigned registrations) proves the
+# benchmark runs; run it with a real -benchtime to compare the sizes.
+echo "== tick history micro-benchmark smoke"
+go test -run '^$' -bench BenchmarkTickHistory -benchtime=1x ./internal/server >/dev/null
+echo "tick history smoke: OK"
+
 # Black-box durability check: a real dasc-server process with a journal is
 # loaded over HTTP, SIGTERMed, restarted, and its /v1/stats +
 # /v1/assignments diffed against the pre-kill values; a second round does
