@@ -82,7 +82,7 @@ func DependencyFixpoint(b *Batch, a *model.Assignment) *model.Assignment {
 			t := b.In.Task(p.Task)
 			ok := true
 			for _, d := range t.Deps {
-				if !kept[d] && !b.Satisfied[d] {
+				if !kept[d] && !b.Satisfied.Has(d) {
 					ok = false
 					break
 				}

@@ -16,38 +16,44 @@ type atSet struct {
 
 // atSets builds one associative set per pending task whose dependencies are
 // all satisfiable this batch (Satisfied or co-pending); anchors with an
-// unreachable dependency are skipped — they cannot be validly assigned in
-// batch b no matter what.
+// unreachable dependency (dead in the batch's wiring) are skipped — they
+// cannot be validly assigned in batch b no matter what.
 //
-// Members are deduplicated: a task listing the same dependency twice (legal
-// in hand-built instances that bypass Instance.Validate) must not
-// double-count the set's weight or make staff demand two distinct workers
-// for one task — that would turn a staffable set spuriously infeasible.
+// Members come from the wiring's deduplicated dependency lists: a task
+// listing the same dependency twice (legal in hand-built instances that
+// bypass Instance.Validate) must not double-count the set's weight or make
+// staff demand two distinct workers for one task — that would turn a
+// staffable set spuriously infeasible. A self-dependency is the anchor
+// itself. The sets and their member lists are carved from two flat slabs.
 func atSets(b *Batch) []*atSet {
-	var sets []*atSet
-	seen := make(map[int]bool)
-	for ti, t := range b.Tasks {
-		if !b.DepSatisfiable(t) {
+	w := b.depWiring()
+	live, size := 0, 0
+	for ti := range b.Tasks {
+		if !w.deadTask[ti] {
+			live++
+			size += 1 + len(w.deps(ti))
+		}
+	}
+	slab := make([]atSet, live)
+	mem := make([]int, 0, size)
+	sets := make([]*atSet, 0, live)
+	for ti := range b.Tasks {
+		if w.deadTask[ti] {
 			continue
 		}
-		s := &atSet{anchor: ti}
-		clear(seen)
-		seen[ti] = true
-		s.members = append(s.members, ti)
-		for _, d := range t.Deps {
-			if b.Satisfied[d] {
-				continue
+		s := &slab[len(sets)]
+		start := len(mem)
+		mem = append(mem, ti)
+		for _, di := range w.deps(ti) {
+			if int(di) != ti {
+				mem = append(mem, int(di))
 			}
-			di := b.TaskIndex(d)
-			if seen[di] {
-				continue
-			}
-			seen[di] = true
-			s.members = append(s.members, di)
 		}
+		s.anchor = ti
+		s.members = mem[start:len(mem):len(mem)]
 		s.alive = len(s.members)
-		for _, ti := range s.members {
-			s.weight += b.Tasks[ti].EffWeight()
+		for _, mi := range s.members {
+			s.weight += w.weight[mi]
 		}
 		sets = append(sets, s)
 	}

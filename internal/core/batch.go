@@ -40,8 +40,8 @@ type Batch struct {
 	Workers []BatchWorker
 	Tasks   []*model.Task
 	// Satisfied marks tasks assigned or completed in earlier batches; a
-	// dependency on such a task is considered met.
-	Satisfied map[model.TaskID]bool
+	// dependency on such a task is considered met. The batch only reads it.
+	Satisfied model.TaskFlags
 
 	dist    geo.DistanceFunc
 	pending map[model.TaskID]int   // task ID -> index into Tasks
@@ -50,11 +50,12 @@ type Batch struct {
 	idxOnce sync.Once
 	idx     *BatchIndex
 
-	// wire is the game's dependency wiring (see utility.go), built once per
+	// wire is the batch's dependency wiring (see wiring.go), built once per
 	// batch like the candidate index: it depends only on Tasks and Satisfied,
-	// so every best-response run over this batch shares it read-only.
+	// so every allocator stage and best-response run over this batch shares
+	// it read-only.
 	wireOnce sync.Once
-	wire     *gameWiring
+	wire     *depWiring
 
 	// rec observes the batch's candidate-engine work (obs.BatchRec is
 	// nil-safe, so the instrumented paths call it unconditionally; nil is
@@ -66,10 +67,7 @@ type Batch struct {
 // the paper's per-batch analysis and of the small-scale experiment: every
 // worker at its declared location with its full budget.
 func NewStaticBatch(in *model.Instance) *Batch {
-	b := &Batch{
-		In:        in,
-		Satisfied: make(map[model.TaskID]bool),
-	}
+	b := &Batch{In: in}
 	for i := range in.Workers {
 		w := &in.Workers[i]
 		b.Workers = append(b.Workers, BatchWorker{
@@ -84,11 +82,10 @@ func NewStaticBatch(in *model.Instance) *Batch {
 }
 
 // NewBatch assembles a batch from explicit worker states and task pointers.
-// satisfied may be nil.
-func NewBatch(in *model.Instance, workers []BatchWorker, tasks []*model.Task, satisfied map[model.TaskID]bool) *Batch {
-	if satisfied == nil {
-		satisfied = make(map[model.TaskID]bool)
-	}
+// satisfied may be nil; the batch keeps it without copying and never writes
+// it, so a platform can hand over its persistent set as long as it does not
+// change the set while the batch is being allocated.
+func NewBatch(in *model.Instance, workers []BatchWorker, tasks []*model.Task, satisfied model.TaskFlags) *Batch {
 	b := &Batch{In: in, Workers: workers, Tasks: tasks, Satisfied: satisfied}
 	b.init()
 	return b
@@ -243,20 +240,6 @@ func (b *Batch) ScanCandidateWorkers(t *model.Task) []int {
 		}
 	}
 	return out
-}
-
-// DepSatisfiable reports whether every dependency of t is either already
-// satisfied or pending in this batch (so it could be co-assigned).
-func (b *Batch) DepSatisfiable(t *model.Task) bool {
-	for _, d := range t.Deps {
-		if b.Satisfied[d] {
-			continue
-		}
-		if _, ok := b.pending[d]; !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // shuffledIndexes returns 0..n-1 in a seeded random order.

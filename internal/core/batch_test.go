@@ -74,6 +74,8 @@ func TestBatchCandidateWorkersSymmetry(t *testing.T) {
 	}
 }
 
+// TestDepSatisfiable checks the wiring's liveness precondition: a task is
+// dead in the batch when a dependency is neither satisfied nor pending.
 func TestDepSatisfiable(t *testing.T) {
 	in := model.Example1()
 	// Batch containing only t2 (depends on t1) and t4.
@@ -81,14 +83,15 @@ func TestDepSatisfiable(t *testing.T) {
 		[]BatchWorker{{W: &in.Workers[0], Loc: in.Workers[0].Loc, ReadyAt: 0, DistBudget: 1000}},
 		[]*model.Task{&in.Tasks[1], &in.Tasks[3]},
 		nil)
-	if b.DepSatisfiable(&in.Tasks[1]) {
+	if w := b.depWiring(); !w.deadTask[0] {
 		t.Error("t2's dependency t1 is absent and unsatisfied")
-	}
-	if !b.DepSatisfiable(&in.Tasks[3]) {
+	} else if w.deadTask[1] {
 		t.Error("t4 has no deps")
 	}
-	b2 := NewBatch(in, b.Workers, b.Tasks, map[model.TaskID]bool{0: true})
-	if !b2.DepSatisfiable(&in.Tasks[1]) {
+	var sat model.TaskFlags
+	sat.Set(0)
+	b2 := NewBatch(in, b.Workers, b.Tasks, sat)
+	if b2.depWiring().deadTask[0] {
 		t.Error("satisfied dependency not honoured")
 	}
 }

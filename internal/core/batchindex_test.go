@@ -178,12 +178,12 @@ func TestAtSetsDedupDuplicateDeps(t *testing.T) {
 		}
 		// The deduped set must be staffable by the two workers.
 		g := NewGreedy()
-		candidates := make([][]int, len(b.Tasks))
-		for ti, task := range b.Tasks {
-			candidates[ti] = b.CandidateWorkers(task)
+		candidates := make([][]int32, len(b.Tasks))
+		for ti := range b.Tasks {
+			candidates[ti] = b.Index().CandidateSet(ti)
 		}
 		free := []bool{true, true}
-		staff, ok := g.staff(b, s.members, candidates, free)
+		staff, ok := g.staff(b, s.members, candidates, free, newColScratch(len(b.Workers)))
 		if !ok || len(staff) != 2 || staff[0] == staff[1] {
 			t.Fatalf("staffing deduped set failed: staff=%v ok=%v", staff, ok)
 		}

@@ -141,7 +141,7 @@ func (s *dfsSearch) leafScore() float64 {
 		for id := range kept {
 			t := s.b.In.Task(id)
 			for _, dep := range t.Deps {
-				if !kept[dep] && !s.b.Satisfied[dep] {
+				if !kept[dep] && !s.b.Satisfied.Has(dep) {
 					delete(kept, id)
 					removed = true
 					break

@@ -43,7 +43,7 @@ func bruteOptimal(b *Batch) int {
 				removed := false
 				for id := range kept {
 					for _, d := range b.In.Task(id).Deps {
-						if !kept[d] && !b.Satisfied[d] {
+						if !kept[d] && !b.Satisfied.Has(d) {
 							delete(kept, id)
 							removed = true
 							break

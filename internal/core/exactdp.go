@@ -49,18 +49,15 @@ func (e *ExactDP) AssignExact(b *Batch) (*model.Assignment, bool) {
 
 	// depMask[ti] = bitmask of ti's unsatisfied dependencies; dead tasks
 	// (dependency outside the batch and unsatisfied) can never be assigned.
+	w := b.depWiring()
 	depMask := make([]uint32, m)
 	dead := uint32(0)
-	for ti, t := range b.Tasks {
-		for _, d := range t.Deps {
-			if b.Satisfied[d] {
-				continue
-			}
-			di := b.TaskIndex(d)
-			if di < 0 {
-				dead |= 1 << uint(ti)
-				break
-			}
+	for ti := range b.Tasks {
+		if w.deadTask[ti] {
+			dead |= 1 << uint(ti)
+			continue
+		}
+		for _, di := range w.deps(ti) {
 			depMask[ti] |= 1 << uint(di)
 		}
 	}

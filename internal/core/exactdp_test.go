@@ -61,7 +61,7 @@ func TestExactDPWithSatisfiedAndDeadDeps(t *testing.T) {
 	b := NewBatch(in,
 		[]BatchWorker{{W: &in.Workers[0], Loc: in.Workers[0].Loc, ReadyAt: 0, DistBudget: 100}},
 		[]*model.Task{&in.Tasks[1]},
-		map[model.TaskID]bool{0: true})
+		model.TaskFlags{0: true})
 	a, ok := NewExactDP().AssignExact(b)
 	if !ok || a.Size() != 1 {
 		t.Fatalf("satisfied dep: %v ok=%v", a, ok)

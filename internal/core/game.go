@@ -363,6 +363,7 @@ func (g *Game) resolve(b *Batch, gs *gameState, rng *rand.Rand) *model.Assignmen
 // Chaotic iteration of the same monotone removal operator converges to the
 // same greatest fixpoint as the ID-domain version.
 func dependencyFixpointIndexed(b *Batch, taskOf []int32) {
+	w := b.depWiring()
 	kept := make([]bool, len(b.Tasks))
 	for _, ti := range taskOf {
 		if ti >= 0 {
@@ -372,24 +373,12 @@ func dependencyFixpointIndexed(b *Batch, taskOf []int32) {
 	for {
 		dropped := false
 		for wi, ti := range taskOf {
-			if ti < 0 {
+			if ti < 0 || w.depsKept(int(ti), kept) {
 				continue
 			}
-			ok := true
-			for _, d := range b.Tasks[ti].Deps {
-				if b.Satisfied[d] {
-					continue
-				}
-				if di := b.TaskIndex(d); di < 0 || !kept[di] {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				kept[ti] = false
-				taskOf[wi] = -1
-				dropped = true
-			}
+			kept[ti] = false
+			taskOf[wi] = -1
+			dropped = true
 		}
 		if !dropped {
 			return

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 
 	"dasc/internal/matching"
@@ -97,11 +98,14 @@ func (g *Greedy) assignIndices(b *Batch) []int32 {
 		}
 	}
 	// Candidate workers per task are stable for the whole batch; only their
-	// availability changes. Precompute once.
-	candidates := make([][]int, len(b.Tasks))
-	for ti, t := range b.Tasks {
-		candidates[ti] = b.CandidateWorkers(t)
+	// availability changes. They are read straight from the candidate
+	// engine (ascending batch worker indexes, never modified).
+	idx := b.Index()
+	candidates := make([][]int32, len(b.Tasks))
+	for ti := range b.Tasks {
+		candidates[ti] = idx.CandidateSet(ti)
 	}
+	cols := newColScratch(len(b.Workers))
 
 	h := &setHeap{}
 	for _, s := range sets {
@@ -125,7 +129,7 @@ func (g *Greedy) assignIndices(b *Batch) []int32 {
 			continue
 		}
 		members := s.aliveMembers(assignedTask)
-		staff, ok := g.staff(b, members, candidates, workerFree)
+		staff, ok := g.staff(b, members, candidates, workerFree, cols)
 		if !ok {
 			// Blocked with the current worker pool. Workers only get
 			// scarcer, so the set can only become assignable again by
@@ -156,29 +160,66 @@ func (g *Greedy) assignIndices(b *Batch) []int32 {
 	return taskOf
 }
 
+// colScratch maps batch workers to matrix columns for staff: one []int32
+// over len(b.Workers), reused across the staff calls of one assignIndices
+// run. Every use reserves a fresh range [base, base+len) of values, so
+// col[wi] names column col[wi]-base of the current use exactly when it is
+// at least base; nothing is cleared between uses. rows and adj hold the
+// feasibility graph's adjacency rows and their flat backing, overwritten by
+// each call.
+type colScratch struct {
+	col  []int32
+	next int32 // base of the next use
+	rows [][]int
+	adj  []int
+}
+
+func newColScratch(workers int) *colScratch {
+	return &colScratch{col: make([]int32, workers), next: 1}
+}
+
+// begin starts a new use and returns its base.
+func (c *colScratch) begin() int32 {
+	n := int32(len(c.col))
+	if c.next > math.MaxInt32-n {
+		clear(c.col)
+		c.next = 1
+	}
+	base := c.next
+	c.next += n
+	return base
+}
+
 // staff finds distinct free workers for every task index in members.
 // It returns the chosen worker index per member, aligned with members, or
-// ok=false when no complete staffing exists.
-func (g *Greedy) staff(b *Batch, members []int, candidates [][]int, workerFree []bool) ([]int, bool) {
+// ok=false when no complete staffing exists. sc is the run's column
+// scratch.
+func (g *Greedy) staff(b *Batch, members []int, candidates [][]int32, workerFree []bool, sc *colScratch) ([]int, bool) {
 	// Feasibility first: Hopcroft–Karp over the full free-candidate graph.
-	// Column space is the union of free candidates, densely renumbered.
-	colOf := make(map[int]int)
+	// Column space is the union of free candidates, densely renumbered in
+	// first-seen order.
+	base := sc.begin()
 	var cols []int
-	bg := matching.NewBipartite(len(members), 0)
+	sc.rows = grown(sc.rows, len(members))
+	bg := &matching.Bipartite{Adj: sc.rows}
+	adj := sc.adj[:0]
 	for row, ti := range members {
-		for _, wi := range candidates[ti] {
-			if !workerFree[wi] {
+		start := len(adj)
+		for _, w := range candidates[ti] {
+			if !workerFree[w] {
 				continue
 			}
-			ci, ok := colOf[wi]
-			if !ok {
-				ci = len(cols)
-				colOf[wi] = ci
-				cols = append(cols, wi)
+			ci := sc.col[w] - base
+			if ci < 0 {
+				ci = int32(len(cols))
+				sc.col[w] = base + ci
+				cols = append(cols, int(w))
 			}
-			bg.Adj[row] = append(bg.Adj[row], ci)
+			adj = append(adj, int(ci))
 		}
+		bg.Adj[row] = adj[start:len(adj):len(adj)]
 	}
+	sc.adj = adj
 	bg.N = len(cols)
 	matchL, size := bg.MaxMatchingHK()
 	if size != len(members) {
@@ -197,9 +238,18 @@ func (g *Greedy) staff(b *Batch, members []int, candidates [][]int, workerFree [
 	// which keeps a complete matching representable. Travel times come from
 	// the batch index's memo, not fresh dist() calls.
 	idx := b.Index()
-	keep := make(map[int]bool)
+	// Kept columns are marked base in the scratch while they are
+	// collected, then renumbered base+i in ascending worker order.
+	base = sc.begin()
+	var trimmed []int
+	keep := func(wi int) {
+		if sc.col[wi] < base {
+			sc.col[wi] = base
+			trimmed = append(trimmed, wi)
+		}
+	}
 	for row := range members {
-		keep[cols[matchL[row]]] = true
+		keep(cols[matchL[row]])
 	}
 	type cand struct {
 		wi   int
@@ -207,8 +257,8 @@ func (g *Greedy) staff(b *Batch, members []int, candidates [][]int, workerFree [
 	}
 	for _, ti := range members {
 		var cs []cand
-		for _, wi := range candidates[ti] {
-			if workerFree[wi] {
+		for _, w := range candidates[ti] {
+			if wi := int(w); workerFree[wi] {
 				cs = append(cs, cand{wi, idx.TravelCost(wi, ti)})
 			}
 		}
@@ -219,18 +269,12 @@ func (g *Greedy) staff(b *Batch, members []int, candidates [][]int, workerFree [
 			return cs[i].wi < cs[j].wi
 		})
 		for i := 0; i < len(cs) && i < g.opt.MaxCandidatesPerTask; i++ {
-			keep[cs[i].wi] = true
+			keep(cs[i].wi)
 		}
 	}
-	trimmed := make([]int, 0, len(keep))
-	//lint:deterministic-ok iteration order is laundered by the sort.Ints below before trimmed is used
-	for wi := range keep {
-		trimmed = append(trimmed, wi)
-	}
 	sort.Ints(trimmed)
-	colIdx := make(map[int]int, len(trimmed))
 	for i, wi := range trimmed {
-		colIdx[wi] = i
+		sc.col[wi] = base + int32(i)
 	}
 	cost := make([][]float64, len(members))
 	for row, ti := range members {
@@ -238,15 +282,16 @@ func (g *Greedy) staff(b *Batch, members []int, candidates [][]int, workerFree [
 		for i := range cost[row] {
 			cost[row][i] = matching.Forbidden
 		}
-		for _, wi := range candidates[ti] {
+		for _, w := range candidates[ti] {
+			wi := int(w)
 			if !workerFree[wi] {
 				continue
 			}
-			// Candidates trimmed out of the kept column set have no colIdx
-			// entry; a bare lookup would resolve to column 0 and overwrite
-			// its cost with an unrelated (possibly infeasible) worker's.
-			ci, kept := colIdx[wi]
-			if !kept {
+			// Candidates trimmed out of the kept column set hold a stale
+			// value below base; reading it as a column would overwrite an
+			// unrelated (possibly infeasible) worker's cost.
+			ci := sc.col[wi] - base
+			if ci < 0 {
 				continue
 			}
 			cost[row][ci] = idx.TravelCost(wi, ti)

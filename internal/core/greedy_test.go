@@ -36,7 +36,7 @@ func validateBatchAssignment(t *testing.T, b *Batch, a *model.Assignment) {
 			t.Fatalf("infeasible pair (w%d,t%d)", p.Worker, p.Task)
 		}
 		for _, d := range b.In.Task(p.Task).Deps {
-			if !assigned[d] && !b.Satisfied[d] {
+			if !assigned[d] && !b.Satisfied.Has(d) {
 				t.Fatalf("task t%d assigned with unmet dependency t%d", p.Task, d)
 			}
 		}
@@ -104,7 +104,7 @@ func TestGreedySkipsUnreachableDependency(t *testing.T) {
 		t.Fatalf("assigned task with absent dependency: %v", a)
 	}
 	// With the dependency satisfied in an earlier batch it becomes legal.
-	b2 := NewBatch(in, b.Workers, b.Tasks, map[model.TaskID]bool{0: true})
+	b2 := NewBatch(in, b.Workers, b.Tasks, model.TaskFlags{0: true})
 	a2 := NewGreedy().Assign(b2)
 	if a2.Size() != 1 {
 		t.Fatalf("satisfied dependency not honoured: %v", a2)

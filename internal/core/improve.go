@@ -46,7 +46,7 @@ func Improve(b *Batch, a *model.Assignment) *model.Assignment {
 			}
 			ok := true
 			for _, d := range t.Deps {
-				if !assigned[d] && !b.Satisfied[d] {
+				if !assigned[d] && !b.Satisfied.Has(d) {
 					ok = false
 					break
 				}

@@ -1,117 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"dasc/internal/model"
-)
-
-// gameWiring is the batch-invariant dependency structure Equation 3 is
-// evaluated over: the unsatisfied-dependency relation and its inverse as flat
-// CSR slices, plus the per-task dependency counts, weights and liveness
-// preconditions. It depends only on the batch's task list and satisfied set —
-// never on strategies — so it is built once per batch (Batch.gameWiring) and
-// shared read-only by every best-response run over that batch, including the
-// paired runs of VerifyWorklist and repeated Assign calls in benchmarks.
-type gameWiring struct {
-	// deps(ti) = depDat[depOff[ti]:depOff[ti+1]] lists the pending-task
-	// indexes of ti's unsatisfied dependencies; dependants(ti) is the inverse
-	// relation. satisfiedDeps[ti] counts dependencies met by earlier batches.
-	// A dependency outside the batch and not satisfied makes the task
-	// permanently dead this batch (deadTask).
-	depOff       []int32
-	depDat       []int32
-	dependantOff []int32
-	dependantDat []int32
-
-	depCount      []int32 // |D_t| (full dependency-set size, for the α·|D_t| share)
-	deadTask      []bool
-	satisfiedDeps []int32
-	weight        []float64 // effective task weights (1 in the paper's setting)
-}
-
-// gameWiring returns the batch's dependency wiring, building it on first use.
-// Like Index, the result is immutable and safe for concurrent readers.
-func (b *Batch) gameWiring() *gameWiring {
-	b.wireOnce.Do(func() { b.wire = buildGameWiring(b) })
-	return b.wire
-}
-
-// buildGameWiring assembles the wiring: one pass over the tasks' dependency
-// lists to produce the dep CSR, then a count/prefix/fill inversion into the
-// dependant CSR.
-func buildGameWiring(b *Batch) *gameWiring {
-	n := len(b.Tasks)
-	w := &gameWiring{
-		depOff:        make([]int32, n+1),
-		dependantOff:  make([]int32, n+1),
-		depCount:      make([]int32, n),
-		deadTask:      make([]bool, n),
-		satisfiedDeps: make([]int32, n),
-		weight:        make([]float64, n),
-	}
-
-	// Duplicate dependency entries (possible in instances that bypass
-	// Validate) are collapsed so |D_t| and the dependant lists stay true to
-	// the set semantics of Equation 3. The generation stamp is the task index
-	// plus one, so the map never needs clearing between tasks.
-	seen := make(map[model.TaskID]int)
-	for ti, t := range b.Tasks {
-		w.weight[ti] = t.EffWeight()
-		gen := ti + 1
-		for _, d := range t.Deps {
-			if seen[d] == gen {
-				continue
-			}
-			seen[d] = gen
-			w.depCount[ti]++
-			if b.Satisfied[d] {
-				w.satisfiedDeps[ti]++
-				continue
-			}
-			di := b.TaskIndex(d)
-			if di < 0 {
-				w.deadTask[ti] = true
-				continue
-			}
-			w.depDat = append(w.depDat, int32(di))
-		}
-		w.depOff[ti+1] = int32(len(w.depDat))
-	}
-
-	// Invert into the dependant CSR: count, prefix-sum, fill. Scanning tasks
-	// ascending keeps every dependant list ascending, exactly the append
-	// order the old [][]int wiring produced.
-	cnt := make([]int32, n)
-	for _, di := range w.depDat {
-		cnt[di]++
-	}
-	off := int32(0)
-	for ti := 0; ti < n; ti++ {
-		w.dependantOff[ti] = off
-		off += cnt[ti]
-	}
-	w.dependantOff[n] = off
-	w.dependantDat = make([]int32, off)
-	copy(cnt, w.dependantOff[:n])
-	for ti := 0; ti < n; ti++ {
-		for _, di := range w.deps(ti) {
-			w.dependantDat[cnt[di]] = int32(ti)
-			cnt[di]++
-		}
-	}
-	return w
-}
-
-// deps returns the pending-task indexes of ti's unsatisfied dependencies.
-func (w *gameWiring) deps(ti int) []int32 {
-	return w.depDat[w.depOff[ti]:w.depOff[ti+1]]
-}
-
-// dependants returns the pending-task indexes that depend on ti, ascending.
-func (w *gameWiring) dependants(ti int) []int32 {
-	return w.dependantDat[w.dependantOff[ti]:w.dependantOff[ti+1]]
-}
+import "sync"
 
 // gameState holds the mutable state of one best-response run: each worker's
 // current strategy and the per-task claimant counts, over the batch's shared
@@ -126,7 +15,7 @@ func (w *gameWiring) dependants(ti int) []int32 {
 type gameState struct {
 	b     *Batch
 	alpha float64
-	*gameWiring
+	*depWiring
 
 	strategy []int // worker index -> pending task index, or -1 (idle)
 	claims   []int // pending task index -> number of claimants nw_t
@@ -169,7 +58,7 @@ func newGameState(b *Batch, alpha float64) *gameState {
 // references that would otherwise pin the batch in memory.
 func (gs *gameState) release() {
 	gs.b = nil
-	gs.gameWiring = nil
+	gs.depWiring = nil
 	gameStatePool.Put(gs)
 }
 
@@ -179,7 +68,7 @@ func (gs *gameState) release() {
 func (gs *gameState) reset(b *Batch, alpha float64) {
 	n, m := len(b.Tasks), len(b.Workers)
 	gs.b, gs.alpha = b, alpha
-	gs.gameWiring = b.gameWiring()
+	gs.depWiring = b.depWiring()
 	gs.strategy = grown(gs.strategy, m)
 	for i := range gs.strategy {
 		gs.strategy[i] = -1

@@ -40,13 +40,19 @@ func (g *Graph) IsAcyclic() bool {
 // FindCycle returns one dependency cycle as a vertex sequence
 // v0 → v1 → … → v0 (each vertex depends on the next), or nil when the graph
 // is acyclic.
-func (g *Graph) FindCycle() []int {
+func (g *Graph) FindCycle() []int { return FindCycleIn(g.Len(), g.Deps) }
+
+// FindCycleIn is FindCycle over dependency lists held elsewhere: vertices
+// are [0, n) and deps(u) lists, in order, the vertices u depends on, each in
+// [0, n). A caller whose lists already are a graph's adjacency — validated
+// task dependency lists, say — searches them in place instead of building
+// a Graph, and gets the cycle FindCycle would return on that Graph.
+func FindCycleIn[T ~int32](n int, deps func(u int) []T) []int {
 	const (
 		white = 0 // unvisited
 		grey  = 1 // on stack
 		black = 2 // done
 	)
-	n := g.Len()
 	color := make([]uint8, n)
 	parent := make([]int, n)
 	for i := range parent {
@@ -56,7 +62,7 @@ func (g *Graph) FindCycle() []int {
 	var dfs func(u int) bool
 	dfs = func(u int) bool {
 		color[u] = grey
-		for _, v32 := range g.deps[u] {
+		for _, v32 := range deps(u) {
 			v := int(v32)
 			switch color[v] {
 			case white:

@@ -17,7 +17,7 @@ import (
 //
 // The analyzer computes a per-function taint: values produced by
 // (sync.Pool).Get, by carve/carveLen on a slab reached through an owner
-// type (EngineCache, cachedWorker), by free-list pops, or by reading an
+// type (EngineCache, cachedWorker, depScratch), by free-list pops, or by reading an
 // aliasing field (slice/pointer/map) of an owner, are pool-owned. It flags:
 //
 //   - returning a pool-owned value from an EXPORTED function or method
@@ -48,7 +48,9 @@ func NewPoolEscape() *Analyzer {
 
 // poolOwnerTypes are the types whose slabs, free lists and aliasing fields
 // are pool-owned. New pool-owning types must be registered here.
-var poolOwnerTypes = map[string]bool{"EngineCache": true, "cachedWorker": true}
+// depScratch is the dependency-wiring build's pooled scratch: its ID-indexed
+// slices must never alias into the wiring it builds.
+var poolOwnerTypes = map[string]bool{"EngineCache": true, "cachedWorker": true, "depScratch": true}
 
 func runPoolEscape(pass *Pass) error {
 	for _, f := range pass.Files {

@@ -1,6 +1,6 @@
 // Package poolescape is analyzer testdata. It models the engine cache's
 // ownership shapes locally — the analyzer matches pool owners by type NAME
-// (EngineCache, cachedWorker) and slab carving by method name.
+// (EngineCache, cachedWorker, depScratch) and slab carving by method name.
 package poolescape
 
 import "sync"
@@ -88,4 +88,17 @@ func scalarReadsAreCopies(cw *cachedWorker, k int) float64 {
 func Scratch(c *EngineCache) []int32 {
 	//lint:poolescape-ok documented contract: the only caller copies before the next batch reuses the buffer
 	return c.scratch
+}
+
+// depScratch models the dependency-wiring build's pooled scratch: values
+// may be read out of it, but none of its slices may alias into the result.
+type depScratch struct{ pos []int32 }
+
+type depWiring struct{ depDat []int32 }
+
+func (sc *depScratch) wire() *depWiring {
+	w := &depWiring{}
+	w.depDat = append(w.depDat, sc.pos[0]) // element copy: no finding
+	w.depDat = sc.pos                      // want "cache-owned memory stored into non-owner structure"
+	return w
 }

@@ -79,6 +79,9 @@ func (in *Instance) Validate() error {
 			return fmt.Errorf("model: worker w%d has no skills", w.ID)
 		}
 	}
+	// seen[d] == i+1 marks dependency t_d as already listed by task i: one
+	// stamp slice for the whole duplicate check, never cleared.
+	seen := make([]int32, len(in.Tasks))
 	for i := range in.Tasks {
 		t := &in.Tasks[i]
 		if int(t.ID) != i {
@@ -90,7 +93,6 @@ func (in *Instance) Validate() error {
 		if t.Requires < 0 {
 			return fmt.Errorf("model: task t%d has negative required skill", t.ID)
 		}
-		seen := make(map[TaskID]bool, len(t.Deps))
 		for _, d := range t.Deps {
 			if in.Task(d) == nil {
 				return fmt.Errorf("model: task t%d depends on unknown task t%d", t.ID, d)
@@ -98,17 +100,16 @@ func (in *Instance) Validate() error {
 			if d == t.ID {
 				return fmt.Errorf("model: task t%d depends on itself", t.ID)
 			}
-			if seen[d] {
+			if seen[d] == int32(i+1) {
 				return fmt.Errorf("model: task t%d lists dependency t%d twice", t.ID, d)
 			}
-			seen[d] = true
+			seen[d] = int32(i + 1)
 		}
 	}
-	g, err := in.DepGraph()
-	if err != nil {
-		return err
-	}
-	if cyc := g.FindCycle(); cyc != nil {
+	// Every list now names known tasks other than its owner, once each, and
+	// task IDs are positions, so the lists are exactly the adjacency
+	// DepGraph would build: search them in place.
+	if cyc := dag.FindCycleIn(len(in.Tasks), func(u int) []TaskID { return in.Tasks[u].Deps }); cyc != nil {
 		return fmt.Errorf("model: dependency cycle %v: %w", cyc, dag.ErrCycle)
 	}
 	return nil

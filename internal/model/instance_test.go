@@ -2,6 +2,8 @@ package model
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -63,6 +65,67 @@ func TestValidateCycle(t *testing.T) {
 	err := in.Validate()
 	if !errors.Is(err, dag.ErrCycle) {
 		t.Errorf("err = %v, want ErrCycle", err)
+	}
+}
+
+// TestValidateMessagesExact pins Validate's full error text, cycle witness
+// included, for duplicate and cyclic dependency lists (strings captured from
+// the map-and-scan implementation the stamped checks replaced).
+func TestValidateMessagesExact(t *testing.T) {
+	cases := []struct {
+		mutate func(*Instance)
+		want   string
+	}{
+		{func(in *Instance) { in.Tasks[0].Deps = []TaskID{2} },
+			"model: dependency cycle [2 0]: dag: dependency cycle detected"},
+		{func(in *Instance) { in.Tasks[1].Deps = []TaskID{0, 2} },
+			"model: dependency cycle [2 1]: dag: dependency cycle detected"},
+		{func(in *Instance) { in.Tasks[3].Deps = []TaskID{4}; in.Tasks[4].Deps = []TaskID{3, 3} },
+			"model: task t4 lists dependency t3 twice"},
+		{func(in *Instance) { in.Tasks[2].Deps = []TaskID{0, 1, 0} },
+			"model: task t2 lists dependency t0 twice"},
+	}
+	for i, tc := range cases {
+		in := Example1()
+		tc.mutate(in)
+		if err := in.Validate(); err == nil || err.Error() != tc.want {
+			t.Errorf("case %d: err = %v, want %q", i, err, tc.want)
+		}
+	}
+}
+
+// TestValidateCycleWitnessMatchesDepGraph draws random dependency lists
+// with cycles and requires Validate's witness to be the one FindCycle
+// returns on the instance's DepGraph, the graph Validate used to build.
+func TestValidateCycleWitnessMatchesDepGraph(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + rng.Intn(25)
+		in := &Instance{}
+		for i := 0; i < n; i++ {
+			task := Task{ID: TaskID(i), Wait: 1}
+			for _, d := range rng.Perm(n)[:min(n, rng.Intn(4))] {
+				if d != i {
+					task.Deps = append(task.Deps, TaskID(d))
+				}
+			}
+			in.Tasks = append(in.Tasks, task)
+		}
+		g, err := in.DepGraph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := g.FindCycle()
+		err = in.Validate()
+		if want == nil {
+			if err != nil {
+				t.Fatalf("trial %d: acyclic lists rejected: %v", trial, err)
+			}
+			continue
+		}
+		if msg := fmt.Sprintf("model: dependency cycle %v: %v", want, dag.ErrCycle); err == nil || err.Error() != msg {
+			t.Fatalf("trial %d: err = %v, want %q", trial, err, msg)
+		}
 	}
 }
 

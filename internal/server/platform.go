@@ -89,7 +89,7 @@ type Platform struct {
 	// satisfied holds the keys of assigned, in the form core.Batch reads
 	// (Batch.Satisfied); every tick's batch shares it, and core never
 	// writes it.
-	satisfied map[model.TaskID]bool
+	satisfied model.TaskFlags
 	// assignLog lists every valid pair in dispatch order, one per assigned
 	// task. It only grows (a snapshot restore replaces it on an empty
 	// platform), so read views alias it (view.go).
@@ -243,7 +243,6 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		assigned:     make(map[model.TaskID]model.WorkerID),
 		botched:      make(map[model.TaskID]bool),
 		finishAt:     make(map[model.TaskID]float64),
-		satisfied:    make(map[model.TaskID]bool),
 	}
 	p.mw = newMiddleware(p.log, cfg.AccessLogEvery)
 	p.cIngEnq = p.reg.Counter(obs.MIngestEnqueuedTotal)
@@ -566,7 +565,7 @@ func (p *Platform) TickTagged(now float64, requestID string) (*BatchOutcome, err
 		if validSet[pair.Task] {
 			p.logAssignmentLocked(pair)
 			p.assigned[pair.Task] = pair.Worker
-			p.satisfied[pair.Task] = true
+			p.satisfied.Set(pair.Task)
 			p.finishAt[pair.Task] = finish
 		} else {
 			p.botched[pair.Task] = true

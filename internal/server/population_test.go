@@ -83,13 +83,19 @@ func checkPopulation(t *testing.T, p *Platform, now float64) (workers, tasks int
 	if lw, lt := liveCounts(p, now); w != lw || tk != lt {
 		t.Fatalf("t=%v: population holds %d workers %d tasks, live set is %d and %d", now, w, tk, lw, lt)
 	}
-	if len(p.satisfied) != len(p.assigned) || len(p.assignLog) != len(p.assigned) {
-		t.Fatalf("t=%v: %d satisfied, %d logged, %d assigned", now, len(p.satisfied), len(p.assignLog), len(p.assigned))
+	nSat := 0
+	for _, set := range p.satisfied {
+		if set {
+			nSat++
+		}
+	}
+	if nSat != len(p.assigned) || len(p.assignLog) != len(p.assigned) {
+		t.Fatalf("t=%v: %d satisfied, %d logged, %d assigned", now, nSat, len(p.assignLog), len(p.assigned))
 	}
 	for _, pair := range p.assignLog {
-		if w, ok := p.assigned[pair.Task]; !ok || w != pair.Worker || !p.satisfied[pair.Task] {
+		if w, ok := p.assigned[pair.Task]; !ok || w != pair.Worker || !p.satisfied.Has(pair.Task) {
 			t.Fatalf("t=%v: logged %v, assigned map has (w%d, %v), satisfied %v",
-				now, pair, w, ok, p.satisfied[pair.Task])
+				now, pair, w, ok, p.satisfied.Has(pair.Task))
 		}
 	}
 	return len(wantW), len(wantT)
@@ -290,7 +296,7 @@ func (r *repeatAllocator) Assign(b *core.Batch) *model.Assignment {
 		wi := (b.WorkerIndex(pair.Worker) + 1) % len(b.Workers)
 		a.Add(b.Workers[wi].W.ID, pair.Task)
 	}
-	if b.Satisfied[0] {
+	if b.Satisfied.Has(0) {
 		a.Add(b.Workers[r.calls%len(b.Workers)].W.ID, 0)
 	}
 	return a

@@ -127,7 +127,7 @@ func (p *Platform) ReadSnapshot(r io.Reader) error {
 		}
 	}
 	assigned := make(map[model.TaskID]model.WorkerID, len(sf.Assigned))
-	satisfied := make(map[model.TaskID]bool, len(sf.Assigned))
+	satisfied := make(model.TaskFlags, nTasks)
 	finishAt := make(map[model.TaskID]float64, len(sf.Assigned))
 	assignLog := make([]model.Pair, 0, len(sf.Assigned))
 	for _, a := range sf.Assigned {
@@ -138,7 +138,7 @@ func (p *Platform) ReadSnapshot(r io.Reader) error {
 			return fmt.Errorf("server: snapshot assigns task t%d twice", a.Task)
 		}
 		assigned[a.Task] = a.Worker
-		satisfied[a.Task] = true
+		satisfied.Set(a.Task)
 		finishAt[a.Task] = a.FinishAt
 		assignLog = append(assignLog, model.Pair{Worker: a.Worker, Task: a.Task})
 	}

@@ -151,9 +151,9 @@ func (p *Platform) Run() (*Result, error) {
 		ws[i] = wstate{locX: in.Workers[i].Loc.X, locY: in.Workers[i].Loc.Y}
 	}
 
-	assigned := make(map[model.TaskID]bool)    // ever validly assigned (dependency obligation met)
-	botched := make(map[model.TaskID]bool)     // consumed by an invalid assignment
-	finishAt := make(map[model.TaskID]float64) // completion time per assigned task
+	assigned := make(model.TaskFlags, len(in.Tasks)) // ever validly assigned (dependency obligation met)
+	botched := make(map[model.TaskID]bool)           // consumed by an invalid assignment
+	finishAt := make(map[model.TaskID]float64)       // completion time per assigned task
 	res := &Result{WorkerAssignments: map[model.WorkerID]int{}}
 
 	// Time horizon: nothing can happen after every worker window and every
@@ -216,7 +216,7 @@ func (p *Platform) Run() (*Result, error) {
 		var tasks []*model.Task
 		pop.Tasks(func(i int) bool {
 			t := &in.Tasks[i]
-			if assigned[t.ID] || botched[t.ID] || t.Deadline() < now {
+			if assigned.Has(t.ID) || botched[t.ID] || t.Deadline() < now {
 				return false
 			}
 			if t.Start > now {
@@ -285,7 +285,7 @@ func (p *Platform) Run() (*Result, error) {
 			// at assignment time, Definition 3 constraint 4) and botched
 			// tasks as consumed without satisfying anything.
 			for _, pair := range valid.Pairs {
-				assigned[pair.Task] = true
+				assigned.Set(pair.Task)
 			}
 			for _, pair := range m.Pairs {
 				botched[pair.Task] = true // valid ones are overridden below
@@ -360,7 +360,7 @@ func (p *Platform) Run() (*Result, error) {
 
 	for i := range in.Tasks {
 		id := in.Tasks[i].ID
-		if !assigned[id] && !botched[id] {
+		if !assigned.Has(id) && !botched[id] {
 			res.ExpiredTasks++
 		}
 	}

@@ -75,6 +75,17 @@ for gmp in 2 8; do
 	GOMAXPROCS=$gmp go test -race ./internal/core/ -run 'TestGameWorklist' -count 1
 done
 
+# The dense dependency wiring's differentials (map-based oracles for the
+# wiring, the associative sets, the index-domain fixpoint and Greedy's
+# column scratch) and its concurrent pooled-scratch test, again at a
+# starved and a wide scheduler: batches allocated concurrently borrow their
+# build scratch from one shared sync.Pool.
+echo "== go test -race dependency wiring (GOMAXPROCS=2, 8)"
+for gmp in 2 8; do
+	GOMAXPROCS=$gmp go test -race ./internal/core/ \
+		-run 'TestDepWiring|TestGreedyStaffMatchesMapOracle' -count 1
+done
+
 # The group-commit ingest pipeline's concurrency tests (hammer included:
 # registrations, ticks, snapshot rotations and reads all concurrent, then a
 # replay-equivalence check), again at a starved and a wide scheduler.
@@ -93,6 +104,12 @@ echo "bench smoke: OK"
 echo "== tick history micro-benchmark smoke"
 go test -run '^$' -bench BenchmarkTickHistory -benchtime=1x ./internal/server >/dev/null
 echo "tick history smoke: OK"
+
+# One fig10-max batch's dependency resolution, dense build and map-based
+# oracle; run it with a real -benchtime to compare them.
+echo "== batch wiring micro-benchmark smoke"
+go test -run '^$' -bench BenchmarkBatchWiring -benchtime=1x ./internal/core >/dev/null
+echo "batch wiring smoke: OK"
 
 # Black-box durability check: a real dasc-server process with a journal is
 # loaded over HTTP, SIGTERMed, restarted, and its /v1/stats +
