@@ -77,12 +77,6 @@ type EngineCache struct {
 	// pending is the set of task IDs pending in the last batch, maintained
 	// in place by the per-batch task diff (and rebuilt only on adopt).
 	pending map[model.TaskID]bool
-	// workersPeak and pendingPeak are the maps' largest sizes since each was
-	// last (re)made. Go maps never release buckets, so a map that drained
-	// to a quarter of its peak is rebuilt at its live size (shrunk):
-	// otherwise one huge batch would keep every later sweep O(peak).
-	workersPeak int
-	pendingPeak int
 
 	// free recycles cachedWorker structs of departed workers, buffers
 	// included; structs/ids/floats are the slabs new cache-side
@@ -140,7 +134,6 @@ type EngineCacheStats struct {
 	WorkersPooled  int // cachedWorker structs recycled from the free list
 	TasksArrived   int // tasks probed as new arrivals
 	TasksDeparted  int // tasks dropped from the cache and grid
-	MapsShrunk     int // worker or pending maps rebuilt after draining
 }
 
 // NewEngineCache returns an empty cache; the first Attach does a full build.
@@ -279,7 +272,6 @@ func (c *EngineCache) incrementalN(b *Batch, procs int) *BatchIndex {
 	}
 	slices.Sort(arrived)
 	c.arrived = arrived
-	c.pending = shrunk(c.pending, &c.pendingPeak, &c.stats)
 	c.stats.TasksDeparted += departed
 	c.stats.TasksArrived += len(arrived)
 	b.rec.AddCacheTasksDeparted(int64(departed))
@@ -528,9 +520,7 @@ func (c *EngineCache) absorbWorkers(b *Batch, idx *BatchIndex) {
 		copy(cw.costs, costs)
 	}
 	// Sweep departed workers (entries the loop above did not restamp) into
-	// the free list, buffers attached for reuse. The map peaks here, before
-	// the sweep.
-	c.workersPeak = max(c.workersPeak, len(c.workers))
+	// the free list, buffers attached for reuse.
 	//lint:deterministic-ok recycled structs are interchangeable containers; every field and buffer is overwritten before reuse, so free-list order never reaches an index
 	for id, cw := range c.workers {
 		if cw.gen != c.gen {
@@ -538,7 +528,6 @@ func (c *EngineCache) absorbWorkers(b *Batch, idx *BatchIndex) {
 			c.free = append(c.free, cw)
 		}
 	}
-	c.workers = shrunk(c.workers, &c.workersPeak, &c.stats)
 	c.stats.WorkersPooled += pooled
 	b.rec.SetCachePool(pooled, len(c.free))
 	c.valid = true
@@ -555,29 +544,4 @@ func (c *EngineCache) refreshPending(b *Batch) {
 	for _, t := range b.Tasks {
 		c.pending[t.ID] = true
 	}
-	c.pending = shrunk(c.pending, &c.pendingPeak, &c.stats)
-}
-
-// shrinkMin is the peak below which a drained map is left alone: rebuilding
-// a small map saves less than it costs.
-const shrinkMin = 64
-
-// shrunk returns m, or a copy of m sized to its live entries when m has
-// drained to at most a quarter of its peak size since it was last made,
-// counting the rebuild in stats. The copy is O(live) and pays for itself: it
-// follows at least three quarters of the peak in deletions. Both maps are
-// only ever read through lookups or laundered sweeps, so the copy's new
-// iteration order changes no result.
-func shrunk[K comparable, V any](m map[K]V, peak *int, stats *EngineCacheStats) map[K]V {
-	*peak = max(*peak, len(m))
-	if *peak < shrinkMin || len(m) > *peak/4 {
-		return m
-	}
-	out := make(map[K]V, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	*peak = len(out)
-	stats.MapsShrunk++
-	return out
 }

@@ -235,54 +235,3 @@ func TestEngineCacheEmptyBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestEngineCacheShrinksAfterSpike: one batch with a population far larger
-// than the steady state must not leave the cache's worker and pending maps
-// at their peak size. After the drain both maps are rebuilt at their live
-// size, and the engine still matches a fresh build at every batch.
-func TestEngineCacheShrinksAfterSpike(t *testing.T) {
-	rng := rand.New(rand.NewSource(504))
-	in := randomInstance(rng, 400, 600, 3, false)
-	cache := NewEngineCache()
-	attach := func(nw, nt int, now float64) {
-		t.Helper()
-		var bws []BatchWorker
-		for i := 0; i < nw; i++ {
-			w := &in.Workers[i]
-			bws = append(bws, BatchWorker{W: w, Loc: w.Loc, ReadyAt: now, DistBudget: w.MaxDist})
-		}
-		var tasks []*model.Task
-		for i := 0; i < nt; i++ {
-			tasks = append(tasks, &in.Tasks[i])
-		}
-		b := NewBatch(in, bws, tasks, nil)
-		cache.Attach(b)
-		if err := b.VerifyIndex(); err != nil {
-			t.Fatalf("t=%v: %v", now, err)
-		}
-		if len(cache.workers) != nw || len(cache.pending) != nt {
-			t.Fatalf("t=%v: cache holds %d workers and %d tasks, batch has %d and %d",
-				now, len(cache.workers), len(cache.pending), nw, nt)
-		}
-	}
-	attach(20, 30, 1)
-	attach(400, 600, 2) // the spike
-	attach(400, 600, 3)
-	if n := cache.Stats().MapsShrunk; n != 0 {
-		t.Fatalf("%d maps rebuilt before any drain", n)
-	}
-	attach(20, 30, 4) // drained to 5% of the peak: both maps are rebuilt
-	if n := cache.Stats().MapsShrunk; n != 2 {
-		t.Fatalf("%d maps rebuilt after the drain, want 2 (workers and pending)", n)
-	}
-	if cache.workersPeak != 20 || cache.pendingPeak != 30 {
-		t.Fatalf("peaks after the rebuild are %d and %d, want the live sizes 20 and 30",
-			cache.workersPeak, cache.pendingPeak)
-	}
-	for now := 5.0; now < 8; now++ {
-		attach(20, 30, now)
-	}
-	if n := cache.Stats().MapsShrunk; n != 2 {
-		t.Fatalf("steady batches rebuilt maps again: %d rebuilds", n)
-	}
-}

@@ -43,11 +43,12 @@ func (b *Batch) depWiring() *depWiring {
 
 // depScratch is the TaskID-indexed scratch of one wiring build, borrowed
 // from depScratchPool for the build and returned afterwards. tag is indexed
-// by task ID and only grows, to the highest pending ID seen; last is indexed
-// by pending task index. Nothing is cleared between builds: each build
-// reserves a fresh range of stamps above every stamp written before, so
-// entries left by earlier builds never match, and a build costs
-// O(pending + Σ|D_t|) however many tasks the instance has registered.
+// by task ID and only grows, to cover every task of the largest instance
+// seen (and any higher pending ID); last is indexed by pending task index.
+// Nothing is cleared between builds: each build reserves a fresh range of
+// stamps above every stamp written before, so entries left by earlier
+// builds never match, and a build costs O(pending + Σ|D_t|) however many
+// tasks the instance has registered, plus the amortised growth of tag.
 type depScratch struct {
 	// With base the build's first stamp and n its pending count:
 	// tag[id] == base+i means id is pending at index i < n, and
@@ -60,21 +61,25 @@ type depScratch struct {
 
 var depScratchPool = sync.Pool{New: func() any { return new(depScratch) }}
 
-// begin marks the pending tasks and returns the build's base stamp, leaving
-// base+n … base+2n-1 to the per-task deduplication. Pending tasks with a
-// negative ID cannot be indexed, so dependencies on them resolve as not
-// pending (Validate rejects such IDs, and the server numbers tasks by
-// position).
-func (sc *depScratch) begin(tasks []*model.Task) uint32 {
+// begin marks the pending tasks of a batch over instance in and returns the
+// build's base stamp, leaving base+n … base+2n-1 to the per-task
+// deduplication. Pending tasks with a negative ID cannot be indexed, so
+// dependencies on them resolve as not pending (Validate rejects such IDs,
+// and the server numbers tasks by position).
+func (sc *depScratch) begin(in *model.Instance, tasks []*model.Task) uint32 {
 	n := len(tasks)
-	hi := -1
+	size := len(in.Tasks)
 	for _, t := range tasks {
-		hi = max(hi, int(t.ID))
+		size = max(size, int(t.ID)+1)
 	}
-	if grow := hi + 1 - len(sc.tag); grow > 0 {
+	if grow := size - len(sc.tag); grow > 0 {
 		sc.tag = append(sc.tag, make([]uint32, grow)...)
 	}
-	if sc.next == 0 || uint64(sc.next)+2*uint64(n) > math.MaxUint32 {
+	switch {
+	case sc.next == 0:
+		// A fresh scratch: tag was just made, so it holds no stamp yet.
+		sc.next = 1
+	case uint64(sc.next)+2*uint64(n) > math.MaxUint32:
 		clear(sc.tag)
 		sc.next = 1
 	}
@@ -115,12 +120,12 @@ func (sc *depScratch) wire(b *Batch) *depWiring {
 		weight:        make([]float64, n),
 	}
 
-	base := sc.begin(b.Tasks)
+	base := sc.begin(b.In, b.Tasks)
 	// Duplicate dependency entries (possible in instances that bypass
 	// Validate) are collapsed so |D_t| and the dependant lists stay true to
 	// the set semantics of Equation 3: a pending dependency through last, one
-	// outside the batch through its tag, and one whose ID lies beyond the
-	// scratch (never pending; only hand-built instances have them) by a scan
+	// outside the batch through its tag, and one whose ID is negative or
+	// beyond the instance (never pending; Validate rejects both) by a scan
 	// of the entries before it. Stamps of earlier builds lie below base, so
 	// tag-base wraps past n for them.
 	for ti, t := range b.Tasks {

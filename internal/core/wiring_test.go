@@ -371,6 +371,36 @@ func TestDepWiringScratchReuse(t *testing.T) {
 	}
 }
 
+// TestDepWiringScratchCoversInstance: the scratch's tags cover every task
+// of the instance, not just the pending ones, so valid dependencies on
+// higher-numbered tasks that are not pending (forward references, as a
+// loaded dataset may have) deduplicate through their tag, never by a scan.
+func TestDepWiringScratchCoversInstance(t *testing.T) {
+	task := func(id int, deps ...model.TaskID) model.Task {
+		return model.Task{ID: model.TaskID(id), Loc: geo.Pt(0, 0), Wait: 10, Deps: deps}
+	}
+	in := &model.Instance{Tasks: []model.Task{
+		task(0, 5, 3, 6),
+		task(1, 0, 4, 5, 3),
+		task(2),
+		task(3),
+		task(4),
+		task(5),
+		task(6),
+	}}
+	var sat model.TaskFlags
+	sat.Set(4)
+	b := NewBatch(in, nil, []*model.Task{&in.Tasks[1], &in.Tasks[0]}, sat)
+	sc := new(depScratch)
+	checkWiring(t, "forward references", sc.wire(b), oracleWiring(b, satisfiedMap(sat)))
+	if len(sc.tag) != len(in.Tasks) {
+		t.Fatalf("scratch tags cover %d task IDs, want the instance's %d", len(sc.tag), len(in.Tasks))
+	}
+	if sc.next != 2*uint32(len(b.Tasks))+1 {
+		t.Fatalf("next stamp %d after a fresh scratch's first build, want %d", sc.next, 2*len(b.Tasks)+1)
+	}
+}
+
 // TestDepWiringConcurrentScratch builds wirings from many goroutines at
 // once, all borrowing from the shared scratch pool, and requires every
 // result to equal the oracle: a scratch is never shared by two builds.

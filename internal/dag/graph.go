@@ -24,14 +24,6 @@ type Graph struct {
 	deps       [][]int32 // deps[u] = tasks u depends on
 	dependents [][]int32 // dependents[v] = tasks that depend on v
 	edgeCount  int
-
-	// mark makes AddDep's duplicate check O(1): mark[v] == markGen exactly
-	// when v is in deps[markU], the source of the latest AddDep. Moving to
-	// another source restamps that source's list, so a run of edges from
-	// one vertex (how every caller adds them) costs O(run), not O(run²).
-	mark    []uint32
-	markGen uint32
-	markU   int
 }
 
 // New returns an empty graph with capacity hints for n vertices.
@@ -74,33 +66,15 @@ func (g *Graph) AddDep(u, v int) error {
 	}
 	g.grow(u)
 	g.grow(v)
-	if n := len(g.deps) - len(g.mark); n > 0 {
-		g.mark = append(g.mark, make([]uint32, n)...)
+	for _, w := range g.deps[u] {
+		if int(w) == v {
+			return nil
+		}
 	}
-	if g.markGen == 0 || u != g.markU {
-		g.restamp(u)
-	}
-	if g.mark[v] == g.markGen {
-		return nil
-	}
-	g.mark[v] = g.markGen
 	g.deps[u] = append(g.deps[u], int32(v))
 	g.dependents[v] = append(g.dependents[v], int32(u))
 	g.edgeCount++
 	return nil
-}
-
-// restamp points the duplicate marks at u's dependency list.
-func (g *Graph) restamp(u int) {
-	g.markGen++
-	if g.markGen == 0 {
-		clear(g.mark)
-		g.markGen = 1
-	}
-	g.markU = u
-	for _, w := range g.deps[u] {
-		g.mark[w] = g.markGen
-	}
 }
 
 // Deps returns the direct dependencies of u. The returned slice is shared;

@@ -359,73 +359,3 @@ func TestSCCsMatchAcyclicityOnRandomGraphs(t *testing.T) {
 		}
 	}
 }
-
-// scanGraph is AddDep as it was before the duplicate marks: a linear scan
-// of the source's list per edge. It is the oracle for the marked version.
-type scanGraph struct {
-	deps, dependents [][]int32
-	edges            int
-}
-
-func (g *scanGraph) addDep(u, v int) error {
-	if u < 0 || v < 0 {
-		return errors.New("negative")
-	}
-	if u == v {
-		return ErrCycle
-	}
-	for max(u, v) >= len(g.deps) {
-		g.deps = append(g.deps, nil)
-		g.dependents = append(g.dependents, nil)
-	}
-	for _, w := range g.deps[u] {
-		if int(w) == v {
-			return nil
-		}
-	}
-	g.deps[u] = append(g.deps[u], int32(v))
-	g.dependents[v] = append(g.dependents[v], int32(u))
-	g.edges++
-	return nil
-}
-
-// TestAddDepMarksMatchScan feeds random edge streams — runs from one
-// source, sources revisited after others, duplicates, self and negative
-// edges, vertices beyond the current size, and a mark-generation wrap —
-// to AddDep and to the scanning oracle, and requires identical lists in
-// identical order, identical edge counts and identical error outcomes.
-func TestAddDepMarksMatchScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(30)
-		g, ref := New(rng.Intn(n+1)), &scanGraph{}
-		if trial%10 == 9 {
-			g.markGen = ^uint32(0) - 2 // the next restamps wrap the generation
-		}
-		u := rng.Intn(n)
-		for e := 0; e < 200; e++ {
-			if rng.Float64() < 0.2 {
-				u = rng.Intn(n) // switch source, often back to an earlier one
-			}
-			v := rng.Intn(n+5) - 1 // includes -1 and vertices beyond n
-			gotErr, wantErr := g.AddDep(u, v), ref.addDep(u, v)
-			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("trial %d: AddDep(%d,%d) error %v, oracle %v", trial, u, v, gotErr, wantErr)
-			}
-		}
-		if g.EdgeCount() != ref.edges {
-			t.Fatalf("trial %d: %d edges, oracle %d", trial, g.EdgeCount(), ref.edges)
-		}
-		for x := 0; x < max(g.Len(), len(ref.deps)); x++ {
-			var wd, wp []int32
-			if x < len(ref.deps) {
-				wd, wp = ref.deps[x], ref.dependents[x]
-			}
-			if !reflect.DeepEqual(append([]int32{}, g.Deps(x)...), append([]int32{}, wd...)) ||
-				!reflect.DeepEqual(append([]int32{}, g.Dependents(x)...), append([]int32{}, wp...)) {
-				t.Fatalf("trial %d: vertex %d deps %v dependents %v, oracle %v %v",
-					trial, x, g.Deps(x), g.Dependents(x), wd, wp)
-			}
-		}
-	}
-}
