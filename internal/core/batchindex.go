@@ -80,128 +80,229 @@ func newBatchIndexN(b *Batch, procs int) *BatchIndex {
 	}
 
 	// Skill buckets over the pending tasks. Each task has exactly one
-	// required skill, so the buckets partition the batch.
-	bySkill := make(map[model.Skill][]int32)
-	for ti, t := range b.Tasks {
-		bySkill[t.Requires] = append(bySkill[t.Requires], int32(ti))
-	}
+	// required skill, so the buckets partition the batch (less the tasks no
+	// batch worker can take).
+	ps := prunedScan{buckets: new(skillBuckets)}
+	ps.buckets.buildAll(b, skillLimit(b))
 
-	// Spatial grid over the pending task locations, when the metric allows
-	// Euclidean pruning. boxScale converts a metric radius into a Euclidean
-	// one; gridDensity estimates how many tasks an average unit-area disc
-	// would return, for the per-worker pruning choice.
-	var grid *geo.GridIndex
-	var boxScale, gridDensity float64
+	// Spatial grid over the pending task locations, keyed by task index,
+	// when the metric allows Euclidean pruning. boxScale converts a metric
+	// radius into a Euclidean one; density estimates how many tasks an
+	// average unit-area disc would return, for the per-worker pruning
+	// choice.
 	if scale, ok := geo.EuclideanBoundScale(b.In.Dist); ok {
 		box := pendingBBox(b)
-		grid = geo.NewGridIndex(box, len(b.Tasks)+1)
+		ps.grid = geo.NewGridIndex(box, len(b.Tasks)+1)
 		for ti, t := range b.Tasks {
-			grid.Insert(ti, t.Loc)
+			ps.grid.Insert(ti, t.Loc)
 		}
-		boxScale = scale
+		ps.boxScale = scale
 		area := box.Width() * box.Height()
 		if area <= 0 {
 			area = 1e-18
 		}
-		gridDensity = float64(len(b.Tasks)) / area
+		ps.density = float64(len(b.Tasks)) / area
 	}
 
-	build := func(wi int, sc *buildScratch) {
-		bw := &b.Workers[wi]
-		sc.set = sc.set[:0]
-		sc.costs = sc.costs[:0]
-		examined := 0
-		appendFeasible := func(ti int32) {
-			examined++
-			t := b.Tasks[ti]
-			if model.FeasibleFrom(bw.W, bw.Loc, bw.ReadyAt, bw.DistBudget, t, b.dist) {
-				sc.set = append(sc.set, ti)
-				sc.costs = append(sc.costs, bw.W.TravelTime(bw.Loc, t.Loc, b.dist))
-			}
-		}
-		// Size of the skill-bucket pool for this worker.
-		skillPool := 0
-		for _, sk := range bw.W.Skills.Skills() {
-			skillPool += len(bySkill[sk])
-		}
-		// Expected size of the radius-query pool: disc area × task density,
-		// capped at the batch size.
-		useGrid := false
-		if grid != nil {
-			r := boxScale * (bw.DistBudget + model.DistEps)
-			discPool := math.Pi * r * r * gridDensity
-			if discPool > float64(len(b.Tasks)) {
-				discPool = float64(len(b.Tasks))
-			}
-			useGrid = discPool < float64(skillPool)
-		}
-		if useGrid {
-			sc.grid = grid.Within(bw.Loc, boxScale*(bw.DistBudget+model.DistEps), sc.grid[:0])
-			sort.Ints(sc.grid)
-			for _, ti := range sc.grid {
-				if bw.W.Skills.Has(b.Tasks[ti].Requires) {
-					appendFeasible(int32(ti))
-				}
-			}
-		} else {
-			for _, sk := range bw.W.Skills.Skills() {
-				for _, ti := range bySkill[sk] {
-					appendFeasible(ti)
-				}
-			}
-			// Buckets of different skills interleave task indexes.
-			sc.sortStrategy()
-		}
-		// Two nil-safe recorder calls per worker (not per pair): the counts
-		// accumulate locally above, so the disabled path costs two nil
-		// checks per worker.
-		b.rec.AddExamined(int64(examined))
-		b.rec.AddAdmitted(int64(len(sc.set)))
-		idx.strategies[wi] = sc.ints.carve(sc.set)
-		idx.costs[wi] = sc.floats.carve(sc.costs)
-	}
-
-	nw := len(b.Workers)
-	if procs > (nw+buildChunk-1)/buildChunk {
-		procs = (nw + buildChunk - 1) / buildChunk
-	}
-	if nw < minParallelWorkers || procs <= 1 {
-		var sc buildScratch
-		for wi := 0; wi < nw; wi++ {
-			build(wi, &sc)
-		}
-		sc.flushArena(b)
-	} else {
-		scs := make([]buildScratch, procs)
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for p := 0; p < procs; p++ {
-			wg.Add(1)
-			go func(sc *buildScratch) {
-				defer wg.Done()
-				for {
-					lo := int(next.Add(buildChunk)) - buildChunk
-					if lo >= nw {
-						return
-					}
-					hi := lo + buildChunk
-					if hi > nw {
-						hi = nw
-					}
-					for wi := lo; wi < hi; wi++ {
-						build(wi, sc)
-					}
-				}
-			}(&scs[p])
-		}
-		wg.Wait()
-		for p := range scs {
-			scs[p].flushArena(b)
-		}
+	scs := fanOut(len(b.Workers), procs, func(wi int, sc *buildScratch) { ps.scan(b, wi, idx, sc) })
+	for p := range scs {
+		scs[p].flushArena(b)
 	}
 
 	idx.invertStrategies()
 	return idx
+}
+
+// fanOut runs work(wi, sc) for every wi in [0, nw) over up to procs
+// goroutines, each claiming buildChunk workers per atomic increment and
+// owning one scratch, and returns the scratches for the caller to flush.
+// Below minParallelWorkers, or with one proc, it runs serially on one
+// scratch. Work for wi must depend only on wi's inputs and write only wi's
+// slots, so the result does not depend on scheduling.
+func fanOut[S any](nw, procs int, work func(wi int, sc *S)) []S {
+	procs = min(procs, (nw+buildChunk-1)/buildChunk)
+	if nw < minParallelWorkers || procs <= 1 {
+		scs := make([]S, 1)
+		for wi := 0; wi < nw; wi++ {
+			work(wi, &scs[0])
+		}
+		return scs
+	}
+	scs := make([]S, procs)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for p := range scs {
+		wg.Add(1)
+		go func(sc *S) {
+			defer wg.Done()
+			for {
+				lo := int(next.Add(buildChunk)) - buildChunk
+				if lo >= nw {
+					return
+				}
+				hi := min(lo+buildChunk, nw)
+				for wi := lo; wi < hi; wi++ {
+					work(wi, sc)
+				}
+			}
+		}(&scs[p])
+	}
+	wg.Wait()
+	return scs
+}
+
+// skillBuckets groups pending-task indexes by required skill in one CSR
+// table indexed by Skill: bucket sk is dat[off[sk]:off[sk+1]]. mask holds
+// the skills of the non-empty buckets, so a worker's skill walk is the
+// allocation-free intersection of its skill set with mask
+// (model.SkillSet.NextCommon). Tasks whose skill no batch worker holds —
+// negative, or above every worker's highest skill — are left out: no worker
+// can take them, and bounding the table by the workers' skills keeps an
+// absurd skill ID in an unvalidated instance from sizing it. The buffers
+// are reused build over build.
+type skillBuckets struct {
+	off  []int32
+	dat  []int32
+	mask model.SkillSet
+}
+
+// skillLimit returns one past the highest skill any batch worker holds.
+func skillLimit(b *Batch) model.Skill {
+	lim := model.Skill(0)
+	for i := range b.Workers {
+		lim = max(lim, b.Workers[i].W.Skills.Max()+1)
+	}
+	return lim
+}
+
+// buildAll fills the buckets with every pending task of b, ascending.
+func (sb *skillBuckets) buildAll(b *Batch, limit model.Skill) {
+	sb.build(b, len(b.Tasks), func(k int) int32 { return int32(k) }, limit)
+}
+
+// buildSel fills the buckets with the pending-task indexes sel, in sel's
+// order.
+func (sb *skillBuckets) buildSel(b *Batch, sel []int32, limit model.Skill) {
+	sb.build(b, len(sel), func(k int) int32 { return sel[k] }, limit)
+}
+
+// build fills the buckets with the n pending-task indexes at(0) … at(n-1).
+func (sb *skillBuckets) build(b *Batch, n int, at func(k int) int32, limit model.Skill) {
+	for sk := sb.mask.NextCommon(sb.mask, 0); sk >= 0; sk = sb.mask.NextCommon(sb.mask, sk+1) {
+		sb.mask.Remove(sk)
+	}
+	// Count bucket sk into off[sk+2], so the prefix sum leaves bucket sk's
+	// start in off[sk+1] and the fill, bumping off[sk+1] as a cursor, ends
+	// with it at bucket sk's end.
+	sb.off = grown(sb.off, int(limit)+2)
+	clear(sb.off)
+	for k := 0; k < n; k++ {
+		if sk := b.Tasks[at(k)].Requires; sk >= 0 && sk < limit {
+			sb.off[sk+2]++
+		}
+	}
+	for sk := model.Skill(0); sk < limit; sk++ {
+		if sb.off[sk+2] > 0 {
+			sb.mask.Add(sk)
+		}
+		sb.off[sk+2] += sb.off[sk+1]
+	}
+	sb.dat = grown(sb.dat, int(sb.off[limit+1]))
+	for k := 0; k < n; k++ {
+		ti := at(k)
+		if sk := b.Tasks[ti].Requires; sk >= 0 && sk < limit {
+			sb.dat[sb.off[sk+1]] = ti
+			sb.off[sk+1]++
+		}
+	}
+}
+
+// bucket returns the pending-task indexes requiring sk; sk must be in mask.
+func (sb *skillBuckets) bucket(sk model.Skill) []int32 {
+	return sb.dat[sb.off[sk]:sb.off[sk+1]]
+}
+
+// prunedScan is one batch's pruned candidate source, shared by the
+// from-scratch build and the cache's worker rebuilds: skill buckets over
+// the pending tasks and, when the metric admits a Euclidean lower bound, a
+// grid over their locations. The from-scratch grid is keyed by task index;
+// the cache's maintained grid is keyed by task ID, which pos maps back to
+// an index (pos[id]-base < len(b.Tasks), see EngineCache.tag). pos is nil
+// for index keys.
+type prunedScan struct {
+	buckets  *skillBuckets
+	grid     *geo.GridIndex
+	boxScale float64
+	density  float64
+	pos      []uint32
+	base     uint32
+}
+
+// scan computes batch worker wi's strategy set through whichever pruning
+// promises the smaller pool — its skill buckets, or a radius query around
+// its location — and carves it into idx. Both finish with the exact
+// model.FeasibleFrom predicate, so the choice never changes the result.
+func (ps *prunedScan) scan(b *Batch, wi int, idx *BatchIndex, sc *buildScratch) {
+	bw := &b.Workers[wi]
+	skills := bw.W.Skills
+	mask := ps.buckets.mask
+	sc.set = sc.set[:0]
+	sc.costs = sc.costs[:0]
+	examined := 0
+	appendFeasible := func(ti int32) {
+		examined++
+		t := b.Tasks[ti]
+		if model.FeasibleFrom(bw.W, bw.Loc, bw.ReadyAt, bw.DistBudget, t, b.dist) {
+			sc.set = append(sc.set, ti)
+			sc.costs = append(sc.costs, bw.W.TravelTime(bw.Loc, t.Loc, b.dist))
+		}
+	}
+	// Size of the skill-bucket pool for this worker.
+	skillPool := 0
+	for sk := skills.NextCommon(mask, 0); sk >= 0; sk = skills.NextCommon(mask, sk+1) {
+		skillPool += len(ps.buckets.bucket(sk))
+	}
+	// Expected size of the radius-query pool: disc area × task density,
+	// capped at the batch size.
+	useGrid := false
+	if ps.grid != nil {
+		r := ps.boxScale * (bw.DistBudget + model.DistEps)
+		discPool := min(math.Pi*r*r*ps.density, float64(len(b.Tasks)))
+		useGrid = discPool < float64(skillPool)
+	}
+	if useGrid {
+		sc.grid = ps.grid.Within(bw.Loc, ps.boxScale*(bw.DistBudget+model.DistEps), sc.grid[:0])
+		n := uint32(len(b.Tasks))
+		for _, key := range sc.grid {
+			ti := int32(key)
+			if ps.pos != nil {
+				p := ps.pos[key] - ps.base
+				if p >= n {
+					continue
+				}
+				ti = int32(p)
+			}
+			if skills.Has(b.Tasks[ti].Requires) {
+				appendFeasible(ti)
+			}
+		}
+	} else {
+		for sk := skills.NextCommon(mask, 0); sk >= 0; sk = skills.NextCommon(mask, sk+1) {
+			for _, ti := range ps.buckets.bucket(sk) {
+				appendFeasible(ti)
+			}
+		}
+	}
+	// Grid hits come back in cell order and buckets of different skills
+	// interleave task indexes.
+	sc.sortStrategy()
+	// Two nil-safe recorder calls per worker (not per pair): the counts
+	// accumulate locally above, so the disabled path costs two nil checks
+	// per worker.
+	b.rec.AddExamined(int64(examined))
+	b.rec.AddAdmitted(int64(len(sc.set)))
+	idx.strategies[wi] = sc.ints.carve(sc.set)
+	idx.costs[wi] = sc.floats.carve(sc.costs)
 }
 
 // invertStrategies derives the per-task candidate lists from the strategy

@@ -3,9 +3,6 @@ package core
 import (
 	"math"
 	"runtime"
-	"slices"
-	"sync"
-	"sync/atomic"
 
 	"dasc/internal/geo"
 	"dasc/internal/model"
@@ -33,7 +30,7 @@ import (
 //     spatial-grid path as the from-scratch build.
 //   - Departed tasks: dropped from the maintained spatial grid
 //     (geo.GridIndex.Remove) and filtered out of every cached set during
-//     revalidation.
+//     revalidation by their stale stamp in the ID-indexed task table.
 //   - Newly arrived tasks: probed only against workers holding their
 //     required skill (for unmoved workers; moved workers see them through
 //     their rebuild).
@@ -56,7 +53,10 @@ import (
 // change between batches (guarded best-effort by function-pointer identity:
 // a change forces a full rebuild), worker and task parameters must be
 // immutable per ID while cached (the platforms' registries are append-only),
-// and IDs must be unique within a batch. A cache is not safe for concurrent
+// and IDs must be unique within a batch. IDs index the cache's dense tables,
+// so a batch with an ID outside its instance (negative, or at least
+// len(In.Workers) or len(In.Tasks) — Validate rejects both) is built from
+// scratch and the next batch starts afresh. A cache is not safe for concurrent
 // Attach calls; the platforms attach under their own single-threaded loop or
 // mutex.
 type EngineCache struct {
@@ -67,32 +67,50 @@ type EngineCache struct {
 	// reflection walk.
 	distID geo.FuncID
 
-	// workers holds the last batch's per-worker state and strategy sets,
-	// keyed by worker ID. The map is reused across batches: present
-	// workers are updated in place, departed ones are deleted and their
-	// structs recycled through the free list. In the platforms a worker
-	// only disappears by being assigned (and so moving) or by leaving its
-	// window, but dropping keeps the cache sound for any caller.
-	workers map[model.WorkerID]*cachedWorker
-	// pending is the set of task IDs pending in the last batch, maintained
-	// in place by the per-batch task diff (and rebuilt only on adopt).
-	pending map[model.TaskID]bool
-
-	// free recycles cachedWorker structs of departed workers, buffers
-	// included; structs/ids/floats are the slabs new cache-side
-	// allocations are carved from.
-	free    []*cachedWorker
-	structs slab[cachedWorker]
-	ids     slab[model.TaskID]
-	floats  slab[float64]
-	// gen marks which absorb pass last touched a cachedWorker; entries
-	// left behind by the current pass have departed and are swept into
-	// the free list. Every surviving entry is restamped every batch, so
-	// wrap-around cannot produce a stale match.
+	// slot and tag are dense tables indexed by worker and task ID, sized to
+	// the largest instance attached: grow-only, never cleared per batch,
+	// and pointer-free, so they cost the GC nothing. A batch with an ID
+	// outside its instance is built from scratch instead (fits).
+	//
+	// slot[id] is 1 + the index in store of worker id's cachedWorker, or 0
+	// when the worker is not cached. workerIDs lists the last batch's
+	// workers: absorb restamps every cached worker present in the batch,
+	// and the workers of the last batch it left unstamped have departed
+	// and go to the free list. In the platforms a worker only disappears
+	// by being assigned (and so moving) or by leaving its window, but
+	// dropping keeps the cache sound for any caller.
+	slot      []int32
+	workerIDs []model.WorkerID
+	// store holds the cachedWorker structs; free lists the store indexes
+	// of departed workers, buffers attached, for reuse. ids/floats are the
+	// slabs the task-ID and cost rows are carved from.
+	store  []cachedWorker
+	free   []int32
+	ids    slab[model.TaskID]
+	floats slab[float64]
+	// gen marks which absorb pass last touched a cachedWorker. Every
+	// worker of the last batch is restamped or swept each batch, and the
+	// sweep only reads workers of the last batch, so wrap-around cannot
+	// produce a stale match.
 	gen uint32
 
-	// arrived is the reusable arrival-probe buffer of the task diff.
-	arrived []int32
+	// tag[id]-base < len(taskIDs) iff task id was pending in the last
+	// batch, at index tag[id]-base; taskIDs lists that batch's task IDs.
+	// Each batch reserves the stamps base … base+n-1 above every stamp
+	// written before (next is the first free one), so entries left by
+	// earlier batches never match and nothing is cleared until the stamps
+	// wrap.
+	tag     []uint32
+	base    uint32
+	next    uint32
+	taskIDs []model.TaskID
+
+	// arrived is the reusable arrival-probe buffer of the task diff;
+	// arrivals and pool are the reusable skill buckets over the arrivals
+	// and over the whole batch.
+	arrived  []int32
+	arrivals skillBuckets
+	pool     skillBuckets
 
 	// grid spatially indexes the pending task locations across batches,
 	// keyed by int(TaskID); maintained by Insert/Remove as tasks arrive and
@@ -144,8 +162,8 @@ func NewEngineCache() *EngineCache {
 // Stats returns the cache's counters so far.
 func (c *EngineCache) Stats() EngineCacheStats { return c.stats }
 
-// PoolOccupancy returns how many recycled cachedWorker structs the free
-// list currently holds.
+// PoolOccupancy returns how many departed workers' cachedWorker structs the
+// free list currently holds.
 func (c *EngineCache) PoolOccupancy() int { return len(c.free) }
 
 // Attach installs the cache-built candidate engine as b's index (what
@@ -167,30 +185,70 @@ func (c *EngineCache) attachN(b *Batch, procs int) *BatchIndex {
 	if !built {
 		// Someone built the index from scratch already; adopt it as the
 		// incremental baseline (grid and metric identity included).
-		c.adopt(b, b.idx)
+		if c.fits(b) {
+			c.adopt(b, b.idx)
+		} else {
+			c.valid = false
+		}
 	}
 	return b.idx
 }
 
 func (c *EngineCache) buildN(b *Batch, procs int) *BatchIndex {
 	c.stats.Batches++
+	if !c.fits(b) {
+		// The batch cannot be cached; the next one starts afresh.
+		c.valid = false
+		return c.scratch(b)
+	}
 	dp := c.distID.Of(b.dist)
 	if !c.valid || dp != c.distPtr ||
 		// A grid-able metric with no grid (first populated batch after an
 		// empty one) cannot be maintained incrementally; rebuild to get one.
-		(c.gridable && c.grid == nil && len(b.Tasks) > 0) {
+		(c.gridable && c.grid == nil && len(b.Tasks) > 0) ||
+		// The task stamps would wrap.
+		uint64(c.next)+uint64(len(b.Tasks)) > math.MaxUint32 {
 		return c.reset(b)
 	}
 	return c.incrementalN(b, procs)
 }
 
-// reset performs a from-scratch build and adopts the result.
-func (c *EngineCache) reset(b *Batch) *BatchIndex {
+// fits reports whether every worker and task ID of b can index the dense
+// tables — 0 ≤ id < len(b.In.Workers), resp. len(b.In.Tasks), which holds
+// for every validated instance and every server registry — and if so grows
+// the tables to the instance.
+func (c *EngineCache) fits(b *Batch) bool {
+	for i := range b.Workers {
+		if id := b.Workers[i].W.ID; id < 0 || int(id) >= len(b.In.Workers) {
+			return false
+		}
+	}
+	for _, t := range b.Tasks {
+		if t.ID < 0 || int(t.ID) >= len(b.In.Tasks) {
+			return false
+		}
+	}
+	if n := len(b.In.Workers) - len(c.slot); n > 0 {
+		c.slot = append(c.slot, make([]int32, n)...)
+	}
+	if n := len(b.In.Tasks) - len(c.tag); n > 0 {
+		c.tag = append(c.tag, make([]uint32, n)...)
+	}
+	return true
+}
+
+// scratch performs a from-scratch build, counted as a full rebuild.
+func (c *EngineCache) scratch(b *Batch) *BatchIndex {
 	c.stats.FullRebuilds++
 	c.stats.WorkersRebuilt += len(b.Workers)
 	b.rec.CacheFullRebuild()
 	b.rec.AddCacheWorkersRebuilt(int64(len(b.Workers)))
-	idx := newBatchIndex(b)
+	return newBatchIndex(b)
+}
+
+// reset performs a from-scratch build and adopts the result.
+func (c *EngineCache) reset(b *Batch) *BatchIndex {
+	idx := c.scratch(b)
 	c.adopt(b, idx)
 	return idx
 }
@@ -219,7 +277,34 @@ func (c *EngineCache) adopt(b *Batch, idx *BatchIndex) {
 		}
 	}
 	c.absorbWorkers(b, idx)
-	c.refreshPending(b)
+	c.stampTasks(b)
+}
+
+// stampTasks records the batch's pending tasks as the baseline of the next
+// task diff (adopt path; the incremental path stamps during the diff).
+func (c *EngineCache) stampTasks(b *Batch) {
+	n := uint32(len(b.Tasks))
+	if c.next == 0 || uint64(c.next)+uint64(n) > math.MaxUint32 {
+		if c.next != 0 {
+			clear(c.tag)
+		}
+		c.next = 1
+	}
+	c.base = c.next
+	c.next += n
+	for i, t := range b.Tasks {
+		c.tag[t.ID] = c.base + uint32(i)
+	}
+	c.recordTaskIDs(b)
+}
+
+// recordTaskIDs keeps the batch's task IDs for the next diff's departure
+// walk.
+func (c *EngineCache) recordTaskIDs(b *Batch) {
+	c.taskIDs = c.taskIDs[:0]
+	for _, t := range b.Tasks {
+		c.taskIDs = append(c.taskIDs, t.ID)
+	}
 }
 
 // cacheScratch is one incremental-build goroutine's private state: the
@@ -233,7 +318,7 @@ type cacheScratch struct {
 
 // incrementalN builds the batch's index from the cached previous batch,
 // fanning the per-worker revalidate/rebuild loop out over up to procs
-// goroutines (the same deterministic chunked pool as newBatchIndexN).
+// goroutines (fanOut, the deterministic chunked pool newBatchIndexN uses).
 func (c *EngineCache) incrementalN(b *Batch, procs int) *BatchIndex {
 	idx := &BatchIndex{
 		b:          b,
@@ -242,35 +327,39 @@ func (c *EngineCache) incrementalN(b *Batch, procs int) *BatchIndex {
 		candidates: make([][]int32, len(b.Tasks)),
 	}
 
-	// Task diff, applied to the cache state in place: departed tasks leave
-	// c.pending and the grid, arrivals enter both and form the probe set
-	// for unmoved workers. After the diff c.pending equals the current
-	// batch's pending set, so absorb needs no re-keying.
-	departed := 0
+	// Task diff against the last batch's stamps, restamping as it goes:
+	// a task whose stamp is not in the last batch's range has arrived, and
+	// forms the probe set for unmoved workers (ascending by index, like
+	// the batch). Then a task of the last batch that did not get a stamp
+	// of this batch has departed. Both update the maintained grid.
+	n := uint32(len(b.Tasks))
+	prevBase, prevN := c.base, uint32(len(c.taskIDs))
+	base := c.next
+	c.next += n
 	gridOps := 0
-	for id := range c.pending {
-		if _, ok := b.pending[id]; !ok {
+	arrived := c.arrived[:0]
+	for i, t := range b.Tasks {
+		if c.tag[t.ID]-prevBase >= prevN {
+			arrived = append(arrived, int32(i))
+			if c.grid != nil {
+				c.grid.Insert(int(t.ID), t.Loc)
+				gridOps++
+			}
+		}
+		c.tag[t.ID] = base + uint32(i)
+	}
+	departed := 0
+	for _, id := range c.taskIDs {
+		if c.tag[id]-base >= n {
 			departed++
-			delete(c.pending, id)
 			if c.grid != nil {
 				c.grid.Remove(int(id))
 				gridOps++
 			}
 		}
 	}
-	arrived := c.arrived[:0]
-	//lint:deterministic-ok iteration order is laundered by the slices.Sort below before anything reads arrived
-	for id, ti := range b.pending {
-		if !c.pending[id] {
-			arrived = append(arrived, int32(ti))
-			c.pending[id] = true
-			if c.grid != nil {
-				c.grid.Insert(int(id), b.Tasks[ti].Loc)
-				gridOps++
-			}
-		}
-	}
-	slices.Sort(arrived)
+	c.base = base
+	c.recordTaskIDs(b)
 	c.arrived = arrived
 	c.stats.TasksDeparted += departed
 	c.stats.TasksArrived += len(arrived)
@@ -280,77 +369,43 @@ func (c *EngineCache) incrementalN(b *Batch, procs int) *BatchIndex {
 
 	// Skill buckets: over the arrivals for the revalidation probes, over the
 	// whole batch for worker rebuilds.
-	newBySkill := make(map[model.Skill][]int32)
-	for _, ti := range arrived {
-		t := b.Tasks[ti]
-		newBySkill[t.Requires] = append(newBySkill[t.Requires], ti)
-	}
-	bySkill := make(map[model.Skill][]int32)
-	for ti, t := range b.Tasks {
-		bySkill[t.Requires] = append(bySkill[t.Requires], int32(ti))
-	}
-	gridDensity := 0.0
+	limit := skillLimit(b)
+	c.arrivals.buildSel(b, arrived, limit)
+	c.pool.buildAll(b, limit)
+	ps := prunedScan{buckets: &c.pool, pos: c.tag, base: base}
 	if c.grid != nil {
-		gridDensity = float64(c.grid.Len()) / c.boxArea
+		ps.grid = c.grid
+		ps.boxScale = c.boxScale
+		ps.density = float64(c.grid.Len()) / c.boxArea
 	}
 
-	// The per-worker loop. Shared cache state (c.workers, c.pending, the
-	// grid, the skill buckets) is read-only until every goroutine is done;
-	// each goroutine writes only its own disjoint idx slots and scratch.
+	// The per-worker loop. Shared cache state (the worker and task
+	// tables, the grid, the skill buckets) is read-only until every
+	// goroutine is done; each goroutine writes only its own disjoint idx
+	// slots and scratch.
 	work := func(wi int, sc *cacheScratch) {
 		bw := &b.Workers[wi]
-		cw := c.workers[bw.W.ID]
+		var cw *cachedWorker
+		if s := c.slot[bw.W.ID]; s != 0 {
+			cw = &c.store[s-1]
+		}
 		if cw != nil &&
 			cw.loc == bw.Loc &&
 			cw.distBudget == bw.DistBudget && //lint:epsfloat-ok bit-identity invalidation compare; a tolerance would treat distinct cached states as equal
 			bw.ReadyAt >= cw.readyAt && //lint:epsfloat-ok monotone-readiness guard is deliberately exact; DeadlineFeasible applies the epsilon downstream
 			cw.start == bw.W.Start && cw.wait == bw.W.Wait && //lint:epsfloat-ok bit-identity invalidation compare; a tolerance would treat distinct cached states as equal
 			cw.velocity == bw.W.Velocity && cw.maxDist == bw.W.MaxDist { //lint:epsfloat-ok bit-identity invalidation compare; a tolerance would treat distinct cached states as equal
-			c.revalidate(b, wi, cw, newBySkill, idx, &sc.bs)
+			c.revalidate(b, wi, cw, base, idx, &sc.bs)
 			sc.reused++
 		} else {
-			c.rebuildWorker(b, wi, bySkill, gridDensity, idx, &sc.bs)
+			ps.scan(b, wi, idx, &sc.bs)
 			sc.rebuilt++
 		}
 	}
 
-	nw := len(b.Workers)
-	if procs > (nw+buildChunk-1)/buildChunk {
-		procs = (nw + buildChunk - 1) / buildChunk
-	}
-	if nw < minParallelWorkers || procs <= 1 {
-		var sc cacheScratch
-		for wi := 0; wi < nw; wi++ {
-			work(wi, &sc)
-		}
-		c.flush(b, &sc)
-	} else {
-		scs := make([]cacheScratch, procs)
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for p := 0; p < procs; p++ {
-			wg.Add(1)
-			go func(sc *cacheScratch) {
-				defer wg.Done()
-				for {
-					lo := int(next.Add(buildChunk)) - buildChunk
-					if lo >= nw {
-						return
-					}
-					hi := lo + buildChunk
-					if hi > nw {
-						hi = nw
-					}
-					for wi := lo; wi < hi; wi++ {
-						work(wi, sc)
-					}
-				}
-			}(&scs[p])
-		}
-		wg.Wait()
-		for p := range scs {
-			c.flush(b, &scs[p])
-		}
+	scs := fanOut(len(b.Workers), procs, work)
+	for p := range scs {
+		c.flush(b, &scs[p])
 	}
 
 	idx.invertStrategies()
@@ -370,17 +425,18 @@ func (c *EngineCache) flush(b *Batch, sc *cacheScratch) {
 
 // revalidate re-derives an unmoved worker's strategy set: cached entries are
 // filtered by pure time arithmetic over the memoized travel times (departed
-// tasks drop out via the pending lookup, deadline-expired ones via
+// tasks drop out via the task stamps, deadline-expired ones via
 // model.DeadlineFeasible), and newly arrived tasks are probed through the
 // full predicate — the only distance evaluations on this path.
-func (c *EngineCache) revalidate(b *Batch, wi int, cw *cachedWorker, newBySkill map[model.Skill][]int32, idx *BatchIndex, sc *buildScratch) {
+func (c *EngineCache) revalidate(b *Batch, wi int, cw *cachedWorker, base uint32, idx *BatchIndex, sc *buildScratch) {
 	bw := &b.Workers[wi]
+	n := uint32(len(b.Tasks))
 	sc.set = sc.set[:0]
 	sc.costs = sc.costs[:0]
 	reused := 0
 	for k, id := range cw.tasks {
-		ti, ok := b.pending[id]
-		if !ok {
+		ti := c.tag[id] - base
+		if ti >= n {
 			continue // task departed
 		}
 		reused++
@@ -389,12 +445,15 @@ func (c *EngineCache) revalidate(b *Batch, wi int, cw *cachedWorker, newBySkill 
 			sc.costs = append(sc.costs, cw.costs[k])
 		}
 	}
-	examined := 0
-	for _, sk := range bw.W.Skills.Skills() {
-		for _, ti := range newBySkill[sk] {
+	examined, admitted := 0, 0
+	skills := bw.W.Skills
+	mask := c.arrivals.mask
+	for sk := skills.NextCommon(mask, 0); sk >= 0; sk = skills.NextCommon(mask, sk+1) {
+		for _, ti := range c.arrivals.bucket(sk) {
 			examined++
 			t := b.Tasks[ti]
 			if model.FeasibleFrom(bw.W, bw.Loc, bw.ReadyAt, bw.DistBudget, t, b.dist) {
+				admitted++
 				sc.set = append(sc.set, ti)
 				sc.costs = append(sc.costs, bw.W.TravelTime(bw.Loc, t.Loc, b.dist))
 			}
@@ -405,96 +464,40 @@ func (c *EngineCache) revalidate(b *Batch, wi int, cw *cachedWorker, newBySkill 
 	sc.sortStrategy()
 	// Every retained cached entry is a cross-batch memo hit (its travel time
 	// was served from the memo instead of recomputed); only arrival probes
-	// run the exact predicate.
+	// run the exact predicate, so only they count as examined and admitted.
 	b.rec.AddMemoHits(int64(reused))
 	b.rec.AddExamined(int64(examined))
-	b.rec.AddAdmitted(int64(len(sc.set)))
-	idx.strategies[wi] = sc.ints.carve(sc.set)
-	idx.costs[wi] = sc.floats.carve(sc.costs)
-}
-
-// rebuildWorker recomputes a moved (or new) worker's strategy set through
-// the same pruned scan as the from-scratch build, with the maintained grid
-// standing in for the per-batch one. Grid hits come back as task IDs and are
-// mapped to batch indexes through the pending map.
-func (c *EngineCache) rebuildWorker(b *Batch, wi int, bySkill map[model.Skill][]int32, gridDensity float64, idx *BatchIndex, sc *buildScratch) {
-	bw := &b.Workers[wi]
-	sc.set = sc.set[:0]
-	sc.costs = sc.costs[:0]
-	examined := 0
-	appendFeasible := func(ti int32) {
-		examined++
-		t := b.Tasks[ti]
-		if model.FeasibleFrom(bw.W, bw.Loc, bw.ReadyAt, bw.DistBudget, t, b.dist) {
-			sc.set = append(sc.set, ti)
-			sc.costs = append(sc.costs, bw.W.TravelTime(bw.Loc, t.Loc, b.dist))
-		}
-	}
-	skillPool := 0
-	for _, sk := range bw.W.Skills.Skills() {
-		skillPool += len(bySkill[sk])
-	}
-	useGrid := false
-	if c.grid != nil {
-		r := c.boxScale * (bw.DistBudget + model.DistEps)
-		discPool := math.Pi * r * r * gridDensity
-		if discPool > float64(len(b.Tasks)) {
-			discPool = float64(len(b.Tasks))
-		}
-		useGrid = discPool < float64(skillPool)
-	}
-	if useGrid {
-		sc.grid = c.grid.Within(bw.Loc, c.boxScale*(bw.DistBudget+model.DistEps), sc.grid[:0])
-		for _, id := range sc.grid {
-			ti, ok := b.pending[model.TaskID(id)]
-			if !ok {
-				continue
-			}
-			if bw.W.Skills.Has(b.Tasks[ti].Requires) {
-				appendFeasible(int32(ti))
-			}
-		}
-	} else {
-		for _, sk := range bw.W.Skills.Skills() {
-			for _, ti := range bySkill[sk] {
-				appendFeasible(ti)
-			}
-		}
-	}
-	sc.sortStrategy()
-	b.rec.AddExamined(int64(examined))
-	b.rec.AddAdmitted(int64(len(sc.set)))
+	b.rec.AddAdmitted(int64(admitted))
 	idx.strategies[wi] = sc.ints.carve(sc.set)
 	idx.costs[wi] = sc.floats.carve(sc.costs)
 }
 
 // absorbWorkers snapshots the batch's worker states and strategy sets as the
-// baseline for the next incremental build. The map, the cachedWorker
-// structs, and their task/cost buffers are all reused across batches:
-// present workers are updated in place, new ones come from the free list
-// (or a struct slab), and departed ones are swept into the free list. The
-// copies are cache-owned — nothing here aliases the index, so later reuse
-// cannot mutate an index a previous batch returned.
+// baseline for the next incremental build. The slot table, the
+// cachedWorker structs, and their task/cost buffers are all reused across
+// batches: present workers are updated in place, new ones take a struct
+// from the free list (or a new one in store), and departed ones are swept
+// into the free list. The copies are cache-owned — nothing here aliases
+// the index, so later reuse cannot mutate an index a previous batch
+// returned.
 func (c *EngineCache) absorbWorkers(b *Batch, idx *BatchIndex) {
-	if c.workers == nil {
-		c.workers = make(map[model.WorkerID]*cachedWorker, len(b.Workers))
-	}
 	c.gen++
 	pooled := 0
 	for wi := range b.Workers {
 		bw := &b.Workers[wi]
-		cw := c.workers[bw.W.ID]
-		if cw == nil {
+		s := c.slot[bw.W.ID]
+		if s == 0 {
 			if n := len(c.free); n > 0 {
-				cw = c.free[n-1]
-				c.free[n-1] = nil
+				s = c.free[n-1] + 1
 				c.free = c.free[:n-1]
 				pooled++
 			} else {
-				cw = &c.structs.carveLen(1)[0]
+				c.store = append(c.store, cachedWorker{})
+				s = int32(len(c.store))
 			}
-			c.workers[bw.W.ID] = cw
+			c.slot[bw.W.ID] = s
 		}
+		cw := &c.store[s-1]
 		cw.loc = bw.Loc
 		cw.readyAt = bw.ReadyAt
 		cw.distBudget = bw.DistBudget
@@ -519,29 +522,19 @@ func (c *EngineCache) absorbWorkers(b *Batch, idx *BatchIndex) {
 		}
 		copy(cw.costs, costs)
 	}
-	// Sweep departed workers (entries the loop above did not restamp) into
-	// the free list, buffers attached for reuse.
-	//lint:deterministic-ok recycled structs are interchangeable containers; every field and buffer is overwritten before reuse, so free-list order never reaches an index
-	for id, cw := range c.workers {
-		if cw.gen != c.gen {
-			delete(c.workers, id)
-			c.free = append(c.free, cw)
+	// Sweep departed workers (workers of the last batch the loop above did
+	// not restamp) into the free list, buffers attached for reuse.
+	for _, id := range c.workerIDs {
+		if s := c.slot[id]; s != 0 && c.store[s-1].gen != c.gen {
+			c.slot[id] = 0
+			c.free = append(c.free, s-1)
 		}
+	}
+	c.workerIDs = c.workerIDs[:0]
+	for wi := range b.Workers {
+		c.workerIDs = append(c.workerIDs, b.Workers[wi].W.ID)
 	}
 	c.stats.WorkersPooled += pooled
 	b.rec.SetCachePool(pooled, len(c.free))
 	c.valid = true
-}
-
-// refreshPending rebuilds the pending-task set from scratch (adopt path;
-// the incremental path maintains it by diff). The map is reused.
-func (c *EngineCache) refreshPending(b *Batch) {
-	if c.pending == nil {
-		c.pending = make(map[model.TaskID]bool, len(b.Tasks))
-	} else {
-		clear(c.pending)
-	}
-	for _, t := range b.Tasks {
-		c.pending[t.ID] = true
-	}
 }

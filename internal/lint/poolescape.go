@@ -17,8 +17,9 @@ import (
 //
 // The analyzer computes a per-function taint: values produced by
 // (sync.Pool).Get, by carve/carveLen on a slab reached through an owner
-// type (EngineCache, cachedWorker, depScratch), by free-list pops, or by reading an
-// aliasing field (slice/pointer/map) of an owner, are pool-owned. It flags:
+// type (EngineCache, cachedWorker, depScratch, prunedScan), by free-list
+// pops, or by reading an aliasing field (slice/pointer/map) of an owner, are
+// pool-owned. It flags:
 //
 //   - returning a pool-owned value from an EXPORTED function or method
 //     (unexported acquire helpers — newGameState, borrow* — are the blessed
@@ -49,8 +50,11 @@ func NewPoolEscape() *Analyzer {
 // poolOwnerTypes are the types whose slabs, free lists and aliasing fields
 // are pool-owned. New pool-owning types must be registered here.
 // depScratch is the dependency-wiring build's pooled scratch: its ID-indexed
-// slices must never alias into the wiring it builds.
-var poolOwnerTypes = map[string]bool{"EngineCache": true, "cachedWorker": true, "depScratch": true}
+// slices must never alias into the wiring it builds. prunedScan is a build's
+// view of the candidate source, which on the incremental path is the
+// cache's own grid, skill buckets and task stamps: what it holds must never
+// alias into the index either.
+var poolOwnerTypes = map[string]bool{"EngineCache": true, "cachedWorker": true, "depScratch": true, "prunedScan": true}
 
 func runPoolEscape(pass *Pass) error {
 	for _, f := range pass.Files {
@@ -66,7 +70,7 @@ func runPoolEscape(pass *Pass) error {
 }
 
 // ownerRooted reports whether the expression is reached through a value of
-// a pool-owner type (c.free, cw.tasks, c.workers[id], a local *cachedWorker).
+// a pool-owner type (c.free, cw.tasks, c.store[s], a local *cachedWorker).
 func ownerRooted(pass *Pass, e ast.Expr) bool {
 	root := rootIdent(e)
 	if root == nil {

@@ -1,6 +1,7 @@
 // Package poolescape is analyzer testdata. It models the engine cache's
 // ownership shapes locally — the analyzer matches pool owners by type NAME
-// (EngineCache, cachedWorker, depScratch) and slab carving by method name.
+// (EngineCache, cachedWorker, depScratch, prunedScan) and slab carving by
+// method name.
 package poolescape
 
 import "sync"
@@ -19,13 +20,15 @@ func (s *slab) carveLen(n int) []int32 {
 }
 
 type EngineCache struct {
-	ids     slab
-	free    []*cachedWorker
-	scratch []int32
+	ids        slab
+	free       []*cachedWorker
+	scratch    []int32
+	scratchTag []uint32
 }
 
 type BatchIndex struct {
 	rows [][]int32
+	tags []uint32
 }
 
 type state struct{ buf []byte }
@@ -101,4 +104,18 @@ func (sc *depScratch) wire() *depWiring {
 	w.depDat = append(w.depDat, sc.pos[0]) // element copy: no finding
 	w.depDat = sc.pos                      // want "cache-owned memory stored into non-owner structure"
 	return w
+}
+
+// prunedScan models a build's view of the cache's candidate source: it may
+// borrow cache tables, but nothing it holds may alias into the index.
+type prunedScan struct{ pos []uint32 }
+
+func (c *EngineCache) view() prunedScan {
+	var ps prunedScan
+	ps.pos = c.scratchTag // owner to owner: no finding
+	return ps
+}
+
+func leakView(b *BatchIndex, ps prunedScan) {
+	b.tags = ps.pos // want "cache-owned memory stored into non-owner structure"
 }

@@ -144,6 +144,42 @@ func (s SkillSet) Clone() SkillSet {
 	return SkillSet{words: append([]uint64(nil), s.words...)}
 }
 
+// Max returns the highest skill in the set, or -1 when the set is empty.
+func (s SkillSet) Max() Skill {
+	for wi := len(s.words) - 1; wi >= 0; wi-- {
+		if w := s.words[wi]; w != 0 {
+			return Skill(wi*64 + 63 - bits.LeadingZeros64(w))
+		}
+	}
+	return -1
+}
+
+// NextCommon returns the smallest skill at or above from that both s and o
+// hold, or -1 when there is none. It does not allocate, so the loop
+//
+//	for sk := s.NextCommon(o, 0); sk >= 0; sk = s.NextCommon(o, sk+1)
+//
+// walks the intersection in ascending order without building it.
+func (s SkillSet) NextCommon(o SkillSet, from Skill) Skill {
+	if from < 0 {
+		from = 0
+	}
+	n := min(len(s.words), len(o.words))
+	wi := int(from) / 64
+	if wi >= n {
+		return -1
+	}
+	w := s.words[wi] & o.words[wi] &^ (uint64(1)<<(uint(from)%64) - 1)
+	for w == 0 {
+		wi++
+		if wi >= n {
+			return -1
+		}
+		w = s.words[wi] & o.words[wi]
+	}
+	return Skill(wi*64 + bits.TrailingZeros64(w))
+}
+
 // Skills returns the members in ascending order.
 func (s SkillSet) Skills() []Skill {
 	out := make([]Skill, 0, s.Len())

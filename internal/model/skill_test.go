@@ -181,3 +181,45 @@ func TestSkillNames(t *testing.T) {
 	}()
 	r.MustIntern("")
 }
+
+// TestSkillSetNextCommonProperty: walking NextCommon from 0 visits exactly
+// Intersect's members, ascending, from any starting skill; Max is the last
+// member of Skills.
+func TestSkillSetNextCommonProperty(t *testing.T) {
+	f := func(as, bs []uint8, from int8) bool {
+		var a, b SkillSet
+		for _, x := range as {
+			a.Add(Skill(x))
+		}
+		for _, x := range bs {
+			b.Add(Skill(x) / 2) // overlap a's low half more often
+		}
+		var want []Skill
+		for _, sk := range a.Intersect(b).Skills() {
+			if sk >= Skill(from) {
+				want = append(want, sk)
+			}
+		}
+		var got []Skill
+		for sk := a.NextCommon(b, Skill(from)); sk >= 0; sk = a.NextCommon(b, sk+1) {
+			got = append(got, sk)
+		}
+		if !reflect.DeepEqual(got, want) {
+			return false
+		}
+		wantMax := Skill(-1)
+		if all := a.Skills(); len(all) > 0 {
+			wantMax = all[len(all)-1]
+		}
+		return a.Max() == wantMax
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	if got := NewSkillSet(3, 64).NextCommon(NewSkillSet(3), 4); got != -1 {
+		t.Errorf("NextCommon past the shorter set = %d, want -1", got)
+	}
+	if got := NewSkillSet(1, 70).NextCommon(NewSkillSet(1, 70), 2); got != 70 {
+		t.Errorf("NextCommon across a word boundary = %d, want 70", got)
+	}
+}

@@ -57,11 +57,13 @@ go test -race ./internal/core/... ./internal/obs/... ./internal/sim/... ./intern
 # race detector at two scheduler widths: GOMAXPROCS=2 forces heavy chunk
 # interleaving on the goroutine pool, 8 gives it real parallelism. The
 # aliasing test would surface any cache-recycled buffer still referencing a
-# returned index; the determinism sweep any scheduling-dependent output.
+# returned index; the determinism sweep any scheduling-dependent output;
+# the spike-then-drain run and the ID guard a dense-table slot or stamp
+# served to the wrong worker or task.
 echo "== go test -race engine-cache guards (GOMAXPROCS=2, 8)"
 for gmp in 2 8; do
 	GOMAXPROCS=$gmp go test -race ./internal/core/ \
-		-run 'TestEngineCache(NeverMutatesReturnedIndex|IncrementalParallelDeterministic)' -count 1
+		-run 'TestEngineCache(NeverMutatesReturnedIndex|IncrementalParallelDeterministic|SpikeDrain|IDGuard)' -count 1
 done
 
 # The game worklist engine's bit-exactness matrix (worklist vs naive sweep
@@ -110,6 +112,12 @@ echo "tick history smoke: OK"
 echo "== batch wiring micro-benchmark smoke"
 go test -run '^$' -bench BenchmarkBatchWiring -benchtime=1x ./internal/core >/dev/null
 echo "batch wiring smoke: OK"
+
+# One steady fig10-max Attach, fresh and after a 20K-worker spike; run it
+# with a real -benchtime to compare the two (they should cost the same).
+echo "== engine cache attach micro-benchmark smoke"
+go test -run '^$' -bench BenchmarkEngineCacheAttach -benchtime=1x ./internal/core >/dev/null
+echo "engine cache attach smoke: OK"
 
 # Black-box durability check: a real dasc-server process with a journal is
 # loaded over HTTP, SIGTERMed, restarted, and its /v1/stats +
