@@ -93,6 +93,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	if *noGameWL {
+		if g, ok := alloc.(*core.Game); ok {
+			alloc = g.WithWorklistDisabled(true)
+		}
+	}
 	mode, err := server.ParseFsyncMode(*fsync)
 	if err != nil {
 		return err
@@ -102,19 +107,18 @@ func run() error {
 		snapPath = *journal + ".snap"
 	}
 	cfg := server.Config{
-		Allocator:           alloc,
-		ServiceTime:         *service,
-		TraceDepth:          *traceDepth,
-		SnapshotPath:        snapPath,
-		SnapshotEvery:       *snapEvery,
-		MaxBodyBytes:        *maxBody,
-		IngestQueue:         *ingQueue,
-		IngestBatch:         *ingBatch,
-		IngestWait:          *ingWait,
-		Logger:              logger,
-		AccessLogEvery:      *accessEvery,
-		DisableGameWorklist: *noGameWL,
-		VerifyGameWorklist:  *verifyWL,
+		Allocator:          alloc,
+		ServiceTime:        *service,
+		TraceDepth:         *traceDepth,
+		SnapshotPath:       snapPath,
+		SnapshotEvery:      *snapEvery,
+		MaxBodyBytes:       *maxBody,
+		IngestQueue:        *ingQueue,
+		IngestBatch:        *ingBatch,
+		IngestWait:         *ingWait,
+		Logger:             logger,
+		AccessLogEvery:     *accessEvery,
+		VerifyGameWorklist: *verifyWL,
 	}
 	if *journal != "" {
 		j, err := server.OpenJournalMode(*journal, mode, *fsyncEvery)

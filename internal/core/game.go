@@ -36,8 +36,8 @@ type GameOptions struct {
 	// incremental worklist engine, which skips workers whose neighbourhood
 	// did not change since their last evaluation — bit-exact with the naive
 	// sweep including the RNG stream (VerifyWorklist is the differential
-	// cross-check). The flag exists for A/B benchmarks and debugging,
-	// mirroring the platforms' DisableEngineCache.
+	// cross-check). The flag exists for A/B benchmarks and debugging, and
+	// both CLIs' -no-game-worklist set it through WithWorklistDisabled.
 	DisableWorklist bool
 }
 
@@ -76,9 +76,9 @@ func (g *Game) Name() string {
 func (g *Game) Options() GameOptions { return g.opt }
 
 // WithWorklistDisabled returns a copy of the allocator with the incremental
-// worklist engine disabled (true = naive full sweep) or enabled. The
-// platforms use it to honour their DisableGameWorklist config flags without
-// reconstructing the allocator.
+// worklist engine disabled (true = naive full sweep) or enabled. The CLIs
+// use it to honour their -no-game-worklist flags without reconstructing the
+// allocator.
 func (g *Game) WithWorklistDisabled(disable bool) *Game {
 	ng := *g
 	ng.opt.DisableWorklist = disable

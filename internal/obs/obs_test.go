@@ -165,10 +165,23 @@ func TestBatchRecAccumulatesIntoTrace(t *testing.T) {
 		t.Error("empty trace hit ratio not 0")
 	}
 
+	// Laps are consecutive: together they cover the span they were taken
+	// over.
+	start := time.Now()
+	r.StartPhases()
+	l1, l2 := r.Lap(), r.Lap()
+	if span := time.Since(start); l1 < 0 || l2 < 0 || l1+l2 > span {
+		t.Errorf("laps %v + %v exceed their span %v", l1, l2, span)
+	}
+
 	var nilRec *BatchRec
 	nilRec.AddExamined(1)
 	nilRec.SetOutcome(1, 1, 1)
 	nilRec.ObservePhases(time.Second, time.Second, time.Second)
+	nilRec.StartPhases()
+	if nilRec.Lap() != 0 {
+		t.Error("nil recorder timed a lap")
+	}
 	if nilRec.Finish() != (BatchTrace{}) {
 		t.Error("nil recorder produced a non-zero trace")
 	}

@@ -91,6 +91,7 @@ func (t BatchTrace) CacheHitRatio() float64 {
 // one nil check per call site.
 type BatchRec struct {
 	trace BatchTrace
+	lap   time.Time // start of the current phase (StartPhases, Lap)
 
 	examined    atomic.Int64
 	admitted    atomic.Int64
@@ -258,6 +259,28 @@ func (r *BatchRec) SetGameStats(rounds, active int, evaluated, skipped, moved in
 	}
 	r.trace.GameRounds, r.trace.GameActive = rounds, active
 	r.trace.GameEvaluated, r.trace.GameSkipped, r.trace.GameMoved = evaluated, skipped, moved
+}
+
+// StartPhases starts the phase stopwatch that Lap reads. The recorder reads
+// the clock, not the batch code marking its phases, so the algorithmic
+// packages stay free of wall-clock reads; a nil recorder reads no clock.
+func (r *BatchRec) StartPhases() {
+	if r == nil {
+		return
+	}
+	r.lap = time.Now()
+}
+
+// Lap returns the time since the previous Lap (or StartPhases) and starts
+// the next phase; zero on a nil recorder.
+func (r *BatchRec) Lap() time.Duration {
+	if r == nil {
+		return 0
+	}
+	now := time.Now()
+	d := now.Sub(r.lap)
+	r.lap = now
+	return d
 }
 
 // ObservePhases records the batch's phase timings.

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"math"
 	"net/http"
 	"reflect"
@@ -112,6 +111,16 @@ func TestServerEngineCacheDifferential(t *testing.T) {
 	}
 }
 
+// scratchIndexed hands its allocator a copy of every batch whose candidate
+// engine is built from scratch, so the allocator never reads the engine the
+// platform carried across ticks: the reference side of the cache
+// differential.
+type scratchIndexed struct{ core.Allocator }
+
+func (s scratchIndexed) Assign(b *core.Batch) *model.Assignment {
+	return s.Allocator.Assign(core.NewBatch(b.In, b.Workers, b.Tasks, b.Satisfied))
+}
+
 // TestServerEngineCacheSameAssignmentsAsScratch: cached and from-scratch
 // platforms fed identical registrations and ticks must produce identical
 // assignments.
@@ -120,7 +129,7 @@ func TestServerEngineCacheSameAssignmentsAsScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch, err := NewPlatform(Config{Allocator: core.NewGreedy(), DisableEngineCache: true})
+	scratch, err := NewPlatform(Config{Allocator: scratchIndexed{core.NewGreedy()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +204,7 @@ func TestServerRogueAllocatorPairsSkipped(t *testing.T) {
 		t.Errorf("rogue pair recorded as assignment")
 	}
 	// Worker 0's state must be untouched: it can still take the task.
-	if got := fmt.Sprintf("%v", p.wstate[0]); got != fmt.Sprintf("%v", workerState{loc: geo.Pt(0, 0)}) {
+	if got := p.kernel.Worker(&p.workers[0]); got != (core.WorkerState{Loc: geo.Pt(0, 0)}) {
 		t.Errorf("worker 0 state mutated by rogue pair: %v", got)
 	}
 }

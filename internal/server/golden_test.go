@@ -135,8 +135,9 @@ func (d *goldenDriver) run(t *testing.T, p *Platform, from, to int) {
 // runGoldenStream drives the whole golden stream for one allocator through
 // the ingest pipeline, a journal, a mid-stream snapshot and a recovery, and
 // returns the platform that served the end of it plus the snapshot and
-// journal paths it left behind.
-func runGoldenStream(t *testing.T, alg string, onTick tickHook) (*Platform, string, string) {
+// journal paths it left behind. wrap, when non-nil, wraps the allocator of
+// each platform the stream opens.
+func runGoldenStream(t *testing.T, alg string, onTick tickHook, wrap func(core.Allocator) core.Allocator) (*Platform, string, string) {
 	t.Helper()
 	dir := t.TempDir()
 	snap, jpath := filepath.Join(dir, "state.snap"), filepath.Join(dir, "journal.jsonl")
@@ -149,6 +150,9 @@ func runGoldenStream(t *testing.T, alg string, onTick tickHook) (*Platform, stri
 		alloc, err := core.NewByName(alg, 7)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if wrap != nil {
+			alloc = wrap(alloc)
 		}
 		p, err := NewPlatform(Config{
 			Allocator: alloc, ServiceTime: 0.5, Journal: j,
@@ -206,7 +210,7 @@ func servedDigest(t *testing.T, p *Platform) string {
 func TestServerGoldenDigest(t *testing.T) {
 	for alg, want := range goldenDigests {
 		t.Run(alg, func(t *testing.T) {
-			p, snap, jpath := runGoldenStream(t, alg, nil)
+			p, snap, jpath := runGoldenStream(t, alg, nil, nil)
 			got := servedDigest(t, p)
 			if got != want {
 				t.Errorf("served digest\n got: %s\nwant: %s", got, want)

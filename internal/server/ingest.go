@@ -360,9 +360,6 @@ func (p *Platform) commitBatch(reqs []*ingestReq) {
 		stagedW, stagedT = nil, nil
 	} else {
 		p.workers = append(p.workers, stagedW...)
-		for i := range stagedW {
-			p.wstate = append(p.wstate, workerState{loc: stagedW[i].Loc})
-		}
 		p.tasks = append(p.tasks, stagedT...)
 		committed = len(staged)
 		// Collect correlation IDs in commit order NOW: once a waiter is

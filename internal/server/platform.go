@@ -27,15 +27,14 @@ import (
 type Platform struct {
 	mu sync.Mutex
 
-	alloc        core.Allocator
-	serviceTime  float64
-	dist         geo.DistanceFunc
-	journal      *Journal
-	replaying    bool
-	cache        *core.EngineCache
-	noCache      bool
-	verifyCache  bool
-	verifyGameWL bool
+	alloc     core.Allocator
+	dist      geo.DistanceFunc
+	journal   *Journal
+	replaying bool
+	// kernel runs every tick's batch and owns the dispatch state: worker
+	// states, the assigned/botched/finish books, the population and the
+	// engine cache.
+	kernel *core.Kernel
 
 	// Durability policy: after snapEvery ticks the platform snapshots its
 	// state to snapPath and rotates the journal (snapshot.go).
@@ -80,36 +79,17 @@ type Platform struct {
 	mw  *middleware
 
 	workers []model.Worker
-	wstate  []workerState
 	tasks   []model.Task
 
-	assigned map[model.TaskID]model.WorkerID // validly assigned tasks
-	botched  map[model.TaskID]bool           // consumed by invalid dispatch
-	finishAt map[model.TaskID]float64
-	// satisfied holds the keys of assigned, in the form core.Batch reads
-	// (Batch.Satisfied); every tick's batch shares it, and core never
-	// writes it.
-	satisfied model.TaskFlags
 	// assignLog lists every valid pair in dispatch order, one per assigned
 	// task. It only grows (a snapshot restore replaces it on an empty
 	// platform), so read views alias it (view.go).
 	assignLog []model.Pair
-	// pop holds the workers and tasks a tick can still present to the
-	// allocator, so a tick walks the live population instead of the
-	// registries (populationLocked).
-	pop core.Population
 
 	now     float64
 	batches int
 	wasted  int
 	rogue   int
-}
-
-type workerState struct {
-	loc       geo.Point
-	busyUntil float64
-	distUsed  float64
-	done      int
 }
 
 // Config configures a Platform.
@@ -124,20 +104,10 @@ type Config struct {
 	// platform state can be rebuilt after a restart via Replay. Journal
 	// write failures are returned to the caller of the mutating operation.
 	Journal *Journal
-	// DisableEngineCache rebuilds every tick's candidate engine from
-	// scratch instead of carrying it across ticks incrementally
-	// (core.EngineCache). The two builds agree exactly; the flag exists for
-	// A/B benchmarks and debugging.
-	DisableEngineCache bool
 	// VerifyEngineCache cross-checks the incrementally maintained candidate
 	// engine against a from-scratch build on every tick and fails the tick
 	// on divergence. Differential-testing hook; expensive.
 	VerifyEngineCache bool
-	// DisableGameWorklist runs DASC_Game allocators with the naive full
-	// best-response sweep instead of the incremental worklist engine — the
-	// game-side analogue of DisableEngineCache. Ignored for non-game
-	// allocators.
-	DisableGameWorklist bool
 	// VerifyGameWorklist cross-checks the worklist engine against the naive
 	// sweep on every tick (identical assignments, rounds, update ratios) and
 	// fails the tick on divergence. Ignored for non-game allocators.
@@ -219,30 +189,22 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	if maxBody == 0 {
 		maxBody = DefaultMaxBodyBytes
 	}
-	alloc := cfg.Allocator
-	if cfg.DisableGameWorklist {
-		if g, ok := alloc.(*core.Game); ok {
-			alloc = g.WithWorklistDisabled(true)
-		}
-	}
 	p := &Platform{
-		alloc:        alloc,
-		serviceTime:  cfg.ServiceTime,
-		dist:         dist,
-		journal:      cfg.Journal,
-		cache:        core.NewEngineCache(),
-		noCache:      cfg.DisableEngineCache,
-		verifyCache:  cfg.VerifyEngineCache,
-		verifyGameWL: cfg.VerifyGameWorklist,
-		snapPath:     cfg.SnapshotPath,
-		snapEvery:    cfg.SnapshotEvery,
-		maxBody:      maxBody,
-		reg:          obs.NewRegistry(),
-		traces:       obs.NewTraceRing(cfg.TraceDepth),
-		log:          orDiscard(cfg.Logger),
-		assigned:     make(map[model.TaskID]model.WorkerID),
-		botched:      make(map[model.TaskID]bool),
-		finishAt:     make(map[model.TaskID]float64),
+		alloc:   cfg.Allocator,
+		dist:    dist,
+		journal: cfg.Journal,
+		kernel: core.NewKernel(core.KernelConfig{
+			Allocator:          cfg.Allocator,
+			ServiceTime:        cfg.ServiceTime,
+			VerifyEngineCache:  cfg.VerifyEngineCache,
+			VerifyGameWorklist: cfg.VerifyGameWorklist,
+		}),
+		snapPath:  cfg.SnapshotPath,
+		snapEvery: cfg.SnapshotEvery,
+		maxBody:   maxBody,
+		reg:       obs.NewRegistry(),
+		traces:    obs.NewTraceRing(cfg.TraceDepth),
+		log:       orDiscard(cfg.Logger),
 	}
 	p.mw = newMiddleware(p.log, cfg.AccessLogEvery)
 	p.cIngEnq = p.reg.Counter(obs.MIngestEnqueuedTotal)
@@ -405,7 +367,6 @@ func (p *Platform) AddWorker(w model.Worker) (model.WorkerID, error) {
 		}
 	}
 	p.workers = append(p.workers, w)
-	p.wstate = append(p.wstate, workerState{loc: w.Loc})
 	p.publishViewLocked()
 	return w.ID, nil
 }
@@ -489,156 +450,45 @@ func (p *Platform) TickTagged(now float64, requestID string) (*BatchOutcome, err
 	rec.SetRequestID(requestID)
 
 	in := &model.Instance{Workers: p.workers, Tasks: p.tasks, Dist: p.dist}
-	bws, wIdx, pending := p.populationLocked(now)
-	out.Workers, out.Tasks = len(bws), len(pending)
-	rec.SetPopulation(out.Workers, out.Tasks)
-	if len(bws) == 0 || len(pending) == 0 {
-		p.recordTick(out, rec)
-		p.maybeSnapshotLocked()
-		return out, nil
+	st, err := p.kernel.Step(in, now, rec)
+	if err != nil {
+		return nil, fmt.Errorf("server: tick %d: %w", out.Batch, err)
 	}
-
-	b := core.NewBatch(in, bws, pending, p.satisfied)
-	b.SetRecorder(rec)
-	phaseStart := time.Now()
-	if !p.noCache {
-		p.cache.Attach(b)
-		if p.verifyCache {
-			if err := b.VerifyIndex(); err != nil {
-				return nil, fmt.Errorf("server: tick %d: engine cache diverged: %w", out.Batch, err)
-			}
-		}
-	} else {
-		// Force the lazy build inside the timed window so the index phase
-		// is attributed correctly (the build is idempotent).
-		b.Index()
+	out.Workers, out.Tasks, out.Rogue = st.Workers, st.Tasks, st.Rogue
+	if st.Valid != nil {
+		out.Assigned = st.Valid.Pairs
+		out.Wasted = st.Raw.Size() - st.Valid.Size()
 	}
-	indexD := time.Since(phaseStart)
-	phaseStart = time.Now()
-	if p.verifyGameWL {
-		if g, ok := p.alloc.(*core.Game); ok {
-			if err := g.VerifyWorklist(b); err != nil {
-				return nil, fmt.Errorf("server: tick %d: game worklist diverged: %w", out.Batch, err)
-			}
-		}
-	}
-	raw := p.alloc.Assign(b)
-	out.Rogue = core.DropUnknownWorkers(b, raw)
-	p.rogue += out.Rogue
-	valid := core.DependencyFixpoint(b, raw)
-	out.Assigned = valid.Pairs
-	out.Wasted = raw.Size() - valid.Size()
 	p.wasted += out.Wasted
-	allocD := time.Since(phaseStart)
-	phaseStart = time.Now()
-
-	validSet := valid.TaskSet()
-	// Dispatch dependencies first, so a dependant co-assigned in this batch
-	// waits for its dependency's finish whatever order the allocator
-	// listed the pairs in.
-	for _, pair := range core.DispatchOrder(in, raw) {
-		// DropUnknownWorkers already removed pairs naming workers outside
-		// the batch; the guard stays as a backstop so a miss can never
-		// dispatch through batch index 0.
-		bi := b.WorkerIndex(pair.Worker)
-		if bi < 0 {
-			out.Rogue++
-			p.rogue++
-			continue
-		}
-		i := wIdx[bi]
-		w := &p.workers[i]
-		t := &p.tasks[pair.Task]
-		d := p.dist(p.wstate[i].loc, t.Loc)
-		arrive := math.Max(now, t.Start) + w.TravelTime(p.wstate[i].loc, t.Loc, p.dist)
-		serviceStart := arrive
-		for _, dep := range t.Deps {
-			if fa, ok := p.finishAt[dep]; ok && fa > serviceStart {
-				serviceStart = fa
-			}
-		}
-		finish := serviceStart + p.serviceTime
-		p.wstate[i].loc = t.Loc
-		p.wstate[i].distUsed += d
-		p.wstate[i].busyUntil = finish
-		p.wstate[i].done++
-		if validSet[pair.Task] {
-			p.logAssignmentLocked(pair)
-			p.assigned[pair.Task] = pair.Worker
-			p.satisfied.Set(pair.Task)
-			p.finishAt[pair.Task] = finish
-		} else {
-			p.botched[pair.Task] = true
+	p.rogue += out.Rogue
+	for _, d := range st.Dispatches {
+		if d.Valid {
+			p.logAssignmentLocked(d)
 		}
 	}
-	rec.SetOutcome(valid.Size(), out.Wasted, out.Rogue)
-	rec.ObservePhases(indexD, allocD, time.Since(phaseStart))
 	p.recordTick(out, rec)
 	p.maybeSnapshotLocked()
 	return out, nil
 }
 
 // logAssignmentLocked records a valid dispatch in the assignment log. A
-// task that is already assigned (a misbehaving allocator dispatched it
-// twice) keeps one entry, the last dispatch's, as in p.assigned. Read views
-// alias the log, so that rewrite happens on a fresh copy.
+// task that was already assigned (a misbehaving allocator dispatched it
+// twice) keeps one entry, the last dispatch's, as in the kernel's books.
+// Read views alias the log, so that rewrite happens on a fresh copy.
 //
 // requires: p.mu
-func (p *Platform) logAssignmentLocked(pair model.Pair) {
-	if _, again := p.assigned[pair.Task]; !again {
-		p.assignLog = append(p.assignLog, pair)
+func (p *Platform) logAssignmentLocked(d core.Dispatch) {
+	if !d.Again {
+		p.assignLog = append(p.assignLog, d.Pair)
 		return
 	}
 	log := append([]model.Pair(nil), p.assignLog...)
 	for k := range log {
-		if log[k].Task == pair.Task {
-			log[k] = pair
+		if log[k].Task == d.Pair.Task {
+			log[k] = d.Pair
 		}
 	}
 	p.assignLog = log
-}
-
-// populationLocked builds the batch population at now: the active workers
-// (appeared, not expired, not busy) with their registry indexes, and the
-// pending tasks (appeared, deadline not passed, neither assigned nor
-// botched), both in registration order. It walks only p.pop's candidates,
-// after admitting everything registered since the last tick, and drops for
-// good what can never qualify again: an expired worker, and an assigned,
-// botched or overdue task. p.now never goes backwards, so those predicates
-// stay true at every later tick.
-//
-// requires: p.mu
-func (p *Platform) populationLocked(now float64) (bws []core.BatchWorker, wIdx []int, pending []*model.Task) {
-	p.pop.Admit(len(p.workers), len(p.tasks))
-	p.pop.Workers(func(i int) bool {
-		w := &p.workers[i]
-		if now > w.Expiry() {
-			return false
-		}
-		if w.Start > now || p.wstate[i].busyUntil > now {
-			return true
-		}
-		bws = append(bws, core.BatchWorker{
-			W:          w,
-			Loc:        p.wstate[i].loc,
-			ReadyAt:    now,
-			DistBudget: w.MaxDist - p.wstate[i].distUsed,
-		})
-		wIdx = append(wIdx, i)
-		return true
-	})
-	p.pop.Tasks(func(i int) bool {
-		t := &p.tasks[i]
-		if _, ok := p.assigned[t.ID]; ok || p.botched[t.ID] || t.Deadline() < now {
-			return false
-		}
-		if t.Start > now {
-			return true
-		}
-		pending = append(pending, t)
-		return true
-	})
-	return bws, wIdx, pending
 }
 
 // recordTick finalises the tick's trace, copies the cache counters onto the
@@ -695,7 +545,7 @@ func (p *Platform) statsLocked() Stats {
 		Batches:       p.batches,
 		Workers:       len(p.workers),
 		Tasks:         len(p.tasks),
-		AssignedTasks: len(p.assigned),
+		AssignedTasks: len(p.assignLog),
 		WastedPairs:   p.wasted,
 		RoguePairs:    p.rogue,
 		Allocator:     p.alloc.Name(),

@@ -12,27 +12,56 @@ import (
 
 // oraclePopulation is the full-registry tick filter the server ran before
 // the population became incremental: every registered worker and task is
-// tested against the batch predicates at now. The incremental population
-// must reproduce it entry for entry and in order. The caller holds p.mu.
-func oraclePopulation(p *Platform, now float64) (workers []model.WorkerID, tasks []model.TaskID) {
+// tested against the batch predicates at now, reading the kernel's books.
+// The incremental population must reproduce it entry for entry and in
+// order, each worker carrying its dispatch state. The caller holds p.mu.
+func oraclePopulation(p *Platform, now float64) (workers []batchEntry, tasks []model.TaskID) {
 	for i := range p.workers {
 		w := &p.workers[i]
-		if w.Start > now || now > w.Expiry() || p.wstate[i].busyUntil > now {
+		ws := p.kernel.Worker(w)
+		if w.Start > now || now > w.Expiry() || ws.BusyUntil > now {
 			continue
 		}
-		workers = append(workers, w.ID)
+		workers = append(workers, batchEntry{ID: w.ID, Loc: ws.Loc, DistBudget: w.MaxDist - ws.DistUsed})
 	}
 	for i := range p.tasks {
 		t := &p.tasks[i]
-		if _, ok := p.assigned[t.ID]; ok {
-			continue
-		}
-		if p.botched[t.ID] || t.Start > now || t.Deadline() < now {
+		if tb := p.kernel.Task(t.ID); tb.Assigned || tb.Botched || t.Start > now || t.Deadline() < now {
 			continue
 		}
 		tasks = append(tasks, t.ID)
 	}
 	return workers, tasks
+}
+
+// batchEntry is what a batch presents to the allocator about one worker.
+type batchEntry struct {
+	ID         model.WorkerID
+	Loc        geo.Point
+	DistBudget float64
+}
+
+// batchRecorder records the workers and tasks of every batch its allocator
+// is handed; calls counts the batches since the last reset.
+type batchRecorder struct {
+	core.Allocator
+	calls   int
+	workers []batchEntry
+	tasks   []model.TaskID
+}
+
+func (r *batchRecorder) reset() { r.calls, r.workers, r.tasks = 0, nil, nil }
+
+func (r *batchRecorder) Assign(b *core.Batch) *model.Assignment {
+	r.calls++
+	for i := range b.Workers {
+		bw := &b.Workers[i]
+		r.workers = append(r.workers, batchEntry{ID: bw.W.ID, Loc: bw.Loc, DistBudget: bw.DistBudget})
+	}
+	for _, t := range b.Tasks {
+		r.tasks = append(r.tasks, t.ID)
+	}
+	return r.Allocator.Assign(b)
 }
 
 // liveCounts counts, by full scan, the workers and tasks that can still
@@ -46,85 +75,100 @@ func liveCounts(p *Platform, now float64) (workers, tasks int) {
 	}
 	for i := range p.tasks {
 		t := &p.tasks[i]
-		if _, ok := p.assigned[t.ID]; !ok && !p.botched[t.ID] && t.Deadline() >= now {
+		if tb := p.kernel.Task(t.ID); !tb.Assigned && !tb.Botched && t.Deadline() >= now {
 			tasks++
 		}
 	}
 	return workers, tasks
 }
 
-// checkPopulation compares the incremental population at now with the
-// oracle's, and the persistent satisfied set and assignment log with the
-// assigned map they mirror.
-func checkPopulation(t *testing.T, p *Platform, now float64) (workers, tasks int) {
+// checkBooks compares the assignment log with the kernel's task books: one
+// entry per assigned task, naming the task's worker.
+func checkBooks(t *testing.T, p *Platform, now float64) {
 	t.Helper()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	wantW, wantT := oraclePopulation(p, now)
-	bws, wIdx, pending := p.populationLocked(now)
-	var gotW []model.WorkerID
-	for i := range bws {
-		gotW = append(gotW, bws[i].W.ID)
-		if wIdx[i] != int(bws[i].W.ID) {
-			t.Fatalf("t=%v: batch worker %d has registry index %d", now, bws[i].W.ID, wIdx[i])
+	nAssigned := 0
+	for i := range p.tasks {
+		if p.kernel.Task(p.tasks[i].ID).Assigned {
+			nAssigned++
 		}
 	}
-	var gotT []model.TaskID
-	for _, task := range pending {
-		gotT = append(gotT, task.ID)
-	}
-	if !reflect.DeepEqual(gotW, wantW) {
-		t.Fatalf("t=%v: active workers\n got %v\nwant %v", now, gotW, wantW)
-	}
-	if !reflect.DeepEqual(gotT, wantT) {
-		t.Fatalf("t=%v: pending tasks\n got %v\nwant %v", now, gotT, wantT)
-	}
-	w, tk := p.pop.Len()
-	if lw, lt := liveCounts(p, now); w != lw || tk != lt {
-		t.Fatalf("t=%v: population holds %d workers %d tasks, live set is %d and %d", now, w, tk, lw, lt)
-	}
-	nSat := 0
-	for _, set := range p.satisfied {
-		if set {
-			nSat++
-		}
-	}
-	if nSat != len(p.assigned) || len(p.assignLog) != len(p.assigned) {
-		t.Fatalf("t=%v: %d satisfied, %d logged, %d assigned", now, nSat, len(p.assignLog), len(p.assigned))
+	if len(p.assignLog) != nAssigned {
+		t.Fatalf("t=%v: %d logged, %d assigned", now, len(p.assignLog), nAssigned)
 	}
 	for _, pair := range p.assignLog {
-		if w, ok := p.assigned[pair.Task]; !ok || w != pair.Worker || !p.satisfied.Has(pair.Task) {
-			t.Fatalf("t=%v: logged %v, assigned map has (w%d, %v), satisfied %v",
-				now, pair, w, ok, p.satisfied.Has(pair.Task))
+		if tb := p.kernel.Task(pair.Task); !tb.Assigned || tb.Worker != pair.Worker {
+			t.Fatalf("t=%v: logged %v, kernel books %+v", now, pair, tb)
 		}
 	}
-	return len(wantW), len(wantT)
 }
 
-// TestTickPopulationMatchesFullScan runs the golden stream and, around
+// TestTickPopulationMatchesFullScan runs the golden stream — registrations
+// between ticks, ingest commits, a snapshot and a recovery — and, around
 // every tick, checks the incremental population against the full-registry
-// oracle: before the tick (the population the tick is about to allocate)
-// and after it (the dispatches changed who is busy and what is open).
+// oracle. Before the tick it takes the oracle's population and the live set
+// the tick's walk must keep; after it, it checks that the allocator was
+// handed exactly the oracle's workers (with their locations and distance
+// budgets) and tasks in registration order, what the kernel still holds,
+// and the books.
 func TestTickPopulationMatchesFullScan(t *testing.T) {
 	for _, alg := range []string{core.NameGreedy, core.NameClosest} {
 		t.Run(alg, func(t *testing.T) {
-			var wantW, wantT int
-			ticks := 0
+			rec := &batchRecorder{}
+			wrap := func(a core.Allocator) core.Allocator {
+				rec.Allocator = a
+				return rec
+			}
+			var wantW []batchEntry
+			var wantT []model.TaskID
+			var liveW, liveT int
+			ticks, allocated := 0, 0
 			hook := func(t *testing.T, p *Platform, now float64, out *BatchOutcome) {
 				if out == nil {
-					wantW, wantT = checkPopulation(t, p, now)
+					p.mu.Lock()
+					wantW, wantT = oraclePopulation(p, now)
+					liveW, liveT = liveCounts(p, now)
+					p.mu.Unlock()
+					rec.reset()
 					return
 				}
 				ticks++
-				if out.Workers != wantW || out.Tasks != wantT {
+				if out.Workers != len(wantW) || out.Tasks != len(wantT) {
 					t.Fatalf("t=%v: tick allocated %d workers %d tasks, oracle %d and %d",
-						now, out.Workers, out.Tasks, wantW, wantT)
+						now, out.Workers, out.Tasks, len(wantW), len(wantT))
 				}
-				checkPopulation(t, p, now)
+				switch {
+				case len(wantW) == 0 || len(wantT) == 0:
+					if rec.calls != 0 {
+						t.Fatalf("t=%v: allocator called on an empty batch", now)
+					}
+				case rec.calls != 1:
+					t.Fatalf("t=%v: allocator called %d times", now, rec.calls)
+				case !reflect.DeepEqual(rec.workers, wantW):
+					t.Fatalf("t=%v: active workers\n got %v\nwant %v", now, rec.workers, wantW)
+				case !reflect.DeepEqual(rec.tasks, wantT):
+					t.Fatalf("t=%v: pending tasks\n got %v\nwant %v", now, rec.tasks, wantT)
+				default:
+					allocated++
+				}
+				// The walk ran before the tick's dispatches, so it kept
+				// exactly what was live when the tick began.
+				p.mu.Lock()
+				w, tk := p.kernel.Live()
+				p.mu.Unlock()
+				if w != liveW || tk != liveT {
+					t.Fatalf("t=%v: population holds %d workers %d tasks, live set was %d and %d",
+						now, w, tk, liveW, liveT)
+				}
+				checkBooks(t, p, now)
 			}
-			runGoldenStream(t, alg, hook)
+			runGoldenStream(t, alg, hook, wrap)
 			if ticks != goldenTotalTicks {
 				t.Fatalf("checked %d ticks, want %d", ticks, goldenTotalTicks)
+			}
+			if allocated < goldenTotalTicks/2 {
+				t.Fatalf("only %d of %d ticks reached the allocator", allocated, ticks)
 			}
 		})
 	}
@@ -193,7 +237,7 @@ func TestTickPopulationForgetsExpiredHistory(t *testing.T) {
 		}
 		p.mu.Lock()
 		defer p.mu.Unlock()
-		w, tk := p.pop.Len()
+		w, tk := p.kernel.Live()
 		if w != 5 || tk != 5 {
 			t.Fatalf("t=%v: population holds %d workers %d tasks, want the live 5 and 5", now, w, tk)
 		}
@@ -268,10 +312,10 @@ func TestDispatchWaitsForCoAssignedDependency(t *testing.T) {
 			p.mu.Lock()
 			defer p.mu.Unlock()
 			// t0 finishes at 10+1; t1 waits for it, then takes 1 more.
-			if f0, f1 := p.finishAt[0], p.finishAt[1]; f0 != 11 || f1 != 12 {
+			if f0, f1 := p.kernel.Task(0).FinishAt, p.kernel.Task(1).FinishAt; f0 != 11 || f1 != 12 {
 				t.Errorf("finish times t0=%v t1=%v, want 11 and 12", f0, f1)
 			}
-			if busy := p.wstate[1].busyUntil; busy != 12 {
+			if busy := p.kernel.Worker(&p.workers[1]).BusyUntil; busy != 12 {
 				t.Errorf("w1 busy until %v, want 12", busy)
 			}
 		})
@@ -305,7 +349,7 @@ func (r *repeatAllocator) Assign(b *core.Batch) *model.Assignment {
 // TestAssignmentViewFollowsRepeatedDispatch drives an allocator that
 // dispatches tasks twice, within a batch and across batches. The served
 // assignment keeps one pair per task, the last dispatch's, exactly as the
-// assigned map (and so the snapshot) does; a tick whose only dispatch
+// kernel's books (and so the snapshot) do; a tick whose only dispatch
 // re-assigns task 0 leaves the log's length alone and must still show;
 // and views published earlier keep the state of their tick even when read
 // only later.
@@ -322,12 +366,14 @@ func TestAssignmentViewFollowsRepeatedDispatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fromMap := func() string {
+	fromBooks := func() string {
 		p.mu.Lock()
 		defer p.mu.Unlock()
 		a := model.NewAssignment()
-		for task, w := range p.assigned {
-			a.Add(w, task)
+		for i := range p.tasks {
+			if tb := p.kernel.Task(p.tasks[i].ID); tb.Assigned {
+				a.Add(tb.Worker, p.tasks[i].ID)
+			}
 		}
 		a.Sort()
 		return a.String()
@@ -351,18 +397,18 @@ func TestAssignmentViewFollowsRepeatedDispatch(t *testing.T) {
 		if _, err := p.Tick(float64(k)); err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, fromMap())
+		want = append(want, fromBooks())
 		views = append(views, p.view.Load())
 	}
 	if want[4] == want[3] || want[5] == want[4] {
 		t.Fatalf("re-dispatch ticks did not change the assignment: %v", want[3:])
 	}
 	if got := p.Assignments().String(); got != want[5] {
-		t.Errorf("Assignments %s, assigned map %s", got, want[5])
+		t.Errorf("Assignments %s, kernel books %s", got, want[5])
 	}
 	for k, v := range views {
 		if got := v.assign.assignment().String(); got != want[k] {
-			t.Errorf("view of tick %d: served %s, assigned map then %s", k, got, want[k])
+			t.Errorf("view of tick %d: served %s, kernel books then %s", k, got, want[k])
 		}
 	}
 }

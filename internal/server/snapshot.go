@@ -7,9 +7,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
+	"dasc/internal/core"
 	"dasc/internal/dataset"
 	"dasc/internal/model"
 	"dasc/internal/obs"
@@ -70,24 +70,25 @@ func (p *Platform) writeSnapshotLocked(w io.Writer) error {
 		Wasted:   p.wasted,
 		Rogue:    p.rogue,
 		Instance: json.RawMessage(inst.Bytes()),
-		Workers:  make([]snapshotWorkerState, len(p.wstate)),
+		Workers:  make([]snapshotWorkerState, len(p.workers)),
 	}
-	for i, ws := range p.wstate {
+	for i := range p.workers {
+		ws := p.kernel.Worker(&p.workers[i])
 		sf.Workers[i] = snapshotWorkerState{
-			X: ws.loc.X, Y: ws.loc.Y,
-			BusyUntil: ws.busyUntil, DistUsed: ws.distUsed, Done: ws.done,
+			X: ws.Loc.X, Y: ws.Loc.Y,
+			BusyUntil: ws.BusyUntil, DistUsed: ws.DistUsed, Done: ws.Done,
 		}
 	}
-	for tid, wid := range p.assigned {
-		sf.Assigned = append(sf.Assigned, snapshotAssigned{
-			Task: tid, Worker: wid, FinishAt: p.finishAt[tid],
-		})
+	for i := range p.tasks {
+		id := p.tasks[i].ID
+		tb := p.kernel.Task(id)
+		if tb.Assigned {
+			sf.Assigned = append(sf.Assigned, snapshotAssigned{Task: id, Worker: tb.Worker, FinishAt: tb.FinishAt})
+		}
+		if tb.Botched {
+			sf.Botched = append(sf.Botched, id)
+		}
 	}
-	sort.Slice(sf.Assigned, func(i, j int) bool { return sf.Assigned[i].Task < sf.Assigned[j].Task })
-	for tid := range p.botched {
-		sf.Botched = append(sf.Botched, tid)
-	}
-	sort.Slice(sf.Botched, func(i, j int) bool { return sf.Botched[i] < sf.Botched[j] })
 	return json.NewEncoder(w).Encode(&sf)
 }
 
@@ -118,51 +119,43 @@ func (p *Platform) ReadSnapshot(r io.Reader) error {
 		return fmt.Errorf("server: snapshot has %d worker states for %d workers",
 			len(sf.Workers), len(in.Workers))
 	}
-	nTasks := len(in.Tasks)
-	wstate := make([]workerState, len(sf.Workers))
+	workers := make([]core.WorkerState, len(sf.Workers))
 	for i, ws := range sf.Workers {
-		wstate[i] = workerState{
-			loc:       pt(ws.X, ws.Y),
-			busyUntil: ws.BusyUntil, distUsed: ws.DistUsed, done: ws.Done,
+		workers[i] = core.WorkerState{
+			Loc:       pt(ws.X, ws.Y),
+			BusyUntil: ws.BusyUntil, DistUsed: ws.DistUsed, Done: ws.Done,
 		}
 	}
-	assigned := make(map[model.TaskID]model.WorkerID, len(sf.Assigned))
-	satisfied := make(model.TaskFlags, nTasks)
-	finishAt := make(map[model.TaskID]float64, len(sf.Assigned))
+	nTasks := len(in.Tasks)
+	tasks := make([]core.TaskBook, nTasks)
 	assignLog := make([]model.Pair, 0, len(sf.Assigned))
 	for _, a := range sf.Assigned {
 		if a.Task < 0 || int(a.Task) >= nTasks || a.Worker < 0 || int(a.Worker) >= len(in.Workers) {
 			return fmt.Errorf("server: snapshot assignment (w%d, t%d) out of range", a.Worker, a.Task)
 		}
-		if _, dup := assigned[a.Task]; dup {
+		if tasks[a.Task].Assigned {
 			return fmt.Errorf("server: snapshot assigns task t%d twice", a.Task)
 		}
-		assigned[a.Task] = a.Worker
-		satisfied.Set(a.Task)
-		finishAt[a.Task] = a.FinishAt
+		tasks[a.Task] = core.TaskBook{Assigned: true, Worker: a.Worker, FinishAt: a.FinishAt}
 		assignLog = append(assignLog, model.Pair{Worker: a.Worker, Task: a.Task})
 	}
-	botched := make(map[model.TaskID]bool, len(sf.Botched))
 	for _, tid := range sf.Botched {
 		if tid < 0 || int(tid) >= nTasks {
 			return fmt.Errorf("server: snapshot botched task t%d out of range", tid)
 		}
-		botched[tid] = true
+		tasks[tid].Botched = true
 	}
 	p.workers = in.Workers
 	p.tasks = in.Tasks
-	p.wstate = wstate
-	p.assigned = assigned
-	p.satisfied = satisfied
+	p.kernel.Restore(workers, tasks)
 	p.assignLog = assignLog
-	p.finishAt = finishAt
-	p.botched = botched
 	p.now = sf.Now
 	p.batches = sf.Batches
 	p.wasted = sf.Wasted
 	p.rogue = sf.Rogue
-	// p.pop is still empty (only ticks admit, and none has run), so the
-	// first tick admits and filters the whole restored history once.
+	// The kernel's population is still empty (only ticks admit, and none
+	// has run), so the first tick admits and filters the whole restored
+	// history once.
 	p.publishViewLocked()
 	return nil
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -276,5 +277,176 @@ func TestReplayTruncatedAtEveryByteOffset(t *testing.T) {
 			continue
 		}
 		t.Fatalf("offset %d (%d complete lines): state diverged\n got %s\nwant %s", off, k, got, want)
+	}
+}
+
+// snapshotOf returns p's snapshot bytes.
+func snapshotOf(t *testing.T, p *Platform) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := p.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// restored returns a fresh platform restored from snap.
+func restored(t *testing.T, snap []byte, cfg Config) *Platform {
+	t.Helper()
+	p, _ := NewPlatform(cfg)
+	if err := p.ReadSnapshot(bytes.NewReader(snap)); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestSnapshotBeforeAdmittingTick: a snapshot taken after registrations
+// but before any tick admitted them carries one worker state per registered
+// worker, at its registered location, and restores to a platform that then
+// ticks exactly like the original.
+func TestSnapshotBeforeAdmittingTick(t *testing.T) {
+	p1, _ := NewPlatform(Config{Allocator: core.NewGreedy()})
+	ex := model.Example1()
+	for _, w := range ex.Workers {
+		if _, err := p1.AddWorker(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tk := range ex.Tasks {
+		if _, err := p1.AddTask(tk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := snapshotOf(t, p1)
+	var sf snapshotFile
+	if err := json.Unmarshal(snap, &sf); err != nil {
+		t.Fatal(err)
+	}
+	if len(sf.Workers) != len(ex.Workers) {
+		t.Fatalf("%d worker states for %d registered workers", len(sf.Workers), len(ex.Workers))
+	}
+	for i, ws := range sf.Workers {
+		if w := ex.Workers[i]; ws != (snapshotWorkerState{X: w.Loc.X, Y: w.Loc.Y}) {
+			t.Errorf("worker %d state %+v, want it unmoved at %v", i, ws, w.Loc)
+		}
+	}
+	p2 := restored(t, snap, Config{Allocator: core.NewGreedy()})
+	for _, now := range []float64{0, 5} {
+		if _, err := p1.Tick(now); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p2.Tick(now); err != nil {
+			t.Fatal(err)
+		}
+		if s1, s2 := snapshotOf(t, p1), snapshotOf(t, p2); !bytes.Equal(s1, s2) {
+			t.Fatalf("t=%v: restored platform diverged:\n%s\n%s", now, s1, s2)
+		}
+	}
+}
+
+// TestReadSnapshotRejectsWorkerStateCount: every registered worker needs
+// exactly one worker state.
+func TestReadSnapshotRejectsWorkerStateCount(t *testing.T) {
+	p1, _ := NewPlatform(Config{Allocator: core.NewGreedy()})
+	driveExample(t, p1)
+	var sf snapshotFile
+	if err := json.Unmarshal(snapshotOf(t, p1), &sf); err != nil {
+		t.Fatal(err)
+	}
+	for _, ws := range [][]snapshotWorkerState{sf.Workers[1:], append(sf.Workers, snapshotWorkerState{})} {
+		bad := sf
+		bad.Workers = ws
+		body, err := json.Marshal(&bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, _ := NewPlatform(Config{Allocator: core.NewGreedy()})
+		if err := p.ReadSnapshot(bytes.NewReader(body)); err == nil {
+			t.Errorf("%d worker states for %d workers accepted", len(ws), len(sf.Workers))
+		}
+	}
+}
+
+// blindAllocator pairs every pending task with a batch worker, ignoring
+// feasibility and dependencies, and lists the last task a second time with
+// the next worker.
+type blindAllocator struct{}
+
+func (blindAllocator) Name() string { return "Blind" }
+
+func (blindAllocator) Assign(b *core.Batch) *model.Assignment {
+	a := model.NewAssignment()
+	n := len(b.Workers)
+	for i, task := range b.Tasks {
+		a.Add(b.Workers[i%n].W.ID, task.ID)
+	}
+	a.Add(b.Workers[len(b.Tasks)%n].W.ID, b.Tasks[len(b.Tasks)-1].ID)
+	return a
+}
+
+// TestSnapshotRoundTripBotchedAndRepeated: a botched task and a task
+// dispatched twice in one batch survive a snapshot round trip — the task
+// stays botched, the repeated task keeps its last worker and finish time —
+// and the restored platform writes the same snapshot and evolves the same.
+func TestSnapshotRoundTripBotchedAndRepeated(t *testing.T) {
+	p1, _ := NewPlatform(Config{Allocator: blindAllocator{}, ServiceTime: 1})
+	for i := 0; i < 2; i++ {
+		if _, err := p1.AddWorker(model.Worker{
+			Loc: pt(float64(i), 0), Wait: 100, Velocity: 1, MaxDist: 100, Skills: model.NewSkillSet(0),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// t1 depends on t0, which appears only at t=5: dispatching t1 at t=0
+	// violates the dependency and botches it. t2 is dispatched twice.
+	for _, task := range []model.Task{
+		{Loc: pt(0, 3), Start: 5, Wait: 100, Requires: 0},
+		{Loc: pt(0, 1), Wait: 100, Requires: 0, Deps: []model.TaskID{0}},
+		{Loc: pt(0, 2), Wait: 100, Requires: 0},
+	} {
+		if _, err := p1.AddTask(task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := p1.Tick(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Wasted != 1 || len(out.Assigned) != 2 {
+		t.Fatalf("tick: assigned %v, wasted %d; want t2 twice and t1 wasted", out.Assigned, out.Wasted)
+	}
+	// A worker registered after the tick has no dispatch state yet.
+	if _, err := p1.AddWorker(model.Worker{Loc: pt(9, 9), Wait: 100, Velocity: 1, MaxDist: 100, Skills: model.NewSkillSet(0)}); err != nil {
+		t.Fatal(err)
+	}
+	snap := snapshotOf(t, p1)
+	var sf snapshotFile
+	if err := json.Unmarshal(snap, &sf); err != nil {
+		t.Fatal(err)
+	}
+	last := out.Assigned[1]
+	if len(sf.Botched) != 1 || sf.Botched[0] != 1 {
+		t.Errorf("botched %v, want [t1]", sf.Botched)
+	}
+	if len(sf.Assigned) != 1 || sf.Assigned[0].Task != 2 || sf.Assigned[0].Worker != last.Worker {
+		t.Errorf("assigned %+v, want t2 on its last worker w%d", sf.Assigned, last.Worker)
+	}
+	if len(sf.Workers) != 3 || sf.Workers[2] != (snapshotWorkerState{X: 9, Y: 9}) {
+		t.Errorf("worker states %+v, want 3 with w2 unmoved", sf.Workers)
+	}
+	p2 := restored(t, snap, Config{Allocator: blindAllocator{}, ServiceTime: 1})
+	if s2 := snapshotOf(t, p2); !bytes.Equal(snap, s2) {
+		t.Fatalf("restored snapshot differs:\n%s\n%s", snap, s2)
+	}
+	if got := p2.Assignments().String(); got != p1.Assignments().String() {
+		t.Fatalf("restored assignments %s, want %s", got, p1.Assignments())
+	}
+	for _, p := range []*Platform{p1, p2} {
+		if _, err := p.Tick(6); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s1, s2 := snapshotOf(t, p1), snapshotOf(t, p2); !bytes.Equal(s1, s2) {
+		t.Fatalf("post-restore tick diverged:\n%s\n%s", s1, s2)
 	}
 }

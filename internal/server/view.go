@@ -14,7 +14,7 @@ import (
 // The view aliases the platform's worker/task backing arrays rather than
 // copying them. That is safe because both registries are append-only and
 // their elements are never mutated after publication (all mutable dispatch
-// state lives in Platform.wstate): a later append either writes beyond this
+// state lives in the kernel): a later append either writes beyond this
 // view's length or reallocates, and readers never look past v.workers/tasks'
 // own bounds. The three-index slice expressions in publishViewLocked pin the
 // capacity so the aliasing contract is explicit.

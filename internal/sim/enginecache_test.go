@@ -53,9 +53,20 @@ func TestSimEngineCacheDifferential(t *testing.T) {
 	}
 }
 
+// scratchIndexed hands its allocator a copy of every batch whose candidate
+// engine is built from scratch, so the allocator never reads the engine the
+// platform carried across batches: the reference side of the whole-run
+// cache differential.
+type scratchIndexed struct{ core.Allocator }
+
+func (s scratchIndexed) Assign(b *core.Batch) *model.Assignment {
+	return s.Allocator.Assign(core.NewBatch(b.In, b.Workers, b.Tasks, b.Satisfied))
+}
+
 // TestSimEngineCacheSameResultsAsScratch: a run with the carried engine must
-// produce bit-identical results to one that rebuilds from scratch every
-// batch — equal engines mean equal allocator inputs mean equal assignments.
+// produce bit-identical results to one whose allocator reads an engine
+// rebuilt from scratch every batch — equal engines mean equal allocator
+// inputs mean equal assignments.
 func TestSimEngineCacheSameResultsAsScratch(t *testing.T) {
 	c := gen.DefaultSynthetic().Scale(0.01)
 	c.Seed = 12
@@ -70,7 +81,7 @@ func TestSimEngineCacheSameResultsAsScratch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p2, err := New(in, Config{Allocator: alloc2, DisableEngineCache: true})
+		p2, err := New(in, Config{Allocator: scratchIndexed{alloc2}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,11 +16,9 @@ import (
 // population became incremental. Service time keeps workers busy across
 // batches, so the population's skip-but-keep and drop rules both matter.
 var simGoldens = map[string]string{
-	"G-G/reuse":       "batches=31 assigned=81 wasted=0 expired=19 travel=15.8423569 busy=634.892597 delay=7.50706782 log=3b69dbb18cd1cd4f",
-	"G-G/no-reuse":    "batches=31 assigned=77 wasted=0 expired=23 travel=14.7691304 busy=596.546887 delay=7.51593114 log=3d7fdb9704de7084",
-	"Greedy/reuse":    "batches=31 assigned=88 wasted=0 expired=12 travel=12.7764338 busy=565.729124 delay=6.63056266 log=e0b421997b93006e",
-	"Greedy/no-reuse": "batches=31 assigned=81 wasted=0 expired=19 travel=13.0420802 busy=555.789939 delay=7.15077514 log=c0ff16db6ff18021",
-	"Closest/reuse":   "batches=31 assigned=76 wasted=10 expired=14 travel=15.6780054 busy=637.941522 delay=7.12003144 log=0112601b4fedb687",
+	"G-G/reuse":     "batches=31 assigned=81 wasted=0 expired=19 travel=15.8423569 busy=634.892597 delay=7.50706782 log=3b69dbb18cd1cd4f",
+	"Greedy/reuse":  "batches=31 assigned=88 wasted=0 expired=12 travel=12.7764338 busy=565.729124 delay=6.63056266 log=e0b421997b93006e",
+	"Closest/reuse": "batches=31 assigned=76 wasted=10 expired=14 travel=15.6780054 busy=637.941522 delay=7.12003144 log=0112601b4fedb687",
 }
 
 func TestSimGoldenRuns(t *testing.T) {
@@ -32,7 +30,7 @@ func TestSimGoldenRuns(t *testing.T) {
 	}
 	for name, want := range simGoldens {
 		t.Run(name, func(t *testing.T) {
-			alg, reuse, _ := strings.Cut(name, "/")
+			alg, _, _ := strings.Cut(name, "/")
 			alloc, err := core.NewByName(alg, 5)
 			if err != nil {
 				t.Fatal(err)
@@ -40,7 +38,6 @@ func TestSimGoldenRuns(t *testing.T) {
 			h := sha256.New()
 			p, err := New(in, Config{
 				Allocator: alloc, BatchInterval: 3, ServiceTime: 2,
-				DisableReuse: reuse == "no-reuse",
 				OnBatch: func(r BatchResult) {
 					fmt.Fprintf(h, "%d %v %d %d %s\n", r.Index, r.Time, r.Workers, r.Tasks, r.Assignment)
 				},

@@ -81,30 +81,6 @@ func TestSimWorkerReuseAcrossBatches(t *testing.T) {
 	}
 }
 
-func TestSimDisableReuse(t *testing.T) {
-	in := &model.Instance{
-		Workers: []model.Worker{{
-			ID: 0, Loc: geo.Pt(0, 0), Start: 0, Wait: 100, Velocity: 10, MaxDist: 100,
-			Skills: model.NewSkillSet(0),
-		}},
-		Tasks: []model.Task{
-			{ID: 0, Loc: geo.Pt(1, 0), Start: 0, Wait: 100, Requires: 0},
-			{ID: 1, Loc: geo.Pt(2, 0), Start: 0, Wait: 100, Requires: 0},
-		},
-	}
-	p, err := New(in, Config{Allocator: core.NewGreedy(), BatchInterval: 1, DisableReuse: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AssignedPairs != 1 {
-		t.Errorf("AssignedPairs = %d, want 1 without reuse", res.AssignedPairs)
-	}
-}
-
 func TestSimCrossBatchDependency(t *testing.T) {
 	// t1 depends on t0, but t1 only appears after t0's batch. The platform
 	// must treat t0 as satisfied when t1 shows up.

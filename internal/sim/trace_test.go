@@ -108,30 +108,18 @@ func TestRunFillsBatchTrace(t *testing.T) {
 }
 
 // TestRunTraceMatchesCacheRegime: in steady state (later batches, engine
-// cache on) revalidation dominates and memo hits accumulate; with the cache
-// disabled every batch is a full rebuild.
+// cache on) revalidation dominates and memo hits accumulate.
 func TestRunTraceMatchesCacheRegime(t *testing.T) {
-	in := model.Example1()
-	var cached, uncached []obs.BatchTrace
-	run := func(disable bool, sink *[]obs.BatchTrace) {
-		p, err := New(in, Config{
-			Allocator:          core.NewGreedy(),
-			DisableEngineCache: disable,
-			OnBatch:            func(br BatchResult) { *sink = append(*sink, br.Trace) },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.Run(); err != nil {
-			t.Fatal(err)
-		}
+	var cached []obs.BatchTrace
+	p, err := New(model.Example1(), Config{
+		Allocator: core.NewGreedy(),
+		OnBatch:   func(br BatchResult) { cached = append(cached, br.Trace) },
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	run(false, &cached)
-	run(true, &uncached)
-	for _, tr := range uncached {
-		if tr.WorkersRevalidated != 0 || tr.FullRebuild {
-			t.Errorf("cache-disabled batch %d shows cache activity: %+v", tr.Batch, tr)
-		}
+	if _, err := p.Run(); err != nil {
+		t.Fatal(err)
 	}
 	revalidated := 0
 	for _, tr := range cached {

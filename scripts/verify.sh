@@ -53,48 +53,57 @@ go test ./...
 echo "== go test -race (core, obs, sim, server, bench)"
 go test -race ./internal/core/... ./internal/obs/... ./internal/sim/... ./internal/server/... ./internal/bench/...
 
-# The incremental engine's ownership/determinism guards, re-run under the
-# race detector at two scheduler widths: GOMAXPROCS=2 forces heavy chunk
-# interleaving on the goroutine pool, 8 gives it real parallelism. The
-# aliasing test would surface any cache-recycled buffer still referencing a
-# returned index; the determinism sweep any scheduling-dependent output;
-# the spike-then-drain run and the ID guard a dense-table slot or stamp
-# served to the wrong worker or task.
+# race_guard PKG PATTERN... re-runs the tests matching any PATTERN under
+# the race detector at two scheduler widths: GOMAXPROCS=2 forces heavy
+# interleaving, 8 gives real parallelism. `go test -run` passes when a
+# pattern matches no test, so every PATTERN must first list at least one
+# test: a moved or renamed guard fails the step instead of passing empty.
+race_guard() {
+	pkg=$1
+	shift
+	for pat in "$@"; do
+		if [ -z "$(go test -list "$pat" "$pkg" | grep '^Test')" ]; then
+			echo "verify: no test in $pkg matches '$pat'" >&2
+			exit 1
+		fi
+	done
+	run=$(printf '%s|' "$@")
+	for gmp in 2 8; do
+		GOMAXPROCS=$gmp go test -race "$pkg" -run "${run%|}" -count 1
+	done
+}
+
+# The incremental engine's ownership/determinism guards. The aliasing test
+# would surface any cache-recycled buffer still referencing a returned
+# index; the determinism sweep any scheduling-dependent output; the
+# spike-then-drain run and the ID guard a dense-table slot or stamp served
+# to the wrong worker or task; the kernel differential any step, dispatch or
+# book that differs between the carried engine and a from-scratch build.
 echo "== go test -race engine-cache guards (GOMAXPROCS=2, 8)"
-for gmp in 2 8; do
-	GOMAXPROCS=$gmp go test -race ./internal/core/ \
-		-run 'TestEngineCache(NeverMutatesReturnedIndex|IncrementalParallelDeterministic|SpikeDrain|IDGuard)' -count 1
-done
+race_guard ./internal/core/ TestEngineCacheNeverMutatesReturnedIndex \
+	TestEngineCacheIncrementalParallelDeterministic TestEngineCacheSpikeDrain \
+	TestEngineCacheIDGuard TestKernelCacheMatchesScratch
 
 # The game worklist engine's bit-exactness matrix (worklist vs naive sweep
 # across thresholds, inits and sweep orders) plus its GOMAXPROCS determinism
-# sweep, re-run under the race detector at a starved and a wide scheduler:
-# the engine itself is single-threaded, but it shares pooled state
+# sweep: the engine itself is single-threaded, but it shares pooled state
 # (gameState, gameWorklist, batch wiring) across concurrently-allocating
 # goroutines in the sim and server.
 echo "== go test -race game worklist guards (GOMAXPROCS=2, 8)"
-for gmp in 2 8; do
-	GOMAXPROCS=$gmp go test -race ./internal/core/ -run 'TestGameWorklist' -count 1
-done
+race_guard ./internal/core/ TestGameWorklist
 
 # The dense dependency wiring's differentials (map-based oracles for the
 # wiring, the associative sets, the index-domain fixpoint and Greedy's
-# column scratch) and its concurrent pooled-scratch test, again at a
-# starved and a wide scheduler: batches allocated concurrently borrow their
-# build scratch from one shared sync.Pool.
+# column scratch) and its concurrent pooled-scratch test: batches allocated
+# concurrently borrow their build scratch from one shared sync.Pool.
 echo "== go test -race dependency wiring (GOMAXPROCS=2, 8)"
-for gmp in 2 8; do
-	GOMAXPROCS=$gmp go test -race ./internal/core/ \
-		-run 'TestDepWiring|TestGreedyStaffMatchesMapOracle' -count 1
-done
+race_guard ./internal/core/ TestDepWiring TestGreedyStaffMatchesMapOracle
 
 # The group-commit ingest pipeline's concurrency tests (hammer included:
 # registrations, ticks, snapshot rotations and reads all concurrent, then a
-# replay-equivalence check), again at a starved and a wide scheduler.
+# replay-equivalence check).
 echo "== go test -race ingest pipeline (GOMAXPROCS=2, 8)"
-for gmp in 2 8; do
-	GOMAXPROCS=$gmp go test -race ./internal/server/ -run 'TestIngest' -count 1
-done
+race_guard ./internal/server/ TestIngest
 
 echo "== bench smoke"
 BENCH_OUT=$(mktemp) GAME_OUT=$(mktemp) INGEST_OUT=$(mktemp) sh scripts/bench.sh -quick >/dev/null
