@@ -70,7 +70,10 @@ type (
 
 // Allocation machinery, re-exported from the internal core.
 type (
-	// Allocator assigns one batch's workers to its tasks.
+	// Allocator assigns one batch's workers to its tasks and reports, through
+	// DependencyAware, whether it honours the dependency constraint; the
+	// batch loop stops offering such an allocator the tasks that can never
+	// be validly assigned.
 	Allocator = core.Allocator
 	// Batch is the input of one batch process.
 	Batch = core.Batch

@@ -84,6 +84,8 @@ type timedAllocator struct {
 
 func (t *timedAllocator) Name() string { return t.inner.Name() }
 
+func (t *timedAllocator) DependencyAware() bool { return t.inner.DependencyAware() }
+
 func (t *timedAllocator) Assign(b *core.Batch) *model.Assignment {
 	start := time.Now()
 	a := t.inner.Assign(b)

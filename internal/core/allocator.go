@@ -17,6 +17,14 @@ type Allocator interface {
 	Name() string
 	// Assign computes the batch assignment M_b.
 	Assign(b *Batch) *model.Assignment
+	// DependencyAware reports whether the allocator honours the dependency
+	// constraint. For such an allocator the kernel retires every task with
+	// a dependency that left the population unassigned: constraint 4 rules
+	// the task out of every later batch, so it is no longer offered
+	// (DESIGN.md §3.13). The Closest and Random baselines ignore
+	// dependencies and report false: they keep being offered such tasks and
+	// are charged the pairs they waste on them.
+	DependencyAware() bool
 }
 
 // Known allocator names, matching the labels of the paper's figures.

@@ -20,6 +20,9 @@ func NewClosest() *Closest { return &Closest{} }
 // Name implements Allocator.
 func (c *Closest) Name() string { return NameClosest }
 
+// DependencyAware implements Allocator: Closest ignores dependencies.
+func (c *Closest) DependencyAware() bool { return false }
+
 // Assign implements Allocator.
 func (c *Closest) Assign(b *Batch) *model.Assignment {
 	out := model.NewAssignment()
@@ -61,6 +64,9 @@ func NewRandom(seed int64) *Random { return &Random{seed: seed} }
 
 // Name implements Allocator.
 func (r *Random) Name() string { return NameRandom }
+
+// DependencyAware implements Allocator: Random ignores dependencies.
+func (r *Random) DependencyAware() bool { return false }
 
 // Assign implements Allocator.
 func (r *Random) Assign(b *Batch) *model.Assignment {

@@ -16,7 +16,11 @@ type DFSOptions struct {
 // the search tree is one worker; its children are the worker's feasible
 // tasks plus idling. The score of a leaf is the weight of the heaviest
 // dependency-consistent sub-assignment, so the search maximises the true
-// DA-SC objective (task count under the paper's unit weights).
+// DA-SC objective (task count under the paper's unit weights). A task with
+// a dependency that is neither satisfied nor pending (dead in the batch's
+// wiring) scores nothing in any leaf, so it is left out of the search, as
+// Greedy's associative sets and ExactDP's subsets leave it out: the result
+// does not depend on which such tasks the batch holds.
 type DFS struct {
 	opt   DFSOptions
 	exact bool
@@ -33,6 +37,9 @@ func NewDFS(opt DFSOptions) *DFS {
 // Name implements Allocator.
 func (d *DFS) Name() string { return NameDFS }
 
+// DependencyAware implements Allocator.
+func (d *DFS) DependencyAware() bool { return true }
+
 // Exact reports whether the last Assign call explored the full search space
 // (true) or was truncated by MaxNodes (false).
 func (d *DFS) Exact() bool { return d.exact }
@@ -40,6 +47,16 @@ func (d *DFS) Exact() bool { return d.exact }
 // Assign implements Allocator.
 func (d *DFS) Assign(b *Batch) *model.Assignment {
 	strategies := b.StrategySets()
+	dead := b.depWiring().deadTask
+	for wi, set := range strategies {
+		live := set[:0]
+		for _, ti := range set {
+			if !dead[ti] {
+				live = append(live, ti)
+			}
+		}
+		strategies[wi] = live
+	}
 	// Search workers with the fewest options first: small branching near the
 	// root makes the bound bite earlier.
 	order := make([]int, 0, len(b.Workers))
@@ -51,8 +68,8 @@ func (d *DFS) Assign(b *Batch) *model.Assignment {
 	stableSortByDesc(order, func(wi int) float64 { return -float64(len(strategies[wi])) })
 
 	maxW := 0.0
-	for _, t := range b.Tasks {
-		if w := t.EffWeight(); w > maxW {
+	for ti, t := range b.Tasks {
+		if w := t.EffWeight(); w > maxW && !dead[ti] {
 			maxW = w
 		}
 	}

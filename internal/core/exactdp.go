@@ -28,6 +28,9 @@ func NewExactDP() *ExactDP { return &ExactDP{} }
 // Name implements Allocator.
 func (e *ExactDP) Name() string { return "ExactDP" }
 
+// DependencyAware implements Allocator.
+func (e *ExactDP) DependencyAware() bool { return true }
+
 // Assign implements Allocator. Batches beyond the task limit return an
 // empty assignment; use AssignExact to detect that case.
 func (e *ExactDP) Assign(b *Batch) *model.Assignment {

@@ -72,6 +72,9 @@ func (g *Game) Name() string {
 	}
 }
 
+// DependencyAware implements Allocator.
+func (g *Game) DependencyAware() bool { return true }
+
 // Options returns the game's effective configuration.
 func (g *Game) Options() GameOptions { return g.opt }
 

@@ -58,6 +58,9 @@ func NewGreedyOpt(opt GreedyOptions) *Greedy {
 // Name implements Allocator.
 func (g *Greedy) Name() string { return NameGreedy }
 
+// DependencyAware implements Allocator.
+func (g *Greedy) DependencyAware() bool { return true }
+
 // Assign implements Allocator.
 func (g *Greedy) Assign(b *Batch) *model.Assignment {
 	out := model.NewAssignment()

@@ -102,6 +102,9 @@ func NewImproved(inner Allocator) *Improved { return &Improved{Inner: inner} }
 // Name implements Allocator, e.g. "Greedy+aug".
 func (i *Improved) Name() string { return i.Inner.Name() + "+aug" }
 
+// DependencyAware implements Allocator with the inner allocator's answer.
+func (i *Improved) DependencyAware() bool { return i.Inner.DependencyAware() }
+
 // Assign implements Allocator.
 func (i *Improved) Assign(b *Batch) *model.Assignment {
 	base := DependencyFixpoint(b, i.Inner.Assign(b))

@@ -30,7 +30,9 @@ type KernelConfig struct {
 // carried candidate engine, allocates, keeps the dependency-valid pairs and
 // dispatches every pair. The kernel owns everything that outlives a batch:
 // each worker's dispatch state, the per-task books (assigned, botched,
-// finish times), the population and the engine cache.
+// finish times), the population and the engine cache. For a
+// dependency-aware allocator the population also retires the tasks that
+// can never be validly assigned (Kernel.population).
 //
 // Workers and tasks live in append-only registries indexed by their IDs
 // (model.Instance.Validate): Step reads them through the instance it is
@@ -50,6 +52,12 @@ type Kernel struct {
 	finishAt   []float64
 	// botched flags the tasks consumed by a dependency-violating dispatch.
 	botched model.TaskFlags
+	// gone flags the tasks the population dropped unassigned: botched,
+	// overdue, or retired because a dependency of theirs is gone. None of
+	// them is ever assigned, so neither is any task that depends on one.
+	// It is derived from the other books as the walk drops tasks, so a
+	// restored kernel rebuilds it on its first step.
+	gone model.TaskFlags
 }
 
 // WorkerState is a worker's dispatch state between batches.
@@ -153,6 +161,7 @@ func (k *Kernel) grow(in *model.Instance) {
 	if n := len(in.Tasks) - len(k.finishAt); n > 0 {
 		k.assignedTo = append(k.assignedTo, make([]model.WorkerID, n)...)
 		k.finishAt = append(k.finishAt, make([]float64, n)...)
+		k.gone = append(k.gone, make([]bool, n)...)
 	}
 }
 
@@ -162,6 +171,14 @@ func (k *Kernel) grow(in *model.Instance) {
 // k.pop's candidates, after admitting everything registered since the last
 // step, and drops for good what can never qualify again: an expired worker,
 // and an assigned, botched or overdue task.
+//
+// For a dependency-aware allocator it also retires for good every appeared
+// task with a gone dependency. The walk runs in registration order, and a
+// generated or served task's dependency set is closed and names lower IDs,
+// so one check of t.Deps sees every gone dependency at any depth, retired
+// ones included. On a hand-built instance a dependency with a higher ID is
+// seen gone one batch late; retirement only ever drops tasks that no valid
+// assignment can hold.
 func (k *Kernel) population(in *model.Instance, now float64) (bws []BatchWorker, tasks []*model.Task) {
 	k.pop.Admit(len(in.Workers), len(in.Tasks))
 	k.pop.Workers(func(i int) bool {
@@ -175,18 +192,37 @@ func (k *Kernel) population(in *model.Instance, now float64) (bws []BatchWorker,
 		bws = append(bws, BatchWorker{W: w, Loc: ws.Loc, ReadyAt: now, DistBudget: w.MaxDist - ws.DistUsed})
 		return true
 	})
+	aware := k.cfg.Allocator.DependencyAware()
 	k.pop.Tasks(func(i int) bool {
 		t := &in.Tasks[i]
-		if k.satisfied.Has(t.ID) || k.botched.Has(t.ID) || t.Deadline() < now {
+		if k.satisfied.Has(t.ID) {
+			return false
+		}
+		if k.botched.Has(t.ID) || t.Deadline() < now {
+			k.gone[t.ID] = true
 			return false
 		}
 		if t.Start > now {
 			return true
 		}
+		if aware && k.hasGoneDep(t) {
+			k.gone[t.ID] = true
+			return false
+		}
 		tasks = append(tasks, t)
 		return true
 	})
 	return bws, tasks
+}
+
+// hasGoneDep reports whether a dependency of t is gone.
+func (k *Kernel) hasGoneDep(t *model.Task) bool {
+	for _, dep := range t.Deps {
+		if k.gone.Has(dep) {
+			return true
+		}
+	}
+	return false
 }
 
 // dispatch executes st.Raw in DispatchOrder, so a dependant co-assigned with
@@ -260,13 +296,14 @@ func (k *Kernel) Live() (workers, tasks int) { return k.pop.Len() }
 // Restore replaces the books of a kernel that has not stepped yet with the
 // given worker states (kept, not copied) and task books, both indexed by ID.
 // The population is still empty, so the first step admits and filters the
-// whole restored registry once.
+// whole restored registry once, which also rebuilds the gone flags.
 func (k *Kernel) Restore(workers []WorkerState, tasks []TaskBook) {
 	k.workers = workers
 	k.satisfied = make(model.TaskFlags, len(tasks))
 	k.botched = make(model.TaskFlags, len(tasks))
 	k.assignedTo = make([]model.WorkerID, len(tasks))
 	k.finishAt = make([]float64, len(tasks))
+	k.gone = make(model.TaskFlags, len(tasks))
 	for id, tb := range tasks {
 		if tb.Assigned {
 			k.satisfied[id] = true

@@ -5,9 +5,11 @@ package core
 // presented to some batch. A platform admits what was registered since the
 // last batch, then walks only the candidates, dropping for good every entry
 // that can never qualify again (an expired worker, a task that was consumed
-// or whose deadline passed). Batch time never goes backwards, so such an
-// entry would be skipped by every later batch anyway; dropping it keeps the
-// walk O(live population + arrivals) instead of O(registry).
+// or whose deadline passed, and for a dependency-aware allocator a task
+// retired because a dependency left the population unassigned). Batch time
+// never goes backwards, so such an entry would be skipped by every later
+// batch anyway; dropping it keeps the walk O(live population + arrivals)
+// instead of O(registry).
 //
 // The walk visits the survivors in registration order, so the population a
 // batch sees is exactly the one a full registry scan would build, in the

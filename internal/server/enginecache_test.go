@@ -163,7 +163,8 @@ func TestServerEngineCacheSameAssignmentsAsScratch(t *testing.T) {
 // task — the misbehaving-custom-Allocator case.
 type serverRogueAllocator struct{}
 
-func (serverRogueAllocator) Name() string { return "Rogue" }
+func (serverRogueAllocator) Name() string          { return "Rogue" }
+func (serverRogueAllocator) DependencyAware() bool { return false }
 
 func (serverRogueAllocator) Assign(b *core.Batch) *model.Assignment {
 	a := model.NewAssignment()

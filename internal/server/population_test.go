@@ -10,12 +10,45 @@ import (
 	"dasc/internal/model"
 )
 
+// retiredAt is the brute-force retirement rule: when the platform's
+// allocator is dependency-aware, the appeared tasks with a dependency, at
+// any depth, that is botched or unassigned past its deadline at now, by the
+// kernel's books, iterated to a fixpoint over the whole registry. The
+// caller holds p.mu.
+func retiredAt(p *Platform, now float64) model.TaskFlags {
+	if !p.alloc.DependencyAware() {
+		return nil
+	}
+	gone := make(model.TaskFlags, len(p.tasks))
+	for i := range p.tasks {
+		tb := p.kernel.Task(p.tasks[i].ID)
+		gone[i] = !tb.Assigned && (tb.Botched || p.tasks[i].Deadline() < now)
+	}
+	doomed := make(model.TaskFlags, len(p.tasks))
+	for changed := true; changed; {
+		changed = false
+		for i := range p.tasks {
+			for _, dep := range p.tasks[i].Deps {
+				if !doomed[i] && (gone[dep] || doomed[dep]) {
+					doomed[i], changed = true, true
+				}
+			}
+		}
+	}
+	for i := range p.tasks {
+		doomed[i] = doomed[i] && p.tasks[i].Start <= now
+	}
+	return doomed
+}
+
 // oraclePopulation is the full-registry tick filter the server ran before
-// the population became incremental: every registered worker and task is
-// tested against the batch predicates at now, reading the kernel's books.
-// The incremental population must reproduce it entry for entry and in
-// order, each worker carrying its dispatch state. The caller holds p.mu.
-func oraclePopulation(p *Platform, now float64) (workers []batchEntry, tasks []model.TaskID) {
+// the population became incremental, plus the retirement rule: every
+// registered worker and task is tested against the batch predicates at now,
+// reading the kernel's books. The incremental population must reproduce it
+// entry for entry and in order, each worker carrying its dispatch state.
+// retired counts the pending tasks the retirement rule left out. The caller
+// holds p.mu.
+func oraclePopulation(p *Platform, now float64) (workers []batchEntry, tasks []model.TaskID, retired int) {
 	for i := range p.workers {
 		w := &p.workers[i]
 		ws := p.kernel.Worker(w)
@@ -24,14 +57,19 @@ func oraclePopulation(p *Platform, now float64) (workers []batchEntry, tasks []m
 		}
 		workers = append(workers, batchEntry{ID: w.ID, Loc: ws.Loc, DistBudget: w.MaxDist - ws.DistUsed})
 	}
+	doomed := retiredAt(p, now)
 	for i := range p.tasks {
 		t := &p.tasks[i]
 		if tb := p.kernel.Task(t.ID); tb.Assigned || tb.Botched || t.Start > now || t.Deadline() < now {
 			continue
 		}
+		if doomed.Has(t.ID) {
+			retired++
+			continue
+		}
 		tasks = append(tasks, t.ID)
 	}
-	return workers, tasks
+	return workers, tasks, retired
 }
 
 // batchEntry is what a batch presents to the allocator about one worker.
@@ -66,16 +104,17 @@ func (r *batchRecorder) Assign(b *core.Batch) *model.Assignment {
 
 // liveCounts counts, by full scan, the workers and tasks that can still
 // reach some batch at or after now: workers not yet expired, tasks neither
-// consumed nor overdue. The caller holds p.mu.
+// consumed, overdue nor retired. The caller holds p.mu.
 func liveCounts(p *Platform, now float64) (workers, tasks int) {
 	for i := range p.workers {
 		if now <= p.workers[i].Expiry() {
 			workers++
 		}
 	}
+	retired := retiredAt(p, now)
 	for i := range p.tasks {
 		t := &p.tasks[i]
-		if tb := p.kernel.Task(t.ID); !tb.Assigned && !tb.Botched && t.Deadline() >= now {
+		if tb := p.kernel.Task(t.ID); !tb.Assigned && !tb.Botched && t.Deadline() >= now && !retired.Has(t.ID) {
 			tasks++
 		}
 	}
@@ -111,9 +150,10 @@ func checkBooks(t *testing.T, p *Platform, now float64) {
 // the tick's walk must keep; after it, it checks that the allocator was
 // handed exactly the oracle's workers (with their locations and distance
 // budgets) and tasks in registration order, what the kernel still holds,
-// and the books.
+// and the books. The dependency-aware allocators must see the retirement
+// rule at work.
 func TestTickPopulationMatchesFullScan(t *testing.T) {
-	for _, alg := range []string{core.NameGreedy, core.NameClosest} {
+	for _, alg := range []string{core.NameGreedy, core.NameGG, core.NameClosest} {
 		t.Run(alg, func(t *testing.T) {
 			rec := &batchRecorder{}
 			wrap := func(a core.Allocator) core.Allocator {
@@ -123,11 +163,13 @@ func TestTickPopulationMatchesFullScan(t *testing.T) {
 			var wantW []batchEntry
 			var wantT []model.TaskID
 			var liveW, liveT int
-			ticks, allocated := 0, 0
+			ticks, allocated, retired := 0, 0, 0
 			hook := func(t *testing.T, p *Platform, now float64, out *BatchOutcome) {
 				if out == nil {
 					p.mu.Lock()
-					wantW, wantT = oraclePopulation(p, now)
+					var r int
+					wantW, wantT, r = oraclePopulation(p, now)
+					retired += r
 					liveW, liveT = liveCounts(p, now)
 					p.mu.Unlock()
 					rec.reset()
@@ -169,6 +211,9 @@ func TestTickPopulationMatchesFullScan(t *testing.T) {
 			}
 			if allocated < goldenTotalTicks/2 {
 				t.Fatalf("only %d of %d ticks reached the allocator", allocated, ticks)
+			}
+			if aware := alg != core.NameClosest; aware != (retired > 0) {
+				t.Fatalf("the retirement rule left out %d pending tasks over the stream (dependency-aware: %v)", retired, aware)
 			}
 		})
 	}
@@ -266,7 +311,8 @@ func TestTickPopulationForgetsExpiredHistory(t *testing.T) {
 // dependant comes before its co-assigned dependency.
 type reverseAllocator struct{ inner core.Allocator }
 
-func (r reverseAllocator) Name() string { return "Reverse" }
+func (r reverseAllocator) Name() string          { return "Reverse" }
+func (r reverseAllocator) DependencyAware() bool { return r.inner.DependencyAware() }
 
 func (r reverseAllocator) Assign(b *core.Batch) *model.Assignment {
 	a := r.inner.Assign(b)
@@ -330,7 +376,8 @@ type repeatAllocator struct {
 	calls int
 }
 
-func (r *repeatAllocator) Name() string { return "Repeat" }
+func (r *repeatAllocator) Name() string          { return "Repeat" }
+func (r *repeatAllocator) DependencyAware() bool { return r.inner.DependencyAware() }
 
 func (r *repeatAllocator) Assign(b *core.Batch) *model.Assignment {
 	r.calls++

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -372,7 +373,8 @@ func TestReadSnapshotRejectsWorkerStateCount(t *testing.T) {
 // the next worker.
 type blindAllocator struct{}
 
-func (blindAllocator) Name() string { return "Blind" }
+func (blindAllocator) Name() string          { return "Blind" }
+func (blindAllocator) DependencyAware() bool { return false }
 
 func (blindAllocator) Assign(b *core.Batch) *model.Assignment {
 	a := model.NewAssignment()
@@ -448,5 +450,147 @@ func TestSnapshotRoundTripBotchedAndRepeated(t *testing.T) {
 	}
 	if s1, s2 := snapshotOf(t, p1), snapshotOf(t, p2); !bytes.Equal(s1, s2) {
 		t.Fatalf("post-restore tick diverged:\n%s\n%s", s1, s2)
+	}
+}
+
+// botchingAllocator reports itself dependency-aware, yet on top of its
+// inner allocator's pairs it dispatches the first batch task left out whose
+// dependency is unmet, with a worker left idle. The dispatch violates
+// constraint 4 and botches the task, which dooms its dependants.
+type botchingAllocator struct{ inner core.Allocator }
+
+func (botchingAllocator) Name() string { return "Botching" }
+
+func (botchingAllocator) DependencyAware() bool { return true }
+
+func (a botchingAllocator) Assign(b *core.Batch) *model.Assignment {
+	out := a.inner.Assign(b)
+	busy := map[model.WorkerID]bool{}
+	taken := map[model.TaskID]bool{}
+	for _, pair := range out.Pairs {
+		busy[pair.Worker], taken[pair.Task] = true, true
+	}
+	for _, task := range b.Tasks {
+		if taken[task.ID] {
+			continue
+		}
+		for _, dep := range task.Deps {
+			if b.Satisfied.Has(dep) || taken[dep] {
+				continue
+			}
+			for i := range b.Workers {
+				if w := b.Workers[i].W.ID; !busy[w] {
+					out.Add(w, task.ID)
+					return out
+				}
+			}
+			return out
+		}
+	}
+	return out
+}
+
+// TestRecoverRetiresDependantsOfBotchedTasks: which tasks are gone is
+// derived state, so a platform recovered from a snapshot plus the journal
+// tail must retire the dependants of tasks botched before the snapshot
+// exactly as the platform that served them does. Every tick registers
+// a_k, which depends on t0 (nobody can serve t0, so it stays pending and
+// the allocator botches a_k), b_k, which depends on a_{k-1} and so is doomed
+// by a botched task alone, and an independent c_k. After the recovery both
+// platforms take the same registrations and ticks: every tick the recovered
+// platform must be offered the oracle's population, the served platform
+// the same one, and both must make the same assignments.
+func TestRecoverRetiresDependantsOfBotchedTasks(t *testing.T) {
+	dir := t.TempDir()
+	snap, jpath := filepath.Join(dir, "state.snap"), filepath.Join(dir, "journal.jsonl")
+	j, err := OpenJournal(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	servedRec := &batchRecorder{Allocator: botchingAllocator{core.NewGreedy()}}
+	served, err := NewPlatform(Config{Allocator: servedRec, ServiceTime: 0.5, Journal: j, SnapshotPath: snap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { served.Close() })
+	register := func(p *Platform, k int) {
+		t.Helper()
+		if k == 0 {
+			for i := 0; i < 2; i++ {
+				if _, err := p.RegisterWorker(model.Worker{Wait: 100, Velocity: 1, MaxDist: 100, Skills: model.NewSkillSet(0)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := p.RegisterTask(model.Task{Wait: 100, Requires: 5}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		now := float64(k)
+		tasks := []model.Task{{Start: now, Wait: 100, Deps: []model.TaskID{0}}}
+		if k > 0 {
+			// t0 is followed by a_0, c_0, then a_k, b_k, c_k per tick; the
+			// platform closes b_k's set with t0.
+			prevA := model.TaskID(max(1, 3*(k-1)))
+			tasks = append(tasks, model.Task{Start: now, Wait: 100, Deps: []model.TaskID{prevA}})
+		}
+		tasks = append(tasks, model.Task{Start: now, Wait: 100})
+		for _, task := range tasks {
+			if _, err := p.RegisterTask(task); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	tick := func(p *Platform, k int) *BatchOutcome {
+		t.Helper()
+		out, err := p.Tick(float64(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for k := 0; k < 5; k++ {
+		register(served, k)
+		tick(served, k)
+		if k == 2 {
+			if _, err := served.SaveSnapshot(snap); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	recRec := &batchRecorder{Allocator: botchingAllocator{core.NewGreedy()}}
+	recovered, err := NewPlatform(Config{Allocator: recRec, ServiceTime: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Recover(recovered, snap, jpath); err != nil {
+		t.Fatal(err)
+	}
+	retired := 0
+	for k := 5; k < 10; k++ {
+		servedRec.reset()
+		recRec.reset()
+		register(served, k)
+		register(recovered, k)
+		recovered.mu.Lock()
+		wantW, wantT, r := oraclePopulation(recovered, float64(k))
+		recovered.mu.Unlock()
+		so, ro := tick(served, k), tick(recovered, k)
+		retired += r
+		if !reflect.DeepEqual(recRec.workers, wantW) || !reflect.DeepEqual(recRec.tasks, wantT) {
+			t.Fatalf("t=%d: recovered platform was offered tasks %v, oracle %v", k, recRec.tasks, wantT)
+		}
+		if !reflect.DeepEqual(servedRec.tasks, recRec.tasks) || !reflect.DeepEqual(servedRec.workers, recRec.workers) {
+			t.Fatalf("t=%d: served platform was offered tasks %v, recovered %v", k, servedRec.tasks, recRec.tasks)
+		}
+		if !reflect.DeepEqual(so.Assigned, ro.Assigned) || so.Wasted != ro.Wasted {
+			t.Fatalf("t=%d: served assigned %v (wasted %d), recovered %v (wasted %d)", k, so.Assigned, so.Wasted, ro.Assigned, ro.Wasted)
+		}
+	}
+	if retired == 0 {
+		t.Fatal("no task retired after the recovery")
+	}
+	if a, b := servedDigest(t, served), servedDigest(t, recovered); a != b {
+		t.Fatalf("served and recovered platforms diverged:\nserved:    %s\nrecovered: %s", a, b)
 	}
 }

@@ -105,7 +105,8 @@ func TestSimEngineCacheSameResultsAsScratch(t *testing.T) {
 // and silently moved worker 0.
 type rogueAllocator struct{}
 
-func (rogueAllocator) Name() string { return "Rogue" }
+func (rogueAllocator) Name() string          { return "Rogue" }
+func (rogueAllocator) DependencyAware() bool { return false }
 
 func (rogueAllocator) Assign(b *core.Batch) *model.Assignment {
 	a := model.NewAssignment()

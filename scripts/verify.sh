@@ -79,10 +79,17 @@ race_guard() {
 # spike-then-drain run and the ID guard a dense-table slot or stamp served
 # to the wrong worker or task; the kernel differential any step, dispatch or
 # book that differs between the carried engine and a from-scratch build.
+# The retirement tests check the kernel's doomed-task rule against a
+# brute-force oracle, on a hand-built instance and, for the allocators whose
+# outcome must not move, against a kernel that keeps offering doomed tasks;
+# the server's recovery test checks that a restored platform rebuilds it.
 echo "== go test -race engine-cache guards (GOMAXPROCS=2, 8)"
 race_guard ./internal/core/ TestEngineCacheNeverMutatesReturnedIndex \
 	TestEngineCacheIncrementalParallelDeterministic TestEngineCacheSpikeDrain \
-	TestEngineCacheIDGuard TestKernelCacheMatchesScratch
+	TestEngineCacheIDGuard TestKernelCacheMatchesScratch \
+	TestKernelPopulationMatchesFullScan TestKernelRetirementKeepsOutcome \
+	TestKernelRetiresHandBuiltDoom
+race_guard ./internal/server/ TestRecoverRetiresDependantsOfBotchedTasks
 
 # The game worklist engine's bit-exactness matrix (worklist vs naive sweep
 # across thresholds, inits and sweep orders) plus its GOMAXPROCS determinism
