@@ -189,35 +189,6 @@ func BenchmarkHopcroftKarp(b *testing.B) {
 	}
 }
 
-func BenchmarkCandidateIndexTasksFor(b *testing.B) {
-	in := benchInstance(b, 0.1)
-	ci := model.NewCandidateIndex(in)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ci.TasksFor(&in.Workers[i%len(in.Workers)])
-	}
-}
-
-// BenchmarkCandidateLinearScan is the baseline for the candidate-index
-// ablation: the same lookup by scanning every task.
-func BenchmarkCandidateLinearScan(b *testing.B) {
-	in := benchInstance(b, 0.1)
-	dist := in.Distance()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w := &in.Workers[i%len(in.Workers)]
-		var out []model.TaskID
-		for j := range in.Tasks {
-			if model.Feasible(w, &in.Tasks[j], dist) {
-				out = append(out, in.Tasks[j].ID)
-			}
-		}
-		_ = out
-	}
-}
-
 // BenchmarkBatchIndexBuild and BenchmarkBatchStrategyScan compare the batch
 // candidate engine against the brute-force strategy-set scan it replaced, on
 // the 500×500 micro-benchmark instance. The full-scale comparison (fig10's

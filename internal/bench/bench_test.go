@@ -325,8 +325,8 @@ func TestTimeColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tbl.TimeColumn("Greedy"); len(got) != 1 || got[0] < 0 {
-		t.Errorf("TimeColumn = %v", got)
+	if len(tbl.Rows) != 1 || tbl.Rows[0]["Greedy"].TimeMS < 0 {
+		t.Errorf("time column = %v", tbl.Rows)
 	}
 	if got := tbl.Column("Greedy"); len(got) != 1 {
 		t.Errorf("Column = %v", got)

@@ -363,9 +363,6 @@ func ablationMatcher() *Experiment {
 		{Label: "Greedy/HK-only", Make: func(seed int64) core.Allocator {
 			return core.NewGreedyOpt(core.GreedyOptions{Matcher: core.MatchFeasible})
 		}},
-		{Label: "Greedy/Auction", Make: func(seed int64) core.Allocator {
-			return core.NewGreedyOpt(core.GreedyOptions{Matcher: core.MatchAuction})
-		}},
 	}
 	return &Experiment{
 		ID:    "ablation-matcher",

@@ -111,15 +111,6 @@ func (t *Table) Column(label string) []float64 {
 	return out
 }
 
-// TimeColumn extracts one algorithm's time series across the sweep.
-func (t *Table) TimeColumn(label string) []float64 {
-	out := make([]float64, len(t.Rows))
-	for i, row := range t.Rows {
-		out[i] = row[label].TimeMS
-	}
-	return out
-}
-
 func max(a, b int) int {
 	if a > b {
 		return a

@@ -13,7 +13,6 @@ package core
 
 import (
 	"math/rand"
-	"sort"
 	"sync"
 
 	"dasc/internal/geo"
@@ -250,14 +249,4 @@ func shuffledIndexes(n int, rng *rand.Rand) []int {
 	}
 	rng.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 	return idx
-}
-
-// sortedTaskIDs returns the IDs of the given task indexes, ascending.
-func (b *Batch) sortedTaskIDs(idxs []int) []model.TaskID {
-	ids := make([]model.TaskID, len(idxs))
-	for i, ti := range idxs {
-		ids[i] = b.Tasks[ti].ID
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }

@@ -28,31 +28,6 @@ func TestStaticBatchWrapsInstance(t *testing.T) {
 	}
 }
 
-func TestBatchStrategySetsMatchCandidateIndex(t *testing.T) {
-	// The batch's strategy sets must agree with the model-level candidate
-	// index on a static batch.
-	rng := rand.New(rand.NewSource(60))
-	for trial := 0; trial < 10; trial++ {
-		in := randomInstance(rng, 10, 15, 4, true)
-		b := NewStaticBatch(in)
-		ci := model.NewCandidateIndex(in)
-		sets := b.StrategySets()
-		for wi := range b.Workers {
-			var got []model.TaskID
-			for _, ti := range sets[wi] {
-				got = append(got, b.Tasks[ti].ID)
-			}
-			want := ci.TasksFor(&in.Workers[wi])
-			if len(want) == 0 {
-				want = nil
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("worker %d: batch %v vs index %v", wi, got, want)
-			}
-		}
-	}
-}
-
 func TestBatchCandidateWorkersSymmetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	in := randomInstance(rng, 12, 12, 3, false)
@@ -220,19 +195,6 @@ func TestShuffledIndexesIsPermutation(t *testing.T) {
 			t.Fatalf("not a permutation: %v", idx)
 		}
 		seen[v] = true
-	}
-}
-
-func TestSortedTaskIDs(t *testing.T) {
-	in := &model.Instance{
-		Tasks: []model.Task{
-			{ID: 0}, {ID: 1}, {ID: 2},
-		},
-	}
-	b := NewStaticBatch(in)
-	got := b.sortedTaskIDs([]int{2, 0, 1})
-	if !reflect.DeepEqual(got, []model.TaskID{0, 1, 2}) {
-		t.Errorf("sortedTaskIDs = %v", got)
 	}
 }
 

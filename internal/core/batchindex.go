@@ -20,9 +20,8 @@ import (
 // Three ideas combine:
 //
 //   - Skill buckets: pending tasks are grouped by required skill, so a
-//     worker only ever examines tasks whose skill it holds (the per-skill
-//     inverted list of model.CandidateIndex, rebuilt over the batch's
-//     pending subset).
+//     worker only ever examines tasks whose skill it holds (a per-skill
+//     inverted list over the batch's pending subset).
 //   - Spatial pruning: when the batch metric admits a Euclidean lower bound
 //     (geo.EuclideanBoundScale), a geo.GridIndex over the pending task
 //     locations answers "which tasks are within this worker's remaining

@@ -19,10 +19,6 @@ const (
 	// MatchFeasible keeps the arbitrary complete matching Hopcroft–Karp
 	// found. Cheaper; ablated in the benchmarks.
 	MatchFeasible
-	// MatchAuction staffs with Bertsekas' auction algorithm instead of
-	// Hungarian — ε-optimal travel cost, same score; an independently
-	// implemented cross-check and ablation point.
-	MatchAuction
 )
 
 // GreedyOptions configures DASC_Greedy.
@@ -300,15 +296,7 @@ func (g *Greedy) staff(b *Batch, members []int, candidates [][]int32, workerFree
 			cost[row][ci] = idx.TravelCost(wi, ti)
 		}
 	}
-	var (
-		assign []int
-		err    error
-	)
-	if g.opt.Matcher == MatchAuction {
-		assign, _, err = matching.Auction(cost, 0)
-	} else {
-		assign, _, err = matching.Hungarian(cost)
-	}
+	assign, _, err := matching.Hungarian(cost)
 	if err != nil {
 		// Should be unreachable (HK proved feasibility and its workers are
 		// all kept), but fall back to the feasible matching defensively.

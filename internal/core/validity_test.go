@@ -84,7 +84,6 @@ func allocatorsUnderTest(seed int64, small bool) []Allocator {
 	allocs := []Allocator{
 		NewGreedyOpt(GreedyOptions{Matcher: MatchHungarian}),
 		NewGreedyOpt(GreedyOptions{Matcher: MatchFeasible}),
-		NewGreedyOpt(GreedyOptions{Matcher: MatchAuction}),
 		NewGreedyOpt(GreedyOptions{Matcher: MatchHungarian, MaxCandidatesPerTask: 1}),
 		NewGame(GameOptions{Seed: seed}),
 		NewGame(GameOptions{Seed: seed, Threshold: 0.05}),

@@ -528,15 +528,7 @@ func oracleStaff(g *Greedy, b *Batch, members []int, candidates [][]int32, worke
 			cost[row][ci] = idx.TravelCost(wi, ti)
 		}
 	}
-	var (
-		assign []int
-		err    error
-	)
-	if g.opt.Matcher == MatchAuction {
-		assign, _, err = matching.Auction(cost, 0)
-	} else {
-		assign, _, err = matching.Hungarian(cost)
-	}
+	assign, _, err := matching.Hungarian(cost)
 	if err != nil {
 		return staffHK(), true
 	}
@@ -570,7 +562,7 @@ func TestGreedyStaffMatchesMapOracle(t *testing.T) {
 			for wi := range free {
 				free[wi] = rng.Float64() < 0.8
 			}
-			for _, m := range []MatcherKind{MatchHungarian, MatchFeasible, MatchAuction} {
+			for _, m := range []MatcherKind{MatchHungarian, MatchFeasible} {
 				g := NewGreedyOpt(GreedyOptions{Matcher: m, MaxCandidatesPerTask: 1 + rng.Intn(3)})
 				got, gotOK := g.staff(b, s.members, candidates, free, sc)
 				want, wantOK := oracleStaff(g, b, s.members, candidates, free)

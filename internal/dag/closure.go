@@ -1,105 +1,5 @@
 package dag
 
-// Ancestors returns the transitive dependency set of u (everything that must
-// precede u), in ascending vertex order. u itself is excluded.
-func (g *Graph) Ancestors(u int) []int {
-	return g.reach(u, g.deps)
-}
-
-// Descendants returns every task that transitively depends on u, in ascending
-// vertex order. u itself is excluded.
-func (g *Graph) Descendants(u int) []int {
-	return g.reach(u, g.dependents)
-}
-
-// reach performs an iterative DFS over the chosen adjacency and returns the
-// reached set sorted ascending.
-func (g *Graph) reach(start int, adj [][]int32) []int {
-	if start < 0 || start >= len(adj) {
-		return nil
-	}
-	seen := make(map[int]bool)
-	stack := []int{start}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v32 := range adj[u] {
-			v := int(v32)
-			if !seen[v] {
-				seen[v] = true
-				stack = append(stack, v)
-			}
-		}
-	}
-	delete(seen, start)
-	out := make([]int, 0, len(seen))
-	//lint:deterministic-ok iteration order is laundered by the sortInts below before out is returned
-	for v := range seen {
-		out = append(out, v)
-	}
-	sortInts(out)
-	return out
-}
-
-// TransitiveClosure returns a new graph in which every vertex depends
-// directly on its entire ancestor set. The paper's data generators maintain
-// this invariant ("when we add t_j into t_i's dependency set, we also add
-// t_j's dependency set D_j"); this method establishes it for arbitrary
-// acyclic input. Returns ErrCycle on cyclic graphs.
-func (g *Graph) TransitiveClosure() (*Graph, error) {
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil, err
-	}
-	n := g.Len()
-	closure := make([]map[int]bool, n)
-	out := New(n)
-	for _, u := range order {
-		set := make(map[int]bool)
-		for _, v32 := range g.deps[u] {
-			v := int(v32)
-			set[v] = true
-			for w := range closure[v] {
-				set[w] = true
-			}
-		}
-		closure[u] = set
-		deps := make([]int, 0, len(set))
-		//lint:deterministic-ok iteration order is laundered by the sortInts below before deps feeds AddDep
-		for v := range set {
-			deps = append(deps, v)
-		}
-		sortInts(deps)
-		for _, v := range deps {
-			if err := out.AddDep(u, v); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
-}
-
-// IsTransitivelyClosed reports whether every vertex's direct dependency set
-// already equals its ancestor set.
-func (g *Graph) IsTransitivelyClosed() bool {
-	for u := 0; u < g.Len(); u++ {
-		anc := g.Ancestors(u)
-		if len(anc) != len(g.deps[u]) {
-			return false
-		}
-		direct := make(map[int]bool, len(g.deps[u]))
-		for _, v := range g.deps[u] {
-			direct[int(v)] = true
-		}
-		for _, v := range anc {
-			if !direct[v] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // TransitiveReduction returns the minimal graph with the same reachability:
 // an edge u → v is kept only when v is not reachable from u through another
 // dependency. Useful for rendering dependency charts. Returns ErrCycle on
@@ -157,14 +57,4 @@ func (g *Graph) reaches(start, target int) bool {
 		}
 	}
 	return false
-}
-
-func sortInts(a []int) {
-	// Insertion sort is fine for the small dependency sets (≤ ~100) DA-SC
-	// produces; fall back to it to avoid importing sort in the hot path.
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

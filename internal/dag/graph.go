@@ -1,8 +1,7 @@
 // Package dag implements the directed acyclic dependency graph over task IDs
 // that underpins DA-SC: a task points at the tasks it depends on. It provides
-// cycle detection, topological ordering, transitive closure (the paper's
-// "associative task set" is a task plus its transitively closed dependency
-// set), ancestor/descendant queries and level decomposition.
+// cycle detection, topological ordering, level decomposition (the critical
+// path of a workload) and transitive reduction (for dependency charts).
 //
 // Vertices are dense non-negative integers; the graph grows automatically as
 // edges mention new vertices.
@@ -11,7 +10,6 @@ package dag
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // ErrCycle is returned when an operation requires acyclicity but the graph
@@ -23,7 +21,6 @@ var ErrCycle = errors.New("dag: dependency cycle detected")
 type Graph struct {
 	deps       [][]int32 // deps[u] = tasks u depends on
 	dependents [][]int32 // dependents[v] = tasks that depend on v
-	edgeCount  int
 }
 
 // New returns an empty graph with capacity hints for n vertices.
@@ -37,22 +34,11 @@ func New(n int) *Graph {
 // Len returns the number of vertices (the highest mentioned vertex + 1).
 func (g *Graph) Len() int { return len(g.deps) }
 
-// EdgeCount returns the number of dependency edges.
-func (g *Graph) EdgeCount() int { return g.edgeCount }
-
 func (g *Graph) grow(v int) {
 	for v >= len(g.deps) {
 		g.deps = append(g.deps, nil)
 		g.dependents = append(g.dependents, nil)
 	}
-}
-
-// AddVertex ensures vertex v exists.
-func (g *Graph) AddVertex(v int) {
-	if v < 0 {
-		panic(fmt.Sprintf("dag: negative vertex %d", v))
-	}
-	g.grow(v)
 }
 
 // AddDep records that task u depends on task v. Self-dependencies are
@@ -73,7 +59,6 @@ func (g *Graph) AddDep(u, v int) error {
 	}
 	g.deps[u] = append(g.deps[u], int32(v))
 	g.dependents[v] = append(g.dependents[v], int32(u))
-	g.edgeCount++
 	return nil
 }
 
@@ -86,62 +71,11 @@ func (g *Graph) Deps(u int) []int32 {
 	return g.deps[u]
 }
 
-// Dependents returns the tasks directly depending on v. The returned slice is
-// shared; callers must not modify it.
-func (g *Graph) Dependents(v int) []int32 {
-	if v < 0 || v >= len(g.dependents) {
-		return nil
-	}
-	return g.dependents[v]
-}
-
-// HasDep reports whether u directly depends on v.
-func (g *Graph) HasDep(u, v int) bool {
-	for _, w := range g.Deps(u) {
-		if int(w) == v {
-			return true
-		}
-	}
-	return false
-}
-
 // InDegrees returns, for every vertex, how many tasks it depends on.
 func (g *Graph) InDegrees() []int {
 	out := make([]int, len(g.deps))
 	for u := range g.deps {
 		out[u] = len(g.deps[u])
 	}
-	return out
-}
-
-// Roots returns all vertices with no dependencies, in ascending order.
-func (g *Graph) Roots() []int {
-	var roots []int
-	for u := range g.deps {
-		if len(g.deps[u]) == 0 {
-			roots = append(roots, u)
-		}
-	}
-	return roots
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := New(g.Len())
-	c.edgeCount = g.edgeCount
-	for u := range g.deps {
-		c.deps[u] = append([]int32(nil), g.deps[u]...)
-		c.dependents[u] = append([]int32(nil), g.dependents[u]...)
-	}
-	return c
-}
-
-// sortedInts converts and sorts an int32 slice for stable output.
-func sortedInts(in []int32) []int {
-	out := make([]int, len(in))
-	for i, v := range in {
-		out[i] = int(v)
-	}
-	sort.Ints(out)
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -25,18 +26,62 @@ func paperGraph(t *testing.T) *Graph {
 	return g
 }
 
+// hasDep reports whether u directly depends on v.
+func hasDep(g *Graph, u, v int) bool {
+	for _, w := range g.Deps(u) {
+		if int(w) == v {
+			return true
+		}
+	}
+	return false
+}
+
+// ancestors returns the transitive dependency set of u, ascending, u
+// excluded: the reachability oracle for TransitiveReduction.
+func ancestors(g *Graph, u int) []int {
+	seen := make([]bool, g.Len())
+	stack := []int{u}
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, v := range g.Deps(x) {
+			if !seen[v] {
+				seen[v] = true
+				stack = append(stack, int(v))
+			}
+		}
+	}
+	out := []int{}
+	for v, ok := range seen {
+		if ok && v != u {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// sortedInts converts and sorts an int32 slice for comparison.
+func sortedInts(in []int32) []int {
+	out := make([]int, len(in))
+	for i, v := range in {
+		out[i] = int(v)
+	}
+	sort.Ints(out)
+	return out
+}
+
 func TestAddDepBasics(t *testing.T) {
 	g := New(0)
 	mustAdd(t, g, 3, 1)
 	if g.Len() != 4 {
 		t.Errorf("Len = %d, want 4 (auto-grow)", g.Len())
 	}
-	if !g.HasDep(3, 1) || g.HasDep(1, 3) {
-		t.Error("HasDep direction wrong")
+	if !hasDep(g, 3, 1) || hasDep(g, 1, 3) {
+		t.Error("dependency direction wrong")
 	}
 	mustAdd(t, g, 3, 1) // duplicate ignored
-	if g.EdgeCount() != 1 {
-		t.Errorf("EdgeCount = %d after duplicate add", g.EdgeCount())
+	if n := len(g.Deps(3)); n != 1 {
+		t.Errorf("%d dependencies after duplicate add", n)
 	}
 	if err := g.AddDep(2, 2); !errors.Is(err, ErrCycle) {
 		t.Errorf("self-dep err = %v", err)
@@ -51,8 +96,8 @@ func TestDepsAndDependents(t *testing.T) {
 	if got := sortedInts(g.Deps(2)); !reflect.DeepEqual(got, []int{0, 1}) {
 		t.Errorf("Deps(2) = %v", got)
 	}
-	if got := sortedInts(g.Dependents(0)); !reflect.DeepEqual(got, []int{1, 2}) {
-		t.Errorf("Dependents(0) = %v", got)
+	if got := sortedInts(g.dependents[0]); !reflect.DeepEqual(got, []int{1, 2}) {
+		t.Errorf("dependents[0] = %v", got)
 	}
 	if g.Deps(99) != nil || g.Deps(-1) != nil {
 		t.Error("out-of-range Deps should be nil")
@@ -61,8 +106,14 @@ func TestDepsAndDependents(t *testing.T) {
 
 func TestRoots(t *testing.T) {
 	g := paperGraph(t)
-	if got := g.Roots(); !reflect.DeepEqual(got, []int{0, 3}) {
-		t.Errorf("Roots = %v", got)
+	var roots []int
+	for u, d := range g.InDegrees() {
+		if d == 0 {
+			roots = append(roots, u)
+		}
+	}
+	if !reflect.DeepEqual(roots, []int{0, 3}) {
+		t.Errorf("vertices with in-degree 0 = %v", roots)
 	}
 }
 
@@ -104,7 +155,7 @@ func TestCycleDetection(t *testing.T) {
 	if !g.IsAcyclic() {
 		t.Fatal("chain should be acyclic")
 	}
-	if c := g.FindCycle(); c != nil {
+	if c := FindCycleIn(g.Len(), g.Deps); c != nil {
 		t.Fatalf("FindCycle on acyclic = %v", c)
 	}
 	mustAdd(t, g, 2, 0) // close the cycle
@@ -114,14 +165,14 @@ func TestCycleDetection(t *testing.T) {
 	if _, err := g.TopoSort(); !errors.Is(err, ErrCycle) {
 		t.Errorf("TopoSort err = %v", err)
 	}
-	cyc := g.FindCycle()
+	cyc := FindCycleIn(g.Len(), g.Deps)
 	if len(cyc) != 3 {
 		t.Fatalf("FindCycle = %v", cyc)
 	}
 	// Verify each vertex depends on the next (wrapping).
 	for i, u := range cyc {
 		v := cyc[(i+1)%len(cyc)]
-		if !g.HasDep(u, v) {
+		if !hasDep(g, u, v) {
 			t.Errorf("cycle edge %d→%d missing", u, v)
 		}
 	}
@@ -142,51 +193,6 @@ func TestLevels(t *testing.T) {
 	}
 }
 
-func TestAncestorsDescendants(t *testing.T) {
-	g := paperGraph(t)
-	if got := g.Ancestors(2); !reflect.DeepEqual(got, []int{0, 1}) {
-		t.Errorf("Ancestors(2) = %v", got)
-	}
-	if got := g.Ancestors(0); len(got) != 0 {
-		t.Errorf("Ancestors(0) = %v", got)
-	}
-	if got := g.Descendants(0); !reflect.DeepEqual(got, []int{1, 2}) {
-		t.Errorf("Descendants(0) = %v", got)
-	}
-	if got := g.Descendants(3); !reflect.DeepEqual(got, []int{4}) {
-		t.Errorf("Descendants(3) = %v", got)
-	}
-}
-
-func TestTransitiveClosure(t *testing.T) {
-	// Chain 3→2→1→0 closed should give 3 deps for vertex 3.
-	g := New(4)
-	mustAdd(t, g, 1, 0)
-	mustAdd(t, g, 2, 1)
-	mustAdd(t, g, 3, 2)
-	if g.IsTransitivelyClosed() {
-		t.Fatal("chain should not be closed")
-	}
-	c, err := g.TransitiveClosure()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sortedInts(c.Deps(3)); !reflect.DeepEqual(got, []int{0, 1, 2}) {
-		t.Errorf("closure Deps(3) = %v", got)
-	}
-	if !c.IsTransitivelyClosed() {
-		t.Error("closure not closed")
-	}
-	// Closure is idempotent.
-	c2, err := c.TransitiveClosure()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2.EdgeCount() != c.EdgeCount() {
-		t.Errorf("closure not idempotent: %d vs %d edges", c2.EdgeCount(), c.EdgeCount())
-	}
-}
-
 func TestTransitiveReduction(t *testing.T) {
 	g := New(3)
 	mustAdd(t, g, 2, 1)
@@ -196,23 +202,11 @@ func TestTransitiveReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.HasDep(2, 0) {
+	if hasDep(r, 2, 0) {
 		t.Error("redundant edge kept")
 	}
-	if !r.HasDep(2, 1) || !r.HasDep(1, 0) {
+	if !hasDep(r, 2, 1) || !hasDep(r, 1, 0) {
 		t.Error("required edges dropped")
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	g := paperGraph(t)
-	c := g.Clone()
-	mustAdd(t, c, 4, 0)
-	if g.HasDep(4, 0) {
-		t.Error("mutation of clone leaked into original")
-	}
-	if c.EdgeCount() != g.EdgeCount()+1 {
-		t.Errorf("clone EdgeCount = %d", c.EdgeCount())
 	}
 }
 
@@ -250,23 +244,13 @@ func TestRandomDAGProperties(t *testing.T) {
 				}
 			}
 		}
-		// Closure ancestors must match original ancestors.
-		c, err := g.TransitiveClosure()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for u := 0; u < g.Len(); u++ {
-			if !reflect.DeepEqual(sortedInts(c.Deps(u)), g.Ancestors(u)) {
-				t.Fatalf("closure deps of %d != ancestors", u)
-			}
-		}
 		// Reduction preserves reachability.
 		r, err := g.TransitiveReduction()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for u := 0; u < g.Len(); u++ {
-			if !reflect.DeepEqual(r.Ancestors(u), g.Ancestors(u)) {
+			if !reflect.DeepEqual(ancestors(r, u), ancestors(g, u)) {
 				t.Fatalf("reduction changed ancestors of %d", u)
 			}
 		}
@@ -280,53 +264,12 @@ func TestLevelsOnCycle(t *testing.T) {
 	if _, err := g.Levels(); !errors.Is(err, ErrCycle) {
 		t.Errorf("Levels on cycle err = %v", err)
 	}
-	if _, err := g.TransitiveClosure(); !errors.Is(err, ErrCycle) {
-		t.Errorf("TransitiveClosure on cycle err = %v", err)
-	}
 	if _, err := g.TransitiveReduction(); !errors.Is(err, ErrCycle) {
 		t.Errorf("TransitiveReduction on cycle err = %v", err)
 	}
 }
 
-func TestSCCsAcyclic(t *testing.T) {
-	g := paperGraph(t)
-	comps := g.SCCs()
-	if len(comps) != 5 {
-		t.Fatalf("SCCs = %v, want 5 singletons", comps)
-	}
-	for i, c := range comps {
-		if len(c) != 1 || c[0] != i {
-			t.Fatalf("component %d = %v", i, c)
-		}
-	}
-	if got := g.CyclicComponents(); got != nil {
-		t.Errorf("CyclicComponents on DAG = %v", got)
-	}
-}
-
-func TestSCCsTwoCycles(t *testing.T) {
-	g := New(7)
-	// Cycle A: 0→1→2→0. Cycle B: 4↔5. Singles: 3, 6 (6 feeds into A).
-	mustAdd(t, g, 0, 1)
-	mustAdd(t, g, 1, 2)
-	mustAdd(t, g, 2, 0)
-	mustAdd(t, g, 4, 5)
-	mustAdd(t, g, 5, 4)
-	mustAdd(t, g, 6, 0)
-	cyc := g.CyclicComponents()
-	if len(cyc) != 2 {
-		t.Fatalf("CyclicComponents = %v, want 2", cyc)
-	}
-	if !reflect.DeepEqual(cyc[0], []int{0, 1, 2}) || !reflect.DeepEqual(cyc[1], []int{4, 5}) {
-		t.Errorf("components = %v", cyc)
-	}
-	// Total SCCs: {0,1,2}, {3}, {4,5}, {6}.
-	if got := len(g.SCCs()); got != 4 {
-		t.Errorf("SCC count = %d, want 4", got)
-	}
-}
-
-func TestSCCsMatchAcyclicityOnRandomGraphs(t *testing.T) {
+func TestFindCycleMatchesAcyclicityOnRandomGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(140))
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + rng.Intn(20)
@@ -337,25 +280,15 @@ func TestSCCsMatchAcyclicityOnRandomGraphs(t *testing.T) {
 				_ = g.AddDep(u, v)
 			}
 		}
-		hasCycle := len(g.CyclicComponents()) > 0
-		if hasCycle == g.IsAcyclic() {
-			t.Fatalf("trial %d: SCC cycle detection (%v) disagrees with topo sort (%v)",
-				trial, hasCycle, g.IsAcyclic())
+		cyc := FindCycleIn(g.Len(), g.Deps)
+		if (cyc != nil) == g.IsAcyclic() {
+			t.Fatalf("trial %d: FindCycleIn (%v) disagrees with topo sort (acyclic %v)",
+				trial, cyc, g.IsAcyclic())
 		}
-		// Components partition the vertex set.
-		seen := make([]bool, n)
-		total := 0
-		for _, c := range g.SCCs() {
-			for _, v := range c {
-				if seen[v] {
-					t.Fatal("vertex in two components")
-				}
-				seen[v] = true
-				total++
+		for i, u := range cyc {
+			if v := cyc[(i+1)%len(cyc)]; !hasDep(g, u, v) {
+				t.Fatalf("trial %d: cycle %v has no edge %d→%d", trial, cyc, u, v)
 			}
-		}
-		if total != n {
-			t.Fatalf("components cover %d of %d vertices", total, n)
 		}
 	}
 }

@@ -37,16 +37,12 @@ func (g *Graph) IsAcyclic() bool {
 	return err == nil
 }
 
-// FindCycle returns one dependency cycle as a vertex sequence
-// v0 → v1 → … → v0 (each vertex depends on the next), or nil when the graph
-// is acyclic.
-func (g *Graph) FindCycle() []int { return FindCycleIn(g.Len(), g.Deps) }
-
-// FindCycleIn is FindCycle over dependency lists held elsewhere: vertices
-// are [0, n) and deps(u) lists, in order, the vertices u depends on, each in
-// [0, n). A caller whose lists already are a graph's adjacency — validated
-// task dependency lists, say — searches them in place instead of building
-// a Graph, and gets the cycle FindCycle would return on that Graph.
+// FindCycleIn returns one dependency cycle as a vertex sequence
+// v0 → v1 → … → v0 (each vertex depends on the next), or nil when there is
+// none. Vertices are [0, n) and deps(u) lists, in order, the vertices u
+// depends on, each in [0, n). Callers pass lists they already hold — a
+// Graph's Deps, or validated task dependency lists — so no Graph is built
+// just to search it.
 func FindCycleIn[T ~int32](n int, deps func(u int) []T) []int {
 	const (
 		white = 0 // unvisited

@@ -38,11 +38,6 @@ func (b BBox) Width() float64 { return b.Max.X - b.Min.X }
 // Height returns the extent of the box along Y.
 func (b BBox) Height() float64 { return b.Max.Y - b.Min.Y }
 
-// Center returns the box midpoint.
-func (b BBox) Center() Point {
-	return Point{(b.Min.X + b.Max.X) / 2, (b.Min.Y + b.Max.Y) / 2}
-}
-
 // Diagonal returns the Euclidean length of the box diagonal, an upper bound
 // on the distance between any two contained points.
 func (b BBox) Diagonal() float64 { return b.Min.DistanceTo(b.Max) }
@@ -53,12 +48,6 @@ func (b BBox) Expand(margin float64) BBox {
 		Min: Point{b.Min.X - margin, b.Min.Y - margin},
 		Max: Point{b.Max.X + margin, b.Max.Y + margin},
 	}
-}
-
-// Intersects reports whether the two boxes overlap (boundary touching counts).
-func (b BBox) Intersects(o BBox) bool {
-	return b.Min.X <= o.Max.X && o.Min.X <= b.Max.X &&
-		b.Min.Y <= o.Max.Y && o.Min.Y <= b.Max.Y
 }
 
 // SqDistanceTo returns the squared Euclidean distance from p to the nearest

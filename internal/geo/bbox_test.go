@@ -36,9 +36,6 @@ func TestBBoxGeometry(t *testing.T) {
 	if got := b.Height(); got != 4 {
 		t.Errorf("Height = %v", got)
 	}
-	if got := b.Center(); got != Pt(2.5, 4) {
-		t.Errorf("Center = %v", got)
-	}
 	if got := b.Diagonal(); !almostEq(got, 5) {
 		t.Errorf("Diagonal = %v", got)
 	}
@@ -48,27 +45,6 @@ func TestBBoxExpand(t *testing.T) {
 	b := NewBBox(Pt(0, 0), Pt(1, 1)).Expand(0.5)
 	if b.Min != Pt(-0.5, -0.5) || b.Max != Pt(1.5, 1.5) {
 		t.Errorf("Expand = %v", b)
-	}
-}
-
-func TestBBoxIntersects(t *testing.T) {
-	a := NewBBox(Pt(0, 0), Pt(2, 2))
-	tests := []struct {
-		o    BBox
-		want bool
-	}{
-		{NewBBox(Pt(1, 1), Pt(3, 3)), true},
-		{NewBBox(Pt(2, 2), Pt(3, 3)), true}, // corner touch
-		{NewBBox(Pt(2.1, 0), Pt(3, 1)), false},
-		{NewBBox(Pt(-1, -1), Pt(4, 4)), true}, // containment
-	}
-	for _, tc := range tests {
-		if got := a.Intersects(tc.o); got != tc.want {
-			t.Errorf("Intersects(%v) = %v, want %v", tc.o, got, tc.want)
-		}
-		if got := tc.o.Intersects(a); got != tc.want {
-			t.Errorf("Intersects symmetric (%v) = %v, want %v", tc.o, got, tc.want)
-		}
 	}
 }
 

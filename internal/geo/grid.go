@@ -28,11 +28,17 @@ func NewGridIndex(box BBox, targetCells int) *GridIndex {
 		targetCells = 1
 	}
 	w, h := box.Width(), box.Height()
-	if w <= 0 {
-		w = 1e-9
-	}
-	if h <= 0 {
-		h = 1e-9
+	// A box flat in one axis (collinear points) gets that side floored at
+	// one cell of the other, so the grid becomes one strip of ≈targetCells
+	// cells; a tiny fixed floor would instead shrink the cell and blow the
+	// cell count up as √(side·targetCells/floor).
+	switch {
+	case w <= 0 && h <= 0:
+		w, h = 1e-9, 1e-9
+	case w <= 0:
+		w = h / float64(targetCells)
+	case h <= 0:
+		h = w / float64(targetCells)
 	}
 	// Choose a square-ish cell so cols*rows ≈ targetCells.
 	cell := math.Sqrt(w * h / float64(targetCells))
@@ -58,9 +64,6 @@ func NewGridIndex(box BBox, targetCells int) *GridIndex {
 
 // Len returns the number of items currently in the index.
 func (g *GridIndex) Len() int { return g.count }
-
-// Bounds returns the box the index was built over.
-func (g *GridIndex) Bounds() BBox { return g.box }
 
 func (g *GridIndex) cellOf(p Point) int {
 	cx := int((p.X - g.box.Min.X) / g.cellSize)

@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// The three spatial indexes answer the same radius query; these benchmarks
-// make the trade-off measurable: the grid wins on uniform data with known
-// bounds, the k-d tree on point queries, the R-tree on clustered data and
-// rectangle scans.
+// The two spatial indexes answer the same radius and nearest-point queries;
+// these benchmarks make the trade-off measurable: the grid wins on uniform
+// data with known bounds, the k-d tree on point queries and clustered data.
 
 func benchUniform(n int) ([]KDItem, []Point) {
 	rng := rand.New(rand.NewSource(42))
@@ -48,17 +47,6 @@ func BenchmarkKDTreeWithin(b *testing.B) {
 	}
 }
 
-func BenchmarkRTreeWithin(b *testing.B) {
-	items, queries := benchUniform(10000)
-	t := NewRTree(items)
-	var buf []int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = t.Within(queries[i%len(queries)], 0.05, buf[:0])
-	}
-}
-
 func BenchmarkGridNearest(b *testing.B) {
 	items, queries := benchUniform(10000)
 	g := NewGridIndex(NewBBox(Pt(0, 0), Pt(1, 1)), len(items))
@@ -82,30 +70,11 @@ func BenchmarkKDTreeNearest(b *testing.B) {
 	}
 }
 
-func BenchmarkRTreeNearest(b *testing.B) {
-	items, queries := benchUniform(10000)
-	t := NewRTree(items)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t.Nearest(queries[i%len(queries)])
-	}
-}
-
 func BenchmarkKDTreeBuild(b *testing.B) {
 	items, _ := benchUniform(10000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		NewKDTree(items)
-	}
-}
-
-func BenchmarkRTreeBuild(b *testing.B) {
-	items, _ := benchUniform(10000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		NewRTree(items)
 	}
 }

@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -53,19 +54,31 @@ func equalIntSets(a, b []int) bool {
 
 func TestGridIndexWithinMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	box := NewBBox(Pt(0, 0), Pt(1, 1))
-	pts := randPoints(rng, 300, box)
-	g := NewGridIndex(box, len(pts))
-	for i, p := range pts {
-		g.Insert(i, p)
-	}
-	for trial := 0; trial < 50; trial++ {
-		q := Point{rng.Float64(), rng.Float64()}
-		r := rng.Float64() * 0.4
-		got := g.Within(q, r, nil)
-		want := bruteWithin(pts, nil, q, r)
-		if !equalIntSets(got, want) {
-			t.Fatalf("trial %d: Within(%v, %v) = %v, want %v", trial, q, r, got, want)
+	// The unit square, then two boxes flat in one axis (collinear points):
+	// a flat box must still get about targetCells cells, not one sized by
+	// a tiny floor on its zero side.
+	for _, box := range []BBox{
+		NewBBox(Pt(0, 0), Pt(1, 1)),
+		NewBBox(Pt(0.5, 0), Pt(0.5, 100)),
+		NewBBox(Pt(0, 3), Pt(100, 3)),
+	} {
+		pts := randPoints(rng, 300, box)
+		g := NewGridIndex(box, len(pts))
+		if cells := g.cols * g.rows; cells > 2*len(pts) {
+			t.Fatalf("box %v: %d×%d cells for targetCells %d", box, g.cols, g.rows, len(pts))
+		}
+		for i, p := range pts {
+			g.Insert(i, p)
+		}
+		side := max(box.Width(), box.Height())
+		for trial := 0; trial < 50; trial++ {
+			q := Point{box.Min.X + rng.Float64()*box.Width(), box.Min.Y + rng.Float64()*box.Height()}
+			r := rng.Float64() * 0.4 * side
+			got := g.Within(q, r, nil)
+			want := bruteWithin(pts, nil, q, r)
+			if !equalIntSets(got, want) {
+				t.Fatalf("box %v trial %d: Within(%v, %v) = %v, want %v", box, trial, q, r, got, want)
+			}
 		}
 	}
 }
@@ -202,54 +215,14 @@ func TestKDTreeWithinMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestKDTreeKNearest(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	box := NewBBox(Pt(0, 0), Pt(1, 1))
-	pts := randPoints(rng, 100, box)
-	items := make([]KDItem, len(pts))
-	for i, p := range pts {
-		items[i] = KDItem{ID: i, Pt: p}
-	}
-	tree := NewKDTree(items)
-	for trial := 0; trial < 20; trial++ {
-		q := Point{rng.Float64(), rng.Float64()}
-		k := 1 + rng.Intn(20)
-		got := tree.KNearest(q, k)
-		if len(got) != k {
-			t.Fatalf("KNearest returned %d ids, want %d", len(got), k)
-		}
-		// Verify the result is sorted near-to-far and matches the brute top-k set.
-		for i := 1; i < len(got); i++ {
-			if pts[got[i-1]].DistanceTo(q) > pts[got[i]].DistanceTo(q)+1e-12 {
-				t.Fatalf("KNearest not ordered at %d", i)
-			}
-		}
-		type cand struct {
-			id int
-			d  float64
-		}
-		all := make([]cand, len(pts))
-		for i, p := range pts {
-			all[i] = cand{i, p.DistanceTo(q)}
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i].d < all[j].d })
-		if kd, bd := pts[got[k-1]].DistanceTo(q), all[k-1].d; !almostEq(kd, bd) {
-			t.Fatalf("k-th distance %v, brute %v", kd, bd)
-		}
-	}
-}
-
 func TestKDTreeEmptyAndDegenerate(t *testing.T) {
 	empty := NewKDTree(nil)
 	if _, _, ok := empty.Nearest(Pt(0, 0)); ok {
 		t.Error("empty tree Nearest should be !ok")
 	}
-	if got := empty.KNearest(Pt(0, 0), 3); got != nil {
-		t.Errorf("empty KNearest = %v", got)
-	}
 	one := NewKDTree([]KDItem{{ID: 42, Pt: Pt(1, 1)}})
 	id, d, ok := one.Nearest(Pt(0, 0))
-	if !ok || id != 42 || !almostEq(d, Pt(1, 1).Norm()) {
+	if !ok || id != 42 || !almostEq(d, math.Sqrt2) {
 		t.Errorf("single-point tree: id=%d d=%v ok=%v", id, d, ok)
 	}
 	// All points identical: still well-formed.

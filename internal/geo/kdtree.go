@@ -6,10 +6,9 @@ import (
 )
 
 // KDTree is an immutable 2-d tree built once over a point set. It supports
-// nearest-neighbour, k-nearest-neighbour and radius queries. Compared with
-// GridIndex it needs no bounding box up front and degrades gracefully on
-// clustered data; the allocation core uses it when worker radii vary by
-// orders of magnitude.
+// nearest-neighbour and radius queries. Compared with GridIndex it needs no
+// bounding box up front and degrades gracefully on clustered data; the road
+// network snaps points to its nodes with it.
 type KDTree struct {
 	nodes []kdNode
 	root  int32
@@ -134,93 +133,4 @@ func (t *KDTree) within(ni int32, q Point, r2 float64, dst []int) []int {
 		dst = t.within(n.right, q, r2, dst)
 	}
 	return dst
-}
-
-// KNearest returns up to k IDs ordered from closest to farthest.
-func (t *KDTree) KNearest(q Point, k int) []int {
-	if t.root < 0 || k <= 0 {
-		return nil
-	}
-	h := &kdHeap{}
-	t.kNearest(t.root, q, k, h)
-	out := make([]int, len(h.items))
-	// Heap pops farthest-first; fill from the back for near-to-far order.
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = int(h.pop().id)
-	}
-	return out
-}
-
-func (t *KDTree) kNearest(ni int32, q Point, k int, h *kdHeap) {
-	if ni < 0 {
-		return
-	}
-	n := &t.nodes[ni]
-	d := n.pt.SqDistanceTo(q)
-	if len(h.items) < k {
-		h.push(kdCand{id: n.id, sq: d})
-	} else if d < h.items[0].sq {
-		h.pop()
-		h.push(kdCand{id: n.id, sq: d})
-	}
-	var qc, nc float64
-	if n.axis == 0 {
-		qc, nc = q.X, n.pt.X
-	} else {
-		qc, nc = q.Y, n.pt.Y
-	}
-	near, far := n.left, n.right
-	if qc > nc {
-		near, far = far, near
-	}
-	t.kNearest(near, q, k, h)
-	diff := qc - nc
-	if len(h.items) < k || diff*diff <= h.items[0].sq {
-		t.kNearest(far, q, k, h)
-	}
-}
-
-// kdHeap is a max-heap on squared distance, holding the current k best.
-type kdCand struct {
-	id int32
-	sq float64
-}
-
-type kdHeap struct{ items []kdCand }
-
-func (h *kdHeap) push(c kdCand) {
-	h.items = append(h.items, c)
-	i := len(h.items) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.items[p].sq >= h.items[i].sq {
-			break
-		}
-		h.items[p], h.items[i] = h.items[i], h.items[p]
-		i = p
-	}
-}
-
-func (h *kdHeap) pop() kdCand {
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < last && h.items[l].sq > h.items[big].sq {
-			big = l
-		}
-		if r < last && h.items[r].sq > h.items[big].sq {
-			big = r
-		}
-		if big == i {
-			break
-		}
-		h.items[i], h.items[big] = h.items[big], h.items[i]
-		i = big
-	}
-	return top
 }

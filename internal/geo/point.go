@@ -30,12 +30,6 @@ func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 // Scale returns p with both components multiplied by k.
 func (p Point) Scale(k float64) Point { return Point{p.X * k, p.Y * k} }
 
-// Dot returns the dot product p · q.
-func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
-
-// Norm returns the Euclidean length of p viewed as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
-
 // DistanceTo returns the Euclidean distance from p to q.
 func (p Point) DistanceTo(q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)
@@ -46,12 +40,6 @@ func (p Point) DistanceTo(q Point) float64 {
 func (p Point) SqDistanceTo(q Point) float64 {
 	dx, dy := p.X-q.X, p.Y-q.Y
 	return dx*dx + dy*dy
-}
-
-// Lerp returns the point a fraction f of the way from p to q.
-// f=0 yields p, f=1 yields q; f outside [0,1] extrapolates.
-func (p Point) Lerp(q Point, f float64) Point {
-	return Point{p.X + (q.X-p.X)*f, p.Y + (q.Y-p.Y)*f}
 }
 
 // String implements fmt.Stringer.

@@ -19,9 +19,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := p.Scale(2); got != Pt(2, 4) {
 		t.Errorf("Scale = %v", got)
 	}
-	if got := p.Dot(q); got != 3-8 {
-		t.Errorf("Dot = %v", got)
-	}
 }
 
 func TestDistance(t *testing.T) {
@@ -64,19 +61,6 @@ func TestTriangleInequalityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestLerp(t *testing.T) {
-	a, b := Pt(0, 0), Pt(10, 20)
-	if got := a.Lerp(b, 0); got != a {
-		t.Errorf("Lerp(0) = %v", got)
-	}
-	if got := a.Lerp(b, 1); got != b {
-		t.Errorf("Lerp(1) = %v", got)
-	}
-	if got := a.Lerp(b, 0.5); got != Pt(5, 10) {
-		t.Errorf("Lerp(0.5) = %v", got)
 	}
 }
 

@@ -58,9 +58,6 @@ var epsSources = map[string]map[string]bool{
 	"workerState":  {"busyUntil": true, "distUsed": true},
 }
 
-// epsSourceFuncs are free functions whose results are epsilon-sensitive.
-var epsSourceFuncs = map[string]bool{"ArrivalTime": true}
-
 // epsSourceParams are conventional parameter names that carry
 // time/distance values across function boundaries (model.DeadlineFeasible's
 // signature is the canonical case).
@@ -198,9 +195,6 @@ func exprTainted(pass *Pass, tainted map[types.Object]bool, e ast.Expr) bool {
 		case *ast.CallExpr:
 			// Calls of DistanceFunc-typed values (b.dist(...), dist(...)).
 			if tv, ok := pass.TypesInfo.Types[n.Fun]; ok && tv.Type != nil && typeName(tv.Type) == "DistanceFunc" {
-				found = true
-			}
-			if fn := calleeFunc(pass.TypesInfo, n); fn != nil && epsSourceFuncs[fn.Name()] {
 				found = true
 			}
 		}

@@ -1,8 +1,8 @@
 // Package matching implements the bipartite matching algorithms the DA-SC
-// allocators rely on: Kuhn's augmenting-path matcher and Hopcroft–Karp for
-// maximum-cardinality matching (feasibility of an associative task set), and
-// the Hungarian algorithm (Kuhn–Munkres) for minimum-cost assignment, which
-// Algorithm 1 of the paper invokes to pick the worker set for a task set.
+// allocators rely on: Hopcroft–Karp for maximum-cardinality matching
+// (feasibility of an associative task set), and the Hungarian algorithm
+// (Kuhn–Munkres) for minimum-cost assignment, which Algorithm 1 of the paper
+// invokes to pick the worker set for a task set.
 package matching
 
 // Bipartite is an adjacency-list bipartite graph with len(Adj) left vertices
@@ -27,53 +27,9 @@ func (b *Bipartite) AddEdge(u, v int) {
 	b.Adj[u] = append(b.Adj[u], v)
 }
 
-// Left returns the number of left vertices.
-func (b *Bipartite) Left() int { return len(b.Adj) }
-
-// MaxMatchingKuhn computes a maximum matching with Kuhn's augmenting-path
-// algorithm in O(V·E). It returns matchL where matchL[u] is the right vertex
-// matched to left vertex u, or -1. Simple and fast for the small per-task-set
-// graphs DASC_Greedy feeds it.
-func (b *Bipartite) MaxMatchingKuhn() (matchL []int, size int) {
-	nL := len(b.Adj)
-	matchL = make([]int, nL)
-	matchR := make([]int, b.N)
-	for i := range matchL {
-		matchL[i] = -1
-	}
-	for i := range matchR {
-		matchR[i] = -1
-	}
-	visited := make([]bool, b.N)
-	var try func(u int) bool
-	try = func(u int) bool {
-		for _, v := range b.Adj[u] {
-			if visited[v] {
-				continue
-			}
-			visited[v] = true
-			if matchR[v] == -1 || try(matchR[v]) {
-				matchL[u] = v
-				matchR[v] = u
-				return true
-			}
-		}
-		return false
-	}
-	for u := 0; u < nL; u++ {
-		for i := range visited {
-			visited[i] = false
-		}
-		if try(u) {
-			size++
-		}
-	}
-	return matchL, size
-}
-
 // MaxMatchingHK computes a maximum matching with Hopcroft–Karp in
-// O(E·√V), the right choice for the batch-wide graphs. Return shape matches
-// MaxMatchingKuhn.
+// O(E·√V). It returns matchL where matchL[u] is the right vertex matched to
+// left vertex u, or -1, and the matching's size.
 func (b *Bipartite) MaxMatchingHK() (matchL []int, size int) {
 	const inf = int32(1) << 30
 	nL := len(b.Adj)
@@ -136,12 +92,4 @@ func (b *Bipartite) MaxMatchingHK() (matchL []int, size int) {
 		}
 	}
 	return matchL, size
-}
-
-// HasPerfectLeftMatching reports whether every left vertex can be matched.
-// This is the feasibility test for "can this associative task set be fully
-// staffed by distinct workers".
-func (b *Bipartite) HasPerfectLeftMatching() bool {
-	_, size := b.MaxMatchingHK()
-	return size == len(b.Adj)
 }

@@ -28,17 +28,6 @@ func BenchmarkHungarian32(b *testing.B) {
 	}
 }
 
-func BenchmarkAuction32(b *testing.B) {
-	cost := benchCost(32, 48, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Auction(cost, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkHungarian128(b *testing.B) {
 	cost := benchCost(128, 160, 2)
 	b.ReportAllocs()
@@ -47,32 +36,6 @@ func BenchmarkHungarian128(b *testing.B) {
 		if _, _, err := Hungarian(cost); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkAuction128(b *testing.B) {
-	cost := benchCost(128, 160, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Auction(cost, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKuhnSparse(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	g := NewBipartite(200, 200)
-	for u := 0; u < 200; u++ {
-		for k := 0; k < 6; k++ {
-			g.AddEdge(u, rng.Intn(200))
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.MaxMatchingKuhn()
 	}
 }
 

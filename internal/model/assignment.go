@@ -53,26 +53,6 @@ func (a *Assignment) TaskSet() map[TaskID]bool {
 	return out
 }
 
-// WorkerOf returns the worker assigned to task t, or -1.
-func (a *Assignment) WorkerOf(t TaskID) WorkerID {
-	for _, p := range a.Pairs {
-		if p.Task == t {
-			return p.Worker
-		}
-	}
-	return -1
-}
-
-// TaskOf returns the task assigned to worker w, or -1.
-func (a *Assignment) TaskOf(w WorkerID) TaskID {
-	for _, p := range a.Pairs {
-		if p.Worker == w {
-			return p.Task
-		}
-	}
-	return -1
-}
-
 // Sort orders pairs by task ID (then worker ID) for stable output.
 func (a *Assignment) Sort() {
 	sort.Slice(a.Pairs, func(i, j int) bool {
@@ -152,82 +132,4 @@ func (a *Assignment) Validate(in *Instance, opt ValidationOptions) error {
 		}
 	}
 	return nil
-}
-
-// ValidCount returns the number of pairs whose task has all dependencies
-// satisfied (assigned in this batch or pre-satisfied) — the paper's score
-// when an allocator (such as the Closest/Random baselines) produces pairs
-// without honouring dependencies. Pairs must individually satisfy the
-// skill/deadline/distance constraints; invalid pairs also count zero.
-func (a *Assignment) ValidCount(in *Instance, opt ValidationOptions) int {
-	dist := opt.Dist
-	if dist == nil {
-		dist = in.Distance()
-	}
-	assigned := a.TaskSet()
-	count := 0
-	for _, p := range a.Pairs {
-		w, t := in.Worker(p.Worker), in.Task(p.Task)
-		if w == nil || t == nil || !Feasible(w, t, dist) {
-			continue
-		}
-		ok := true
-		for _, d := range t.Deps {
-			if !assigned[d] && !opt.Satisfied[d] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			count++
-		}
-	}
-	return count
-}
-
-// FilterValid returns a new assignment keeping only pairs counted by
-// ValidCount, i.e. the enforceable subset of a dependency-oblivious result.
-// Filtering uses the dependency information of the *original* pair set, as
-// in the paper's evaluation of the baselines: a pair is kept when its
-// dependencies were assigned, even if those assignments are themselves
-// invalid. Call iteratively via FilterValidStrict for a fixpoint.
-func (a *Assignment) FilterValid(in *Instance, opt ValidationOptions) *Assignment {
-	dist := opt.Dist
-	if dist == nil {
-		dist = in.Distance()
-	}
-	assigned := a.TaskSet()
-	out := NewAssignment()
-	for _, p := range a.Pairs {
-		w, t := in.Worker(p.Worker), in.Task(p.Task)
-		if w == nil || t == nil || !Feasible(w, t, dist) {
-			continue
-		}
-		ok := true
-		for _, d := range t.Deps {
-			if !assigned[d] && !opt.Satisfied[d] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out.Add(p.Worker, p.Task)
-		}
-	}
-	out.Sort()
-	return out
-}
-
-// FilterValidStrict repeatedly removes pairs whose dependencies are not
-// themselves *kept*, until a fixpoint: the result always passes Validate.
-func (a *Assignment) FilterValidStrict(in *Instance, opt ValidationOptions) *Assignment {
-	cur := a
-	for {
-		next := cur.FilterValid(in, opt)
-		if next.Size() == cur.Size() {
-			next.Sort()
-			return next
-		}
-		cur = next
-	}
 }

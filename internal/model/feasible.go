@@ -52,13 +52,6 @@ func DeadlineFeasible(t *Task, readyAt, travel float64) bool {
 	return maxf(readyAt, t.Start)+travel <= t.Deadline()+timeEps
 }
 
-// ArrivalTime returns when the worker reaches the task if it departs from loc
-// no earlier than readyAt (and no earlier than the task's appearance).
-func ArrivalTime(w *Worker, loc geo.Point, readyAt float64, t *Task, dist geo.DistanceFunc) float64 {
-	depart := maxf(readyAt, t.Start)
-	return depart + w.TravelTime(loc, t.Loc, dist)
-}
-
 // timeEps absorbs floating-point noise in deadline comparisons so that a
 // worker exactly on the boundary (common in hand-built examples) is feasible.
 const timeEps = 1e-9

@@ -97,13 +97,15 @@ func TestTravelTimeAndArrival(t *testing.T) {
 	if got := w.TravelTime(w.Loc, tk.Loc, geo.Euclidean); got != 2.5 {
 		t.Errorf("TravelTime = %v", got)
 	}
-	if got := ArrivalTime(&w, w.Loc, 0, &tk, geo.Euclidean); got != 2.5 {
-		t.Errorf("ArrivalTime = %v", got)
+	// Departure waits for the task to appear: leaving at 0 for a task
+	// that starts at 10 arrives at 12.5, so a 2.5 wait is just enough.
+	tk.Start, tk.Wait = 10, 2.5
+	if !DeadlineFeasible(&tk, 0, 2.5) {
+		t.Error("arrival at 12.5 rejected against deadline 12.5")
 	}
-	// Departure waits for the task to appear.
-	tk.Start = 10
-	if got := ArrivalTime(&w, w.Loc, 0, &tk, geo.Euclidean); got != 12.5 {
-		t.Errorf("ArrivalTime with late task = %v", got)
+	tk.Wait = 2.4
+	if DeadlineFeasible(&tk, 0, 2.5) {
+		t.Error("arrival at 12.5 accepted against deadline 12.4")
 	}
 	w.Velocity = 0
 	if got := w.TravelTime(w.Loc, tk.Loc, geo.Euclidean); !math.IsInf(got, 1) {
@@ -164,18 +166,5 @@ func TestExpiryAndDeadline(t *testing.T) {
 	tk := Task{Start: 2, Wait: 7}
 	if tk.Deadline() != 9 {
 		t.Errorf("Deadline = %v", tk.Deadline())
-	}
-}
-
-func TestTaskDependsOn(t *testing.T) {
-	tk := Task{ID: 3, Deps: []TaskID{0, 1}}
-	if !tk.DependsOn(0) || !tk.DependsOn(1) || tk.DependsOn(2) {
-		t.Error("DependsOn wrong")
-	}
-	if !tk.HasDeps() {
-		t.Error("HasDeps wrong")
-	}
-	if (&Task{}).HasDeps() {
-		t.Error("empty deps reported")
 	}
 }

@@ -115,29 +115,6 @@ func (in *Instance) Validate() error {
 	return nil
 }
 
-// CloseDeps replaces every task's dependency list with its transitive
-// closure, establishing the invariant the allocators rely on. It fails on
-// cyclic dependencies.
-func (in *Instance) CloseDeps() error {
-	g, err := in.DepGraph()
-	if err != nil {
-		return err
-	}
-	closed, err := g.TransitiveClosure()
-	if err != nil {
-		return err
-	}
-	for i := range in.Tasks {
-		anc := closed.Deps(i)
-		deps := make([]TaskID, len(anc))
-		for j, v := range anc {
-			deps[j] = TaskID(v)
-		}
-		in.Tasks[i].Deps = deps
-	}
-	return nil
-}
-
 // Stats summarises an instance for logging and reports.
 type Stats struct {
 	Workers, Tasks     int

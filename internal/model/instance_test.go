@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -25,13 +25,30 @@ func TestExample1Valid(t *testing.T) {
 		t.Errorf("stats = %+v", st)
 	}
 	// Dependencies are already transitively closed.
-	g, err := in.DepGraph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.IsTransitivelyClosed() {
+	if !depsClosed(in.Tasks) {
 		t.Error("Example1 deps not closed")
 	}
+	// Break the closure: t3 lists only t2, not t2's dependency t1.
+	in.Tasks[2].Deps = []TaskID{1}
+	if depsClosed(in.Tasks) {
+		t.Error("t3 → t2 → t1 with t3 lacking t1 reported closed")
+	}
+}
+
+// depsClosed reports whether every task's dependency list holds the
+// dependencies of each task it lists: the transitive-closure invariant the
+// allocators and the kernel's retirement walk rely on.
+func depsClosed(tasks []Task) bool {
+	for _, t := range tasks {
+		for _, d := range t.Deps {
+			for _, dd := range tasks[d].Deps {
+				if !slices.Contains(t.Deps, dd) {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 func TestValidateCatchesErrors(t *testing.T) {
@@ -95,7 +112,7 @@ func TestValidateMessagesExact(t *testing.T) {
 }
 
 // TestValidateCycleWitnessMatchesDepGraph draws random dependency lists
-// with cycles and requires Validate's witness to be the one FindCycle
+// with cycles and requires Validate's witness to be the one FindCycleIn
 // returns on the instance's DepGraph, the graph Validate used to build.
 func TestValidateCycleWitnessMatchesDepGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
@@ -115,7 +132,7 @@ func TestValidateCycleWitnessMatchesDepGraph(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := g.FindCycle()
+		want := dag.FindCycleIn(g.Len(), g.Deps)
 		err = in.Validate()
 		if want == nil {
 			if err != nil {
@@ -126,18 +143,6 @@ func TestValidateCycleWitnessMatchesDepGraph(t *testing.T) {
 		if msg := fmt.Sprintf("model: dependency cycle %v: %v", want, dag.ErrCycle); err == nil || err.Error() != msg {
 			t.Fatalf("trial %d: err = %v, want %q", trial, err, msg)
 		}
-	}
-}
-
-func TestCloseDeps(t *testing.T) {
-	in := Example1()
-	// Break the closure: t3 only lists t2 directly.
-	in.Tasks[2].Deps = []TaskID{1}
-	if err := in.CloseDeps(); err != nil {
-		t.Fatal(err)
-	}
-	if got := in.Tasks[2].Deps; !reflect.DeepEqual(got, []TaskID{0, 1}) {
-		t.Errorf("closed deps = %v", got)
 	}
 }
 
@@ -163,58 +168,5 @@ func TestDistanceDefault(t *testing.T) {
 	in.Dist = geo.Manhattan
 	if in.Distance()(geo.Pt(0, 0), geo.Pt(3, 4)) != 7 {
 		t.Error("custom metric ignored")
-	}
-}
-
-func TestCandidateIndexExample1(t *testing.T) {
-	in := Example1()
-	ci := NewCandidateIndex(in)
-	// w1 holds {ψ1, ψ2} → tasks t1 (ψ1) and t2 (ψ2).
-	if got := ci.TasksFor(in.Worker(0)); !reflect.DeepEqual(got, []TaskID{0, 1}) {
-		t.Errorf("TasksFor(w1) = %v", got)
-	}
-	// w2 holds {ψ4} → only t4.
-	if got := ci.TasksFor(in.Worker(1)); !reflect.DeepEqual(got, []TaskID{3}) {
-		t.Errorf("TasksFor(w2) = %v", got)
-	}
-	// w3 holds {ψ1, ψ2, ψ3} → t1, t2, t3, t5.
-	if got := ci.TasksFor(in.Worker(2)); !reflect.DeepEqual(got, []TaskID{0, 1, 2, 4}) {
-		t.Errorf("TasksFor(w3) = %v", got)
-	}
-	// t3 requires ψ3 → only w3.
-	if got := ci.WorkersFor(in.Task(2)); !reflect.DeepEqual(got, []WorkerID{2}) {
-		t.Errorf("WorkersFor(t3) = %v", got)
-	}
-	// t1 requires ψ1 → w1 and w3.
-	if got := ci.WorkersFor(in.Task(0)); !reflect.DeepEqual(got, []WorkerID{0, 2}) {
-		t.Errorf("WorkersFor(t1) = %v", got)
-	}
-}
-
-func TestCandidateIndexHonoursConstraints(t *testing.T) {
-	in := Example1()
-	// Shrink w3's range so it can only reach t3 at (5,2) from (5,3).
-	in.Workers[2].MaxDist = 1.0
-	ci := NewCandidateIndex(in)
-	if got := ci.TasksFor(in.Worker(2)); !reflect.DeepEqual(got, []TaskID{2}) {
-		t.Errorf("TasksFor(w3 short range) = %v", got)
-	}
-}
-
-func TestCandidateIndexTasksNear(t *testing.T) {
-	in := Example1()
-	ci := NewCandidateIndex(in)
-	got := ci.TasksNear(geo.Pt(2, 2), 1.5)
-	// Tasks within 1.5 of (2,2): t2 at (2,2), t5 at (1,2).
-	if !reflect.DeepEqual(got, []TaskID{1, 4}) {
-		t.Errorf("TasksNear = %v", got)
-	}
-}
-
-func TestCandidateIndexEmptyInstance(t *testing.T) {
-	ci := NewCandidateIndex(&Instance{})
-	w := baseWorker()
-	if got := ci.TasksFor(&w); len(got) != 0 {
-		t.Errorf("TasksFor on empty = %v", got)
 	}
 }

@@ -79,47 +79,6 @@ func (s SkillSet) IsEmpty() bool {
 	return true
 }
 
-// Union returns a new set holding every skill in s or o.
-func (s SkillSet) Union(o SkillSet) SkillSet {
-	long, short := s.words, o.words
-	if len(short) > len(long) {
-		long, short = short, long
-	}
-	out := make([]uint64, len(long))
-	copy(out, long)
-	for i, w := range short {
-		out[i] |= w
-	}
-	return SkillSet{words: out}
-}
-
-// Intersect returns a new set holding the skills in both s and o.
-func (s SkillSet) Intersect(o SkillSet) SkillSet {
-	n := len(s.words)
-	if len(o.words) < n {
-		n = len(o.words)
-	}
-	out := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		out[i] = s.words[i] & o.words[i]
-	}
-	return SkillSet{words: out}
-}
-
-// ContainsAll reports whether every skill of o is also in s.
-func (s SkillSet) ContainsAll(o SkillSet) bool {
-	for i, w := range o.words {
-		var sw uint64
-		if i < len(s.words) {
-			sw = s.words[i]
-		}
-		if w&^sw != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Equal reports whether the two sets hold exactly the same skills.
 func (s SkillSet) Equal(o SkillSet) bool {
 	long, short := s.words, o.words

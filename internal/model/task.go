@@ -43,19 +43,6 @@ func (t *Task) EffWeight() float64 {
 	return 1
 }
 
-// HasDeps reports whether the task depends on any other task.
-func (t *Task) HasDeps() bool { return len(t.Deps) > 0 }
-
-// DependsOn reports whether id is in the task's dependency set.
-func (t *Task) DependsOn(id TaskID) bool {
-	for _, d := range t.Deps {
-		if d == id {
-			return true
-		}
-	}
-	return false
-}
-
 // String implements fmt.Stringer.
 func (t *Task) String() string {
 	return fmt.Sprintf("t%d@%v requires=ψ%d deps=%v", t.ID, t.Loc, t.Requires, t.Deps)

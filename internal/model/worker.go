@@ -43,14 +43,6 @@ func (w *Worker) TravelTime(from, to geo.Point, dist geo.DistanceFunc) float64 {
 	return d / w.Velocity
 }
 
-// CanReach reports whether the location is within the worker's maximum
-// moving distance from its current location. The comparison carries the
-// same DistEps tolerance as FeasibleFrom, so the two predicates agree on
-// boundary distances.
-func (w *Worker) CanReach(to geo.Point, dist geo.DistanceFunc) bool {
-	return dist(w.Loc, to) <= w.MaxDist+DistEps
-}
-
 // String implements fmt.Stringer.
 func (w *Worker) String() string {
 	return fmt.Sprintf("w%d@%v skills=%v", w.ID, w.Loc, w.Skills)

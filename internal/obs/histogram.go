@@ -8,11 +8,11 @@ import (
 	"time"
 )
 
-// Histogram is a fixed-bound histogram with exponential (log-scale) default
-// buckets, built for latency distributions. Unlike Timer (a mutex around a
-// uniform stats.Histogram, fine for coarse per-batch phases) every bucket is
-// an atomic counter, so Observe is lock-free and cheap enough for per-request
-// paths — the HTTP middleware observes one per request. The same nil-safety
+// Histogram is a fixed-bound histogram, the registry's one distribution
+// kind: exponential (log-scale) default buckets for latencies, explicit
+// bounds for counts such as ingest drain sizes. Every bucket is an atomic
+// counter, so Observe is lock-free and cheap enough for per-request paths —
+// the HTTP middleware observes one per request. The same nil-safety
 // contract as the other metric kinds applies: every method works on a nil
 // receiver and does nothing.
 //
@@ -28,8 +28,8 @@ type Histogram struct {
 // DefaultLatencyBounds are the default bucket edges: ~1.6× steps from 100µs
 // to 10s (five buckets per decade). Log-scale spacing keeps relative error
 // bounded everywhere in the range, so a 1ms p50 and a 9ms p99 land in
-// different buckets — the uniform 10ms Timer buckets collapse both into
-// bucket zero and report p50 == p99 (see TestHistogramDistinguishesSubTenMS).
+// different buckets — uniform 10ms buckets would collapse both into bucket
+// zero and report p50 == p99 (see TestHistogramDistinguishesSubTenMS).
 func DefaultLatencyBounds() []float64 {
 	bounds := make([]float64, 0, 26)
 	for _, decade := range []float64{1e-4, 1e-3, 1e-2, 1e-1, 1} {
@@ -44,8 +44,7 @@ func DefaultLatencyBounds() []float64 {
 }
 
 // newHistogram builds a histogram over the given ascending bounds. Panics on
-// empty, non-finite, or non-ascending bounds — caller bugs, like
-// stats.NewHistogram.
+// empty, non-finite, or non-ascending bounds — caller bugs.
 func newHistogram(bounds []float64) *Histogram {
 	if len(bounds) == 0 {
 		panic("obs: histogram needs at least one bucket bound")
@@ -63,8 +62,8 @@ func newHistogram(bounds []float64) *Histogram {
 }
 
 // Observe records one value (seconds, for latency histograms). Lock-free;
-// no-op on a nil histogram. Non-finite values are dropped for the same reason
-// Timer drops them: NaN has no bucket and ±Inf would poison the running sum.
+// no-op on a nil histogram. Non-finite values are dropped: NaN has no bucket
+// and ±Inf would poison the running sum.
 func (h *Histogram) Observe(v float64) {
 	if h == nil || math.IsNaN(v) || math.IsInf(v, 0) {
 		return

@@ -32,17 +32,6 @@ func TestHistogramDistinguishesSubTenMS(t *testing.T) {
 	if sp < 0.0063 || sp > 0.016 {
 		t.Errorf("p50 of all-9ms observations = %g, want in [0.0063, 0.016]", sp)
 	}
-
-	// The old Timer behaviour, for contrast: both loads land in bucket 0.
-	reg := NewRegistry()
-	tm1, tm9 := reg.Timer("t1"), reg.Timer("t9")
-	for i := 0; i < 1000; i++ {
-		tm1.Observe(0.001)
-		tm9.Observe(0.009)
-	}
-	if p1, p9 := tm1.Stats().P50, tm9.Stats().P50; p1 != p9 {
-		t.Logf("uniform Timer now distinguishes them too (p50 %g vs %g)", p1, p9)
-	}
 }
 
 func TestHistogramBucketsAreCumulative(t *testing.T) {

@@ -57,13 +57,10 @@ func CapRequestIDs(ids []string) []string {
 	return capped
 }
 
-// Drain-size distribution range: drains batch up to a few thousand entries,
-// uniformly bucketed (a size distribution, not a latency — the linear Timer
-// is the right kind). Commit/journal latencies use the log-scale Histogram.
-const (
-	ingestBatchHi      = 4096
-	ingestBatchBuckets = 512
-)
+// ingestBatchBounds are the drain-size buckets (a drain batches up to a few
+// thousand entries; larger ones land in the +Inf overflow). Commit/journal
+// latencies use the default latency bounds.
+var ingestBatchBounds = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
 
 // RecordDrain folds one ingest drain trace into the registry under the
 // standard dasc_ingest_* names. No-op on a nil registry.
@@ -75,7 +72,7 @@ func RecordDrain(r *Registry, t DrainTrace) {
 	r.Counter(MIngestCommittedTotal).Add(int64(t.Committed))
 	r.Counter(MIngestFailedTotal).Add(int64(t.Failed))
 	r.Gauge(MIngestQueueDepth).Set(float64(t.QueueDepth))
-	r.TimerRange(TIngestBatchEntries, 0, ingestBatchHi, ingestBatchBuckets).Observe(float64(t.Requests))
+	r.HistogramBounds(TIngestBatchEntries, ingestBatchBounds).Observe(float64(t.Requests))
 	r.Histogram(TIngestCommitSeconds).Observe(t.CommitMS / 1e3)
 	r.Histogram(TIngestJournalSeconds).Observe(t.JournalMS / 1e3)
 }

@@ -77,10 +77,7 @@ const (
 	MGameSkippedTotal   = "dasc_game_skipped_total"
 	MGameMovedTotal     = "dasc_game_moved_total"
 
-	// Phase latency histograms (seconds, log-scale buckets). These were
-	// uniform-bucket Timers through PR 7; sub-10ms phases collapsed into one
-	// bucket and reported p50 == p99, so latency paths now use the
-	// exponential-bucket Histogram (histogram.go).
+	// Phase latency histograms (seconds, log-scale buckets, histogram.go).
 	TPhaseIndex    = "dasc_phase_index_seconds"
 	TPhaseAlloc    = "dasc_phase_alloc_seconds"
 	TPhaseDispatch = "dasc_phase_dispatch_seconds"

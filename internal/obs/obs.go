@@ -1,6 +1,6 @@
 // Package obs is the platform's instrumentation core: atomic counters,
-// gauges, duration timers (backed by stats.Histogram), and a named registry
-// with snapshot/reset and text + JSON exposition.
+// gauges, fixed-bound histograms, and a named registry with snapshot/reset
+// and text + JSON exposition.
 //
 // Two contracts shape the API:
 //
@@ -10,9 +10,9 @@
 //     unconditionally; "observability off" is just "the pointer is nil", so
 //     the disabled hot path pays a single nil check per call site
 //     (BenchmarkObsOverhead pins this below a nanosecond).
-//   - Dependency-light: the package depends only on the standard library and
-//     internal/stats, so every layer (core, sim, server, the binaries) can
-//     import it without cycles.
+//   - Dependency-light: the package depends only on the standard library,
+//     so every layer (core, sim, server, the binaries) can import it
+//     without cycles.
 package obs
 
 import (
@@ -24,9 +24,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"dasc/internal/stats"
 )
 
 // Counter is a monotonically increasing atomic counter.
@@ -74,81 +71,6 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Timer aggregates durations (in seconds) into a stats.Histogram plus an
-// exact count and sum. Unlike Counter and Gauge it takes a mutex per
-// observation, and its buckets are UNIFORM over the configured range — fine
-// for coarse size distributions (ingest drain sizes), useless for latency:
-// uniform 10ms buckets collapse every sub-10ms observation into bucket zero
-// and report p50 == p99. Latency paths use the log-scale Histogram instead
-// (histogram.go); Timer stays for coarse linear distributions.
-type Timer struct {
-	mu      sync.Mutex
-	lo, hi  float64
-	buckets int
-	h       *stats.Histogram
-}
-
-// timerDefaults bounds the default phase histograms: [0, 10] seconds at
-// 10ms resolution covers everything from sub-millisecond batch phases to a
-// pathological stall (longer observations clamp into the top bucket; count
-// and sum stay exact).
-const (
-	timerDefaultLo      = 0
-	timerDefaultHi      = 10
-	timerDefaultBuckets = 1000
-)
-
-// Observe records one duration in seconds. No-op on a nil timer.
-func (t *Timer) Observe(seconds float64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.h.Add(seconds)
-	t.mu.Unlock()
-}
-
-// ObserveDuration records one duration. No-op on a nil timer.
-func (t *Timer) ObserveDuration(d time.Duration) { t.Observe(d.Seconds()) }
-
-// TimerStats is a timer snapshot. Quantiles interpolate within histogram
-// buckets; Count and Sum are exact.
-type TimerStats struct {
-	Count int64   `json:"count"`
-	Sum   float64 `json:"sum"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
-}
-
-// Stats snapshots the timer; the zero TimerStats on a nil or empty timer
-// (never NaN, so snapshots stay JSON-encodable).
-func (t *Timer) Stats() TimerStats {
-	if t == nil {
-		return TimerStats{}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.h.Total() == 0 {
-		return TimerStats{}
-	}
-	return TimerStats{
-		Count: int64(t.h.Total()),
-		Sum:   t.h.Sum(),
-		Mean:  t.h.Mean(),
-		P50:   t.h.Quantile(0.50),
-		P95:   t.h.Quantile(0.95),
-		P99:   t.h.Quantile(0.99),
-	}
-}
-
-func (t *Timer) reset() {
-	t.mu.Lock()
-	t.h = stats.NewHistogram(t.lo, t.hi, t.buckets)
-	t.mu.Unlock()
-}
-
 // Registry is a named metric store. Accessors get-or-create, so callers
 // never pre-register; names are stable keys (see the dasc_* inventory in
 // metrics.go). All methods are safe for concurrent use and nil-safe.
@@ -156,7 +78,6 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	timers   map[string]*Timer
 	hists    map[string]*Histogram
 	// hooks run at the start of every Snapshot (and so every exposition),
 	// outside the registry lock — scrape-time collectors (runtime.go) sample
@@ -169,7 +90,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		timers:   make(map[string]*Timer),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -230,7 +150,7 @@ func splitName(name string) (family, labels string) {
 }
 
 // joinLabels merges a name's label block with one extra label (used for the
-// `le` and `quantile` labels of histogram/summary exposition).
+// `le` label of histogram exposition).
 func joinLabels(labels, extra string) string {
 	if labels == "" {
 		return extra
@@ -271,28 +191,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
-}
-
-// Timer returns the named timer, creating it on first use with the default
-// [0s, 10s] range. A nil registry returns a nil (no-op) timer.
-func (r *Registry) Timer(name string) *Timer {
-	return r.TimerRange(name, timerDefaultLo, timerDefaultHi, timerDefaultBuckets)
-}
-
-// TimerRange is Timer with an explicit histogram range; the range of an
-// already-created timer is not changed.
-func (r *Registry) TimerRange(name string, lo, hi float64, buckets int) *Timer {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.timers[name]
-	if !ok {
-		t = &Timer{lo: lo, hi: hi, buckets: buckets, h: stats.NewHistogram(lo, hi, buckets)}
-		r.timers[name] = t
-	}
-	return t
 }
 
 // Histogram returns the named log-scale histogram, creating it on first use
@@ -338,7 +236,6 @@ func (r *Registry) AddScrapeHook(f func()) {
 type Snapshot struct {
 	Counters   map[string]int64          `json:"counters"`
 	Gauges     map[string]float64        `json:"gauges"`
-	Timers     map[string]TimerStats     `json:"timers"`
 	Histograms map[string]HistogramStats `json:"histograms"`
 }
 
@@ -348,7 +245,6 @@ func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   map[string]int64{},
 		Gauges:     map[string]float64{},
-		Timers:     map[string]TimerStats{},
 		Histograms: map[string]HistogramStats{},
 	}
 	if r == nil {
@@ -369,10 +265,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.gauges {
 		gauges[k] = v
 	}
-	timers := make(map[string]*Timer, len(r.timers))
-	for k, v := range r.timers {
-		timers[k] = v
-	}
 	hists := make(map[string]*Histogram, len(r.hists))
 	for k, v := range r.hists {
 		hists[k] = v
@@ -383,9 +275,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for k, v := range gauges {
 		s.Gauges[k] = v.Value()
-	}
-	for k, v := range timers {
-		s.Timers[k] = v.Stats()
 	}
 	for k, v := range hists {
 		s.Histograms[k] = v.Stats()
@@ -406,9 +295,6 @@ func (r *Registry) Reset() {
 	}
 	for _, g := range r.gauges {
 		g.bits.Store(0)
-	}
-	for _, t := range r.timers {
-		t.reset()
 	}
 	for _, h := range r.hists {
 		h.reset()
@@ -445,11 +331,10 @@ func sampleName(family, labels, extra string) string {
 }
 
 // WriteText writes the registry in the Prometheus text exposition format
-// (version 0.0.4): counters and gauges as single samples, timers as typed
-// summary blocks with quantile labels, histograms as typed histogram blocks
-// with cumulative le-labeled buckets plus _sum and _count. Registry names may
-// carry label blocks (see Labeled); all label combinations of a family share
-// one `# TYPE` line, as the format requires. Families are sorted by name and
+// (version 0.0.4): counters and gauges as single samples, histograms as typed
+// histogram blocks with cumulative le-labeled buckets plus _sum and _count.
+// Registry names may carry label blocks (see Labeled); all label
+// combinations of a family share one `# TYPE` line, as the format requires. Families are sorted by name and
 // samples within a family by registry name, so output is diff- and
 // test-friendly (obs.ValidateExposition round-trips it).
 func (r *Registry) WriteText(w io.Writer) error {
@@ -466,21 +351,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 		family, labels := splitName(name)
 		addSample(fams, &order, family, "gauge",
 			fmt.Sprintf("%s %g", sampleName(family, labels, ""), s.Gauges[name]))
-	}
-	for _, name := range sortedKeys(s.Timers) {
-		family, labels := splitName(name)
-		ts := s.Timers[name]
-		for _, q := range []struct {
-			label string
-			v     float64
-		}{{`quantile="0.5"`, ts.P50}, {`quantile="0.95"`, ts.P95}, {`quantile="0.99"`, ts.P99}} {
-			addSample(fams, &order, family, "summary",
-				fmt.Sprintf("%s %g", sampleName(family, labels, q.label), q.v))
-		}
-		addSample(fams, &order, family, "summary",
-			fmt.Sprintf("%s %g", sampleName(family+"_sum", labels, ""), ts.Sum))
-		addSample(fams, &order, family, "summary",
-			fmt.Sprintf("%s %d", sampleName(family+"_count", labels, ""), ts.Count))
 	}
 	for _, name := range sortedKeys(s.Histograms) {
 		family, labels := splitName(name)

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-func TestCounterGaugeTimerNilSafety(t *testing.T) {
+func TestCounterGaugeHistogramNilSafety(t *testing.T) {
 	var c *Counter
 	c.Add(3)
 	c.Inc()
@@ -20,12 +20,6 @@ func TestCounterGaugeTimerNilSafety(t *testing.T) {
 	if g.Value() != 0 {
 		t.Error("nil gauge has a value")
 	}
-	var tm *Timer
-	tm.Observe(1)
-	tm.ObserveDuration(time.Second)
-	if tm.Stats() != (TimerStats{}) {
-		t.Error("nil timer has stats")
-	}
 	var h *Histogram
 	h.Observe(1)
 	h.ObserveDuration(time.Second)
@@ -33,13 +27,13 @@ func TestCounterGaugeTimerNilSafety(t *testing.T) {
 		t.Error("nil histogram has stats")
 	}
 	var r *Registry
-	if r.Counter("x") != nil || r.Gauge("x") != nil || r.Timer("x") != nil || r.Histogram("x") != nil {
+	if r.Counter("x") != nil || r.Gauge("x") != nil || r.Histogram("x") != nil {
 		t.Error("nil registry returned live metrics")
 	}
 	r.Reset()
 	RecordBatch(r, BatchTrace{Assigned: 1})
 	s := r.Snapshot()
-	if len(s.Counters) != 0 || len(s.Gauges) != 0 || len(s.Timers) != 0 || len(s.Histograms) != 0 {
+	if len(s.Counters) != 0 || len(s.Gauges) != 0 || len(s.Histograms) != 0 {
 		t.Errorf("nil registry snapshot = %+v", s)
 	}
 }
@@ -52,8 +46,8 @@ func TestRegistryGetOrCreateAndConcurrency(t *testing.T) {
 	if r.Gauge("g") != r.Gauge("g") {
 		t.Error("Gauge not idempotent")
 	}
-	if r.Timer("t") != r.Timer("t") {
-		t.Error("Timer not idempotent")
+	if r.Histogram("h") != r.Histogram("h") {
+		t.Error("Histogram not idempotent")
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -63,7 +57,7 @@ func TestRegistryGetOrCreateAndConcurrency(t *testing.T) {
 			for j := 0; j < 1000; j++ {
 				r.Counter("c").Inc()
 				r.Gauge("g").Set(float64(j))
-				r.Timer("t").Observe(0.001)
+				r.Histogram("h").Observe(0.001)
 			}
 		}()
 	}
@@ -71,8 +65,8 @@ func TestRegistryGetOrCreateAndConcurrency(t *testing.T) {
 	if got := r.Counter("c").Value(); got != 8000 {
 		t.Errorf("counter = %d, want 8000", got)
 	}
-	if got := r.Timer("t").Stats().Count; got != 8000 {
-		t.Errorf("timer count = %d, want 8000", got)
+	if got := r.Histogram("h").Stats().Count; got != 8000 {
+		t.Errorf("histogram count = %d, want 8000", got)
 	}
 }
 
@@ -80,7 +74,7 @@ func TestRegistrySnapshotResetAndExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("dasc_batches_total").Add(7)
 	r.Gauge("dasc_batch_active_workers").Set(3)
-	r.Timer("dasc_phase_alloc_seconds").Observe(0.25)
+	r.Histogram("dasc_phase_alloc_seconds").Observe(0.25)
 
 	var sb strings.Builder
 	if err := r.WriteText(&sb); err != nil {
@@ -92,7 +86,7 @@ func TestRegistrySnapshotResetAndExposition(t *testing.T) {
 		"dasc_batches_total 7",
 		"# TYPE dasc_batch_active_workers gauge",
 		"dasc_batch_active_workers 3",
-		"# TYPE dasc_phase_alloc_seconds summary",
+		"# TYPE dasc_phase_alloc_seconds histogram",
 		"dasc_phase_alloc_seconds_count 1",
 	} {
 		if !strings.Contains(text, want) {
@@ -111,8 +105,8 @@ func TestRegistrySnapshotResetAndExposition(t *testing.T) {
 	if snap.Counters["dasc_batches_total"] != 7 {
 		t.Errorf("JSON counters = %v", snap.Counters)
 	}
-	if snap.Timers["dasc_phase_alloc_seconds"].Count != 1 {
-		t.Errorf("JSON timers = %v", snap.Timers)
+	if snap.Histograms["dasc_phase_alloc_seconds"].Count != 1 {
+		t.Errorf("JSON histograms = %v", snap.Histograms)
 	}
 
 	r.Reset()
@@ -123,8 +117,39 @@ func TestRegistrySnapshotResetAndExposition(t *testing.T) {
 	if _, ok := s.Counters["dasc_batches_total"]; !ok {
 		t.Error("Reset dropped the registered name")
 	}
-	if s.Timers["dasc_phase_alloc_seconds"].Count != 0 {
-		t.Error("Reset kept timer observations")
+	if s.Histograms["dasc_phase_alloc_seconds"].Count != 0 {
+		t.Error("Reset kept histogram observations")
+	}
+}
+
+// TestRecordDrainBatchEntriesBuckets checks that drain sizes land in the
+// count buckets of dasc_ingest_batch_entries: a one-entry drain in le="1",
+// a 4096-entry drain in le="4096", and neither in the overflow.
+func TestRecordDrainBatchEntriesBuckets(t *testing.T) {
+	r := NewRegistry()
+	RecordDrain(r, DrainTrace{Requests: 1})
+	RecordDrain(r, DrainTrace{Requests: 4096})
+	var sb strings.Builder
+	if err := r.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	text := sb.String()
+	for _, want := range []string{
+		"# TYPE dasc_ingest_batch_entries histogram",
+		`dasc_ingest_batch_entries_bucket{le="1"} 1`,
+		`dasc_ingest_batch_entries_bucket{le="2"} 1`,
+		`dasc_ingest_batch_entries_bucket{le="2048"} 1`,
+		`dasc_ingest_batch_entries_bucket{le="4096"} 2`,
+		`dasc_ingest_batch_entries_bucket{le="+Inf"} 2`,
+		"dasc_ingest_batch_entries_sum 4097",
+		"dasc_ingest_batch_entries_count 2",
+	} {
+		if !strings.Contains(text, want+"\n") {
+			t.Errorf("exposition missing %q:\n%s", want, text)
+		}
+	}
+	if _, err := ValidateExposition(text); err != nil {
+		t.Errorf("exposition rejected: %v", err)
 	}
 }
 
@@ -136,8 +161,7 @@ func TestBatchRecAccumulatesIntoTrace(t *testing.T) {
 	r.AddMemoHits(25)
 	r.AddMemoMisses(5)
 	r.AddGridOps(3)
-	r.CacheWorkerRevalidated()
-	r.CacheWorkerRevalidated()
+	r.AddCacheWorkersRevalidated(2)
 	r.AddCacheWorkersRebuilt(8)
 	r.AddCacheTasksArrived(2)
 	r.AddCacheTasksDeparted(1)

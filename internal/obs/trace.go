@@ -153,15 +153,6 @@ func (r *BatchRec) AddGridOps(n int64) {
 	r.gridOps.Add(n)
 }
 
-// CacheWorkerRevalidated counts one unmoved worker revalidated by time
-// arithmetic.
-func (r *BatchRec) CacheWorkerRevalidated() {
-	if r == nil {
-		return
-	}
-	r.revalidated.Add(1)
-}
-
 // AddCacheWorkersRevalidated counts unmoved workers revalidated by time
 // arithmetic — the batched form the parallel incremental build uses (one
 // add per goroutine instead of one per worker).

@@ -7,7 +7,6 @@
 package roadnet
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -69,9 +68,6 @@ func (g *Graph) AddEdge(u, v NodeID, weight float64) error {
 	return nil
 }
 
-// Degree returns the number of edges incident to id.
-func (g *Graph) Degree(id NodeID) int { return len(g.adj[id]) }
-
 // EuclideanLowerBounded reports whether every edge weight is at least the
 // straight-line length of its endpoints. When it holds, any path through
 // the network is at least as long as the straight line between its ends
@@ -90,9 +86,6 @@ func (g *Graph) EuclideanLowerBounded() bool {
 	}
 	return true
 }
-
-// ErrUnreachable is returned by ShortestPath when no path exists.
-var ErrUnreachable = errors.New("roadnet: no path between nodes")
 
 // ShortestDistances runs Dijkstra from src and returns the distance to every
 // vertex (+Inf where unreachable).
@@ -117,51 +110,6 @@ func (g *Graph) ShortestDistances(src NodeID) []float64 {
 		}
 	}
 	return dist
-}
-
-// ShortestPath returns the node sequence and length of a shortest path from
-// src to dst, or ErrUnreachable.
-func (g *Graph) ShortestPath(src, dst NodeID) ([]NodeID, float64, error) {
-	dist := make([]float64, len(g.pts))
-	prev := make([]NodeID, len(g.pts))
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prev[i] = -1
-	}
-	dist[src] = 0
-	h := &nodeHeap{}
-	h.push(nodeCand{id: src, d: 0})
-	for h.len() > 0 {
-		c := h.pop()
-		if c.id == dst {
-			break
-		}
-		if c.d > dist[c.id] {
-			continue
-		}
-		for _, e := range g.adj[c.id] {
-			if nd := c.d + e.w; nd < dist[e.to] {
-				dist[e.to] = nd
-				prev[e.to] = c.id
-				h.push(nodeCand{id: e.to, d: nd})
-			}
-		}
-	}
-	if math.IsInf(dist[dst], 1) {
-		return nil, 0, ErrUnreachable
-	}
-	var path []NodeID
-	for v := dst; v != -1; v = prev[v] {
-		path = append(path, v)
-		if v == src {
-			break
-		}
-	}
-	// Reverse in place.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path, dist[dst], nil
 }
 
 // Connected reports whether every vertex is reachable from vertex 0.

@@ -1,7 +1,6 @@
 package roadnet
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -31,8 +30,8 @@ func TestGraphBasics(t *testing.T) {
 	if g.NumNodes() != 4 || g.NumEdges() != 4 {
 		t.Fatalf("graph %d/%d", g.NumNodes(), g.NumEdges())
 	}
-	if g.Degree(0) != 2 {
-		t.Errorf("Degree(0) = %d", g.Degree(0))
+	if len(g.adj[0]) != 2 {
+		t.Errorf("degree of node 0 = %d", len(g.adj[0]))
 	}
 	if err := g.AddEdge(0, 0, 1); err == nil {
 		t.Error("self-loop accepted")
@@ -44,23 +43,15 @@ func TestGraphBasics(t *testing.T) {
 
 func TestShortestPathSquare(t *testing.T) {
 	g := square(t)
-	path, d, err := g.ShortestPath(0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 2 {
-		t.Errorf("distance 0→2 = %v, want 2", d)
-	}
-	if len(path) != 3 || path[0] != 0 || path[2] != 2 {
-		t.Errorf("path = %v", path)
+	if d := g.ShortestDistances(0); d[2] != 2 || d[1] != 1 || d[3] != 1 {
+		t.Errorf("distances from 0 = %v, want [0 1 2 1]", d)
 	}
 	// A cheap diagonal shortcut must win.
 	if err := g.AddEdge(0, 2, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	_, d2, err := g.ShortestPath(0, 2)
-	if err != nil || d2 != 0.5 {
-		t.Errorf("with shortcut: d = %v err = %v", d2, err)
+	if d := g.ShortestDistances(0); d[2] != 0.5 {
+		t.Errorf("with shortcut: d(0→2) = %v, want 0.5", d[2])
 	}
 }
 
@@ -68,9 +59,6 @@ func TestShortestPathUnreachable(t *testing.T) {
 	g := NewGraph()
 	g.AddNode(geo.Pt(0, 0))
 	g.AddNode(geo.Pt(1, 1))
-	if _, _, err := g.ShortestPath(0, 1); !errors.Is(err, ErrUnreachable) {
-		t.Errorf("err = %v", err)
-	}
 	if g.Connected() {
 		t.Error("disconnected graph reported connected")
 	}

@@ -118,9 +118,15 @@ func (p *Platform) runOnline() (*Result, error) {
 	assigned := make(map[model.TaskID]bool)
 	finishAt := make(map[model.TaskID]float64)
 
-	// ci's skill buckets prune the per-arrival worker scan: only workers
-	// holding rs_t are examined for a task.
-	ci := model.NewCandidateIndex(in)
+	// Per-skill worker lists, in ascending index order, prune the
+	// per-arrival worker scan: only workers holding rs_t are examined for a
+	// task.
+	bySkill := make(map[model.Skill][]int)
+	for i := range in.Workers {
+		for _, sk := range in.Workers[i].Skills.Skills() {
+			bySkill[sk] = append(bySkill[sk], i)
+		}
+	}
 
 	// Timeline: task arrivals AND worker arrivals. A worker whose Start
 	// falls after the last task arrival must still trigger a sweep, or the
@@ -155,8 +161,7 @@ func (p *Platform) runOnline() (*Result, error) {
 		}
 		best := -1
 		bestTravel := math.Inf(1)
-		for _, wid := range ci.WorkersWithSkill(t.Requires) {
-			i := int(wid)
+		for _, i := range bySkill[t.Requires] {
 			w := &in.Workers[i]
 			if w.Start > now || now > w.Expiry() || ws[i].busyUntil > now {
 				continue

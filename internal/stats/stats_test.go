@@ -2,7 +2,7 @@ package stats
 
 import (
 	"math"
-	"strings"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -11,9 +11,6 @@ func TestMeanMedianStd(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Mean(xs); got != 5 {
 		t.Errorf("Mean = %v", got)
-	}
-	if got := StdDev(xs); got != 2 {
-		t.Errorf("StdDev = %v", got)
 	}
 	if got := Median(xs); got != 4.5 {
 		t.Errorf("Median = %v", got)
@@ -24,12 +21,8 @@ func TestMeanMedianStd(t *testing.T) {
 }
 
 func TestEmptyInputs(t *testing.T) {
-	if !math.IsNaN(Mean(nil)) || !math.IsNaN(Median(nil)) || !math.IsNaN(Variance(nil)) {
+	if !math.IsNaN(Mean(nil)) || !math.IsNaN(Median(nil)) || !math.IsNaN(Percentile(nil, 90)) {
 		t.Error("empty inputs should be NaN")
-	}
-	lo, hi := MinMax(nil)
-	if !math.IsNaN(lo) || !math.IsNaN(hi) {
-		t.Error("empty MinMax should be NaN")
 	}
 }
 
@@ -51,13 +44,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, -1, 7, 0})
-	if lo != -1 || hi != 7 {
-		t.Errorf("MinMax = %v, %v", lo, hi)
-	}
-}
-
 func TestPercentileBoundsProperty(t *testing.T) {
 	f := func(raw []int16, p uint8) bool {
 		if len(raw) == 0 {
@@ -67,7 +53,7 @@ func TestPercentileBoundsProperty(t *testing.T) {
 		for i, v := range raw {
 			xs[i] = float64(v)
 		}
-		lo, hi := MinMax(xs)
+		lo, hi := slices.Min(xs), slices.Max(xs)
 		got := Percentile(xs, float64(p%101))
 		return got >= lo-1e-9 && got <= hi+1e-9
 	}
@@ -80,144 +66,5 @@ func TestTimer(t *testing.T) {
 	tm := StartTimer()
 	if ms := tm.ElapsedMS(); ms < 0 {
 		t.Errorf("ElapsedMS = %v", ms)
-	}
-}
-
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{0, 1, 2.5, 5, 9.99, 10, -3, 42} {
-		h.Add(v)
-	}
-	h.Add(math.NaN()) // ignored
-	if h.Total() != 8 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	// Clamping: -3 lands in bucket 0, 42 in the last bucket.
-	if _, _, c := h.Bucket(0); c != 3 { // 0, 1, -3
-		t.Errorf("bucket 0 count = %d", c)
-	}
-	if _, _, c := h.Bucket(4); c != 3 { // 9.99, 10, 42
-		t.Errorf("bucket 4 count = %d", c)
-	}
-	if h.Buckets() != 5 {
-		t.Errorf("Buckets = %d", h.Buckets())
-	}
-	lo, hi, _ := h.Bucket(1)
-	if lo != 2 || hi != 4 {
-		t.Errorf("bucket 1 bounds = [%v, %v)", lo, hi)
-	}
-}
-
-func TestHistogramQuantileAndMean(t *testing.T) {
-	h := NewHistogram(0, 100, 10)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i))
-	}
-	if m := h.Mean(); math.Abs(m-49.5) > 1e-9 {
-		t.Errorf("Mean = %v", m)
-	}
-	if q := h.Quantile(0.5); q < 40 || q > 60 {
-		t.Errorf("median estimate = %v", q)
-	}
-	if q := h.Quantile(0); q != 0 {
-		t.Errorf("q0 = %v", q)
-	}
-	if q := h.Quantile(1); q != 100 {
-		t.Errorf("q1 = %v", q)
-	}
-	empty := NewHistogram(0, 1, 2)
-	if !math.IsNaN(empty.Mean()) || !math.IsNaN(empty.Quantile(0.5)) {
-		t.Error("empty histogram should be NaN")
-	}
-}
-
-func TestHistogramIgnoresNonFinite(t *testing.T) {
-	h := NewHistogram(0, 10, 4)
-	h.Add(5)
-	h.Add(math.Inf(1))  // would blow out the top bucket and the sum
-	h.Add(math.Inf(-1)) // would blow out the bottom bucket and the sum
-	h.Add(math.NaN())
-	if h.Total() != 1 {
-		t.Errorf("Total = %d, want 1", h.Total())
-	}
-	if h.Sum() != 5 || h.Mean() != 5 {
-		t.Errorf("Sum = %v, Mean = %v, want 5, 5", h.Sum(), h.Mean())
-	}
-}
-
-func TestHistogramQuantileSingleBucket(t *testing.T) {
-	h := NewHistogram(0, 10, 1)
-	for i := 0; i < 4; i++ {
-		h.Add(float64(i))
-	}
-	// With one bucket the quantile interpolates linearly across the whole
-	// range and must stay inside it at every q.
-	for _, q := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		got := h.Quantile(q)
-		if got < 0 || got > 10 {
-			t.Errorf("Quantile(%v) = %v, outside [0, 10]", q, got)
-		}
-	}
-	if got := h.Quantile(0.5); math.Abs(got-5) > 1e-9 {
-		t.Errorf("single-bucket median = %v, want 5", got)
-	}
-}
-
-func TestHistogramQuantileAllClamped(t *testing.T) {
-	// Every observation clamps into an edge bucket; quantiles must still be
-	// finite and inside [lo, hi].
-	h := NewHistogram(0, 1, 4)
-	for i := 0; i < 10; i++ {
-		h.Add(100) // all in the top bucket
-	}
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		got := h.Quantile(q)
-		if math.IsNaN(got) || got < 0 || got > 1 {
-			t.Errorf("top-clamped Quantile(%v) = %v", q, got)
-		}
-	}
-	g := NewHistogram(0, 1, 4)
-	for i := 0; i < 10; i++ {
-		g.Add(-100) // all in the bottom bucket
-	}
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		got := g.Quantile(q)
-		if math.IsNaN(got) || got < 0 || got > 1 {
-			t.Errorf("bottom-clamped Quantile(%v) = %v", q, got)
-		}
-	}
-}
-
-func TestHistogramRender(t *testing.T) {
-	h := NewHistogram(0, 4, 2)
-	h.Add(1)
-	h.Add(1)
-	h.Add(3)
-	var sb strings.Builder
-	if err := h.Render(&sb, 10); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("render lines = %d", len(lines))
-	}
-	if !strings.Contains(lines[0], "██████████") {
-		t.Errorf("max bucket bar wrong: %q", lines[0])
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewHistogram(0, 1, 0) },
-		func() { NewHistogram(1, 1, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
 	}
 }

@@ -1,5 +1,6 @@
 #!/bin/sh
-# Repo verification: formatting gate, build, vet, the dasc-lint invariant
+# Repo verification: formatting gate, build, vet, the perfbench module's
+# build, vet and tests, the dasc-lint invariant
 # multichecker (plus pinned staticcheck/govulncheck when their module cache
 # or network is available), full test suite, then a
 # race-detector pass over the packages with real concurrency (the parallel
@@ -22,6 +23,12 @@ go build ./...
 
 echo "== go vet"
 go vet ./...
+
+# perfbench is a nested module, so the root `go build ./...` and `go vet
+# ./...` skip it; build, vet and test it on its own so a deleted or renamed
+# symbol it imports fails here rather than in the benchmark.
+echo "== perfbench module (build, vet, test)"
+(cd perfbench && go build -o /dev/null . && go vet . && go test .)
 
 # The invariant multichecker gates BEFORE the test phase: a determinism,
 # epsilon, ownership, metric-inventory or lock-discipline violation fails
