@@ -74,11 +74,46 @@ func (g *Greedy) Assign(b *Batch) *model.Assignment {
 // form is lossless; DASC_Game's G-G initialisation consumes it directly
 // without the Assignment/ID round-trip.
 func (g *Greedy) assignIndices(b *Batch) []int32 {
+	// Candidate workers per task are stable for the whole batch; only their
+	// availability changes. They are read straight from the candidate
+	// engine (ascending batch worker indexes, never modified).
+	idx := b.Index()
+	candidates := make([][]int32, len(b.Tasks))
+	for ti := range b.Tasks {
+		candidates[ti] = idx.CandidateSet(ti)
+	}
+	return g.commitSets(b, staffable(atSets(b), candidates), candidates)
+}
+
+// staffable filters sets in place down to those whose every member has at
+// least one candidate worker. A set with a candidate-less member fails
+// every staff call: its row for that member is a subset of the member's
+// candidates, a member nobody can staff is never assigned, so the set never
+// shrinks past it, and workers only get scarcer within a batch. Dropping
+// such sets up front therefore changes no commit, and the heap's total
+// order by (weight, anchor) keeps the order of the sets that remain.
+func staffable(sets []*atSet, candidates [][]int32) []*atSet {
+	kept := sets[:0]
+next:
+	for _, s := range sets {
+		for _, ti := range s.members {
+			if len(candidates[ti]) == 0 {
+				continue next
+			}
+		}
+		kept = append(kept, s)
+	}
+	return kept
+}
+
+// commitSets is Algorithm 1's loop over the given associative sets:
+// repeatedly commit the heaviest set that distinct free workers can staff
+// completely. It returns the raw assignment in assignIndices' form.
+func (g *Greedy) commitSets(b *Batch, sets []*atSet, candidates [][]int32) []int32 {
 	taskOf := make([]int32, len(b.Workers))
 	for i := range taskOf {
 		taskOf[i] = -1
 	}
-	sets := atSets(b)
 	if len(sets) == 0 {
 		return taskOf
 	}
@@ -95,14 +130,6 @@ func (g *Greedy) assignIndices(b *Batch) []int32 {
 		for _, ti := range s.members {
 			setsByTask[ti] = append(setsByTask[ti], s)
 		}
-	}
-	// Candidate workers per task are stable for the whole batch; only their
-	// availability changes. They are read straight from the candidate
-	// engine (ascending batch worker indexes, never modified).
-	idx := b.Index()
-	candidates := make([][]int32, len(b.Tasks))
-	for ti := range b.Tasks {
-		candidates[ti] = idx.CandidateSet(ti)
 	}
 	cols := newColScratch(len(b.Workers))
 

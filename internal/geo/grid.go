@@ -147,59 +147,3 @@ func (g *GridIndex) Within(center Point, r float64, dst []int) []int {
 	}
 	return dst
 }
-
-// Nearest returns the id of the item closest to center and its distance.
-// ok is false when the index is empty. Ties break toward the lower id.
-func (g *GridIndex) Nearest(center Point) (id int, dist float64, ok bool) {
-	if g.count == 0 {
-		return 0, 0, false
-	}
-	// Expanding ring search: examine cells in growing square rings until a
-	// candidate is found whose distance is certified minimal.
-	best := -1
-	bestSq := math.Inf(1)
-	ccx := clampInt(int((center.X-g.box.Min.X)/g.cellSize), 0, g.cols-1)
-	ccy := clampInt(int((center.Y-g.box.Min.Y)/g.cellSize), 0, g.rows-1)
-	maxRing := g.cols
-	if g.rows > maxRing {
-		maxRing = g.rows
-	}
-	for ring := 0; ring <= maxRing; ring++ {
-		// Once we have a candidate, stop when the ring is provably farther
-		// than it: every cell in ring k is at least (k-1)*cellSize away.
-		if best >= 0 {
-			minPossible := float64(ring-1) * g.cellSize
-			if minPossible > 0 && minPossible*minPossible > bestSq {
-				break
-			}
-		}
-		scan := func(cx, cy int) {
-			if cx < 0 || cx >= g.cols || cy < 0 || cy >= g.rows {
-				return
-			}
-			for _, raw := range g.cells[cy*g.cols+cx] {
-				i := int(raw)
-				d := g.points[i].SqDistanceTo(center)
-				if d < bestSq || (d == bestSq && i < best) {
-					bestSq, best = d, i
-				}
-			}
-		}
-		if ring == 0 {
-			scan(ccx, ccy)
-			continue
-		}
-		for cx := ccx - ring; cx <= ccx+ring; cx++ {
-			scan(cx, ccy-ring)
-			scan(cx, ccy+ring)
-		}
-		for cy := ccy - ring + 1; cy <= ccy+ring-1; cy++ {
-			scan(ccx-ring, cy)
-			scan(ccx+ring, cy)
-		}
-	}
-	if best < 0 {
-		return 0, 0, false
-	}
-	return best, math.Sqrt(bestSq), true
-}

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// The two spatial indexes answer the same radius and nearest-point queries;
-// these benchmarks make the trade-off measurable: the grid wins on uniform
-// data with known bounds, the k-d tree on point queries and clustered data.
+// Each spatial index is benchmarked on the query the system runs on it: the
+// grid's radius query (the batch candidate engine) and the k-d tree's
+// nearest-point query and build (road-network snapping).
 
 func benchUniform(n int) ([]KDItem, []Point) {
 	rng := rand.New(rand.NewSource(42))
@@ -33,30 +33,6 @@ func BenchmarkGridWithin(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = g.Within(queries[i%len(queries)], 0.05, buf[:0])
-	}
-}
-
-func BenchmarkKDTreeWithin(b *testing.B) {
-	items, queries := benchUniform(10000)
-	t := NewKDTree(items)
-	var buf []int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = t.Within(queries[i%len(queries)], 0.05, buf[:0])
-	}
-}
-
-func BenchmarkGridNearest(b *testing.B) {
-	items, queries := benchUniform(10000)
-	g := NewGridIndex(NewBBox(Pt(0, 0), Pt(1, 1)), len(items))
-	for _, it := range items {
-		g.Insert(it.ID, it.Pt)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Nearest(queries[i%len(queries)])
 	}
 }
 

@@ -119,37 +119,8 @@ func TestGridIndexReinsertAfterRemove(t *testing.T) {
 	}
 }
 
-func TestGridIndexNearestMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	box := NewBBox(Pt(0, 0), Pt(1, 1))
-	pts := randPoints(rng, 200, box)
-	g := NewGridIndex(box, 128)
-	for i, p := range pts {
-		g.Insert(i, p)
-	}
-	for trial := 0; trial < 100; trial++ {
-		q := Point{rng.Float64() * 1.2, rng.Float64() * 1.2}
-		id, d, ok := g.Nearest(q)
-		if !ok {
-			t.Fatal("Nearest returned !ok on non-empty index")
-		}
-		bestD := -1.0
-		for _, p := range pts {
-			if dd := p.DistanceTo(q); bestD < 0 || dd < bestD {
-				bestD = dd
-			}
-		}
-		if !almostEq(d, bestD) {
-			t.Fatalf("trial %d: Nearest dist %v, brute %v (id=%d)", trial, d, bestD, id)
-		}
-	}
-}
-
 func TestGridIndexEmpty(t *testing.T) {
 	g := NewGridIndex(NewBBox(Pt(0, 0), Pt(1, 1)), 8)
-	if _, _, ok := g.Nearest(Pt(0.5, 0.5)); ok {
-		t.Error("Nearest on empty index should be !ok")
-	}
 	if got := g.Within(Pt(0.5, 0.5), 10, nil); len(got) != 0 {
 		t.Errorf("Within on empty index = %v", got)
 	}
@@ -195,26 +166,6 @@ func TestKDTreeNearestMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestKDTreeWithinMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	box := NewBBox(Pt(0, 0), Pt(1, 1))
-	pts := randPoints(rng, 300, box)
-	items := make([]KDItem, len(pts))
-	for i, p := range pts {
-		items[i] = KDItem{ID: i, Pt: p}
-	}
-	tree := NewKDTree(items)
-	for trial := 0; trial < 50; trial++ {
-		q := Point{rng.Float64(), rng.Float64()}
-		r := rng.Float64() * 0.5
-		got := tree.Within(q, r, nil)
-		want := bruteWithin(pts, nil, q, r)
-		if !equalIntSets(got, want) {
-			t.Fatalf("trial %d: kd Within = %v, want %v", trial, got, want)
-		}
-	}
-}
-
 func TestKDTreeEmptyAndDegenerate(t *testing.T) {
 	empty := NewKDTree(nil)
 	if _, _, ok := empty.Nearest(Pt(0, 0)); ok {
@@ -231,7 +182,7 @@ func TestKDTreeEmptyAndDegenerate(t *testing.T) {
 		same[i] = KDItem{ID: i, Pt: Pt(0.3, 0.3)}
 	}
 	dup := NewKDTree(same)
-	if got := dup.Within(Pt(0.3, 0.3), 0, nil); len(got) != 10 {
-		t.Errorf("duplicate-point Within = %d ids, want 10", len(got))
+	if id, d, ok := dup.Nearest(Pt(0.3, 0.3)); !ok || id != 0 || d != 0 {
+		t.Errorf("duplicate-point tree: id=%d d=%v ok=%v, want the lowest id at 0", id, d, ok)
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"sort"
 )
 
-// KDTree is an immutable 2-d tree built once over a point set. It supports
-// nearest-neighbour and radius queries. Compared with GridIndex it needs no
+// KDTree is an immutable 2-d tree built once over a point set. It answers
+// nearest-neighbour queries. Compared with GridIndex it needs no
 // bounding box up front and degrades gracefully on clustered data; the road
 // network snaps points to its nodes with it.
 type KDTree struct {
@@ -101,36 +101,4 @@ func (t *KDTree) nearest(ni int32, q Point, bestID *int32, bestSq *float64) {
 	if diff := qc - nc; diff*diff <= *bestSq {
 		t.nearest(far, q, bestID, bestSq)
 	}
-}
-
-// Within appends the IDs of all points at distance ≤ r from q to dst and
-// returns the extended slice. Order is unspecified.
-func (t *KDTree) Within(q Point, r float64, dst []int) []int {
-	if t.root < 0 || r < 0 {
-		return dst
-	}
-	return t.within(t.root, q, r*r, dst)
-}
-
-func (t *KDTree) within(ni int32, q Point, r2 float64, dst []int) []int {
-	if ni < 0 {
-		return dst
-	}
-	n := &t.nodes[ni]
-	if n.pt.SqDistanceTo(q) <= r2 {
-		dst = append(dst, int(n.id))
-	}
-	var diff float64
-	if n.axis == 0 {
-		diff = q.X - n.pt.X
-	} else {
-		diff = q.Y - n.pt.Y
-	}
-	if diff <= 0 || diff*diff <= r2 {
-		dst = t.within(n.left, q, r2, dst)
-	}
-	if diff >= 0 || diff*diff <= r2 {
-		dst = t.within(n.right, q, r2, dst)
-	}
-	return dst
 }

@@ -44,7 +44,7 @@ go test ./internal/bench -run '^$' \
 
 echo "== go test -bench (spatial index: internal/geo)"
 go test ./internal/geo -run '^$' \
-	-bench 'BenchmarkGridWithin|BenchmarkGridNearest' \
+	-bench 'BenchmarkGridWithin' \
 	-benchtime 2000x -count "$count" -benchmem | tee -a "$tmp"
 
 # One benchmark line looks like:

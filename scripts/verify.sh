@@ -2,8 +2,8 @@
 # Repo verification: formatting gate, build, vet, the perfbench module's
 # build, vet and tests, the dasc-lint invariant
 # multichecker (plus pinned staticcheck/govulncheck when their module cache
-# or network is available), full test suite, then a
-# race-detector pass over the packages with real concurrency (the parallel
+# or network is available), full test suite, the paper-trend checks, then
+# a race-detector pass over the packages with real concurrency (the parallel
 # BatchIndex build in core, the obs atomics it feeds, the simulator that
 # drives it, the HTTP server, and the bench harness that sweeps them). vet
 # runs repo-wide and fails the script on any finding (set -e).
@@ -57,6 +57,11 @@ fi
 echo "== go test"
 go test ./...
 
+# The paper's trends (Figures 3-15, EXPERIMENTS.md): every check must hold
+# at half scale; dasc-bench exits 1 on a failed check.
+echo "== paper trend checks (dasc-bench -verify, scale 0.5)"
+go run ./cmd/dasc-bench -verify -q -scale 0.5
+
 echo "== go test -race (core, obs, sim, server, bench)"
 go test -race ./internal/core/... ./internal/obs/... ./internal/sim/... ./internal/server/... ./internal/bench/...
 
@@ -108,10 +113,12 @@ race_guard ./internal/core/ TestGameWorklist
 
 # The dense dependency wiring's differentials (map-based oracles for the
 # wiring, the associative sets, the index-domain fixpoint and Greedy's
-# column scratch) and its concurrent pooled-scratch test: batches allocated
+# column scratch), Greedy's staffable-set prune against its unpruned loop,
+# and the wiring's concurrent pooled-scratch test: batches allocated
 # concurrently borrow their build scratch from one shared sync.Pool.
 echo "== go test -race dependency wiring (GOMAXPROCS=2, 8)"
-race_guard ./internal/core/ TestDepWiring TestGreedyStaffMatchesMapOracle
+race_guard ./internal/core/ TestDepWiring TestGreedyStaffMatchesMapOracle \
+	TestGreedyPruneIsExact
 
 # The group-commit ingest pipeline's concurrency tests (hammer included:
 # registrations, ticks, snapshot rotations and reads all concurrent, then a
