@@ -3,15 +3,13 @@ package core
 // slab is a bump allocator that carves exact-length slices out of large
 // blocks, so a build that used to pay one heap allocation per worker pays
 // one per block instead (O(goroutines + pairs/slabBlock) for a whole
-// batch). A slab is single-owner: every build goroutine carries its own,
-// and the cache's absorb path runs one on the platform goroutine.
+// batch). A slab is single-owner: every build goroutine carries its own.
 //
 // Ownership of the carved memory follows the carved slices, not the slab:
 // blocks stay reachable exactly as long as something holds a slice into
-// them, so a slab can be dropped (or kept for the next batch, where it
-// opens a fresh block) without invalidating what it handed out. Carved
-// slices are capped with a three-index expression, so appending to one can
-// never bleed into its neighbour.
+// them, so a slab can be dropped without invalidating what it handed out.
+// Carved slices are capped with a three-index expression, so appending to
+// one can never bleed into its neighbour.
 type slab[T any] struct {
 	buf []T
 	// carved and allocd count elements handed out vs. freshly allocated in
@@ -25,10 +23,10 @@ type slab[T any] struct {
 // waste of an almost-full block stays in the tens of kilobytes.
 const slabBlock = 4096
 
-// carveLen returns a slice of length n carved from the current block,
-// opening a new one when the remainder is too small. The contents are
-// unspecified (callers overwrite every element); n == 0 returns nil.
-func (s *slab[T]) carveLen(n int) []T {
+// carve copies src into memory carved from the current block, opening a
+// new one when the remainder is too small; an empty src returns nil.
+func (s *slab[T]) carve(src []T) []T {
+	n := len(src)
 	if n == 0 {
 		return nil
 	}
@@ -43,12 +41,7 @@ func (s *slab[T]) carveLen(n int) []T {
 	off := len(s.buf)
 	s.buf = s.buf[:off+n]
 	s.carved += int64(n)
-	return s.buf[off : off+n : off+n]
-}
-
-// carve copies src into freshly carved memory and returns it.
-func (s *slab[T]) carve(src []T) []T {
-	dst := s.carveLen(len(src))
+	dst := s.buf[off : off+n : off+n]
 	copy(dst, src)
 	return dst
 }

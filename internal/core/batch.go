@@ -106,8 +106,8 @@ func (b *Batch) init() {
 func (b *Batch) Dist() geo.DistanceFunc { return b.dist }
 
 // SetRecorder installs the batch's instrumentation recorder; nil disables
-// recording. Install it before the candidate engine is built (Index or
-// EngineCache.Attach) or the build's counters are lost.
+// recording. Install it before the candidate engine is built (Index) or
+// the build's counters are lost.
 func (b *Batch) SetRecorder(r *obs.BatchRec) { b.rec = r }
 
 // Recorder returns the batch's instrumentation recorder, possibly nil.

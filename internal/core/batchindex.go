@@ -81,8 +81,7 @@ func newBatchIndexN(b *Batch, procs int) *BatchIndex {
 	// Skill buckets over the pending tasks. Each task has exactly one
 	// required skill, so the buckets partition the batch (less the tasks no
 	// batch worker can take).
-	ps := prunedScan{buckets: new(skillBuckets)}
-	ps.buckets.buildAll(b, skillLimit(b))
+	ps := prunedScan{buckets: newSkillBuckets(b, skillLimit(b))}
 
 	// Spatial grid over the pending task locations, keyed by task index,
 	// when the metric allows Euclidean pruning. boxScale converts a metric
@@ -118,21 +117,21 @@ func newBatchIndexN(b *Batch, procs int) *BatchIndex {
 // Below minParallelWorkers, or with one proc, it runs serially on one
 // scratch. Work for wi must depend only on wi's inputs and write only wi's
 // slots, so the result does not depend on scheduling.
-func fanOut[S any](nw, procs int, work func(wi int, sc *S)) []S {
+func fanOut(nw, procs int, work func(wi int, sc *buildScratch)) []buildScratch {
 	procs = min(procs, (nw+buildChunk-1)/buildChunk)
 	if nw < minParallelWorkers || procs <= 1 {
-		scs := make([]S, 1)
+		scs := make([]buildScratch, 1)
 		for wi := 0; wi < nw; wi++ {
 			work(wi, &scs[0])
 		}
 		return scs
 	}
-	scs := make([]S, procs)
+	scs := make([]buildScratch, procs)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for p := range scs {
 		wg.Add(1)
-		go func(sc *S) {
+		go func(sc *buildScratch) {
 			defer wg.Done()
 			for {
 				lo := int(next.Add(buildChunk)) - buildChunk
@@ -157,8 +156,7 @@ func fanOut[S any](nw, procs int, work func(wi int, sc *S)) []S {
 // (model.SkillSet.NextCommon). Tasks whose skill no batch worker holds —
 // negative, or above every worker's highest skill — are left out: no worker
 // can take them, and bounding the table by the workers' skills keeps an
-// absurd skill ID in an unvalidated instance from sizing it. The buffers
-// are reused build over build.
+// absurd skill ID in an unvalidated instance from sizing it.
 type skillBuckets struct {
 	off  []int32
 	dat  []int32
@@ -174,29 +172,14 @@ func skillLimit(b *Batch) model.Skill {
 	return lim
 }
 
-// buildAll fills the buckets with every pending task of b, ascending.
-func (sb *skillBuckets) buildAll(b *Batch, limit model.Skill) {
-	sb.build(b, len(b.Tasks), func(k int) int32 { return int32(k) }, limit)
-}
-
-// buildSel fills the buckets with the pending-task indexes sel, in sel's
-// order.
-func (sb *skillBuckets) buildSel(b *Batch, sel []int32, limit model.Skill) {
-	sb.build(b, len(sel), func(k int) int32 { return sel[k] }, limit)
-}
-
-// build fills the buckets with the n pending-task indexes at(0) … at(n-1).
-func (sb *skillBuckets) build(b *Batch, n int, at func(k int) int32, limit model.Skill) {
-	for sk := sb.mask.NextCommon(sb.mask, 0); sk >= 0; sk = sb.mask.NextCommon(sb.mask, sk+1) {
-		sb.mask.Remove(sk)
-	}
+// newSkillBuckets buckets every pending task of b below limit, ascending.
+func newSkillBuckets(b *Batch, limit model.Skill) *skillBuckets {
 	// Count bucket sk into off[sk+2], so the prefix sum leaves bucket sk's
 	// start in off[sk+1] and the fill, bumping off[sk+1] as a cursor, ends
 	// with it at bucket sk's end.
-	sb.off = grown(sb.off, int(limit)+2)
-	clear(sb.off)
-	for k := 0; k < n; k++ {
-		if sk := b.Tasks[at(k)].Requires; sk >= 0 && sk < limit {
+	sb := &skillBuckets{off: make([]int32, int(limit)+2)}
+	for _, t := range b.Tasks {
+		if sk := t.Requires; sk >= 0 && sk < limit {
 			sb.off[sk+2]++
 		}
 	}
@@ -206,14 +189,14 @@ func (sb *skillBuckets) build(b *Batch, n int, at func(k int) int32, limit model
 		}
 		sb.off[sk+2] += sb.off[sk+1]
 	}
-	sb.dat = grown(sb.dat, int(sb.off[limit+1]))
-	for k := 0; k < n; k++ {
-		ti := at(k)
-		if sk := b.Tasks[ti].Requires; sk >= 0 && sk < limit {
-			sb.dat[sb.off[sk+1]] = ti
+	sb.dat = make([]int32, sb.off[limit+1])
+	for ti, t := range b.Tasks {
+		if sk := t.Requires; sk >= 0 && sk < limit {
+			sb.dat[sb.off[sk+1]] = int32(ti)
 			sb.off[sk+1]++
 		}
 	}
+	return sb
 }
 
 // bucket returns the pending-task indexes requiring sk; sk must be in mask.
@@ -221,20 +204,14 @@ func (sb *skillBuckets) bucket(sk model.Skill) []int32 {
 	return sb.dat[sb.off[sk]:sb.off[sk+1]]
 }
 
-// prunedScan is one batch's pruned candidate source, shared by the
-// from-scratch build and the cache's worker rebuilds: skill buckets over
+// prunedScan is one batch's pruned candidate source: skill buckets over
 // the pending tasks and, when the metric admits a Euclidean lower bound, a
-// grid over their locations. The from-scratch grid is keyed by task index;
-// the cache's maintained grid is keyed by task ID, which pos maps back to
-// an index (pos[id]-base < len(b.Tasks), see EngineCache.tag). pos is nil
-// for index keys.
+// grid over their locations, keyed by task index.
 type prunedScan struct {
 	buckets  *skillBuckets
 	grid     *geo.GridIndex
 	boxScale float64
 	density  float64
-	pos      []uint32
-	base     uint32
 }
 
 // scan computes batch worker wi's strategy set through whichever pruning
@@ -271,16 +248,8 @@ func (ps *prunedScan) scan(b *Batch, wi int, idx *BatchIndex, sc *buildScratch) 
 	}
 	if useGrid {
 		sc.grid = ps.grid.Within(bw.Loc, ps.boxScale*(bw.DistBudget+model.DistEps), sc.grid[:0])
-		n := uint32(len(b.Tasks))
 		for _, key := range sc.grid {
 			ti := int32(key)
-			if ps.pos != nil {
-				p := ps.pos[key] - ps.base
-				if p >= n {
-					continue
-				}
-				ti = int32(p)
-			}
 			if skills.Has(b.Tasks[ti].Requires) {
 				appendFeasible(ti)
 			}
@@ -306,10 +275,8 @@ func (ps *prunedScan) scan(b *Batch, wi int, idx *BatchIndex, sc *buildScratch) 
 
 // invertStrategies derives the per-task candidate lists from the strategy
 // sets. Iterating workers ascending keeps every list ascending without a
-// sort. Shared by the from-scratch build and the incremental EngineCache
-// build so both produce structurally identical indexes. All lists are
-// carved out of one backing array sized by the exact per-task counts, so
-// the inversion costs two allocations, not one per task.
+// sort. All lists are carved out of one backing array sized by the exact
+// per-task counts, so the inversion costs two allocations, not one per task.
 func (idx *BatchIndex) invertStrategies() {
 	counts := make([]int32, len(idx.candidates))
 	total := 0
@@ -414,59 +381,47 @@ func (idx *BatchIndex) FeasiblePairs() int {
 	return n
 }
 
-// VerifyIndex rebuilds the batch's candidate engine from scratch and returns
-// a description of the first divergence from the installed index, or nil.
-// It is the differential cross-check for incrementally maintained indexes
-// (EngineCache), the same pattern ScanStrategySets provides for the pruned
-// single-batch build: the incremental and from-scratch engines must agree
-// exactly — sets, memoized costs, and candidate lists.
+// VerifyIndex checks the batch's installed candidate engine against the
+// brute-force reference and returns a description of the first divergence,
+// or nil: strategy sets against ScanStrategySets, memoized travel costs
+// against Batch.TravelCost, and candidate lists against
+// ScanCandidateWorkers. The reference shares only the exact feasibility
+// predicate with the pruned build, so this is the differential cross-check
+// behind KernelConfig.VerifyEngineCache.
 func (b *Batch) VerifyIndex() error {
 	got := b.Index()
-	// The reference rebuild is bookkeeping, not batch work: hide the
-	// recorder so verification doesn't double-count the build.
-	saved := b.rec
-	b.rec = nil
-	want := newBatchIndex(b)
-	b.rec = saved
-	for wi := range want.strategies {
-		if !int32SlicesEqual(got.strategies[wi], want.strategies[wi]) {
-			return fmt.Errorf("core: worker %d strategy set diverges: incremental %v, fresh %v",
-				wi, got.strategies[wi], want.strategies[wi])
+	for wi, want := range b.ScanStrategySets() {
+		if !sameIndexes(got.strategies[wi], want) {
+			return fmt.Errorf("core: worker %d strategy set diverges: index %v, scan %v",
+				wi, got.strategies[wi], want)
 		}
-		if !float64SlicesEqual(got.costs[wi], want.costs[wi]) {
-			return fmt.Errorf("core: worker %d travel-cost memo diverges: incremental %v, fresh %v",
-				wi, got.costs[wi], want.costs[wi])
+		if len(got.costs[wi]) != len(want) {
+			return fmt.Errorf("core: worker %d travel-cost memo holds %d costs for %d tasks",
+				wi, len(got.costs[wi]), len(want))
+		}
+		for k, ti := range want {
+			if c := b.TravelCost(wi, b.Tasks[ti]); got.costs[wi][k] != c {
+				return fmt.Errorf("core: worker %d travel-cost memo diverges at task %d: index %v, scan %v",
+					wi, ti, got.costs[wi][k], c)
+			}
 		}
 	}
-	for ti := range want.candidates {
-		if !int32SlicesEqual(got.candidates[ti], want.candidates[ti]) {
-			return fmt.Errorf("core: task %d candidate list diverges: incremental %v, fresh %v",
-				ti, got.candidates[ti], want.candidates[ti])
+	for ti, t := range b.Tasks {
+		if want := b.ScanCandidateWorkers(t); !sameIndexes(got.candidates[ti], want) {
+			return fmt.Errorf("core: task %d candidate list diverges: index %v, scan %v",
+				ti, got.candidates[ti], want)
 		}
 	}
 	return nil
 }
 
-func int32SlicesEqual(a, b []int32) bool {
-	if len(a) != len(b) {
+// sameIndexes reports whether an index list equals its scanned reference.
+func sameIndexes(got []int32, want []int) bool {
+	if len(got) != len(want) {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// float64SlicesEqual compares bit-for-bit (the incremental build memoizes
-// the exact floats the fresh build computes; no tolerance is needed).
-func float64SlicesEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
+	for i := range got {
+		if int(got[i]) != want[i] {
 			return false
 		}
 	}

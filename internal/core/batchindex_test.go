@@ -1,8 +1,11 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"dasc/internal/geo"
@@ -107,6 +110,52 @@ func TestBatchIndexParallelDeterministic(t *testing.T) {
 		}
 		if !reflect.DeepEqual(serial.candidates, parallel.candidates) {
 			t.Fatalf("procs=%d: candidate lists differ from serial build", procs)
+		}
+	}
+}
+
+// TestVerifyIndexCatchesCorruption: VerifyIndex passes a built index and
+// rejects each of three single corruptions of it — one feasible pair dropped
+// from a strategy set, one memoized cost perturbed, one candidate dropped —
+// naming the part that diverges.
+func TestVerifyIndexCatchesCorruption(t *testing.T) {
+	in := randomInstance(rand.New(rand.NewSource(407)), 30, 40, 4, true)
+	batch := func() (*Batch, *BatchIndex) {
+		b := NewStaticBatch(in)
+		return b, b.Index()
+	}
+	if b, _ := batch(); b.VerifyIndex() != nil {
+		t.Fatalf("intact index rejected: %v", b.VerifyIndex())
+	}
+	// The corruptions target the first worker with a feasible pair and its
+	// first task, so each leaves the rest of the index intact.
+	_, idx := batch()
+	wi := slices.IndexFunc(idx.strategies, func(set []int32) bool { return len(set) > 0 })
+	if wi < 0 {
+		t.Fatal("degenerate instance: no feasible pairs")
+	}
+	ti := int(idx.strategies[wi][0])
+	for _, c := range []struct {
+		name, want string
+		corrupt    func(idx *BatchIndex)
+	}{
+		{"dropped pair", "strategy set", func(idx *BatchIndex) {
+			idx.strategies[wi] = idx.strategies[wi][1:]
+			idx.costs[wi] = idx.costs[wi][1:]
+		}},
+		{"perturbed cost", "travel-cost memo", func(idx *BatchIndex) {
+			costs := slices.Clone(idx.costs[wi])
+			costs[0] = math.Nextafter(costs[0], math.Inf(1))
+			idx.costs[wi] = costs
+		}},
+		{"dropped candidate", "candidate list", func(idx *BatchIndex) {
+			idx.candidates[ti] = idx.candidates[ti][1:]
+		}},
+	} {
+		b, idx := batch()
+		c.corrupt(idx)
+		if err := b.VerifyIndex(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: VerifyIndex = %v, want a %s divergence", c.name, err, c.want)
 		}
 	}
 }

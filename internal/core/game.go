@@ -388,3 +388,17 @@ func dependencyFixpointIndexed(b *Batch, taskOf []int32) {
 		}
 	}
 }
+
+// float64SlicesEqual compares bit-for-bit: the compared engines compute the
+// same floats, so no tolerance is needed.
+func float64SlicesEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}

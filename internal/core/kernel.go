@@ -16,8 +16,9 @@ type KernelConfig struct {
 	// ServiceTime is how long conducting a task takes once the worker is on
 	// site and the dependencies are finished.
 	ServiceTime float64
-	// VerifyEngineCache cross-checks the carried candidate engine against a
-	// from-scratch build every batch and fails the step on divergence.
+	// VerifyEngineCache cross-checks every batch's candidate engine against
+	// the brute-force feasibility scan (Batch.VerifyIndex) and fails the
+	// step on divergence. The name predates the engine's from-scratch build.
 	VerifyEngineCache bool
 	// VerifyGameWorklist cross-checks a DASC_Game allocator's worklist
 	// engine against the naive sweep every batch and fails the step on
@@ -26,11 +27,11 @@ type KernelConfig struct {
 }
 
 // Kernel is the batch process (Section II-D) that the simulator and the
-// server both run: each Step builds the batch population, attaches the
-// carried candidate engine, allocates, keeps the dependency-valid pairs and
-// dispatches every pair. The kernel owns everything that outlives a batch:
-// each worker's dispatch state, the per-task books (assigned, botched,
-// finish times), the population and the engine cache. For a
+// server both run: each Step builds the batch population, builds the
+// batch's candidate engine from scratch, allocates, keeps the
+// dependency-valid pairs and dispatches every pair. The kernel owns
+// everything that outlives a batch: each worker's dispatch state, the
+// per-task books (assigned, botched, finish times) and the population. For a
 // dependency-aware allocator the population also retires the tasks that
 // can never be validly assigned (Kernel.population).
 //
@@ -39,9 +40,8 @@ type KernelConfig struct {
 // given, which may have grown since the previous step. Batch time must never
 // go backwards.
 type Kernel struct {
-	cfg   KernelConfig
-	cache *EngineCache
-	pop   Population
+	cfg KernelConfig
+	pop Population
 
 	workers []WorkerState
 	// satisfied flags the validly assigned tasks; every batch reads it as
@@ -109,7 +109,7 @@ type StepResult struct {
 
 // NewKernel returns a kernel with empty books.
 func NewKernel(cfg KernelConfig) *Kernel {
-	return &Kernel{cfg: cfg, cache: NewEngineCache()}
+	return &Kernel{cfg: cfg}
 }
 
 // Step runs one batch at time now over the instance's registries. rec, when
@@ -127,10 +127,10 @@ func (k *Kernel) Step(in *model.Instance, now float64, rec *obs.BatchRec) (*Step
 	b := NewBatch(in, bws, tasks, k.satisfied)
 	b.SetRecorder(rec)
 	rec.StartPhases()
-	k.cache.Attach(b)
+	b.Index()
 	if k.cfg.VerifyEngineCache {
 		if err := b.VerifyIndex(); err != nil {
-			return nil, fmt.Errorf("engine cache diverged: %w", err)
+			return nil, fmt.Errorf("candidate engine diverged: %w", err)
 		}
 	}
 	indexD := rec.Lap()

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"dasc/internal/model"
 	"dasc/internal/obs"
 )
 
@@ -57,74 +56,5 @@ func TestBatchRecorderNilIsNoop(t *testing.T) {
 	}
 	if plain.Recorder() != nil {
 		t.Error("recorder set without SetRecorder")
-	}
-}
-
-// TestEngineCacheRecordsPerBatchOutcomes drives the cache across batches and
-// checks the per-batch trace mirrors the cache's cumulative stats.
-func TestEngineCacheRecordsPerBatchOutcomes(t *testing.T) {
-	rng := rand.New(rand.NewSource(602))
-	in := randomInstance(rng, 30, 40, 5, true)
-	cache := NewEngineCache()
-
-	// Batch 0: full rebuild.
-	b0 := NewStaticBatch(in)
-	rec0 := obs.NewBatchRec(0, 0)
-	b0.SetRecorder(rec0)
-	cache.Attach(b0)
-	tr0 := rec0.Finish()
-	if !tr0.FullRebuild {
-		t.Error("first attach not recorded as a full rebuild")
-	}
-	if tr0.WorkersRebuilt != len(b0.Workers) {
-		t.Errorf("rebuilt = %d, want %d", tr0.WorkersRebuilt, len(b0.Workers))
-	}
-	if tr0.WorkersRevalidated != 0 {
-		t.Errorf("revalidated = %d on a full rebuild", tr0.WorkersRevalidated)
-	}
-
-	// Batch 1: same worker states, clock advanced — everything revalidates,
-	// cached travel times count as memo hits.
-	var bws []BatchWorker
-	for i := range in.Workers {
-		bws = append(bws, BatchWorker{
-			W: &in.Workers[i], Loc: in.Workers[i].Loc,
-			ReadyAt: in.Workers[i].Start + 1, DistBudget: in.Workers[i].MaxDist,
-		})
-	}
-	var tasks []*model.Task
-	for i := range in.Tasks {
-		tasks = append(tasks, &in.Tasks[i])
-	}
-	b1 := NewBatch(in, bws, tasks, nil)
-	rec1 := obs.NewBatchRec(1, 1)
-	b1.SetRecorder(rec1)
-	cache.Attach(b1)
-	if err := b1.VerifyIndex(); err != nil {
-		t.Fatal(err)
-	}
-	tr1 := rec1.Finish()
-	if tr1.FullRebuild {
-		t.Error("steady-state batch recorded as full rebuild")
-	}
-	if tr1.WorkersRevalidated != len(bws) {
-		t.Errorf("revalidated = %d, want %d", tr1.WorkersRevalidated, len(bws))
-	}
-	if tr1.MemoHits == 0 {
-		t.Error("revalidation reused no memoized travel times")
-	}
-	// VerifyIndex's reference rebuild must not leak into the trace: the
-	// revalidation path examines only arrivals, of which there are none.
-	if tr1.CandidatesExamined != 0 {
-		t.Errorf("examined = %d on a churn-free revalidation", tr1.CandidatesExamined)
-	}
-	// Cached survivors are memo hits, not admissions: only pairs the exact
-	// predicate admitted count, and no pair ran it.
-	if tr1.CandidatesAdmitted != 0 {
-		t.Errorf("admitted = %d on a churn-free revalidation", tr1.CandidatesAdmitted)
-	}
-	st := cache.Stats()
-	if st.WorkersReused != tr1.WorkersRevalidated {
-		t.Errorf("cumulative reused (%d) != batch-1 revalidated (%d)", st.WorkersReused, tr1.WorkersRevalidated)
 	}
 }

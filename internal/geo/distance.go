@@ -4,7 +4,6 @@ import (
 	"math"
 	"reflect"
 	"sync"
-	"unsafe"
 )
 
 // DistanceFunc measures the travel distance between two locations. The paper
@@ -29,33 +28,6 @@ func Chebyshev(a, b Point) float64 {
 
 // earthRadiusKm is the mean Earth radius used by Haversine.
 const earthRadiusKm = 6371.0088
-
-// FuncID memoizes the code-pointer identity of DistanceFunc values.
-// Deriving the identity via reflect costs an interface conversion and a
-// reflection walk; callers that re-check the same stored metric on every
-// batch (core.EngineCache) instead pay one pointer compare: a func value
-// is a pointer to its funcval, so an unchanged funcval pointer implies an
-// unchanged code pointer. A changed funcval falls back to reflect, so the
-// result is always exactly reflect.ValueOf(f).Pointer(). Not safe for
-// concurrent use; embed one per single-threaded consumer.
-type FuncID struct {
-	fv  unsafe.Pointer
-	ptr uintptr
-}
-
-// Of returns the code-pointer identity of f (0 for nil), memoized.
-func (d *FuncID) Of(f DistanceFunc) uintptr {
-	if f == nil {
-		return 0
-	}
-	fv := *(*unsafe.Pointer)(unsafe.Pointer(&f))
-	if fv == d.fv {
-		return d.ptr
-	}
-	d.fv = fv
-	d.ptr = reflect.ValueOf(f).Pointer()
-	return d.ptr
-}
 
 // boundScales holds caller-registered Euclidean lower-bound factors beyond
 // the built-in metrics, keyed by code pointer.

@@ -2,7 +2,6 @@ package geo
 
 import (
 	"math"
-	"reflect"
 	"testing"
 )
 
@@ -11,23 +10,6 @@ import (
 // process-wide registration) through a shared closure site.
 func doubled(a, b Point) float64 { return 2 * Euclidean(a, b) }
 func halved(a, b Point) float64  { return 0.5 * Euclidean(a, b) }
-
-func TestFuncIDMatchesReflect(t *testing.T) {
-	var id FuncID
-	if got := id.Of(nil); got != 0 {
-		t.Fatalf("Of(nil) = %#x, want 0", got)
-	}
-	for _, f := range []DistanceFunc{Euclidean, Manhattan, Chebyshev, Haversine, doubled} {
-		want := reflect.ValueOf(f).Pointer()
-		if got := id.Of(f); got != want {
-			t.Fatalf("Of = %#x, want reflect pointer %#x", got, want)
-		}
-		// Second call hits the funcval memo; the answer must not change.
-		if got := id.Of(f); got != want {
-			t.Fatalf("memoized Of = %#x, want %#x", got, want)
-		}
-	}
-}
 
 func TestRegisterEuclideanBound(t *testing.T) {
 	if _, ok := EuclideanBoundScale(doubled); ok {

@@ -16,7 +16,6 @@ type GridIndex struct {
 	cols, rows int
 	cells      [][]int32 // cell -> item IDs
 	points     []Point   // id -> location (sparse IDs allowed; grown on demand)
-	present    []bool
 	count      int
 }
 
@@ -62,9 +61,6 @@ func NewGridIndex(box BBox, targetCells int) *GridIndex {
 	}
 }
 
-// Len returns the number of items currently in the index.
-func (g *GridIndex) Len() int { return g.count }
-
 func (g *GridIndex) cellOf(p Point) int {
 	cx := int((p.X - g.box.Min.X) / g.cellSize)
 	cy := int((p.Y - g.box.Min.Y) / g.cellSize)
@@ -85,44 +81,15 @@ func clampInt(v, lo, hi int) int {
 
 // Insert adds item id at location p. Points outside the index box are clamped
 // to the border cell, so they remain findable by sufficiently large radius
-// queries. Inserting an existing id is a no-op on membership but updates its
-// location only via Remove+Insert.
+// queries. Each id is inserted at most once.
 func (g *GridIndex) Insert(id int, p Point) {
 	for id >= len(g.points) {
 		g.points = append(g.points, Point{})
-		g.present = append(g.present, false)
-	}
-	if g.present[id] {
-		return
 	}
 	g.points[id] = p
-	g.present[id] = true
 	c := g.cellOf(p)
 	g.cells[c] = append(g.cells[c], int32(id))
 	g.count++
-}
-
-// Remove deletes item id from the index. Removing an absent id is a no-op.
-func (g *GridIndex) Remove(id int) {
-	if id < 0 || id >= len(g.present) || !g.present[id] {
-		return
-	}
-	c := g.cellOf(g.points[id])
-	bucket := g.cells[c]
-	for i, v := range bucket {
-		if int(v) == id {
-			bucket[i] = bucket[len(bucket)-1]
-			g.cells[c] = bucket[:len(bucket)-1]
-			break
-		}
-	}
-	g.present[id] = false
-	g.count--
-}
-
-// Contains reports whether item id is in the index.
-func (g *GridIndex) Contains(id int) bool {
-	return id >= 0 && id < len(g.present) && g.present[id]
 }
 
 // Within appends to dst the IDs of all items at Euclidean distance ≤ r from

@@ -20,12 +20,9 @@ func randPoints(rng *rand.Rand, n int, box BBox) []Point {
 }
 
 // bruteWithin is the oracle for radius queries.
-func bruteWithin(pts []Point, present []bool, q Point, r float64) []int {
+func bruteWithin(pts []Point, q Point, r float64) []int {
 	var out []int
 	for i, p := range pts {
-		if present != nil && !present[i] {
-			continue
-		}
 		if p.DistanceTo(q) <= r {
 			out = append(out, i)
 		}
@@ -75,47 +72,11 @@ func TestGridIndexWithinMatchesBruteForce(t *testing.T) {
 			q := Point{box.Min.X + rng.Float64()*box.Width(), box.Min.Y + rng.Float64()*box.Height()}
 			r := rng.Float64() * 0.4 * side
 			got := g.Within(q, r, nil)
-			want := bruteWithin(pts, nil, q, r)
+			want := bruteWithin(pts, q, r)
 			if !equalIntSets(got, want) {
 				t.Fatalf("box %v trial %d: Within(%v, %v) = %v, want %v", box, trial, q, r, got, want)
 			}
 		}
-	}
-}
-
-func TestGridIndexRemove(t *testing.T) {
-	box := NewBBox(Pt(0, 0), Pt(1, 1))
-	g := NewGridIndex(box, 16)
-	g.Insert(0, Pt(0.1, 0.1))
-	g.Insert(1, Pt(0.2, 0.2))
-	g.Insert(2, Pt(0.9, 0.9))
-	if g.Len() != 3 {
-		t.Fatalf("Len = %d", g.Len())
-	}
-	g.Remove(1)
-	if g.Contains(1) {
-		t.Error("Contains(1) after Remove")
-	}
-	got := g.Within(Pt(0, 0), 0.5, nil)
-	if !equalIntSets(got, []int{0}) {
-		t.Errorf("Within after remove = %v", got)
-	}
-	g.Remove(1) // idempotent
-	g.Remove(99)
-	if g.Len() != 2 {
-		t.Errorf("Len = %d, want 2", g.Len())
-	}
-}
-
-func TestGridIndexReinsertAfterRemove(t *testing.T) {
-	box := NewBBox(Pt(0, 0), Pt(1, 1))
-	g := NewGridIndex(box, 4)
-	g.Insert(7, Pt(0.5, 0.5))
-	g.Remove(7)
-	g.Insert(7, Pt(0.9, 0.9))
-	got := g.Within(Pt(0.9, 0.9), 0.05, nil)
-	if !equalIntSets(got, []int{7}) {
-		t.Errorf("Within = %v", got)
 	}
 }
 

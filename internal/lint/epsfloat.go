@@ -14,21 +14,20 @@ import (
 // by leg — so a raw ==/!=/<=/>= between two computed time/distance values
 // drifts by ulps exactly on the boundaries the paper's examples sit on.
 // Every such comparison must go through the model epsilon constants
-// (timeEps, DistEps) or the blessed helpers (model.FeasibleFrom,
-// model.DeadlineFeasible) that embed them.
+// (timeEps, DistEps) or the blessed helper (model.FeasibleFrom) that
+// embeds them.
 //
 // The analyzer taints expressions derived from the model's time/distance
 // surface (Task.Start/Wait/Deadline/Expiry, Worker fields and TravelTime,
-// BatchWorker.ReadyAt/DistBudget, the cached mirrors, DistanceFunc calls)
+// BatchWorker.ReadyAt/DistBudget, DistanceFunc calls)
 // through local assignments, and flags ==, !=, <= and >= where both
 // operands are non-constant floats and at least one is tainted — unless an
 // operand mentions an *Eps constant, which is the blessed pattern.
 // Comparisons against literal constants (x == 0, v <= 0) are exact and not
 // flagged; strict < and > on interior values are the caller's business.
 //
-// Deliberate bit-identity checks (the engine cache's invalidation compares,
-// which must NOT tolerate epsilon drift) are annotated
-// //lint:epsfloat-ok <reason>.
+// Deliberate bit-identity checks (a compare that must NOT tolerate epsilon
+// drift) are annotated //lint:epsfloat-ok <reason>.
 func NewEpsFloat() *Analyzer {
 	return &Analyzer{
 		Name:     "epsfloat",
@@ -51,16 +50,15 @@ func NewEpsFloat() *Analyzer {
 // epsilon-sensitive times or distances. Matching is by type NAME, not
 // package path, so the testdata packages can model the shapes locally.
 var epsSources = map[string]map[string]bool{
-	"Task":         {"Start": true, "Wait": true, "Deadline": true, "Expiry": true},
-	"Worker":       {"Start": true, "Wait": true, "MaxDist": true, "Expiry": true, "TravelTime": true},
-	"BatchWorker":  {"ReadyAt": true, "DistBudget": true},
-	"cachedWorker": {"readyAt": true, "distBudget": true, "start": true, "wait": true, "velocity": true, "maxDist": true, "costs": true},
-	"workerState":  {"busyUntil": true, "distUsed": true},
+	"Task":        {"Start": true, "Wait": true, "Deadline": true, "Expiry": true},
+	"Worker":      {"Start": true, "Wait": true, "MaxDist": true, "Expiry": true, "TravelTime": true},
+	"BatchWorker": {"ReadyAt": true, "DistBudget": true},
+	"workerState": {"busyUntil": true, "distUsed": true},
 }
 
 // epsSourceParams are conventional parameter names that carry
-// time/distance values across function boundaries (model.DeadlineFeasible's
-// signature is the canonical case).
+// time/distance values across function boundaries (model.FeasibleFrom's
+// readyAt and distBudget are the canonical case).
 var epsSourceParams = map[string]bool{"readyAt": true, "travel": true, "distBudget": true, "deadline": true}
 
 func runEpsFloat(pass *Pass) error {

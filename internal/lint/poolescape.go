@@ -5,19 +5,19 @@ import (
 	"go/types"
 )
 
-// NewPoolEscape returns the pooled-memory ownership analyzer. The engine
-// cache's memory discipline (DESIGN.md §3.7) is one-way: memory carved from
-// the cache's slab arenas or recycled through its cachedWorker free list is
-// cache-owned forever, and the cache absorbs batch results by COPYING into
-// that memory, never by aliasing slices out of a returned BatchIndex. The
-// sync.Pool recycling added for game state and the server's request/body
-// pools has the same shape: a pooled object is borrowed, used, and Put
-// back — it must not outlive the borrow by escaping into a field, a
-// global, a channel, or the package's exported surface.
+// NewPoolEscape returns the pooled-memory ownership analyzer. Pooled
+// memory (DESIGN.md §3.7) is one-way: what an owner's slab arenas, free
+// lists or aliasing fields hold stays owner-owned, and an owner takes in
+// outside data by COPYING it, never by aliasing slices out of a result it
+// built. The sync.Pool recycling of game state, dependency-wiring scratch
+// and the server's request/body pools has the same shape: a pooled object
+// is borrowed, used, and Put back — it must not outlive the borrow by
+// escaping into a field, a global, a channel, or the package's exported
+// surface.
 //
 // The analyzer computes a per-function taint: values produced by
 // (sync.Pool).Get, by carve/carveLen on a slab reached through an owner
-// type (EngineCache, cachedWorker, depScratch, prunedScan), by free-list
+// type (depScratch, prunedScan), by free-list
 // pops, or by reading an aliasing field (slice/pointer/map) of an owner, are
 // pool-owned. It flags:
 //
@@ -26,18 +26,18 @@ import (
 //     idiom and stay inside the package);
 //   - assigning a pool-owned value to a package-level variable, sending it
 //     on a channel, or storing it into a field/element of a non-owner
-//     object (that is how cache memory would alias into an escaping
+//     object (that is how pooled memory would alias into an escaping
 //     BatchIndex);
 //   - the reverse direction: assigning a foreign slice/pointer into an
-//     owner's field without a copy — absorb must copy, so the only values
-//     that may land in owner fields are owner-rooted reslices, carve
-//     results, and fresh allocations (calls, literals).
+//     owner's field without a copy — the only values that may land in
+//     owner fields are owner-rooted reslices, carve results, and fresh
+//     allocations (calls, literals).
 //
 // Deliberate exceptions are annotated //lint:poolescape-ok <reason>.
 func NewPoolEscape() *Analyzer {
 	return &Analyzer{
 		Name:     "poolescape",
-		Doc:      "enforces the one-way ownership rule for slab arenas, sync.Pool objects and the cachedWorker free list",
+		Doc:      "enforces the one-way ownership rule for slab arenas, free lists and sync.Pool objects",
 		Suppress: "poolescape-ok",
 		AppliesTo: prefixFilter(
 			"dasc/internal/core",
@@ -51,10 +51,9 @@ func NewPoolEscape() *Analyzer {
 // are pool-owned. New pool-owning types must be registered here.
 // depScratch is the dependency-wiring build's pooled scratch: its ID-indexed
 // slices must never alias into the wiring it builds. prunedScan is a build's
-// view of the candidate source, which on the incremental path is the
-// cache's own grid, skill buckets and task stamps: what it holds must never
-// alias into the index either.
-var poolOwnerTypes = map[string]bool{"EngineCache": true, "cachedWorker": true, "depScratch": true, "prunedScan": true}
+// view of the candidate source (skill buckets and grid): what it holds must
+// never alias into the index either.
+var poolOwnerTypes = map[string]bool{"depScratch": true, "prunedScan": true}
 
 func runPoolEscape(pass *Pass) error {
 	for _, f := range pass.Files {
@@ -70,7 +69,7 @@ func runPoolEscape(pass *Pass) error {
 }
 
 // ownerRooted reports whether the expression is reached through a value of
-// a pool-owner type (c.free, cw.tasks, c.store[s], a local *cachedWorker).
+// a pool-owner type (sc.free, ps.buckets, sc.tag[i], a local *depScratch).
 func ownerRooted(pass *Pass, e ast.Expr) bool {
 	root := rootIdent(e)
 	if root == nil {
@@ -100,7 +99,7 @@ func poolSource(pass *Pass, e ast.Expr) (string, bool) {
 		}
 		if fn.Name() == "carve" || fn.Name() == "carveLen" {
 			if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok && ownerRooted(pass, sel.X) {
-				return "cache-arena memory", true
+				return "slab-arena memory", true
 			}
 		}
 	case *ast.IndexExpr:
@@ -108,9 +107,9 @@ func poolSource(pass *Pass, e ast.Expr) (string, bool) {
 			return "free-list memory", true
 		}
 	case *ast.SelectorExpr:
-		// Reading an aliasing field out of an owner (cw.tasks, c.arrived).
+		// Reading an aliasing field out of an owner (sc.tag, ps.buckets).
 		if ownerRooted(pass, e.X) && isSliceOrPointer(pass.TypesInfo, e) {
-			return "cache-owned memory", true
+			return "pool-owned memory", true
 		}
 	case *ast.UnaryExpr:
 		return poolSource(pass, e.X)
@@ -130,8 +129,8 @@ func checkPoolEscapes(pass *Pass, fd *ast.FuncDecl) {
 	// exprPoolTaint: can the VALUE of e alias pool-owned memory? The walk
 	// follows aliasing structure, not the whole subtree: scalar-typed
 	// subexpressions are pruned (an element read copies the element), and
-	// calls are opaque (a method taking cache memory does not make its
-	// result cache memory) except for append, which aliases its first
+	// calls are opaque (a method taking pooled memory does not make its
+	// result pooled memory) except for append, which aliases its first
 	// argument.
 	var exprPoolTaint func(e ast.Expr) (string, bool)
 	exprPoolTaint = func(e ast.Expr) (string, bool) {
@@ -270,12 +269,12 @@ func checkPoolStores(pass *Pass, as *ast.AssignStmt, exprPoolTaint func(ast.Expr
 			}
 		case *ast.SelectorExpr, *ast.IndexExpr:
 			if ownerRooted(pass, sink) {
-				// Absorb direction: owner fields take only owner-rooted or
+				// Copy-in direction: owner fields take only owner-rooted or
 				// fresh memory (copy-always).
 				if _, rhsPooled := exprPoolTaint(rhs); rhsPooled || freshOrOwnerExpr(pass, rhs) {
 					continue
 				}
-				pass.Reportf(as.Pos(), "foreign slice/pointer stored into cache-owned field without a copy; the cache must carve or copy (absorb is copy-always)")
+				pass.Reportf(as.Pos(), "foreign slice/pointer stored into pool-owned field without a copy; the owner must carve or copy (copy-always)")
 			} else if src, ok := exprPoolTaint(rhs); ok {
 				pass.Reportf(as.Pos(), "%s stored into non-owner structure; the store aliases recycled memory past its owner — copy it", src)
 			}

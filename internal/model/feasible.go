@@ -35,23 +35,6 @@ func FeasibleFrom(w *Worker, loc geo.Point, readyAt, distBudget float64, t *Task
 	return depart+w.TravelTime(loc, t.Loc, dist) <= t.Deadline()+timeEps
 }
 
-// DeadlineFeasible re-evaluates only the deadline component of FeasibleFrom
-// for a memoized travel time: it reports whether a worker that can start
-// moving at readyAt and needs travel time units to reach t still arrives by
-// t's deadline. For a worker whose location and distance budget are unchanged
-// the other three components of FeasibleFrom (skill, window overlap, distance
-// budget) do not depend on readyAt, so a pair known feasible at an earlier
-// readyAt stays feasible at a later one iff this reports true — and because
-// depart = max(readyAt, s_t) is non-decreasing in readyAt, advancing the
-// clock can only flip feasible → infeasible, never back. This is the
-// monotone-revalidation primitive of the cross-batch engine cache: unmoved
-// workers' strategy sets are re-filtered by this pure time arithmetic over
-// memoized travel times, with zero distance evaluations. The arithmetic is
-// bit-identical to FeasibleFrom's deadline check.
-func DeadlineFeasible(t *Task, readyAt, travel float64) bool {
-	return maxf(readyAt, t.Start)+travel <= t.Deadline()+timeEps
-}
-
 // timeEps absorbs floating-point noise in deadline comparisons so that a
 // worker exactly on the boundary (common in hand-built examples) is feasible.
 const timeEps = 1e-9

@@ -100,11 +100,11 @@ func TestTravelTimeAndArrival(t *testing.T) {
 	// Departure waits for the task to appear: leaving at 0 for a task
 	// that starts at 10 arrives at 12.5, so a 2.5 wait is just enough.
 	tk.Start, tk.Wait = 10, 2.5
-	if !DeadlineFeasible(&tk, 0, 2.5) {
+	if !FeasibleFrom(&w, w.Loc, 0, w.MaxDist, &tk, geo.Euclidean) {
 		t.Error("arrival at 12.5 rejected against deadline 12.5")
 	}
 	tk.Wait = 2.4
-	if DeadlineFeasible(&tk, 0, 2.5) {
+	if FeasibleFrom(&w, w.Loc, 0, w.MaxDist, &tk, geo.Euclidean) {
 		t.Error("arrival at 12.5 accepted against deadline 12.4")
 	}
 	w.Velocity = 0

@@ -14,20 +14,9 @@ const (
 	MDeferredTotal = "dasc_deferred_pairs_total"
 	MRogueTotal    = "dasc_rogue_pairs_total"
 
-	// EngineCache outcomes.
-	MCacheRevalidatedTotal  = "dasc_cache_workers_revalidated_total"
-	MCacheRebuiltTotal      = "dasc_cache_workers_rebuilt_total"
-	MCacheFullRebuildsTotal = "dasc_cache_full_rebuilds_total"
-	MCacheArrivedTotal      = "dasc_cache_tasks_arrived_total"
-	MCacheDepartedTotal     = "dasc_cache_tasks_departed_total"
-	MCacheGridOpsTotal      = "dasc_cache_grid_ops_total"
-
-	// Allocation economy: slab-arena bytes feeding the index builds and
-	// the cache's recycled-struct pool.
-	MArenaCarvedTotal   = "dasc_arena_carved_bytes_total"
-	MArenaAllocTotal    = "dasc_arena_alloc_bytes_total"
-	MCachePooledTotal   = "dasc_cache_pooled_workers_total"
-	MCachePoolOccupancy = "dasc_cache_pool_occupancy"
+	// Allocation economy: slab-arena bytes feeding the index builds.
+	MArenaCarvedTotal = "dasc_arena_carved_bytes_total"
+	MArenaAllocTotal  = "dasc_arena_alloc_bytes_total"
 
 	// Travel-time memo.
 	MMemoHitsTotal   = "dasc_memo_hits_total"
@@ -120,19 +109,8 @@ func RecordBatch(r *Registry, t BatchTrace) {
 	r.Counter(MDeferredTotal).Add(int64(t.Deferred))
 	r.Counter(MRogueTotal).Add(int64(t.Rogue))
 
-	r.Counter(MCacheRevalidatedTotal).Add(int64(t.WorkersRevalidated))
-	r.Counter(MCacheRebuiltTotal).Add(int64(t.WorkersRebuilt))
-	if t.FullRebuild {
-		r.Counter(MCacheFullRebuildsTotal).Inc()
-	}
-	r.Counter(MCacheArrivedTotal).Add(int64(t.TasksArrived))
-	r.Counter(MCacheDepartedTotal).Add(int64(t.TasksDeparted))
-	r.Counter(MCacheGridOpsTotal).Add(t.GridOps)
-
 	r.Counter(MArenaCarvedTotal).Add(t.ArenaCarvedBytes)
 	r.Counter(MArenaAllocTotal).Add(t.ArenaAllocBytes)
-	r.Counter(MCachePooledTotal).Add(int64(t.PooledWorkers))
-	r.Gauge(MCachePoolOccupancy).Set(float64(t.PoolOccupancy))
 
 	r.Counter(MMemoHitsTotal).Add(t.MemoHits)
 	r.Counter(MMemoMissesTotal).Add(t.MemoMisses)

@@ -160,12 +160,6 @@ func TestBatchRecAccumulatesIntoTrace(t *testing.T) {
 	r.AddAdmitted(40)
 	r.AddMemoHits(25)
 	r.AddMemoMisses(5)
-	r.AddGridOps(3)
-	r.AddCacheWorkersRevalidated(2)
-	r.AddCacheWorkersRebuilt(8)
-	r.AddCacheTasksArrived(2)
-	r.AddCacheTasksDeparted(1)
-	r.CacheFullRebuild()
 	r.SetOutcome(12, 3, 1)
 	r.ObservePhases(2*time.Millisecond, 4*time.Millisecond, time.Millisecond)
 
@@ -173,8 +167,6 @@ func TestBatchRecAccumulatesIntoTrace(t *testing.T) {
 	want := BatchTrace{
 		Batch: 4, Time: 20, Workers: 10, Tasks: 30,
 		IndexBuildMS: 2, AllocMS: 4, DispatchMS: 1,
-		FullRebuild: true, WorkersRevalidated: 2, WorkersRebuilt: 8,
-		TasksArrived: 2, TasksDeparted: 1, GridOps: 3,
 		MemoHits: 25, MemoMisses: 5,
 		CandidatesExamined: 100, CandidatesAdmitted: 40,
 		Assigned: 12, Deferred: 3, Rogue: 1,
@@ -247,8 +239,6 @@ func TestRecordBatchFoldsStandardNames(t *testing.T) {
 	reg := NewRegistry()
 	tr := BatchTrace{
 		Workers: 5, Tasks: 9, Assigned: 3, Deferred: 1, Rogue: 2,
-		WorkersRevalidated: 4, WorkersRebuilt: 1, FullRebuild: true,
-		TasksArrived: 2, TasksDeparted: 1, GridOps: 3,
 		MemoHits: 10, MemoMisses: 2,
 		CandidatesExamined: 40, CandidatesAdmitted: 12,
 		IndexBuildMS: 1.5, AllocMS: 2.5, DispatchMS: 0.5,
@@ -261,9 +251,6 @@ func TestRecordBatchFoldsStandardNames(t *testing.T) {
 	}
 	if s.Counters[MAssignedTotal] != 6 || s.Counters[MRogueTotal] != 4 {
 		t.Errorf("allocation counters = %v", s.Counters)
-	}
-	if s.Counters[MCacheRevalidatedTotal] != 8 || s.Counters[MCacheFullRebuildsTotal] != 2 {
-		t.Errorf("cache counters = %v", s.Counters)
 	}
 	if s.Counters[MMemoHitsTotal] != 20 || s.Counters[MCandExaminedTotal] != 80 {
 		t.Errorf("memo/pruning counters = %v", s.Counters)

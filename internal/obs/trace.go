@@ -18,21 +18,20 @@ type BatchTrace struct {
 	Tasks   int     `json:"tasks"`
 
 	// Phase wall-clock timings, milliseconds.
-	IndexBuildMS float64 `json:"index_build_ms"` // candidate-engine build or incremental revalidate
+	IndexBuildMS float64 `json:"index_build_ms"` // candidate-engine build
 	AllocMS      float64 `json:"alloc_ms"`       // allocator + dependency fixpoint
 	DispatchMS   float64 `json:"dispatch_ms"`    // worker-state updates for the dispatched pairs
 
-	// EngineCache outcomes.
-	FullRebuild        bool  `json:"full_rebuild"`        // batch built from scratch (first batch, metric change, …)
-	WorkersRevalidated int   `json:"workers_revalidated"` // unmoved workers revalidated by time arithmetic
-	WorkersRebuilt     int   `json:"workers_rebuilt"`     // moved/new workers rebuilt through the pruned scan
-	TasksArrived       int   `json:"tasks_arrived"`
-	TasksDeparted      int   `json:"tasks_departed"`
-	GridOps            int64 `json:"grid_ops"` // maintained-grid inserts + removes
+	// WorkersRevalidated and WorkersRebuilt always read 0: every batch's
+	// candidate engine is built from scratch, so no worker is revalidated
+	// or rebuilt across batches. They are kept only because the benchmark
+	// harness in perfbench/ reads them.
+	WorkersRevalidated int `json:"workers_revalidated"`
+	WorkersRebuilt     int `json:"workers_rebuilt"`
 
 	// Travel-time memo outcomes: hits are lookups served from a memoized
-	// travel time (cross-batch revalidation and BatchIndex.TravelCost),
-	// misses are fresh distance evaluations.
+	// travel time (BatchIndex.TravelCost), misses are fresh distance
+	// evaluations.
 	MemoHits   int64 `json:"memo_hits"`
 	MemoMisses int64 `json:"memo_misses"`
 
@@ -44,13 +43,9 @@ type BatchTrace struct {
 
 	// Allocation economy of the engine build: bytes carved out of slab
 	// arenas into the index vs. bytes of freshly allocated arena blocks
-	// (carved ≫ alloc means the arenas are amortising well), and the
-	// cache's struct recycling (workers served from the free list this
-	// batch, free-list size after absorb).
+	// (carved ≫ alloc means the arenas are amortising well).
 	ArenaCarvedBytes int64 `json:"arena_carved_bytes"`
 	ArenaAllocBytes  int64 `json:"arena_alloc_bytes"`
-	PooledWorkers    int   `json:"pooled_workers"`
-	PoolOccupancy    int   `json:"pool_occupancy"`
 
 	// Allocation results.
 	Assigned int `json:"assigned"` // valid pairs
@@ -97,14 +92,8 @@ type BatchRec struct {
 	admitted    atomic.Int64
 	memoHits    atomic.Int64
 	memoMisses  atomic.Int64
-	gridOps     atomic.Int64
-	revalidated atomic.Int64
-	rebuilt     atomic.Int64
-	arrived     atomic.Int64
-	departed    atomic.Int64
 	arenaCarved atomic.Int64
 	arenaAlloc  atomic.Int64
-	fullRebuild atomic.Bool
 }
 
 // NewBatchRec starts a recorder for batch number batch at logical time t.
@@ -145,24 +134,6 @@ func (r *BatchRec) AddMemoMisses(n int64) {
 	r.memoMisses.Add(n)
 }
 
-// AddGridOps counts maintained-grid inserts and removes.
-func (r *BatchRec) AddGridOps(n int64) {
-	if r == nil {
-		return
-	}
-	r.gridOps.Add(n)
-}
-
-// AddCacheWorkersRevalidated counts unmoved workers revalidated by time
-// arithmetic — the batched form the parallel incremental build uses (one
-// add per goroutine instead of one per worker).
-func (r *BatchRec) AddCacheWorkersRevalidated(n int64) {
-	if r == nil {
-		return
-	}
-	r.revalidated.Add(n)
-}
-
 // AddArenaBytes records slab-arena economy for the batch's index build:
 // carved is bytes handed out to index slices, alloc is bytes of freshly
 // allocated blocks.
@@ -172,49 +143,6 @@ func (r *BatchRec) AddArenaBytes(carved, alloc int64) {
 	}
 	r.arenaCarved.Add(carved)
 	r.arenaAlloc.Add(alloc)
-}
-
-// SetCachePool records the cache's struct recycling for the batch: pooled
-// is how many cached-worker structs were served from the free list,
-// occupancy the free-list size after absorb.
-func (r *BatchRec) SetCachePool(pooled, occupancy int) {
-	if r == nil {
-		return
-	}
-	r.trace.PooledWorkers, r.trace.PoolOccupancy = pooled, occupancy
-}
-
-// AddCacheWorkersRebuilt counts workers rebuilt through the pruned scan.
-func (r *BatchRec) AddCacheWorkersRebuilt(n int64) {
-	if r == nil {
-		return
-	}
-	r.rebuilt.Add(n)
-}
-
-// AddCacheTasksArrived counts tasks that entered the batch since the last
-// one.
-func (r *BatchRec) AddCacheTasksArrived(n int64) {
-	if r == nil {
-		return
-	}
-	r.arrived.Add(n)
-}
-
-// AddCacheTasksDeparted counts tasks that left the batch since the last one.
-func (r *BatchRec) AddCacheTasksDeparted(n int64) {
-	if r == nil {
-		return
-	}
-	r.departed.Add(n)
-}
-
-// CacheFullRebuild marks the batch as built entirely from scratch.
-func (r *BatchRec) CacheFullRebuild() {
-	if r == nil {
-		return
-	}
-	r.fullRebuild.Store(true)
 }
 
 // SetRequestID records the request ID of the HTTP request driving the batch.
@@ -295,14 +223,8 @@ func (r *BatchRec) Finish() BatchTrace {
 	t.CandidatesAdmitted = r.admitted.Load()
 	t.MemoHits = r.memoHits.Load()
 	t.MemoMisses = r.memoMisses.Load()
-	t.GridOps = r.gridOps.Load()
-	t.WorkersRevalidated = int(r.revalidated.Load())
-	t.WorkersRebuilt = int(r.rebuilt.Load())
-	t.TasksArrived = int(r.arrived.Load())
-	t.TasksDeparted = int(r.departed.Load())
 	t.ArenaCarvedBytes = r.arenaCarved.Load()
 	t.ArenaAllocBytes = r.arenaAlloc.Load()
-	t.FullRebuild = r.fullRebuild.Load()
 	return t
 }
 

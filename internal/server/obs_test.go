@@ -67,7 +67,7 @@ func TestMetricsEndpointTextAndJSON(t *testing.T) {
 		"# TYPE dasc_batches_total counter",
 		"dasc_batches_total 1",
 		fmt.Sprintf("dasc_assigned_pairs_total %d", st.AssignedTasks),
-		"# TYPE dasc_cache_workers_rebuilt_total counter",
+		"# TYPE dasc_candidates_admitted_total counter",
 		"# TYPE dasc_phase_alloc_seconds histogram",
 		`dasc_phase_alloc_seconds_bucket{le="+Inf"} 1`,
 		"dasc_phase_alloc_seconds_count 1",
@@ -79,9 +79,10 @@ func TestMetricsEndpointTextAndJSON(t *testing.T) {
 		}
 	}
 
-	// The first tick is a full rebuild; its workers count as rebuilt.
-	if !strings.Contains(text, "dasc_cache_workers_rebuilt_total 3") {
-		t.Errorf("rebuilt counter not live:\n%s", text)
+	// The engine counters carry the tick's live values.
+	admitted := fmt.Sprintf("dasc_candidates_admitted_total %d", p.Traces().Last(1)[0].CandidatesAdmitted)
+	if !strings.Contains(text, admitted) || strings.Contains(text, "dasc_candidates_admitted_total 0\n") {
+		t.Errorf("admitted counter not live (want %q):\n%s", admitted, text)
 	}
 
 	resp, body := getBody(t, ts.URL+"/v1/metrics?format=json")
@@ -120,18 +121,15 @@ func TestMetricsChangeAcrossTicks(t *testing.T) {
 	if snap.Counters[obs.MBatchesTotal] != 3 {
 		t.Errorf("batches = %d, want 3", snap.Counters[obs.MBatchesTotal])
 	}
-	// Steady-state ticks revalidate unmoved workers: the cache counters
-	// must move past the first tick's full rebuild.
-	if snap.Counters[obs.MCacheRevalidatedTotal] == 0 {
-		t.Errorf("no revalidations across ticks: %v", snap.Counters)
+	// Greedy's cost rows are served from the travel-time memo: the memo
+	// counter must move, and /v1/stats must read the same counter.
+	if snap.Counters[obs.MMemoHitsTotal] == 0 {
+		t.Errorf("no memo hits across ticks: %v", snap.Counters)
 	}
 	st := p.Snapshot()
-	if st.WorkersRevalidated != snap.Counters[obs.MCacheRevalidatedTotal] {
-		t.Errorf("/v1/stats revalidated = %d, metrics = %d",
-			st.WorkersRevalidated, snap.Counters[obs.MCacheRevalidatedTotal])
-	}
-	if st.WorkersRebuilt == 0 {
-		t.Error("stats rebuilt counter not wired")
+	if st.MemoHits != snap.Counters[obs.MMemoHitsTotal] || st.MemoMisses != snap.Counters[obs.MMemoMissesTotal] {
+		t.Errorf("/v1/stats memo hits/misses = %d/%d, metrics = %d/%d", st.MemoHits, st.MemoMisses,
+			snap.Counters[obs.MMemoHitsTotal], snap.Counters[obs.MMemoMissesTotal])
 	}
 }
 
@@ -159,7 +157,7 @@ func TestTraceEndpoint(t *testing.T) {
 	if traces[0].Batch != 0 || traces[3].Batch != 3 {
 		t.Errorf("trace order wrong: %+v", traces)
 	}
-	if traces[0].Assigned == 0 || !traces[0].FullRebuild {
+	if traces[0].Assigned == 0 {
 		t.Errorf("first trace = %+v", traces[0])
 	}
 	if traces[0].CandidatesAdmitted == 0 {

@@ -32,8 +32,7 @@ type Platform struct {
 	journal   *Journal
 	replaying bool
 	// kernel runs every tick's batch and owns the dispatch state: worker
-	// states, the assigned/botched/finish books, the population and the
-	// engine cache.
+	// states, the assigned/botched/finish books and the population.
 	kernel *core.Kernel
 
 	// Durability policy: after snapEvery ticks the platform snapshots its
@@ -68,10 +67,8 @@ type Platform struct {
 	cIngEnq *obs.Counter
 	cIngRej *obs.Counter
 	// The candidate-engine counters statsLocked reads on every publish.
-	cRevalidated *obs.Counter
-	cRebuilt     *obs.Counter
-	cMemoHits    *obs.Counter
-	cMemoMisses  *obs.Counter
+	cMemoHits   *obs.Counter
+	cMemoMisses *obs.Counter
 
 	// log is the structured event logger (never nil — discard by default);
 	// mw is the per-request telemetry state behind instrument (middleware.go).
@@ -104,9 +101,9 @@ type Config struct {
 	// platform state can be rebuilt after a restart via Replay. Journal
 	// write failures are returned to the caller of the mutating operation.
 	Journal *Journal
-	// VerifyEngineCache cross-checks the incrementally maintained candidate
-	// engine against a from-scratch build on every tick and fails the tick
-	// on divergence. Differential-testing hook; expensive.
+	// VerifyEngineCache cross-checks every tick's candidate engine against
+	// the brute-force feasibility scan and fails the tick on divergence.
+	// Differential-testing hook; expensive.
 	VerifyEngineCache bool
 	// VerifyGameWorklist cross-checks the worklist engine against the naive
 	// sweep on every tick (identical assignments, rounds, update ratios) and
@@ -209,8 +206,6 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	p.mw = newMiddleware(p.log, cfg.AccessLogEvery)
 	p.cIngEnq = p.reg.Counter(obs.MIngestEnqueuedTotal)
 	p.cIngRej = p.reg.Counter(obs.MIngestRejectedTotal)
-	p.cRevalidated = p.reg.Counter(obs.MCacheRevalidatedTotal)
-	p.cRebuilt = p.reg.Counter(obs.MCacheRebuiltTotal)
 	p.cMemoHits = p.reg.Counter(obs.MMemoHitsTotal)
 	p.cMemoMisses = p.reg.Counter(obs.MMemoMissesTotal)
 	// Process-level runtime gauges (dasc_runtime_*), sampled when scraped.
@@ -409,12 +404,9 @@ type BatchOutcome struct {
 	// active in the batch (misbehaving custom Allocator); they are never
 	// dispatched.
 	Rogue int `json:"rogue"`
-	// EngineCache outcomes for this tick: unmoved workers revalidated by
-	// time arithmetic, workers rebuilt through the pruned scan, and
-	// travel-time lookups served from a memo.
-	WorkersRevalidated int   `json:"workers_revalidated"`
-	WorkersRebuilt     int   `json:"workers_rebuilt"`
-	MemoHits           int64 `json:"memo_hits"`
+	// MemoHits counts this tick's travel-time lookups served from the
+	// candidate engine's memo.
+	MemoHits int64 `json:"memo_hits"`
 }
 
 // Tick advances logical time to now and runs one batch process. Time must
@@ -491,7 +483,7 @@ func (p *Platform) logAssignmentLocked(d core.Dispatch) {
 	p.assignLog = log
 }
 
-// recordTick finalises the tick's trace, copies the cache counters onto the
+// recordTick finalises the tick's trace, copies the memo hits onto the
 // outcome, publishes both to the trace ring and the metric registry, and
 // swaps in a fresh read view (ticks move the clock and may change the
 // assignment bookkeeping).
@@ -499,8 +491,6 @@ func (p *Platform) logAssignmentLocked(d core.Dispatch) {
 // requires: p.mu
 func (p *Platform) recordTick(out *BatchOutcome, rec *obs.BatchRec) {
 	tr := rec.Finish()
-	out.WorkersRevalidated = tr.WorkersRevalidated
-	out.WorkersRebuilt = tr.WorkersRebuilt
 	out.MemoHits = tr.MemoHits
 	p.traces.Add(tr)
 	obs.RecordBatch(p.reg, tr)
@@ -523,12 +513,10 @@ type Stats struct {
 	WastedPairs   int     `json:"wasted_pairs"`
 	RoguePairs    int     `json:"rogue_pairs"`
 	Allocator     string  `json:"allocator"`
-	// Cumulative EngineCache behaviour across all ticks (also exposed, with
-	// the full per-phase breakdown, on /v1/metrics).
-	WorkersRevalidated int64 `json:"workers_revalidated"`
-	WorkersRebuilt     int64 `json:"workers_rebuilt"`
-	MemoHits           int64 `json:"memo_hits"`
-	MemoMisses         int64 `json:"memo_misses"`
+	// Cumulative travel-time memo behaviour across all ticks (also
+	// exposed, with the full per-phase breakdown, on /v1/metrics).
+	MemoHits   int64 `json:"memo_hits"`
+	MemoMisses int64 `json:"memo_misses"`
 }
 
 // Snapshot returns current counters.
@@ -550,10 +538,8 @@ func (p *Platform) statsLocked() Stats {
 		RoguePairs:    p.rogue,
 		Allocator:     p.alloc.Name(),
 
-		WorkersRevalidated: p.cRevalidated.Value(),
-		WorkersRebuilt:     p.cRebuilt.Value(),
-		MemoHits:           p.cMemoHits.Value(),
-		MemoMisses:         p.cMemoMisses.Value(),
+		MemoHits:   p.cMemoHits.Value(),
+		MemoMisses: p.cMemoMisses.Value(),
 	}
 }
 

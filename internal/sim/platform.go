@@ -30,18 +30,19 @@ type Config struct {
 	// CollectDelays records each completed task's start delay (service
 	// start − task appearance) in Result.Delays for percentile analysis.
 	CollectDelays bool
-	// VerifyEngineCache cross-checks the incrementally maintained candidate
-	// engine against a from-scratch build every batch and aborts the run on
-	// divergence. Differential-testing hook; expensive, leave off in
-	// production.
+	// VerifyEngineCache cross-checks every batch's candidate engine against
+	// the brute-force feasibility scan and aborts the run on divergence.
+	// Differential-testing hook; expensive, leave off in production.
 	VerifyEngineCache bool
 	// VerifyGameWorklist cross-checks the worklist engine against the naive
 	// sweep on every batch (identical assignments, rounds, update ratios) and
 	// aborts the run on divergence. Ignored for non-game allocators.
 	VerifyGameWorklist bool
-	// OnBatch, when non-nil, observes every batch result. It fires after the
-	// batch's dispatches, so the result carries a complete BatchTrace
-	// (phase timings included). Setting it enables per-batch
+	// OnBatch, when non-nil, observes the result of every batch that has at
+	// least one active worker and one pending task; a batch without either
+	// runs no allocator and is only counted in Result.Batches. It fires
+	// after the batch's dispatches, so the result carries a complete
+	// BatchTrace (phase timings included). Setting it enables per-batch
 	// instrumentation; with it nil the batch loop runs with a nil recorder
 	// and pays nothing.
 	OnBatch func(BatchResult)
@@ -55,7 +56,7 @@ type BatchResult struct {
 	Tasks      int     // pending tasks presented to the allocator
 	Assignment *model.Assignment
 	// Trace is the batch's instrumentation record: phase timings, candidate
-	// engine and cache outcomes, allocation results.
+	// engine outcomes, allocation results.
 	Trace obs.BatchTrace
 }
 

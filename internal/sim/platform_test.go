@@ -473,3 +473,99 @@ func TestCollectDelays(t *testing.T) {
 		t.Error("Delays collected without the flag")
 	}
 }
+
+// simMetrics are the travel metrics the candidate engine must handle in a
+// real run: the Euclidean-boundable trio (spatial-grid path) and Haversine
+// (no spatial pruning).
+var simMetrics = []struct {
+	name string
+	dist geo.DistanceFunc
+}{
+	{"Euclidean", geo.Euclidean},
+	{"Manhattan", geo.Manhattan},
+	{"Chebyshev", geo.Chebyshev},
+	{"Haversine", geo.Haversine},
+}
+
+// TestSimEngineCacheDifferential runs full simulations with every batch's
+// candidate engine cross-checked against the brute-force scan
+// (Config.VerifyEngineCache): any divergence aborts the run with an error.
+func TestSimEngineCacheDifferential(t *testing.T) {
+	c := gen.DefaultSynthetic().Scale(0.01) // 50×50, arrivals spread over time
+	c.Seed = 11
+	base, err := gen.Synthetic(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range simMetrics {
+		t.Run(m.name, func(t *testing.T) {
+			in := *base
+			in.Dist = m.dist
+			p, err := New(&in, Config{Allocator: core.NewGreedy(), VerifyEngineCache: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := p.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Batches < 2 {
+				t.Fatalf("only %d batches — the batch loop was not exercised", res.Batches)
+			}
+		})
+	}
+}
+
+// rogueAllocator returns pairs naming a worker that is not in the batch —
+// the misbehaving-custom-Allocator case the platforms must survive. Before
+// the guard, the worker-ID lookup resolved the unknown ID to batch index 0
+// and silently moved worker 0.
+type rogueAllocator struct{}
+
+func (rogueAllocator) Name() string          { return "Rogue" }
+func (rogueAllocator) DependencyAware() bool { return false }
+
+func (rogueAllocator) Assign(b *core.Batch) *model.Assignment {
+	a := model.NewAssignment()
+	for _, task := range b.Tasks {
+		a.Add(model.WorkerID(9999), task.ID)
+		break
+	}
+	return a
+}
+
+func TestSimRogueAllocatorPairsSkipped(t *testing.T) {
+	in := &model.Instance{
+		Workers: []model.Worker{{
+			ID: 0, Loc: geo.Pt(0, 0), Start: 0, Wait: 10, Velocity: 1, MaxDist: 10,
+			Skills: model.NewSkillSet(0),
+		}},
+		Tasks: []model.Task{
+			{ID: 0, Loc: geo.Pt(1, 0), Start: 0, Wait: 10, Requires: 0},
+		},
+	}
+	p, err := New(in, Config{Allocator: rogueAllocator{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RoguePairs == 0 {
+		t.Error("rogue pairs were not counted")
+	}
+	if res.AssignedPairs != 0 || res.CompletedTasks != 0 {
+		t.Errorf("rogue pairs scored: assigned=%d completed=%d", res.AssignedPairs, res.CompletedTasks)
+	}
+	// Worker 0 must never have been dispatched on the rogue pair.
+	if res.TotalTravel != 0 {
+		t.Errorf("worker 0 travelled %v on a rogue pair", res.TotalTravel)
+	}
+	if got := res.WorkerAssignments[0]; got != 0 {
+		t.Errorf("worker 0 conducted %d tasks via rogue pairs", got)
+	}
+	if res.ExpiredTasks != 1 {
+		t.Errorf("task not returned to the pool: expired=%d, want 1", res.ExpiredTasks)
+	}
+}

@@ -26,8 +26,6 @@ var csvColumns = []struct {
 	{"index_build_ms", func(br BatchResult) string { return fmt.Sprintf("%.3f", br.Trace.IndexBuildMS) }},
 	{"alloc_ms", func(br BatchResult) string { return fmt.Sprintf("%.3f", br.Trace.AllocMS) }},
 	{"dispatch_ms", func(br BatchResult) string { return fmt.Sprintf("%.3f", br.Trace.DispatchMS) }},
-	{"workers_revalidated", func(br BatchResult) string { return strconv.Itoa(br.Trace.WorkersRevalidated) }},
-	{"workers_rebuilt", func(br BatchResult) string { return strconv.Itoa(br.Trace.WorkersRebuilt) }},
 	{"memo_hits", func(br BatchResult) string { return strconv.FormatInt(br.Trace.MemoHits, 10) }},
 	{"memo_misses", func(br BatchResult) string { return strconv.FormatInt(br.Trace.MemoMisses, 10) }},
 	{"cache_hit_ratio", func(br BatchResult) string { return fmt.Sprintf("%.4f", br.Trace.CacheHitRatio()) }},
@@ -67,9 +65,11 @@ func WriteCSVHeader(w io.Writer) error {
 	return err
 }
 
-// TraceSink returns an OnBatch callback that appends every batch's trace to
-// ring — the simulator-side twin of the server's /v1/trace buffer. Compose
-// it with other sinks by calling both from one closure.
+// TraceSink returns an OnBatch callback that appends the trace of every
+// batch OnBatch observes to ring. Unlike the server's /v1/trace buffer,
+// which records every tick, the ring holds only batches with at least one
+// active worker and one pending task (see Config.OnBatch). Compose it with
+// other sinks by calling both from one closure.
 func TraceSink(ring *obs.TraceRing) func(BatchResult) {
 	return func(br BatchResult) { ring.Add(br.Trace) }
 }

@@ -39,7 +39,7 @@ trap '{ [ -n "$srv_pid" ] && kill "$srv_pid" 2>/dev/null
 
 echo "== go test -bench (engine: internal/bench, benchtime=$benchtime count=$count)"
 go test ./internal/bench -run '^$' \
-	-bench 'BenchmarkIncrementalEngine|BenchmarkBatchCandidatesIndexed' \
+	-bench 'BenchmarkBatchCandidatesIndexed' \
 	-benchtime "$benchtime" -count "$count" -benchmem | tee "$tmp"
 
 echo "== go test -bench (spatial index: internal/geo)"

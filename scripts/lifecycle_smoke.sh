@@ -78,11 +78,11 @@ post() {
 	curl -fsS -X POST "$base$1" -H 'Content-Type: application/json' ${2:+-d "$2"} >/dev/null
 }
 
-# Cache/memo counters are rebuilt observability, not logical state; a
+# Memo counters are rebuilt observability, not logical state; a
 # snapshot-based restart rightly restarts them from the replayed tail only.
 capture_state() {
 	curl -fsS "$base/v1/stats" |
-		sed -E 's/"(workers_revalidated|workers_rebuilt|memo_hits|memo_misses)":[0-9]+/"\1":_/g' >"$1.stats"
+		sed -E 's/"(memo_hits|memo_misses)":[0-9]+/"\1":_/g' >"$1.stats"
 	curl -fsS "$base/v1/assignments" >"$1.assign"
 }
 

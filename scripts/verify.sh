@@ -85,20 +85,20 @@ race_guard() {
 	done
 }
 
-# The incremental engine's ownership/determinism guards. The aliasing test
-# would surface any cache-recycled buffer still referencing a returned
-# index; the determinism sweep any scheduling-dependent output; the
-# spike-then-drain run and the ID guard a dense-table slot or stamp served
-# to the wrong worker or task; the kernel differential any step, dispatch or
-# book that differs between the carried engine and a from-scratch build.
-# The retirement tests check the kernel's doomed-task rule against a
-# brute-force oracle, on a hand-built instance and, for the allocators whose
-# outcome must not move, against a kernel that keeps offering doomed tasks;
-# the server's recovery test checks that a restored platform rebuilds it.
-echo "== go test -race engine-cache guards (GOMAXPROCS=2, 8)"
-race_guard ./internal/core/ TestEngineCacheNeverMutatesReturnedIndex \
-	TestEngineCacheIncrementalParallelDeterministic TestEngineCacheSpikeDrain \
-	TestEngineCacheIDGuard TestKernelCacheMatchesScratch \
+# The candidate engine's and the kernel's guards. The determinism sweep
+# would surface any output of the parallel engine build that depends on
+# scheduling; the scan differential any strategy set, memoized cost or
+# candidate list that differs from the brute-force scan; the kernel
+# differential any step, dispatch, book or counter that the per-batch
+# engine check changes. The population test checks the kernel's live
+# population against a full registry scan. The retirement tests check the
+# kernel's doomed-task rule against a brute-force oracle, on a hand-built
+# instance and, for the allocators whose outcome must not move, against a
+# kernel that keeps offering doomed tasks; the server's recovery test
+# checks that a restored platform rebuilds it.
+echo "== go test -race candidate-engine and kernel guards (GOMAXPROCS=2, 8)"
+race_guard ./internal/core/ TestBatchIndexParallelDeterministic \
+	TestBatchIndexMatchesScan TestKernelCacheMatchesScratch \
 	TestKernelPopulationMatchesFullScan TestKernelRetirementKeepsOutcome \
 	TestKernelRetiresHandBuiltDoom
 race_guard ./internal/server/ TestRecoverRetiresDependantsOfBotchedTasks
@@ -142,12 +142,6 @@ echo "tick history smoke: OK"
 echo "== batch wiring micro-benchmark smoke"
 go test -run '^$' -bench BenchmarkBatchWiring -benchtime=1x ./internal/core >/dev/null
 echo "batch wiring smoke: OK"
-
-# One steady fig10-max Attach, fresh and after a 20K-worker spike; run it
-# with a real -benchtime to compare the two (they should cost the same).
-echo "== engine cache attach micro-benchmark smoke"
-go test -run '^$' -bench BenchmarkEngineCacheAttach -benchtime=1x ./internal/core >/dev/null
-echo "engine cache attach smoke: OK"
 
 # Black-box durability check: a real dasc-server process with a journal is
 # loaded over HTTP, SIGTERMed, restarted, and its /v1/stats +
