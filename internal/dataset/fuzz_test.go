@@ -2,14 +2,18 @@ package dataset
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
 	"dasc/internal/model"
 )
 
-// FuzzRead checks that arbitrary byte input never panics the decoder and
-// that anything it accepts is a valid instance that survives a round trip.
+// FuzzRead checks that arbitrary byte input never panics the decoder, that
+// the one-pass scan agrees with the strict decoder — whenever the scan
+// recognises a document, the strict decoder accepts it and decodes the same
+// one, so documents the strict decoder rejects are always left to it — and
+// that anything Read accepts is a valid instance that survives a round trip.
 func FuzzRead(f *testing.F) {
 	var seed bytes.Buffer
 	if err := Write(&seed, model.Example1()); err != nil {
@@ -21,6 +25,15 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte(`{"version":1,"skill_universe":1,"workers":[],"tasks":[{"id":0,"x":0,"y":0,"start":0,"wait":1,"requires":0,"deps":[0]}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if fast, ok := scanDoc(data); ok {
+			strict, err := decodeStrict(data)
+			if err != nil {
+				t.Fatalf("scan accepted a document the strict decoder rejects: %v", err)
+			}
+			if !reflect.DeepEqual(fast, strict) {
+				t.Fatalf("scan decoded %+v, strict decoder %+v", fast, strict)
+			}
+		}
 		in, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return // rejection is fine; panics are not

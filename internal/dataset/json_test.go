@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -93,6 +94,9 @@ func TestReadRejectsBadInput(t *testing.T) {
 		"invalid instance (no skills)": `{"version": 1, "skill_universe": 1,
 		  "workers": [{"id":0,"x":0,"y":0,"start":0,"wait":1,"velocity":1,"max_dist":1,"skills":[]}],
 		  "tasks": []}`,
+		"negative skill": `{"version": 1, "skill_universe": 1,
+		  "workers": [{"id":0,"x":0,"y":0,"start":0,"wait":1,"velocity":1,"max_dist":1,"skills":[-1]}],
+		  "tasks": []}`,
 		"cyclic deps": `{"version": 1, "skill_universe": 1, "workers": [],
 		  "tasks": [
 		    {"id":0,"x":0,"y":0,"start":0,"wait":1,"requires":0,"deps":[1]},
@@ -166,5 +170,69 @@ func TestWriteCompactRoundTripsAndIsSmaller(t *testing.T) {
 	}
 	if len(out.Workers) != len(in.Workers) || len(out.Tasks) != len(in.Tasks) {
 		t.Error("compact round trip lost population")
+	}
+}
+
+// TestScanRecognisesWrittenInstances: the one-pass scan reads what Write and
+// WriteCompact produce, instead of bailing to the strict decoder, and
+// decodes exactly what the strict decoder does.
+func TestScanRecognisesWrittenInstances(t *testing.T) {
+	synth, err := gen.Synthetic(gen.DefaultSynthetic().Scale(0.01))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []*model.Instance{model.Example1(), synth, {}} {
+		for _, write := range []func(io.Writer, *model.Instance) error{Write, WriteCompact} {
+			var buf bytes.Buffer
+			if err := write(&buf, in); err != nil {
+				t.Fatal(err)
+			}
+			fast, ok := scanDoc(buf.Bytes())
+			if !ok {
+				t.Fatalf("scan bailed on a written instance:\n%.200s", buf.Bytes())
+			}
+			strict, err := decodeStrict(buf.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(fast, strict) {
+				t.Fatal("scan and strict decoder disagree on a written instance")
+			}
+		}
+	}
+}
+
+// TestScanBailsOnWhatItCannotMirror: inputs the scan must leave to the
+// strict decoder, because it would decode them differently or not at all.
+func TestScanBailsOnWhatItCannotMirror(t *testing.T) {
+	const w = `{"id":0,"x":0,"y":0,"start":0,"wait":1,"velocity":1,"max_dist":1,"skills":[0]}`
+	doc := func(worker string) string {
+		return `{"version":1,"skill_universe":1,"workers":[` + worker + `],"tasks":[]}`
+	}
+	if _, ok := scanDoc([]byte(doc(w))); !ok {
+		t.Fatal("scan bailed on the well-formed base document")
+	}
+	for _, body := range []string{
+		doc(strings.Replace(w, `"x":0`, `"x":+1`, 1)),
+		doc(strings.Replace(w, `"x":0`, `"x":.5`, 1)),
+		doc(strings.Replace(w, `"x":0`, `"x":01`, 1)),
+		doc(strings.Replace(w, `"x":0`, `"x":1.`, 1)),
+		doc(strings.Replace(w, `"x":0`, `"x":1e999`, 1)),
+		doc(strings.Replace(w, `"x":0`, `"x":null`, 1)),
+		doc(strings.Replace(w, `"x":0`, `"X":0`, 1)),
+		doc(strings.Replace(w, `"x":0`, `"x":0,"x":1`, 1)),
+		doc(strings.Replace(w, `"x":0`, `"\u0078":0`, 1)),
+		doc(strings.Replace(w, `"id":0`, `"id":1e0`, 1)),
+		doc(strings.Replace(w, `"id":0`, `"id":4294967296`, 1)),
+		doc(strings.Replace(w, `"skills":[0]`, `"skills":[2.0]`, 1)),
+		doc(strings.Replace(w, `"skills":[0]`, `"skills":[-1]`, 1)),
+		doc(strings.Replace(w, `"skills":[0]`, `"skills":null`, 1)),
+		doc(strings.Replace(w, `"skills":[0]`, `"skills":[0,]`, 1)),
+		doc(w) + ` {}`,
+		doc(w)[:len(doc(w))-1],
+	} {
+		if _, ok := scanDoc([]byte(body)); ok {
+			t.Errorf("scan recognised %s", body)
+		}
 	}
 }

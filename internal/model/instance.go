@@ -82,6 +82,9 @@ func (in *Instance) Validate() error {
 	// seen[d] == i+1 marks dependency t_d as already listed by task i: one
 	// stamp slice for the whole duplicate check, never cleared.
 	seen := make([]int32, len(in.Tasks))
+	// ordered stays true while every dependency names a lower ID than its
+	// owner, the order the generators and the server build.
+	ordered := true
 	for i := range in.Tasks {
 		t := &in.Tasks[i]
 		if int(t.ID) != i {
@@ -104,7 +107,12 @@ func (in *Instance) Validate() error {
 				return fmt.Errorf("model: task t%d lists dependency t%d twice", t.ID, d)
 			}
 			seen[d] = int32(i + 1)
+			ordered = ordered && d < t.ID
 		}
+	}
+	// A graph whose every edge points to a lower ID has no cycle.
+	if ordered {
+		return nil
 	}
 	// Every list now names known tasks other than its owner, once each, and
 	// task IDs are positions, so the lists are exactly the adjacency

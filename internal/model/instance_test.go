@@ -101,6 +101,9 @@ func TestValidateMessagesExact(t *testing.T) {
 			"model: task t4 lists dependency t3 twice"},
 		{func(in *Instance) { in.Tasks[2].Deps = []TaskID{0, 1, 0} },
 			"model: task t2 lists dependency t0 twice"},
+		// Only t0's dependency names a higher ID; the cycle runs through it.
+		{func(in *Instance) { in.Tasks[3].Deps = []TaskID{2}; in.Tasks[0].Deps = []TaskID{3} },
+			"model: dependency cycle [3 2 0]: dag: dependency cycle detected"},
 	}
 	for i, tc := range cases {
 		in := Example1()
@@ -108,6 +111,16 @@ func TestValidateMessagesExact(t *testing.T) {
 		if err := in.Validate(); err == nil || err.Error() != tc.want {
 			t.Errorf("case %d: err = %v, want %q", i, err, tc.want)
 		}
+	}
+}
+
+// TestValidateAcceptsHigherIDDependency: a dependency on a higher ID is no
+// cycle by itself; Validate searches and finds none.
+func TestValidateAcceptsHigherIDDependency(t *testing.T) {
+	in := Example1()
+	in.Tasks[0].Deps = []TaskID{3}
+	if err := in.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,243 +1,79 @@
 package server
 
 import (
-	"strconv"
 	"sync"
 
-	"dasc/internal/model"
+	"dasc/internal/dataset"
 )
 
 // Fast-path decoding for the two registration DTOs. POST /v1/workers and
 // POST /v1/tasks dominate the ingest benchmark, and the generic
 // encoding/json decoder is a measurable slice of per-request CPU there. The
-// bodies are tiny flat objects with numeric fields and integer arrays, so a
-// hand-rolled scanner covers the common case; ANYTHING it does not fully
-// recognise (escapes, strings, nested objects, unknown keys, out-of-range
-// numbers, trailing data) makes it bail and the caller re-parses with the
-// strict json.Decoder, which produces the proper error or handles the
-// oddity. The fast path therefore never changes observable behaviour — it
-// only skips reflection for well-formed requests.
+// bodies are tiny flat objects with numeric fields and integer arrays, which
+// the strict scanner the snapshot and instance decoders share
+// (dataset.Scanner) reads in one pass. ANYTHING it does not fully recognise
+// (escapes, strings, null, nested objects, unknown or repeated keys, numbers
+// outside the JSON grammar or the field's range, trailing data) makes it
+// bail and the caller re-parses with the strict json.Decoder, which produces
+// the proper error or handles the oddity. The fast path therefore never
+// changes observable behaviour — it only skips reflection for well-formed
+// requests.
 
-// dtoScan is a minimal JSON scanner over a complete body.
-type dtoScan struct {
-	b []byte
-	i int
-}
-
-func (s *dtoScan) ws() {
-	for s.i < len(s.b) {
-		switch s.b[s.i] {
-		case ' ', '\t', '\n', '\r':
-			s.i++
-		default:
-			return
-		}
-	}
-}
-
-// lit consumes c (after whitespace) and reports whether it was present.
-func (s *dtoScan) lit(c byte) bool {
-	s.ws()
-	if s.i < len(s.b) && s.b[s.i] == c {
-		s.i++
-		return true
-	}
-	return false
-}
-
-// key consumes a quoted object key with no escape sequences.
-func (s *dtoScan) key() (string, bool) {
-	if !s.lit('"') {
-		return "", false
-	}
-	start := s.i
-	for s.i < len(s.b) {
-		switch s.b[s.i] {
-		case '\\':
-			return "", false // escapes → generic decoder
-		case '"':
-			k := string(s.b[start:s.i])
-			s.i++
-			return k, true
-		}
-		s.i++
-	}
-	return "", false
-}
-
-// number consumes a JSON number token. Out-of-range values (1e999) fail here
-// so the strict decoder can report them exactly as it always has.
-func (s *dtoScan) number() (float64, bool) {
-	s.ws()
-	start := s.i
-	for s.i < len(s.b) {
-		switch c := s.b[s.i]; {
-		case c >= '0' && c <= '9', c == '-', c == '+', c == '.', c == 'e', c == 'E':
-			s.i++
-		default:
-			goto done
-		}
-	}
-done:
-	if s.i == start {
-		return 0, false
-	}
-	f, err := strconv.ParseFloat(string(s.b[start:s.i]), 64)
-	if err != nil {
-		return 0, false
-	}
-	return f, true
-}
-
-// intArray consumes [n, n, ...] of integers (the skills / deps wire shape).
-func (s *dtoScan) intArray() ([]int64, bool) {
-	if !s.lit('[') {
-		return nil, false
-	}
-	if s.lit(']') {
-		return nil, true
-	}
-	var out []int64
-	for {
-		f, ok := s.number()
-		if !ok {
-			return nil, false
-		}
-		n := int64(f)
-		if float64(n) != f {
-			return nil, false // fractional or overflowing → generic decoder
-		}
-		out = append(out, n)
-		if s.lit(',') {
-			continue
-		}
-		if s.lit(']') {
-			return out, true
-		}
-		return nil, false
-	}
-}
-
-// end reports whether only whitespace remains. The generic path (one
-// json.Decoder.Decode call) ignores trailing bytes, so trailing data is not
-// an error — but it IS unusual, and bailing keeps this scanner honest.
-func (s *dtoScan) end() bool {
-	s.ws()
-	return s.i == len(s.b)
-}
+var (
+	workerDTOKeys = []string{"x", "y", "start", "wait", "velocity", "max_dist", "skills"}
+	taskDTOKeys   = []string{"x", "y", "start", "wait", "requires", "deps", "weight"}
+)
 
 // parseWorkerDTO fast-parses a POST /v1/workers body into d, reporting
 // whether it fully recognised the input. false means "use the real decoder",
 // not "invalid".
 func parseWorkerDTO(body []byte, d *workerDTO) bool {
-	s := dtoScan{b: body}
-	if !s.lit('{') {
-		return false
-	}
-	if s.lit('}') {
-		return s.end()
-	}
-	for {
-		k, ok := s.key()
-		if !ok || !s.lit(':') {
-			return false
-		}
+	s := dataset.NewScanner(body)
+	return s.Object(workerDTOKeys, func(k int) bool {
+		var ok bool
 		switch k {
-		case "x":
-			d.X, ok = s.number()
-		case "y":
-			d.Y, ok = s.number()
-		case "start":
-			d.Start, ok = s.number()
-		case "wait":
-			d.Wait, ok = s.number()
-		case "velocity":
-			d.Velocity, ok = s.number()
-		case "max_dist":
-			d.MaxDist, ok = s.number()
-		case "skills":
-			var arr []int64
-			arr, ok = s.intArray()
-			if ok {
-				d.Skills = d.Skills[:0]
-				for _, n := range arr {
-					d.Skills = append(d.Skills, model.Skill(n))
-				}
-			}
+		case 0:
+			d.X, ok = s.Float()
+		case 1:
+			d.Y, ok = s.Float()
+		case 2:
+			d.Start, ok = s.Float()
+		case 3:
+			d.Wait, ok = s.Float()
+		case 4:
+			d.Velocity, ok = s.Float()
+		case 5:
+			d.MaxDist, ok = s.Float()
 		default:
-			return false // unknown field → decoder reports it (DisallowUnknownFields)
+			d.Skills, ok = dataset.ScanInts(s, d.Skills[:0])
 		}
-		if !ok {
-			return false
-		}
-		if s.lit(',') {
-			continue
-		}
-		if s.lit('}') {
-			return s.end()
-		}
-		return false
-	}
+		return ok
+	}) && s.End()
 }
 
 // parseTaskDTO is parseWorkerDTO for POST /v1/tasks bodies.
 func parseTaskDTO(body []byte, d *taskDTO) bool {
-	s := dtoScan{b: body}
-	if !s.lit('{') {
-		return false
-	}
-	if s.lit('}') {
-		return s.end()
-	}
-	for {
-		k, ok := s.key()
-		if !ok || !s.lit(':') {
-			return false
-		}
+	s := dataset.NewScanner(body)
+	return s.Object(taskDTOKeys, func(k int) bool {
+		var ok bool
 		switch k {
-		case "x":
-			d.X, ok = s.number()
-		case "y":
-			d.Y, ok = s.number()
-		case "start":
-			d.Start, ok = s.number()
-		case "wait":
-			d.Wait, ok = s.number()
-		case "weight":
-			d.Weight, ok = s.number()
-		case "requires":
-			var f float64
-			f, ok = s.number()
-			if ok {
-				n := int64(f)
-				if float64(n) != f {
-					return false
-				}
-				d.Requires = model.Skill(n)
-			}
-		case "deps":
-			var arr []int64
-			arr, ok = s.intArray()
-			if ok {
-				d.Deps = d.Deps[:0]
-				for _, n := range arr {
-					d.Deps = append(d.Deps, model.TaskID(n))
-				}
-			}
+		case 0:
+			d.X, ok = s.Float()
+		case 1:
+			d.Y, ok = s.Float()
+		case 2:
+			d.Start, ok = s.Float()
+		case 3:
+			d.Wait, ok = s.Float()
+		case 4:
+			ok = dataset.ScanInt(s, &d.Requires)
+		case 5:
+			d.Deps, ok = dataset.ScanInts(s, d.Deps[:0])
 		default:
-			return false
+			d.Weight, ok = s.Float()
 		}
-		if !ok {
-			return false
-		}
-		if s.lit(',') {
-			continue
-		}
-		if s.lit('}') {
-			return s.end()
-		}
-		return false
-	}
+		return ok
+	}) && s.End()
 }
 
 // bodyPool recycles request-body buffers for the registration endpoints.

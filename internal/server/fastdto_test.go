@@ -42,6 +42,14 @@ func TestParseWorkerDTOEquivalence(t *testing.T) {
 		{"trailing garbage", `{"x":1}tail`, false},
 		{"not an object", `[1,2]`, false},
 		{"empty body", ``, false},
+		{"repeated key", `{"x":1,"x":2}`, false},
+		{"case-variant key", `{"X":1}`, false},
+		{"plus sign", `{"x":+1}`, false},
+		{"bare fraction", `{"x":.5}`, false},
+		{"leading zero", `{"x":01}`, false},
+		{"trailing dot", `{"x":1.}`, false},
+		{"exponent skill", `{"skills":[1e0]}`, false},
+		{"int32 overflow skill", `{"skills":[4294967297]}`, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -77,6 +85,12 @@ func TestParseTaskDTOEquivalence(t *testing.T) {
 		{"unknown field", `{"velocity":1}`, false},
 		{"deps of strings", `{"deps":["a"]}`, false},
 		{"out of range weight", `{"weight":-1e999}`, false},
+		{"plus sign", `{"x":+1}`, false},
+		{"bare fraction", `{"x":.5}`, false},
+		{"leading zero", `{"x":01}`, false},
+		{"trailing dot", `{"x":1.}`, false},
+		{"fractional dep", `{"deps":[2.0]}`, false},
+		{"int32 overflow requires", `{"requires":4294967297}`, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -113,4 +127,41 @@ func normTask(d taskDTO) taskDTO {
 		d.Deps = nil
 	}
 	return d
+}
+
+// FuzzParseDTO holds both fast parsers to the strict decoder on arbitrary
+// bodies: whenever a fast parser recognises a body, the strict decoder
+// accepts it too and decodes the same DTO. Bodies the strict decoder
+// rejects are therefore always left to it.
+func FuzzParseDTO(f *testing.F) {
+	for _, body := range []string{
+		`{"x":1.5,"y":-2,"start":0,"wait":1e6,"velocity":1,"max_dist":1000,"skills":[3]}`,
+		`{"x":3,"y":4,"start":1,"wait":50,"requires":2,"deps":[0,1],"weight":1.5}`,
+		`{"x":+1}`, `{"skills":[1e0]}`, `{"deps":[2.0]}`,
+		`{"requires":4294967297}`, `{"skills":[4294967297]}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var fw workerDTO
+		if parseWorkerDTO(body, &fw) {
+			var want workerDTO
+			if err := decodeStrict(t, string(body), &want); err != nil {
+				t.Fatalf("worker fast path accepted %q, which the decoder rejects: %v", body, err)
+			}
+			if !reflect.DeepEqual(normWorker(fw), normWorker(want)) {
+				t.Fatalf("worker %q: fast %+v != decoder %+v", body, fw, want)
+			}
+		}
+		var ft taskDTO
+		if parseTaskDTO(body, &ft) {
+			var want taskDTO
+			if err := decodeStrict(t, string(body), &want); err != nil {
+				t.Fatalf("task fast path accepted %q, which the decoder rejects: %v", body, err)
+			}
+			if !reflect.DeepEqual(normTask(ft), normTask(want)) {
+				t.Fatalf("task %q: fast %+v != decoder %+v", body, ft, want)
+			}
+		}
+	})
 }

@@ -23,7 +23,8 @@ const SnapshotVersion = 1
 // registries as a dataset-format instance, plus everything the instance does
 // not carry — the logical clock, dispatch state per worker, and the
 // assignment/botched/finish bookkeeping. Restoring it and replaying the
-// post-rotation journal tail reproduces the pre-crash platform exactly.
+// post-rotation journal tail reproduces the pre-crash platform exactly. The
+// strict decoder reads this shape (its field names are in its errors).
 type snapshotFile struct {
 	Version  int                   `json:"version"`
 	Now      float64               `json:"now"`
@@ -31,6 +32,23 @@ type snapshotFile struct {
 	Wasted   int                   `json:"wasted"`
 	Rogue    int                   `json:"rogue"`
 	Instance json.RawMessage       `json:"instance"`
+	Assigned []snapshotAssigned    `json:"assigned"`
+	Botched  []model.TaskID        `json:"botched,omitempty"`
+	Workers  []snapshotWorkerState `json:"worker_state"`
+}
+
+// snapshotHead and snapshotTail are snapshotFile's members before and after
+// the instance: the writer encodes them on their own and splices the
+// compact instance in between.
+type snapshotHead struct {
+	Version int     `json:"version"`
+	Now     float64 `json:"now"`
+	Batches int     `json:"batches"`
+	Wasted  int     `json:"wasted"`
+	Rogue   int     `json:"rogue"`
+}
+
+type snapshotTail struct {
 	Assigned []snapshotAssigned    `json:"assigned"`
 	Botched  []model.TaskID        `json:"botched,omitempty"`
 	Workers  []snapshotWorkerState `json:"worker_state"`
@@ -54,27 +72,25 @@ type snapshotWorkerState struct {
 func (p *Platform) WriteSnapshot(w io.Writer) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.writeSnapshotLocked(w)
+	var buf bytes.Buffer
+	if err := p.appendSnapshotLocked(&buf); err != nil {
+		return err
+	}
+	_, err := w.Write(buf.Bytes())
+	return err
 }
 
+// appendSnapshotLocked appends the snapshot document, one line, to buf:
+// the head's members, the compact instance written straight after them,
+// then the tail's members, whose opening brace becomes the separating
+// comma.
+//
 // requires: p.mu
-func (p *Platform) writeSnapshotLocked(w io.Writer) error {
-	var inst bytes.Buffer
-	if err := dataset.WriteCompact(&inst, p.instanceLocked()); err != nil {
-		return fmt.Errorf("server: snapshot instance: %w", err)
-	}
-	sf := snapshotFile{
-		Version:  SnapshotVersion,
-		Now:      p.now,
-		Batches:  p.batches,
-		Wasted:   p.wasted,
-		Rogue:    p.rogue,
-		Instance: json.RawMessage(inst.Bytes()),
-		Workers:  make([]snapshotWorkerState, len(p.workers)),
-	}
+func (p *Platform) appendSnapshotLocked(buf *bytes.Buffer) error {
+	tail := snapshotTail{Workers: make([]snapshotWorkerState, len(p.workers))}
 	for i := range p.workers {
 		ws := p.kernel.Worker(&p.workers[i])
-		sf.Workers[i] = snapshotWorkerState{
+		tail.Workers[i] = snapshotWorkerState{
 			X: ws.Loc.X, Y: ws.Loc.Y,
 			BusyUntil: ws.BusyUntil, DistUsed: ws.DistUsed, Done: ws.Done,
 		}
@@ -83,53 +99,214 @@ func (p *Platform) writeSnapshotLocked(w io.Writer) error {
 		id := p.tasks[i].ID
 		tb := p.kernel.Task(id)
 		if tb.Assigned {
-			sf.Assigned = append(sf.Assigned, snapshotAssigned{Task: id, Worker: tb.Worker, FinishAt: tb.FinishAt})
+			tail.Assigned = append(tail.Assigned, snapshotAssigned{Task: id, Worker: tb.Worker, FinishAt: tb.FinishAt})
 		}
 		if tb.Botched {
-			sf.Botched = append(sf.Botched, id)
+			tail.Botched = append(tail.Botched, id)
 		}
 	}
-	return json.NewEncoder(w).Encode(&sf)
+	enc := json.NewEncoder(buf)
+	if err := enc.Encode(&snapshotHead{
+		Version: SnapshotVersion, Now: p.now,
+		Batches: p.batches, Wasted: p.wasted, Rogue: p.rogue,
+	}); err != nil {
+		return err
+	}
+	buf.Truncate(buf.Len() - len("}\n"))
+	buf.WriteString(`,"instance":`)
+	// The encoder only reads the registries, which the lock keeps still.
+	if err := dataset.WriteCompact(buf, &model.Instance{Workers: p.workers, Tasks: p.tasks}); err != nil {
+		return fmt.Errorf("server: snapshot instance: %w", err)
+	}
+	buf.Truncate(buf.Len() - len("\n"))
+	brace := buf.Len()
+	if err := enc.Encode(&tail); err != nil {
+		return err
+	}
+	buf.Bytes()[brace] = ','
+	return nil
 }
 
 // ReadSnapshot restores a snapshot into an empty platform (one with no
 // registrations and no ticks run). The restored registries are NOT
 // re-journaled: the snapshot replaces the journal prefix it rotated away.
 func (p *Platform) ReadSnapshot(r io.Reader) error {
+	return p.readSnapshot(r, 0)
+}
+
+// readSnapshot is ReadSnapshot with a hint of the snapshot's size in bytes,
+// so the one buffer it reads into is allocated once.
+func (p *Platform) readSnapshot(r io.Reader, sizeHint int64) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(p.workers) > 0 || len(p.tasks) > 0 || p.batches > 0 {
 		return fmt.Errorf("server: snapshot restore into non-empty platform (%d workers, %d tasks, %d batches)",
 			len(p.workers), len(p.tasks), p.batches)
 	}
-	var sf snapshotFile
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sf); err != nil {
+	buf := bytes.NewBuffer(make([]byte, 0, max(sizeHint, 0)+bytes.MinRead))
+	if _, err := buf.ReadFrom(r); err != nil {
 		return fmt.Errorf("server: snapshot decode: %w", err)
 	}
-	if sf.Version != SnapshotVersion {
-		return fmt.Errorf("server: unsupported snapshot version %d (want %d)", sf.Version, SnapshotVersion)
+	// One scan straight into the model slices and the kernel's worker
+	// books; the strict decoder reads what the scan does not recognise.
+	d, ok := scanSnapshot(buf.Bytes())
+	if !ok {
+		var err error
+		if d, err = decodeSnapshotStrict(buf.Bytes()); err != nil {
+			return err
+		}
 	}
-	in, err := dataset.Read(bytes.NewReader(sf.Instance))
-	if err != nil {
-		return fmt.Errorf("server: snapshot instance: %w", err)
+	return p.restoreLocked(d)
+}
+
+// snapshotDoc is a decoded snapshot before restore's checks run on it.
+type snapshotDoc struct {
+	version                int
+	now                    float64
+	batches, wasted, rogue int
+	// inst is the scanned instance; instRaw the instance's bytes where the
+	// strict decoder read the snapshot.
+	inst     *dataset.Doc
+	instRaw  json.RawMessage
+	assigned []snapshotAssigned
+	botched  []model.TaskID
+	workers  []core.WorkerState
+}
+
+// instance decodes (on the strict path) and checks the snapshot's instance.
+func (d *snapshotDoc) instance() (*model.Instance, error) {
+	if d.inst != nil {
+		return d.inst.Check()
 	}
-	if len(sf.Workers) != len(in.Workers) {
-		return fmt.Errorf("server: snapshot has %d worker states for %d workers",
-			len(sf.Workers), len(in.Workers))
+	return dataset.Decode(d.instRaw)
+}
+
+// decodeSnapshotStrict decodes a snapshot with encoding/json, unknown
+// fields rejected.
+func decodeSnapshotStrict(b []byte) (*snapshotDoc, error) {
+	var sf snapshotFile
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sf); err != nil {
+		return nil, fmt.Errorf("server: snapshot decode: %w", err)
 	}
-	workers := make([]core.WorkerState, len(sf.Workers))
+	d := &snapshotDoc{
+		version: sf.Version, now: sf.Now,
+		batches: sf.Batches, wasted: sf.Wasted, rogue: sf.Rogue,
+		instRaw: sf.Instance, assigned: sf.Assigned, botched: sf.Botched,
+		workers: make([]core.WorkerState, len(sf.Workers)),
+	}
 	for i, ws := range sf.Workers {
-		workers[i] = core.WorkerState{
+		d.workers[i] = core.WorkerState{
 			Loc:       pt(ws.X, ws.Y),
 			BusyUntil: ws.BusyUntil, DistUsed: ws.DistUsed, Done: ws.Done,
 		}
 	}
+	return d, nil
+}
+
+var (
+	snapshotKeys    = []string{"version", "now", "batches", "wasted", "rogue", "instance", "assigned", "botched", "worker_state"}
+	assignedKeys    = []string{"task", "worker", "finish_at"}
+	workerStateKeys = []string{"x", "y", "busy_until", "dist_used", "done"}
+)
+
+// scanSnapshot is the one-pass decoder: false means the strict decoder must
+// read b.
+func scanSnapshot(b []byte) (*snapshotDoc, bool) {
+	s := dataset.NewScanner(b)
+	d := &snapshotDoc{}
+	ok := s.Object(snapshotKeys, func(k int) bool {
+		var ok bool
+		switch k {
+		case 0:
+			ok = dataset.ScanInt(s, &d.version)
+		case 1:
+			d.now, ok = s.Float()
+		case 2:
+			ok = dataset.ScanInt(s, &d.batches)
+		case 3:
+			ok = dataset.ScanInt(s, &d.wasted)
+		case 4:
+			ok = dataset.ScanInt(s, &d.rogue)
+		case 5:
+			d.inst, ok = dataset.ScanInstance(s)
+		case 6:
+			if s.Null() {
+				return true
+			}
+			ok = s.Array(func() bool {
+				var a snapshotAssigned
+				ok := s.Object(assignedKeys, func(k int) bool {
+					var ok bool
+					switch k {
+					case 0:
+						ok = dataset.ScanInt(s, &a.Task)
+					case 1:
+						ok = dataset.ScanInt(s, &a.Worker)
+					default:
+						a.FinishAt, ok = s.Float()
+					}
+					return ok
+				})
+				d.assigned = append(d.assigned, a)
+				return ok
+			})
+		case 7:
+			if s.Null() {
+				return true
+			}
+			d.botched, ok = dataset.ScanInts(s, d.botched)
+		default:
+			if s.Null() {
+				return true
+			}
+			ok = s.Array(func() bool {
+				var ws core.WorkerState
+				ok := s.Object(workerStateKeys, func(k int) bool {
+					var ok bool
+					switch k {
+					case 0:
+						ws.Loc.X, ok = s.Float()
+					case 1:
+						ws.Loc.Y, ok = s.Float()
+					case 2:
+						ws.BusyUntil, ok = s.Float()
+					case 3:
+						ws.DistUsed, ok = s.Float()
+					default:
+						ok = dataset.ScanInt(s, &ws.Done)
+					}
+					return ok
+				})
+				d.workers = append(d.workers, ws)
+				return ok
+			})
+		}
+		return ok
+	})
+	return d, ok && s.End()
+}
+
+// restoreLocked runs the snapshot's checks and, when they pass, installs it.
+//
+// requires: p.mu
+func (p *Platform) restoreLocked(d *snapshotDoc) error {
+	if d.version != SnapshotVersion {
+		return fmt.Errorf("server: unsupported snapshot version %d (want %d)", d.version, SnapshotVersion)
+	}
+	in, err := d.instance()
+	if err != nil {
+		return fmt.Errorf("server: snapshot instance: %w", err)
+	}
+	if len(d.workers) != len(in.Workers) {
+		return fmt.Errorf("server: snapshot has %d worker states for %d workers",
+			len(d.workers), len(in.Workers))
+	}
 	nTasks := len(in.Tasks)
 	tasks := make([]core.TaskBook, nTasks)
-	assignLog := make([]model.Pair, 0, len(sf.Assigned))
-	for _, a := range sf.Assigned {
+	assignLog := make([]model.Pair, 0, len(d.assigned))
+	for _, a := range d.assigned {
 		if a.Task < 0 || int(a.Task) >= nTasks || a.Worker < 0 || int(a.Worker) >= len(in.Workers) {
 			return fmt.Errorf("server: snapshot assignment (w%d, t%d) out of range", a.Worker, a.Task)
 		}
@@ -139,7 +316,7 @@ func (p *Platform) ReadSnapshot(r io.Reader) error {
 		tasks[a.Task] = core.TaskBook{Assigned: true, Worker: a.Worker, FinishAt: a.FinishAt}
 		assignLog = append(assignLog, model.Pair{Worker: a.Worker, Task: a.Task})
 	}
-	for _, tid := range sf.Botched {
+	for _, tid := range d.botched {
 		if tid < 0 || int(tid) >= nTasks {
 			return fmt.Errorf("server: snapshot botched task t%d out of range", tid)
 		}
@@ -147,12 +324,12 @@ func (p *Platform) ReadSnapshot(r io.Reader) error {
 	}
 	p.workers = in.Workers
 	p.tasks = in.Tasks
-	p.kernel.Restore(workers, tasks)
+	p.kernel.Restore(d.workers, tasks)
 	p.assignLog = assignLog
-	p.now = sf.Now
-	p.batches = sf.Batches
-	p.wasted = sf.Wasted
-	p.rogue = sf.Rogue
+	p.now = d.now
+	p.batches = d.batches
+	p.wasted = d.wasted
+	p.rogue = d.rogue
 	// The kernel's population is still empty (only ticks admit, and none
 	// has run), so the first tick admits and filters the whole restored
 	// history once.
@@ -190,7 +367,7 @@ func (p *Platform) saveSnapshotLocked(path string) (info SnapshotInfo, err error
 		}
 	}()
 	var buf bytes.Buffer
-	if err = p.writeSnapshotLocked(&buf); err != nil {
+	if err = p.appendSnapshotLocked(&buf); err != nil {
 		return info, err
 	}
 	dir := filepath.Dir(path)
@@ -292,17 +469,18 @@ func Recover(p *Platform, snapshotPath, journalPath string) (RecoveryReport, err
 		f, err := os.Open(snapshotPath)
 		switch {
 		case err == nil:
-			rerr := p.ReadSnapshot(f)
-			fi, serr := f.Stat()
+			var size int64
+			if fi, serr := f.Stat(); serr == nil {
+				size = fi.Size()
+			}
+			rerr := p.readSnapshot(f, size)
 			f.Close()
 			if rerr != nil {
 				return rep, fmt.Errorf("server: recover snapshot %s: %w", snapshotPath, rerr)
 			}
 			rep.SnapshotLoaded = true
 			rep.SnapshotPath = snapshotPath
-			if serr == nil {
-				rep.SnapshotBytes = fi.Size()
-			}
+			rep.SnapshotBytes = size
 		case !os.IsNotExist(err):
 			return rep, err
 		}

@@ -282,7 +282,7 @@ func TestReplayTruncatedAtEveryByteOffset(t *testing.T) {
 }
 
 // snapshotOf returns p's snapshot bytes.
-func snapshotOf(t *testing.T, p *Platform) []byte {
+func snapshotOf(t testing.TB, p *Platform) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := p.WriteSnapshot(&buf); err != nil {

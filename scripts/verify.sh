@@ -137,6 +137,29 @@ echo "== tick history micro-benchmark smoke"
 go test -run '^$' -bench BenchmarkTickHistory -benchtime=1x ./internal/server >/dev/null
 echo "tick history smoke: OK"
 
+# Restoring and writing a 200K-registration snapshot, once each; run them
+# with a real -benchtime to compare.
+echo "== snapshot codec micro-benchmark smoke"
+go test -run '^$' -bench 'Benchmark(Read|Write)Snapshot$' -benchtime=1x ./internal/server >/dev/null
+echo "snapshot codec smoke: OK"
+
+# Bounded differential fuzzing of the one-pass decoders (instance,
+# registration bodies, snapshot) against the strict encoding/json decoder
+# they fall back to, from the seed corpora under each package's
+# testdata/fuzz. A short -fuzzminimizetime keeps the budget on new inputs
+# rather than on shrinking the ones that widened coverage.
+echo "== fuzz: one-pass decoders vs the strict decoder (5s each)"
+fuzz() {
+	if ! out=$(go test -run '^$' -fuzz "^$2\$" -fuzztime 5s -fuzzminimizetime 1s "$1" 2>&1); then
+		echo "$out" >&2
+		exit 1
+	fi
+}
+fuzz ./internal/dataset FuzzRead
+fuzz ./internal/server FuzzParseDTO
+fuzz ./internal/server FuzzReadSnapshot
+echo "fuzz: OK"
+
 # One fig10-max batch's dependency resolution, dense build and map-based
 # oracle; run it with a real -benchtime to compare them.
 echo "== batch wiring micro-benchmark smoke"
