@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"dasc/internal/model"
@@ -15,7 +14,12 @@ import (
 type Allocator interface {
 	// Name returns the identifier used in experiment tables, e.g. "Greedy".
 	Name() string
-	// Assign computes the batch assignment M_b.
+	// Assign computes the batch assignment M_b. The assignment belongs to
+	// the caller. The batch, and every slice it or its index hands out, is
+	// valid only until the next Kernel.Step (a batch built by NewBatch or
+	// NewStaticBatch stays valid while it is used), so an implementation
+	// must not keep any of it past the call. Only one Assign may run on a
+	// batch at a time: allocators share the batch's step arena.
 	Assign(b *Batch) *model.Assignment
 	// DependencyAware reports whether the allocator honours the dependency
 	// constraint. For such an allocator the kernel retires every task with
@@ -67,43 +71,70 @@ func AllNames() []string {
 	return []string{NameGG, NameGame, NameGame5, NameGreedy, NameClosest, NameRandom}
 }
 
-// finishAssignment applies the batch-aware dependency fixpoint filter and
-// sorts, so every allocator returns a canonical, constraint-satisfying
-// result. Pair feasibility (skill/deadline/distance) is the allocator's
-// responsibility — every implementation only ever proposes pairs that passed
-// Batch.Feasible.
+// newAssignment returns an empty assignment with room for n pairs.
+func newAssignment(n int) *model.Assignment {
+	if n == 0 {
+		return model.NewAssignment()
+	}
+	return &model.Assignment{Pairs: make([]model.Pair, 0, n)}
+}
+
+// finishAssignment applies the batch-aware dependency fixpoint filter in
+// place and sorts, so every allocator returns a canonical,
+// constraint-satisfying result. Pair feasibility (skill/deadline/distance)
+// is the allocator's responsibility — every implementation only ever
+// proposes pairs that passed Batch.Feasible.
 func finishAssignment(b *Batch, a *model.Assignment) *model.Assignment {
-	out := DependencyFixpoint(b, a)
-	out.Sort()
-	return out
+	a.Pairs = b.arena.fixpoint(b, a.Pairs)
+	a.Sort()
+	return a
 }
 
 // DependencyFixpoint repeatedly removes pairs whose task has a dependency
 // that is neither kept in the assignment nor in b.Satisfied, until stable.
-// The result satisfies the dependency constraint by construction.
+// The result satisfies the dependency constraint by construction; it is a
+// new assignment, and a is left as it was.
 func DependencyFixpoint(b *Batch, a *model.Assignment) *model.Assignment {
-	cur := a
-	for {
-		kept := cur.TaskSet()
-		next := model.NewAssignment()
-		for _, p := range cur.Pairs {
-			t := b.In.Task(p.Task)
+	out := model.NewAssignment()
+	if len(a.Pairs) > 0 {
+		out.Pairs = b.arena.fixpoint(b, append(make([]model.Pair, 0, len(a.Pairs)), a.Pairs...))
+	}
+	return out
+}
+
+// fixpoint is DependencyFixpoint's removal loop, filtering pairs in place
+// and keeping their order; it returns nil when no pair survives. Each round
+// marks the surviving pairs' tasks with a fresh stamp in the arena's
+// task-ID table, then drops every pair with a dependency neither marked
+// nor satisfied.
+func (a *stepArena) fixpoint(b *Batch, pairs []model.Pair) []model.Pair {
+	s := &a.pairTasks
+	for len(pairs) > 0 {
+		base := s.reserve(len(b.In.Tasks), 1)
+		for _, p := range pairs {
+			if p.Task >= 0 && int(p.Task) < len(s.tag) {
+				s.tag[p.Task] = base
+			}
+		}
+		kept := pairs[:0]
+		for _, p := range pairs {
 			ok := true
-			for _, d := range t.Deps {
-				if !kept[d] && !b.Satisfied.Has(d) {
+			for _, d := range b.In.Task(p.Task).Deps {
+				if s.index(int(d), base, 1) < 0 && !b.Satisfied.Has(d) {
 					ok = false
 					break
 				}
 			}
 			if ok {
-				next.Add(p.Worker, p.Task)
+				kept = append(kept, p)
 			}
 		}
-		if next.Size() == cur.Size() {
-			return next
+		if len(kept) == len(pairs) {
+			return pairs
 		}
-		cur = next
+		pairs = kept
 	}
+	return nil
 }
 
 // DispatchOrder returns m's pairs ordered so that every pair follows the
@@ -116,43 +147,52 @@ func DependencyFixpoint(b *Batch, a *model.Assignment) *model.Assignment {
 // pairs, together at its first position. Dependency sets are acyclic, so
 // the order exists.
 func DispatchOrder(in *model.Instance, m *model.Assignment) []model.Pair {
-	n := len(m.Pairs)
-	// first[t] is t's first position in m; next chains its later ones.
-	first := make(map[model.TaskID]int, n)
-	next := make([]int, n)
-	for i := n - 1; i >= 0; i-- {
-		t := m.Pairs[i].Task
-		next[i] = -1
-		if j, ok := first[t]; ok {
-			next[i] = j
-		}
-		first[t] = i
-	}
-	visited := make(map[model.TaskID]bool, len(first))
-	out := make([]model.Pair, 0, n)
-	var visit func(id model.TaskID)
-	visit = func(id model.TaskID) {
-		if visited[id] {
-			return
-		}
-		visited[id] = true
-		for _, dep := range in.Task(id).Deps {
-			if _, ok := first[dep]; ok {
-				visit(dep)
-			}
-		}
-		for i := first[id]; i >= 0; i = next[i] {
-			out = append(out, m.Pairs[i])
-		}
-	}
-	for _, p := range m.Pairs {
-		visit(p.Task)
-	}
-	return out
+	return append(make([]model.Pair, 0, len(m.Pairs)), new(stepArena).dispatchOrder(in, m)...)
 }
 
-// newRNG returns a deterministic generator for the given seed.
-func newRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+// dispatchOrder is DispatchOrder over the arena's scratch; the result is
+// the arena's. A task of m is stamped base in pairTasks until visited and
+// base+1 after; firstPos holds its first position in m and nextPos chains
+// its later ones.
+func (a *stepArena) dispatchOrder(in *model.Instance, m *model.Assignment) []model.Pair {
+	n := len(m.Pairs)
+	s := &a.pairTasks
+	base := s.reserve(len(in.Tasks), 2)
+	a.firstPos = grown(a.firstPos, len(s.tag))
+	a.nextPos = grown(a.nextPos, n)
+	for i := n - 1; i >= 0; i-- {
+		t := m.Pairs[i].Task
+		a.nextPos[i] = -1
+		if s.index(int(t), base, 1) == 0 {
+			a.nextPos[i] = a.firstPos[t]
+		}
+		s.tag[t] = base
+		a.firstPos[t] = int32(i)
+	}
+	a.ordered = a.ordered[:0]
+	for _, p := range m.Pairs {
+		a.visitDispatch(in, m, base, p.Task)
+	}
+	return a.ordered
+}
+
+// visitDispatch appends task id's pairs to a.ordered after those of its
+// in-assignment dependencies, unless id was visited before.
+func (a *stepArena) visitDispatch(in *model.Instance, m *model.Assignment, base uint32, id model.TaskID) {
+	s := &a.pairTasks
+	if s.tag[id] != base {
+		return
+	}
+	s.tag[id] = base + 1
+	for _, dep := range in.Task(id).Deps {
+		if s.index(int(dep), base, 2) >= 0 {
+			a.visitDispatch(in, m, base, dep)
+		}
+	}
+	for i := a.firstPos[id]; i >= 0; i = a.nextPos[i] {
+		a.ordered = append(a.ordered, m.Pairs[i])
+	}
+}
 
 // stableSortByDesc sorts idxs descending by key, breaking ties by index
 // ascending, deterministically.

@@ -1,17 +1,182 @@
 package core
 
+import (
+	"math"
+	"math/rand"
+	"sync"
+	"sync/atomic"
+
+	"dasc/internal/geo"
+	"dasc/internal/model"
+)
+
+// stepArena owns every per-batch buffer of the batch built over it: the
+// population, the ID tables behind TaskIndex and WorkerIndex, the candidate
+// engine's arrays, slabs, skill buckets and grid, the dependency wiring,
+// the associative sets, Greedy's and Game's working state and the RNG.
+// Every buffer grows geometrically and is never shrunk, so once an arena
+// has seen its largest batch, building and allocating a batch over it
+// allocates nothing but what the allocator returns.
+//
+// The contract: building a batch over an arena (newBatch) invalidates the
+// previous batch built over it and everything that batch handed out —
+// its population slices, index sets, wiring, assignments' scratch. The
+// kernel builds one batch per Step over its own arena, so a Batch and
+// everything reachable from it stay valid only until the next Step.
+// NewBatch and NewStaticBatch build over a fresh arena. Only one allocator
+// call may run on a batch at a time: they share the arena's working state.
+type stepArena struct {
+	// workers and tasks are the kernel's batch population, filled by
+	// Kernel.population.
+	workers []BatchWorker
+	tasks   []*model.Task
+
+	batch Batch
+
+	// taskIDs maps the pending tasks' IDs to their indexes (TaskIndex) and
+	// is the wiring build's deduplication scratch; workerIDs maps the batch
+	// workers' IDs to their indexes (WorkerIndex).
+	taskIDs   depScratch
+	workerIDs idStamps
+
+	// The candidate engine: the index, its per-goroutine build scratch, and
+	// the pruned candidate source (skill buckets and the grid over the
+	// pending task locations).
+	idx       BatchIndex
+	scratches []buildScratch
+	buildNext atomic.Int64   // fanOut's work cursor
+	buildWG   sync.WaitGroup // fanOut's goroutines
+	scan      prunedScan
+	buckets   skillBuckets
+	grid      geo.GridIndex
+	locs      []geo.Point
+
+	wire    depWiring
+	wireCnt []int32
+
+	// atSets' sets, their pointers and their flat member backing.
+	sets    []atSet
+	setPtrs []*atSet
+	members []int
+
+	greedy greedyScratch
+	game   gameState
+	wl     gameWorklist
+	trace  GameTrace // Game.Assign's trace; AssignTraced hands out its own
+	order  []int     // Game's worker visiting order
+	kept   []bool    // dependencyFixpointIndexed's kept tasks
+	taken  []bool    // the baselines' taken tasks
+	avail  []int     // Random's free candidates of one worker
+	rnd    *rand.Rand
+
+	// pairTasks is the task-ID-indexed scratch of the assignment-level
+	// passes (dependency fixpoint, dispatch order, the dispatch's valid
+	// set); firstPos and nextPos are the dispatch order's pair chains.
+	pairTasks idStamps
+	firstPos  []int32
+	nextPos   []int32
+	ordered   []model.Pair
+}
+
+// newBatch resets the arena and builds a batch over it; the batch keeps
+// workers, tasks and satisfied without copying.
+func (a *stepArena) newBatch(in *model.Instance, workers []BatchWorker, tasks []*model.Task, satisfied model.TaskFlags) *Batch {
+	for i := range a.scratches {
+		a.scratches[i].ints.reset()
+		a.scratches[i].floats.reset()
+	}
+	b := &a.batch
+	*b = Batch{In: in, Workers: workers, Tasks: tasks, Satisfied: satisfied, dist: in.Distance(), arena: a}
+	b.taskBase = a.taskIDs.begin(in, tasks)
+	size := len(in.Workers)
+	for i := range workers {
+		size = max(size, int(workers[i].W.ID)+1)
+	}
+	b.workerBase = a.workerIDs.reserve(size, len(workers))
+	for i := range workers {
+		if id := workers[i].W.ID; id >= 0 {
+			a.workerIDs.tag[id] = b.workerBase + uint32(i)
+		}
+	}
+	return b
+}
+
+// rng returns the arena's generator reseeded to seed, which replays the
+// stream of a fresh rand.New(rand.NewSource(seed)).
+func (a *stepArena) rng(seed int64) *rand.Rand {
+	if a.rnd == nil {
+		a.rnd = rand.New(rand.NewSource(seed))
+	} else {
+		a.rnd.Seed(seed)
+	}
+	return a.rnd
+}
+
+// idStamps is a generation-stamped table indexed by ID. Each use reserves a
+// fresh range of stamps above every stamp written before, so entries left
+// by earlier uses never match and nothing is cleared between uses; a use
+// costs O(its own entries) however large the table is.
+type idStamps struct {
+	tag  []uint32
+	next uint32 // first stamp the next use may take; 0 before first use
+}
+
+// reserve grows the table to cover IDs below size and returns the base of
+// n fresh stamps [base, base+n).
+func (s *idStamps) reserve(size, n int) uint32 {
+	if grow := size - len(s.tag); grow > 0 {
+		s.tag = append(s.tag, make([]uint32, grow)...)
+	}
+	switch {
+	case s.next == 0:
+		// Fresh: the table holds no stamp yet.
+		s.next = 1
+	case uint64(s.next)+uint64(n) > math.MaxUint32:
+		// Clear the whole capacity: a later growth within it must not
+		// expose a stamp from before the wrap.
+		clear(s.tag[:cap(s.tag)])
+		s.next = 1
+	}
+	base := s.next
+	s.next += uint32(n)
+	return base
+}
+
+// index returns i when id holds stamp base+i with i < n, and -1 otherwise.
+func (s *idStamps) index(id int, base uint32, n int) int {
+	if id < 0 || id >= len(s.tag) {
+		return -1
+	}
+	if i := s.tag[id] - base; i < uint32(n) {
+		return int(i)
+	}
+	return -1
+}
+
+// grown returns a length-n slice reusing s's capacity when possible and at
+// least doubling it otherwise, so a buffer resized batch after batch
+// reallocates O(log n) times. The contents are unspecified; callers must
+// initialise them.
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, max(n, 2*cap(s)))
+	}
+	return s[:n]
+}
+
 // slab is a bump allocator that carves exact-length slices out of large
 // blocks, so a build that used to pay one heap allocation per worker pays
-// one per block instead (O(goroutines + pairs/slabBlock) for a whole
-// batch). A slab is single-owner: every build goroutine carries its own.
+// one per block instead, and nothing once its blocks cover the largest
+// batch. A slab is single-owner: every build goroutine carries its own.
 //
-// Ownership of the carved memory follows the carved slices, not the slab:
-// blocks stay reachable exactly as long as something holds a slice into
-// them, so a slab can be dropped without invalidating what it handed out.
+// The blocks belong to the arena: reset hands them out again from the
+// first, so a carved slice stays valid only until its arena's next batch.
 // Carved slices are capped with a three-index expression, so appending to
 // one can never bleed into its neighbour.
 type slab[T any] struct {
-	buf []T
+	buf    []T   // the block being carved
+	blocks [][]T // every block opened, in carving order
+	next   int   // blocks[next] is the first not yet carved since reset
 	// carved and allocd count elements handed out vs. freshly allocated in
 	// blocks, for the arena-economy observability counters.
 	carved int64
@@ -23,20 +188,21 @@ type slab[T any] struct {
 // waste of an almost-full block stays in the tens of kilobytes.
 const slabBlock = 4096
 
-// carve copies src into memory carved from the current block, opening a
-// new one when the remainder is too small; an empty src returns nil.
+// reset makes every block available for carving again.
+func (s *slab[T]) reset() {
+	s.buf = nil
+	s.next = 0
+}
+
+// carve copies src into memory carved from the current block, moving to
+// the next block when the remainder is too small; an empty src returns nil.
 func (s *slab[T]) carve(src []T) []T {
 	n := len(src)
 	if n == 0 {
 		return nil
 	}
 	if cap(s.buf)-len(s.buf) < n {
-		blk := slabBlock
-		if n > blk {
-			blk = n
-		}
-		s.buf = make([]T, 0, blk)
-		s.allocd += int64(blk)
+		s.open(n)
 	}
 	off := len(s.buf)
 	s.buf = s.buf[:off+n]
@@ -44,6 +210,23 @@ func (s *slab[T]) carve(src []T) []T {
 	dst := s.buf[off : off+n : off+n]
 	copy(dst, src)
 	return dst
+}
+
+// open makes the next block with room for n the current one: a block of an
+// earlier batch when one is left, a fresh one otherwise.
+func (s *slab[T]) open(n int) {
+	for s.next < len(s.blocks) {
+		blk := s.blocks[s.next]
+		s.next++
+		if cap(blk) >= n {
+			s.buf = blk[:0]
+			return
+		}
+	}
+	s.buf = make([]T, 0, max(slabBlock, n))
+	s.blocks = append(s.blocks, s.buf)
+	s.next = len(s.blocks)
+	s.allocd += int64(cap(s.buf))
 }
 
 // buildScratch is the per-goroutine working state of an index build: the

@@ -24,8 +24,10 @@ type atSet struct {
 // bypass Instance.Validate) must not double-count the set's weight or make
 // staff demand two distinct workers for one task — that would turn a
 // staffable set spuriously infeasible. A self-dependency is the anchor
-// itself. The sets and their member lists are carved from two flat slabs.
+// itself. The sets and their member lists are carved from two flat arrays
+// of the batch's step arena, so a batch's sets are rebuilt by each call.
 func atSets(b *Batch) []*atSet {
+	a := b.arena
 	w := b.depWiring()
 	live, size := 0, 0
 	for ti := range b.Tasks {
@@ -34,14 +36,17 @@ func atSets(b *Batch) []*atSet {
 			size += 1 + len(w.deps(ti))
 		}
 	}
-	slab := make([]atSet, live)
-	mem := make([]int, 0, size)
-	sets := make([]*atSet, 0, live)
+	// mem and sets only ever append within the capacity reserved here.
+	a.sets = grown(a.sets, live)
+	a.members = grown(a.members, size)
+	a.setPtrs = grown(a.setPtrs, live)
+	slab, mem, sets := a.sets, a.members[:0], a.setPtrs[:0]
 	for ti := range b.Tasks {
 		if w.deadTask[ti] {
 			continue
 		}
 		s := &slab[len(sets)]
+		*s = atSet{}
 		start := len(mem)
 		mem = append(mem, ti)
 		for _, di := range w.deps(ti) {
@@ -50,6 +55,7 @@ func atSets(b *Batch) []*atSet {
 			}
 		}
 		s.anchor = ti
+		//lint:poolescape-ok s is itself one of the arena's sets, so its member list aliases only the arena
 		s.members = mem[start:len(mem):len(mem)]
 		s.alive = len(s.members)
 		for _, mi := range s.members {
@@ -60,10 +66,9 @@ func atSets(b *Batch) []*atSet {
 	return sets
 }
 
-// aliveMembers returns the member task indexes not yet assigned, given the
-// assigned marker slice (indexed by pending task index).
-func (s *atSet) aliveMembers(assigned []bool) []int {
-	out := make([]int, 0, s.alive)
+// aliveMembers appends to out the member task indexes not yet assigned,
+// given the assigned marker slice (indexed by pending task index).
+func (s *atSet) aliveMembers(assigned []bool, out []int) []int {
 	for _, ti := range s.members {
 		if !assigned[ti] {
 			out = append(out, ti)

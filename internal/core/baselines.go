@@ -25,8 +25,8 @@ func (c *Closest) DependencyAware() bool { return false }
 
 // Assign implements Allocator.
 func (c *Closest) Assign(b *Batch) *model.Assignment {
-	out := model.NewAssignment()
-	taken := make([]bool, len(b.Tasks))
+	out := newAssignment(min(len(b.Workers), len(b.Tasks)))
+	taken := b.arena.takenTasks(len(b.Tasks))
 	idx := b.Index()
 	for wi := range b.Workers {
 		best := -1
@@ -70,11 +70,11 @@ func (r *Random) DependencyAware() bool { return false }
 
 // Assign implements Allocator.
 func (r *Random) Assign(b *Batch) *model.Assignment {
-	rng := newRNG(r.seed)
-	out := model.NewAssignment()
-	taken := make([]bool, len(b.Tasks))
+	rng := b.arena.rng(r.seed)
+	out := newAssignment(min(len(b.Workers), len(b.Tasks)))
+	taken := b.arena.takenTasks(len(b.Tasks))
 	idx := b.Index()
-	var avail []int
+	avail := b.arena.avail
 	for wi := range b.Workers {
 		avail = avail[:0]
 		for _, ti := range idx.StrategySet(wi) {
@@ -89,6 +89,14 @@ func (r *Random) Assign(b *Batch) *model.Assignment {
 		taken[ti] = true
 		out.Add(b.Workers[wi].W.ID, b.Tasks[ti].ID)
 	}
+	b.arena.avail = avail
 	out.Sort()
 	return out
+}
+
+// takenTasks returns the arena's cleared taken-task markers for n tasks.
+func (a *stepArena) takenTasks(n int) []bool {
+	a.taken = grown(a.taken, n)
+	clear(a.taken)
+	return a.taken
 }

@@ -34,6 +34,13 @@ type BatchWorker struct {
 // Batch is the input of one batch process: the active workers W_b, the
 // pending tasks T_b, and the set of tasks whose dependency obligations are
 // already met by earlier batches.
+//
+// A batch reads and builds everything from its step arena (stepArena): the
+// candidate engine, the dependency wiring and the allocators' working
+// state. A batch built by Kernel.Step, and everything reachable from it —
+// its Workers and Tasks, its index's sets, the slices an allocator was
+// handed — stays valid only until the kernel's next Step, which reuses the
+// arena. Only one allocator call may run on a batch at a time.
 type Batch struct {
 	In      *model.Instance
 	Workers []BatchWorker
@@ -42,9 +49,13 @@ type Batch struct {
 	// dependency on such a task is considered met. The batch only reads it.
 	Satisfied model.TaskFlags
 
-	dist    geo.DistanceFunc
-	pending map[model.TaskID]int   // task ID -> index into Tasks
-	widx    map[model.WorkerID]int // worker ID -> index into Workers
+	dist geo.DistanceFunc
+
+	// arena owns every buffer the batch builds; taskBase and workerBase are
+	// the batch's stamps in the arena's ID tables (TaskIndex, WorkerIndex).
+	arena      *stepArena
+	taskBase   uint32
+	workerBase uint32
 
 	idxOnce sync.Once
 	idx     *BatchIndex
@@ -64,42 +75,30 @@ type Batch struct {
 
 // NewStaticBatch wraps a whole instance as a single batch, the setting of
 // the paper's per-batch analysis and of the small-scale experiment: every
-// worker at its declared location with its full budget.
+// worker at its declared location with its full budget. The batch has a
+// step arena of its own.
 func NewStaticBatch(in *model.Instance) *Batch {
-	b := &Batch{In: in}
+	var workers []BatchWorker
+	var tasks []*model.Task
 	for i := range in.Workers {
 		w := &in.Workers[i]
-		b.Workers = append(b.Workers, BatchWorker{
+		workers = append(workers, BatchWorker{
 			W: w, Loc: w.Loc, ReadyAt: w.Start, DistBudget: w.MaxDist,
 		})
 	}
 	for i := range in.Tasks {
-		b.Tasks = append(b.Tasks, &in.Tasks[i])
+		tasks = append(tasks, &in.Tasks[i])
 	}
-	b.init()
-	return b
+	return new(stepArena).newBatch(in, workers, tasks, nil)
 }
 
-// NewBatch assembles a batch from explicit worker states and task pointers.
-// satisfied may be nil; the batch keeps it without copying and never writes
-// it, so a platform can hand over its persistent set as long as it does not
-// change the set while the batch is being allocated.
+// NewBatch assembles a batch from explicit worker states and task pointers,
+// with a step arena of its own. satisfied may be nil; the batch keeps it
+// without copying and never writes it, so a platform can hand over its
+// persistent set as long as it does not change the set while the batch is
+// being allocated.
 func NewBatch(in *model.Instance, workers []BatchWorker, tasks []*model.Task, satisfied model.TaskFlags) *Batch {
-	b := &Batch{In: in, Workers: workers, Tasks: tasks, Satisfied: satisfied}
-	b.init()
-	return b
-}
-
-func (b *Batch) init() {
-	b.dist = b.In.Distance()
-	b.pending = make(map[model.TaskID]int, len(b.Tasks))
-	for i, t := range b.Tasks {
-		b.pending[t.ID] = i
-	}
-	b.widx = make(map[model.WorkerID]int, len(b.Workers))
-	for i := range b.Workers {
-		b.widx[b.Workers[i].W.ID] = i
-	}
+	return new(stepArena).newBatch(in, workers, tasks, satisfied)
 }
 
 // Dist returns the batch's travel metric.
@@ -116,10 +115,7 @@ func (b *Batch) Recorder() *obs.BatchRec { return b.rec }
 // TaskIndex returns the index of task id within b.Tasks, or -1 when the task
 // is not pending in this batch.
 func (b *Batch) TaskIndex(id model.TaskID) int {
-	if i, ok := b.pending[id]; ok {
-		return i
-	}
-	return -1
+	return b.arena.taskIDs.index(int(id), b.taskBase, len(b.Tasks))
 }
 
 // WorkerIndex returns the index of worker id within b.Workers, or -1 when the
@@ -127,10 +123,7 @@ func (b *Batch) TaskIndex(id model.TaskID) int {
 // instead of a bare map lookup: a zero-value miss would silently resolve to
 // batch worker 0.
 func (b *Batch) WorkerIndex(id model.WorkerID) int {
-	if i, ok := b.widx[id]; ok {
-		return i
-	}
-	return -1
+	return b.arena.workerIDs.index(int(id), b.workerBase, len(b.Workers))
 }
 
 // DropUnknownWorkers removes from m every pair naming a worker that is not

@@ -5,8 +5,6 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"dasc/internal/geo"
 	"dasc/internal/model"
@@ -37,7 +35,8 @@ import (
 //
 // Construction fans out across a runtime.NumCPU()-bounded worker pool; each
 // goroutine owns a disjoint range of per-worker result slots, so the output
-// is deterministic and identical to the serial build.
+// is deterministic and identical to the serial build. The index and all its
+// arrays live in the batch's step arena and are rebuilt in place.
 type BatchIndex struct {
 	b *Batch
 
@@ -46,8 +45,11 @@ type BatchIndex struct {
 	strategies [][]int32
 	costs      [][]float64
 	// candidates[ti] lists the batch worker indexes that can feasibly take
-	// pending task ti, ascending.
-	candidates [][]int32
+	// pending task ti, ascending, carved from candBacking; candCount is the
+	// inversion's per-task count.
+	candidates  [][]int32
+	candBacking []int32
+	candCount   []int32
 }
 
 // minParallelWorkers gates the goroutine fan-out: below this many batch
@@ -68,12 +70,15 @@ func newBatchIndex(b *Batch) *BatchIndex {
 // newBatchIndexN is newBatchIndex with an explicit pool bound, so tests can
 // force the concurrent path on any machine.
 func newBatchIndexN(b *Batch, procs int) *BatchIndex {
-	idx := &BatchIndex{
-		b:          b,
-		strategies: make([][]int32, len(b.Workers)),
-		costs:      make([][]float64, len(b.Workers)),
-		candidates: make([][]int32, len(b.Tasks)),
-	}
+	a := b.arena
+	idx := &a.idx
+	idx.b = b
+	idx.strategies = grown(idx.strategies, len(b.Workers))
+	clear(idx.strategies)
+	idx.costs = grown(idx.costs, len(b.Workers))
+	clear(idx.costs)
+	idx.candidates = grown(idx.candidates, len(b.Tasks))
+	clear(idx.candidates)
 	if len(b.Workers) == 0 || len(b.Tasks) == 0 {
 		return idx
 	}
@@ -81,7 +86,9 @@ func newBatchIndexN(b *Batch, procs int) *BatchIndex {
 	// Skill buckets over the pending tasks. Each task has exactly one
 	// required skill, so the buckets partition the batch (less the tasks no
 	// batch worker can take).
-	ps := prunedScan{buckets: newSkillBuckets(b, skillLimit(b))}
+	a.buckets.build(b, skillLimit(b))
+	ps := &a.scan
+	*ps = prunedScan{buckets: &a.buckets}
 
 	// Spatial grid over the pending task locations, keyed by task index,
 	// when the metric allows Euclidean pruning. boxScale converts a metric
@@ -90,10 +97,12 @@ func newBatchIndexN(b *Batch, procs int) *BatchIndex {
 	// choice.
 	if scale, ok := geo.EuclideanBoundScale(b.In.Dist); ok {
 		box := pendingBBox(b)
-		ps.grid = geo.NewGridIndex(box, len(b.Tasks)+1)
+		a.locs = grown(a.locs, len(b.Tasks))
 		for ti, t := range b.Tasks {
-			ps.grid.Insert(ti, t.Loc)
+			a.locs[ti] = t.Loc
 		}
+		a.grid.Reset(box, len(b.Tasks)+1, a.locs)
+		ps.grid = &a.grid
 		ps.boxScale = scale
 		area := box.Width() * box.Height()
 		if area <= 0 {
@@ -102,7 +111,7 @@ func newBatchIndexN(b *Batch, procs int) *BatchIndex {
 		ps.density = float64(len(b.Tasks)) / area
 	}
 
-	scs := fanOut(len(b.Workers), procs, func(wi int, sc *buildScratch) { ps.scan(b, wi, idx, sc) })
+	scs := fanOut(len(b.Workers), procs, a, func(wi int, sc *buildScratch) { ps.scan(b, wi, idx, sc) })
 	for p := range scs {
 		scs[p].flushArena(b)
 	}
@@ -113,22 +122,27 @@ func newBatchIndexN(b *Batch, procs int) *BatchIndex {
 
 // fanOut runs work(wi, sc) for every wi in [0, nw) over up to procs
 // goroutines, each claiming buildChunk workers per atomic increment and
-// owning one scratch, and returns the scratches for the caller to flush.
-// Below minParallelWorkers, or with one proc, it runs serially on one
-// scratch. Work for wi must depend only on wi's inputs and write only wi's
-// slots, so the result does not depend on scheduling.
-func fanOut(nw, procs int, work func(wi int, sc *buildScratch)) []buildScratch {
+// owning one of the arena's build scratches, and returns the scratches used
+// for the caller to flush. Below minParallelWorkers, or with one proc, it
+// runs serially on one scratch. Work for wi must depend only on wi's inputs
+// and write only wi's slots, so the result does not depend on scheduling.
+func fanOut(nw, procs int, a *stepArena, work func(wi int, sc *buildScratch)) []buildScratch {
 	procs = min(procs, (nw+buildChunk-1)/buildChunk)
 	if nw < minParallelWorkers || procs <= 1 {
-		scs := make([]buildScratch, 1)
+		procs = 1
+	}
+	for len(a.scratches) < procs {
+		a.scratches = append(a.scratches, buildScratch{})
+	}
+	scs := a.scratches[:procs]
+	if procs == 1 {
 		for wi := 0; wi < nw; wi++ {
 			work(wi, &scs[0])
 		}
 		return scs
 	}
-	scs := make([]buildScratch, procs)
-	var next atomic.Int64
-	var wg sync.WaitGroup
+	next, wg := &a.buildNext, &a.buildWG
+	next.Store(0)
 	for p := range scs {
 		wg.Add(1)
 		go func(sc *buildScratch) {
@@ -172,12 +186,15 @@ func skillLimit(b *Batch) model.Skill {
 	return lim
 }
 
-// newSkillBuckets buckets every pending task of b below limit, ascending.
-func newSkillBuckets(b *Batch, limit model.Skill) *skillBuckets {
+// build buckets every pending task of b below limit, ascending, reusing
+// the table's arrays.
+func (sb *skillBuckets) build(b *Batch, limit model.Skill) {
 	// Count bucket sk into off[sk+2], so the prefix sum leaves bucket sk's
 	// start in off[sk+1] and the fill, bumping off[sk+1] as a cursor, ends
 	// with it at bucket sk's end.
-	sb := &skillBuckets{off: make([]int32, int(limit)+2)}
+	sb.off = grown(sb.off, int(limit)+2)
+	clear(sb.off)
+	sb.mask.Clear()
 	for _, t := range b.Tasks {
 		if sk := t.Requires; sk >= 0 && sk < limit {
 			sb.off[sk+2]++
@@ -189,14 +206,13 @@ func newSkillBuckets(b *Batch, limit model.Skill) *skillBuckets {
 		}
 		sb.off[sk+2] += sb.off[sk+1]
 	}
-	sb.dat = make([]int32, sb.off[limit+1])
+	sb.dat = grown(sb.dat, int(sb.off[limit+1]))
 	for ti, t := range b.Tasks {
 		if sk := t.Requires; sk >= 0 && sk < limit {
 			sb.dat[sb.off[sk+1]] = int32(ti)
 			sb.off[sk+1]++
 		}
 	}
-	return sb
 }
 
 // bucket returns the pending-task indexes requiring sk; sk must be in mask.
@@ -276,9 +292,11 @@ func (ps *prunedScan) scan(b *Batch, wi int, idx *BatchIndex, sc *buildScratch) 
 // invertStrategies derives the per-task candidate lists from the strategy
 // sets. Iterating workers ascending keeps every list ascending without a
 // sort. All lists are carved out of one backing array sized by the exact
-// per-task counts, so the inversion costs two allocations, not one per task.
+// per-task counts, both reused from batch to batch.
 func (idx *BatchIndex) invertStrategies() {
-	counts := make([]int32, len(idx.candidates))
+	idx.candCount = grown(idx.candCount, len(idx.candidates))
+	counts := idx.candCount
+	clear(counts)
 	total := 0
 	for wi := range idx.strategies {
 		for _, ti := range idx.strategies[wi] {
@@ -286,7 +304,8 @@ func (idx *BatchIndex) invertStrategies() {
 		}
 		total += len(idx.strategies[wi])
 	}
-	backing := make([]int32, total)
+	idx.candBacking = grown(idx.candBacking, total)
+	backing := idx.candBacking
 	off := 0
 	for ti, n := range counts {
 		if n > 0 {

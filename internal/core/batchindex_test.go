@@ -242,7 +242,7 @@ func TestAtSetsDedupDuplicateDeps(t *testing.T) {
 			candidates[ti] = b.Index().CandidateSet(ti)
 		}
 		free := []bool{true, true}
-		staff, ok := g.staff(b, s.members, candidates, free, newColScratch(len(b.Workers)))
+		staff, ok := g.staff(b, s.members, candidates, free)
 		if !ok || len(staff) != 2 || staff[0] == staff[1] {
 			t.Fatalf("staffing deduped set failed: staff=%v ok=%v", staff, ok)
 		}

@@ -100,19 +100,25 @@ type GameTrace struct {
 	Moved        int64     // strategy switches across all rounds
 }
 
-// Assign implements Allocator.
+// Assign implements Allocator. Its trace is kept in the batch's step arena.
 func (g *Game) Assign(b *Batch) *model.Assignment {
-	a, _ := g.AssignTraced(b)
-	return a
+	tr := &b.arena.trace
+	*tr = GameTrace{UpdateRatios: tr.UpdateRatios[:0]}
+	return g.run(b, tr)
 }
 
-// AssignTraced runs the game and additionally returns its convergence trace.
+// AssignTraced runs the game and additionally returns its convergence trace,
+// which belongs to the caller.
 func (g *Game) AssignTraced(b *Batch) (*model.Assignment, *GameTrace) {
-	rng := newRNG(g.opt.Seed)
-	gs := newGameState(b, g.opt.Alpha)
-	defer gs.release()
-	idx := b.Index()
 	trace := &GameTrace{}
+	return g.run(b, trace), trace
+}
+
+// run runs the game on b, recording its convergence in trace.
+func (g *Game) run(b *Batch, trace *GameTrace) *model.Assignment {
+	rng := b.arena.rng(g.opt.Seed)
+	gs := newGameState(b, g.opt.Alpha)
+	idx := b.Index()
 
 	g.initStrategies(b, gs, idx, rng)
 
@@ -134,10 +140,11 @@ func (g *Game) AssignTraced(b *Batch) (*model.Assignment, *GameTrace) {
 	trace.Active = active
 	if active == 0 {
 		b.rec.SetGameStats(0, 0, 0, 0, 0)
-		return model.NewAssignment(), trace
+		return model.NewAssignment()
 	}
 
-	order := make([]int, len(b.Workers))
+	b.arena.order = grown(b.arena.order, len(b.Workers))
+	order := b.arena.order
 	for i := range order {
 		order[i] = i
 	}
@@ -148,14 +155,13 @@ func (g *Game) AssignTraced(b *Batch) (*model.Assignment, *GameTrace) {
 		wl := newGameWorklist(gs)
 		g.sweepWorklist(gs, wl, idx, rng, order, maxRounds, active, trace)
 		trace.FinalUtility = wl.totalUtility(gs)
-		wl.release()
 	}
 	b.rec.SetGameStats(trace.Rounds, active, trace.Evaluated, trace.Skipped, trace.Moved)
 
 	// Resolution: one worker per task (random among claimants), then the
 	// dependency fixpoint removes assignments whose dependencies ended up
 	// unassigned.
-	return finishAssignment(b, g.resolve(b, gs, rng)), trace
+	return finishAssignment(b, g.resolve(b, gs, rng))
 }
 
 // initStrategies seeds the initial profile: a random strategy per worker
@@ -325,7 +331,7 @@ const utilityEps = 1e-12
 // resolve picks one claimant per claimed task. Among a task's claimants the
 // winner is chosen uniformly at random (the paper randomly selects one);
 // losers stay idle for this batch. The claimant lists are laid out flat in
-// the state's pooled counting-sort scratch — ascending worker order within
+// the state's counting-sort scratch — ascending worker order within
 // each task and one RNG draw per claimed task, exactly like the [][]int
 // layout it replaces, so the draw sequence (and thus every downstream
 // winner) is unchanged.
@@ -347,7 +353,13 @@ func (g *Game) resolve(b *Batch, gs *gameState, rng *rand.Rand) *model.Assignmen
 	}
 	gs.claimOff, gs.claimDat, gs.claimCur = off, dat, cur
 
-	out := model.NewAssignment()
+	claimed := 0
+	for ti := 0; ti < n; ti++ {
+		if off[ti+1] > off[ti] {
+			claimed++
+		}
+	}
+	out := newAssignment(claimed)
 	for ti := 0; ti < n; ti++ {
 		ws := dat[off[ti]:off[ti+1]]
 		if len(ws) == 0 {
@@ -367,7 +379,9 @@ func (g *Game) resolve(b *Batch, gs *gameState, rng *rand.Rand) *model.Assignmen
 // same greatest fixpoint as the ID-domain version.
 func dependencyFixpointIndexed(b *Batch, taskOf []int32) {
 	w := b.depWiring()
-	kept := make([]bool, len(b.Tasks))
+	b.arena.kept = grown(b.arena.kept, len(b.Tasks))
+	kept := b.arena.kept
+	clear(kept)
 	for _, ti := range taskOf {
 		if ti >= 0 {
 			kept[ti] = true

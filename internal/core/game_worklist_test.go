@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"dasc/internal/model"
 )
 
 // gameWorklistMatrix is the full option matrix the differential tests sweep:
@@ -157,27 +159,33 @@ func TestHarmonicMemoMatchesLoop(t *testing.T) {
 	}
 }
 
-// TestGameStatePoolReuse runs two different batches through the same pool
-// cycle and checks the second run is unpolluted by the first's buffers.
-func TestGameStatePoolReuse(t *testing.T) {
+// TestGameStateArenaReuse runs a big batch, then a small one, over the same
+// step arena and checks the small run is unpolluted by the big run's
+// buffers.
+func TestGameStateArenaReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(905))
 	big := randomInstance(rng, 30, 40, 5, true)
 	small := randomInstance(rng, 5, 6, 3, true)
 	opt := GameOptions{Threshold: 0, GreedyInit: true, Seed: 11}
 
-	// Fresh-state reference for the small instance.
+	// Fresh-arena reference for the small instance.
 	want, wantTrace := NewGame(opt).AssignTraced(NewStaticBatch(small))
 
-	// Churn the pool with the big instance, then re-run the small one; the
-	// recycled oversized buffers must produce the identical result.
-	for i := 0; i < 3; i++ {
-		NewGame(opt).Assign(NewStaticBatch(big))
+	// Churn one arena with the big instance, then re-run the small one on
+	// it; the reused oversized buffers must produce the identical result.
+	a := new(stepArena)
+	static := func(in *model.Instance) *Batch {
+		src := NewStaticBatch(in)
+		return a.newBatch(in, src.Workers, src.Tasks, nil)
 	}
-	got, gotTrace := NewGame(opt).AssignTraced(NewStaticBatch(small))
+	for i := 0; i < 3; i++ {
+		NewGame(opt).Assign(static(big))
+	}
+	got, gotTrace := NewGame(opt).AssignTraced(static(small))
 	if got.String() != want.String() {
-		t.Fatalf("pooled rerun diverged:\n%v\nwant %v", got, want)
+		t.Fatalf("arena rerun diverged:\n%v\nwant %v", got, want)
 	}
 	if gotTrace.FinalUtility != wantTrace.FinalUtility || gotTrace.Rounds != wantTrace.Rounds {
-		t.Fatalf("pooled rerun trace diverged: %+v want %+v", gotTrace, wantTrace)
+		t.Fatalf("arena rerun trace diverged: %+v want %+v", gotTrace, wantTrace)
 	}
 }

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"dasc/internal/matching"
 	"dasc/internal/model"
@@ -59,13 +60,56 @@ func (g *Greedy) DependencyAware() bool { return true }
 
 // Assign implements Allocator.
 func (g *Greedy) Assign(b *Batch) *model.Assignment {
-	out := model.NewAssignment()
-	for wi, ti := range g.assignIndices(b) {
+	taskOf := g.assignIndices(b)
+	n := 0
+	for _, ti := range taskOf {
+		if ti >= 0 {
+			n++
+		}
+	}
+	out := newAssignment(n)
+	for wi, ti := range taskOf {
 		if ti >= 0 {
 			out.Add(b.Workers[wi].W.ID, b.Tasks[ti].ID)
 		}
 	}
 	return finishAssignment(b, out)
+}
+
+// greedyScratch is DASC_Greedy's working state in the batch's step arena:
+// the candidate rows, the raw assignment, the task and worker markers, the
+// sets-by-task table, the heap, the requeue set and staff's buffers.
+type greedyScratch struct {
+	candidates [][]int32
+	taskOf     []int32
+	assigned   []bool
+	free       []bool
+	// setsByTask(ti) = byTaskDat[byTaskOff[ti]:byTaskOff[ti+1]] lists the
+	// sets containing pending task ti.
+	byTaskOff []int32
+	byTaskDat []*atSet
+	heap      setHeap
+	// requeued flags, by anchor, the sets already in requeue.
+	requeued []bool
+	requeue  []*atSet
+	alive    []int
+	cols     colScratch
+
+	// staff's buffers.
+	matched []int // the feasibility graph's columns, by worker
+	trimmed []int
+	cands   []staffCand
+	cost    [][]float64
+	costDat []float64
+	staff   []int
+	bg      matching.Bipartite
+	match   matching.Workspace
+}
+
+// staffCand is a free candidate worker of one task and its travel time.
+type staffCand struct {
+	wi   int
+	cost float64
 }
 
 // assignIndices runs the greedy loop and returns the raw (pre-fixpoint)
@@ -78,7 +122,9 @@ func (g *Greedy) assignIndices(b *Batch) []int32 {
 	// availability changes. They are read straight from the candidate
 	// engine (ascending batch worker indexes, never modified).
 	idx := b.Index()
-	candidates := make([][]int32, len(b.Tasks))
+	gs := &b.arena.greedy
+	gs.candidates = grown(gs.candidates, len(b.Tasks))
+	candidates := gs.candidates
 	for ti := range b.Tasks {
 		candidates[ti] = idx.CandidateSet(ti)
 	}
@@ -110,7 +156,9 @@ next:
 // repeatedly commit the heaviest set that distinct free workers can staff
 // completely. It returns the raw assignment in assignIndices' form.
 func (g *Greedy) commitSets(b *Batch, sets []*atSet, candidates [][]int32) []int32 {
-	taskOf := make([]int32, len(b.Workers))
+	gs := &b.arena.greedy
+	gs.taskOf = grown(gs.taskOf, len(b.Workers))
+	taskOf := gs.taskOf
 	for i := range taskOf {
 		taskOf[i] = -1
 	}
@@ -118,22 +166,41 @@ func (g *Greedy) commitSets(b *Batch, sets []*atSet, candidates [][]int32) []int
 		return taskOf
 	}
 
-	assignedTask := make([]bool, len(b.Tasks))
-	workerFree := make([]bool, len(b.Workers))
+	gs.assigned = grown(gs.assigned, len(b.Tasks))
+	assignedTask := gs.assigned
+	clear(assignedTask)
+	gs.free = grown(gs.free, len(b.Workers))
+	workerFree := gs.free
 	for i := range workerFree {
 		workerFree[i] = true
 	}
-	// setsByTask[ti] lists the sets containing pending task ti, so committing
-	// a task can shrink exactly the affected sets.
-	setsByTask := make([][]*atSet, len(b.Tasks))
+	// setsByTask lists the sets containing each pending task, so committing
+	// a task can shrink exactly the affected sets: a count/prefix/fill CSR
+	// that keeps each list in set order.
+	gs.byTaskOff = grown(gs.byTaskOff, len(b.Tasks)+2)
+	off := gs.byTaskOff
+	clear(off)
 	for _, s := range sets {
 		for _, ti := range s.members {
-			setsByTask[ti] = append(setsByTask[ti], s)
+			off[ti+2]++
 		}
 	}
-	cols := newColScratch(len(b.Workers))
+	for ti := 2; ti < len(off); ti++ {
+		off[ti] += off[ti-1]
+	}
+	gs.byTaskDat = grown(gs.byTaskDat, int(off[len(off)-1]))
+	for _, s := range sets {
+		for _, ti := range s.members {
+			gs.byTaskDat[off[ti+1]] = s
+			off[ti+1]++
+		}
+	}
+	setsByTask := func(ti int) []*atSet { return gs.byTaskDat[off[ti]:off[ti+1]] }
+	gs.requeued = grown(gs.requeued, len(b.Tasks))
+	clear(gs.requeued)
 
-	h := &setHeap{}
+	h := &gs.heap
+	h.entries = h.entries[:0]
 	for _, s := range sets {
 		h.push(setEntry{weight: s.weight, set: s})
 	}
@@ -154,8 +221,9 @@ func (g *Greedy) commitSets(b *Batch, sets []*atSet, candidates [][]int32) []int
 			h.push(setEntry{weight: s.weight, set: s})
 			continue
 		}
-		members := s.aliveMembers(assignedTask)
-		staff, ok := g.staff(b, members, candidates, workerFree, cols)
+		gs.alive = s.aliveMembers(assignedTask, gs.alive[:0])
+		members := gs.alive
+		staff, ok := g.staff(b, members, candidates, workerFree)
 		if !ok {
 			// Blocked with the current worker pool. Workers only get
 			// scarcer, so the set can only become assignable again by
@@ -164,51 +232,64 @@ func (g *Greedy) commitSets(b *Batch, sets []*atSet, candidates [][]int32) []int
 			continue
 		}
 		// Commit ⟨tw, tc⟩: record pairs, retire workers and tasks, shrink
-		// every set sharing a member and re-queue it.
-		requeue := make(map[*atSet]bool)
+		// every set sharing a member and re-queue it. The heap's order is
+		// total on (weight, anchor), so the order of the re-queue pushes
+		// does not change what pops.
+		requeue := gs.requeue[:0]
 		for i, ti := range members {
 			wi := staff[i]
 			taskOf[wi] = int32(ti)
 			workerFree[wi] = false
 			assignedTask[ti] = true
-			for _, other := range setsByTask[ti] {
-				if other != s {
-					requeue[other] = true
+			for _, other := range setsByTask(ti) {
+				if other != s && !gs.requeued[other.anchor] {
+					gs.requeued[other.anchor] = true
+					requeue = append(requeue, other)
 				}
 			}
 		}
-		for other := range requeue {
+		for _, other := range requeue {
+			gs.requeued[other.anchor] = false
 			if n := other.recount(b, assignedTask); n > 0 {
 				h.push(setEntry{weight: other.weight, set: other})
 			}
 		}
+		gs.requeue = requeue
 	}
 	return taskOf
 }
 
 // colScratch maps batch workers to matrix columns for staff: one []int32
-// over len(b.Workers), reused across the staff calls of one assignIndices
-// run. Every use reserves a fresh range [base, base+len) of values, so
-// col[wi] names column col[wi]-base of the current use exactly when it is
-// at least base; nothing is cleared between uses. rows and adj hold the
-// feasibility graph's adjacency rows and their flat backing, overwritten by
-// each call.
+// over the batch workers, reused across the staff calls of one batch and
+// kept by the step arena from batch to batch. Every use reserves a fresh
+// range [base, base+len) of values, so col[wi] names column col[wi]-base of
+// the current use exactly when it is at least base; nothing is cleared
+// between uses. rows and adj hold the feasibility graph's adjacency rows
+// and their flat backing, overwritten by each call.
 type colScratch struct {
 	col  []int32
-	next int32 // base of the next use
+	next int32 // base of the next use; 0 before the first
 	rows [][]int
 	adj  []int
 }
 
-func newColScratch(workers int) *colScratch {
-	return &colScratch{col: make([]int32, workers), next: 1}
+// begin readies the scratch for the given worker count. Entries kept from
+// earlier batches all lie below next, so they never match.
+func (c *colScratch) begin(workers int) {
+	c.col = grown(c.col, workers)
+	if c.next == 0 {
+		clear(c.col[:cap(c.col)])
+		c.next = 1
+	}
 }
 
-// begin starts a new use and returns its base.
-func (c *colScratch) begin() int32 {
+// use starts a new use and returns its base.
+func (c *colScratch) use() int32 {
 	n := int32(len(c.col))
 	if c.next > math.MaxInt32-n {
-		clear(c.col)
+		// Clear the whole capacity: a later batch growing within it must
+		// not expose a value from before the wrap.
+		clear(c.col[:cap(c.col)])
 		c.next = 1
 	}
 	base := c.next
@@ -218,16 +299,20 @@ func (c *colScratch) begin() int32 {
 
 // staff finds distinct free workers for every task index in members.
 // It returns the chosen worker index per member, aligned with members, or
-// ok=false when no complete staffing exists. sc is the run's column
-// scratch.
-func (g *Greedy) staff(b *Batch, members []int, candidates [][]int32, workerFree []bool, sc *colScratch) ([]int, bool) {
+// ok=false when no complete staffing exists. The result is the arena's,
+// valid until the next call.
+func (g *Greedy) staff(b *Batch, members []int, candidates [][]int32, workerFree []bool) ([]int, bool) {
+	gs := &b.arena.greedy
+	sc := &gs.cols
+	sc.begin(len(b.Workers))
 	// Feasibility first: Hopcroft–Karp over the full free-candidate graph.
 	// Column space is the union of free candidates, densely renumbered in
 	// first-seen order.
-	base := sc.begin()
-	var cols []int
+	base := sc.use()
+	cols := gs.matched[:0]
 	sc.rows = grown(sc.rows, len(members))
-	bg := &matching.Bipartite{Adj: sc.rows}
+	bg := &gs.bg
+	bg.Adj = sc.rows
 	adj := sc.adj[:0]
 	for row, ti := range members {
 		start := len(adj)
@@ -246,13 +331,15 @@ func (g *Greedy) staff(b *Batch, members []int, candidates [][]int32, workerFree
 		bg.Adj[row] = adj[start:len(adj):len(adj)]
 	}
 	sc.adj = adj
+	gs.matched = cols
 	bg.N = len(cols)
-	matchL, size := bg.MaxMatchingHK()
+	matchL, size := gs.match.MaxMatchingHK(bg)
 	if size != len(members) {
 		return nil, false
 	}
+	staff := grown(gs.staff, len(members))
+	gs.staff = staff
 	if g.opt.Matcher == MatchFeasible {
-		staff := make([]int, len(members))
 		for row := range members {
 			staff[row] = cols[matchL[row]]
 		}
@@ -266,8 +353,8 @@ func (g *Greedy) staff(b *Batch, members []int, candidates [][]int32, workerFree
 	idx := b.Index()
 	// Kept columns are marked base in the scratch while they are
 	// collected, then renumbered base+i in ascending worker order.
-	base = sc.begin()
-	var trimmed []int
+	base = sc.use()
+	trimmed := gs.trimmed[:0]
 	keep := func(wi int) {
 		if sc.col[wi] < base {
 			sc.col[wi] = base
@@ -277,34 +364,36 @@ func (g *Greedy) staff(b *Batch, members []int, candidates [][]int32, workerFree
 	for row := range members {
 		keep(cols[matchL[row]])
 	}
-	type cand struct {
-		wi   int
-		cost float64
-	}
 	for _, ti := range members {
-		var cs []cand
+		cs := gs.cands[:0]
 		for _, w := range candidates[ti] {
 			if wi := int(w); workerFree[wi] {
-				cs = append(cs, cand{wi, idx.TravelCost(wi, ti)})
+				cs = append(cs, staffCand{wi, idx.TravelCost(wi, ti)})
 			}
 		}
-		sort.Slice(cs, func(i, j int) bool {
-			if cs[i].cost != cs[j].cost {
-				return cs[i].cost < cs[j].cost
+		// (cost, worker) is a total order, so the result is the one any
+		// correct sort gives.
+		slices.SortFunc(cs, func(x, y staffCand) int {
+			if c := cmp.Compare(x.cost, y.cost); c != 0 {
+				return c
 			}
-			return cs[i].wi < cs[j].wi
+			return cmp.Compare(x.wi, y.wi)
 		})
 		for i := 0; i < len(cs) && i < g.opt.MaxCandidatesPerTask; i++ {
 			keep(cs[i].wi)
 		}
+		gs.cands = cs
 	}
-	sort.Ints(trimmed)
+	slices.Sort(trimmed)
+	gs.trimmed = trimmed
 	for i, wi := range trimmed {
 		sc.col[wi] = base + int32(i)
 	}
-	cost := make([][]float64, len(members))
+	gs.cost = grown(gs.cost, len(members))
+	gs.costDat = grown(gs.costDat, len(members)*len(trimmed))
+	cost := gs.cost
 	for row, ti := range members {
-		cost[row] = make([]float64, len(trimmed))
+		cost[row] = gs.costDat[row*len(trimmed) : (row+1)*len(trimmed) : (row+1)*len(trimmed)]
 		for i := range cost[row] {
 			cost[row][i] = matching.Forbidden
 		}
@@ -323,17 +412,16 @@ func (g *Greedy) staff(b *Batch, members []int, candidates [][]int32, workerFree
 			cost[row][ci] = idx.TravelCost(wi, ti)
 		}
 	}
-	assign, _, err := matching.Hungarian(cost)
+	assign, _, err := gs.match.Hungarian(cost)
 	if err != nil {
 		// Should be unreachable (HK proved feasibility and its workers are
 		// all kept), but fall back to the feasible matching defensively.
-		staff := make([]int, len(members))
+		// matchL is the workspace's, which Hungarian does not touch.
 		for row := range members {
 			staff[row] = cols[matchL[row]]
 		}
 		return staff, true
 	}
-	staff := make([]int, len(members))
 	for row := range members {
 		staff[row] = trimmed[assign[row]]
 	}

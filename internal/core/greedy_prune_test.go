@@ -32,7 +32,9 @@ func checkPruneExact(t *testing.T, name string, b *Batch) (pruned, reachableAnch
 	}
 	for _, m := range []MatcherKind{MatchHungarian, MatchFeasible} {
 		g := NewGreedyOpt(GreedyOptions{Matcher: m})
-		want := g.commitSets(b, atSets(b), candidates)
+		// The loop's result is the batch arena's: keep a copy before the
+		// second run reuses it.
+		want := slices.Clone(g.commitSets(b, atSets(b), candidates))
 		got := g.commitSets(b, staffable(atSets(b), candidates), candidates)
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s matcher %d: pruned loop %v, unpruned %v", name, m, got, want)

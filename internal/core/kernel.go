@@ -39,9 +39,13 @@ type KernelConfig struct {
 // (model.Instance.Validate): Step reads them through the instance it is
 // given, which may have grown since the previous step. Batch time must never
 // go backwards.
+//
+// Every per-batch buffer lives in the kernel's step arena, which each Step
+// reuses, so a warm kernel's step allocates only what it returns.
 type Kernel struct {
-	cfg KernelConfig
-	pop Population
+	cfg   KernelConfig
+	pop   Population
+	arena stepArena
 
 	workers []WorkerState
 	// satisfied flags the validly assigned tasks; every batch reads it as
@@ -114,6 +118,11 @@ func NewKernel(cfg KernelConfig) *Kernel {
 
 // Step runs one batch at time now over the instance's registries. rec, when
 // non-nil, receives the batch's population, outcome and phase timings.
+//
+// The batch the allocator sees, and everything reachable from it, is built
+// in the kernel's step arena and stays valid only until the next Step. The
+// returned StepResult, its assignments and its dispatch list are the
+// caller's. A kernel steps one batch at a time.
 func (k *Kernel) Step(in *model.Instance, now float64, rec *obs.BatchRec) (*StepResult, error) {
 	k.grow(in)
 	bws, tasks := k.population(in, now)
@@ -124,7 +133,7 @@ func (k *Kernel) Step(in *model.Instance, now float64, rec *obs.BatchRec) (*Step
 	}
 	// satisfied changes only in dispatch, after the allocator and the
 	// fixpoint have read it.
-	b := NewBatch(in, bws, tasks, k.satisfied)
+	b := k.arena.newBatch(in, bws, tasks, k.satisfied)
 	b.SetRecorder(rec)
 	rec.StartPhases()
 	b.Index()
@@ -163,6 +172,13 @@ func (k *Kernel) grow(in *model.Instance) {
 		k.finishAt = append(k.finishAt, make([]float64, n)...)
 		k.gone = append(k.gone, make([]bool, n)...)
 	}
+	// Sized up front, so a valid or botched dispatch never grows them.
+	if n := len(in.Tasks) - len(k.satisfied); n > 0 {
+		k.satisfied = append(k.satisfied, make([]bool, n)...)
+	}
+	if n := len(in.Tasks) - len(k.botched); n > 0 {
+		k.botched = append(k.botched, make([]bool, n)...)
+	}
 }
 
 // population builds the batch at now: the active workers (appeared, not
@@ -180,6 +196,7 @@ func (k *Kernel) grow(in *model.Instance) {
 // seen gone one batch late; retirement only ever drops tasks that no valid
 // assignment can hold.
 func (k *Kernel) population(in *model.Instance, now float64) (bws []BatchWorker, tasks []*model.Task) {
+	bws, tasks = k.arena.workers[:0], k.arena.tasks[:0]
 	k.pop.Admit(len(in.Workers), len(in.Tasks))
 	k.pop.Workers(func(i int) bool {
 		w, ws := &in.Workers[i], &k.workers[i]
@@ -212,6 +229,7 @@ func (k *Kernel) population(in *model.Instance, now float64) (bws []BatchWorker,
 		tasks = append(tasks, t)
 		return true
 	})
+	k.arena.workers, k.arena.tasks = bws, tasks
 	return bws, tasks
 }
 
@@ -232,9 +250,15 @@ func (k *Kernel) hasGoneDep(t *model.Task) bool {
 // still execute — the worker travels and the task is consumed — and are
 // simply wasted, the penalty the paper charges the oblivious baselines.
 func (k *Kernel) dispatch(b *Batch, now float64, st *StepResult) {
-	valid := st.Valid.TaskSet()
 	dist := b.Dist()
-	order := DispatchOrder(b.In, st.Raw)
+	order := k.arena.dispatchOrder(b.In, st.Raw)
+	// The valid pairs' tasks hold stamp valid in the arena's task table,
+	// taken after the order's stamps.
+	vt := &k.arena.pairTasks
+	valid := vt.reserve(len(b.In.Tasks), 1)
+	for _, p := range st.Valid.Pairs {
+		vt.tag[p.Task] = valid
+	}
 	st.Dispatches = make([]Dispatch, 0, len(order))
 	for _, pair := range order {
 		// DropUnknownWorkers already removed pairs naming workers outside
@@ -247,7 +271,7 @@ func (k *Kernel) dispatch(b *Batch, now float64, st *StepResult) {
 		}
 		w, ws := b.Workers[bi].W, &k.workers[pair.Worker]
 		t := b.In.Task(pair.Task)
-		d := Dispatch{Pair: pair, Dist: dist(ws.Loc, t.Loc), Valid: valid[pair.Task]}
+		d := Dispatch{Pair: pair, Dist: dist(ws.Loc, t.Loc), Valid: vt.index(int(pair.Task), valid, 1) == 0}
 		d.ServiceStart = math.Max(now, t.Start) + w.TravelTime(ws.Loc, t.Loc, dist)
 		for _, dep := range t.Deps {
 			if k.satisfied.Has(dep) && k.finishAt[dep] > d.ServiceStart {

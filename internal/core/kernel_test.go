@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dasc/internal/gen"
@@ -197,7 +198,9 @@ func TestKernelPopulationMatchesFullScan(t *testing.T) {
 						t.Fatalf("t=%v: batch worker %+v does not carry its state %+v", now, bws[i], ws)
 					}
 				}
-				if !reflect.DeepEqual(gotW, wantW) || !reflect.DeepEqual(tasks, wantT) {
+				// slices.Equal: the kernel's population slices are its
+				// arena's, empty rather than nil in an empty batch.
+				if !slices.Equal(gotW, wantW) || !slices.Equal(tasks, wantT) {
 					t.Fatalf("t=%v: population (%d workers, %d tasks) differs from the full scan (%d, %d)",
 						now, len(gotW), len(tasks), len(wantW), len(wantT))
 				}

@@ -1,17 +1,14 @@
 package core
 
-import "sync"
-
 // gameState holds the mutable state of one best-response run: each worker's
 // current strategy and the per-task claimant counts, over the batch's shared
 // read-only dependency wiring (embedded, so gs.deps, gs.weight, gs.deadTask
 // etc. resolve through it).
 //
-// The wiring is flat CSR slices instead of the per-batch [][]int it used to
-// be, and whole gameStates recycle through a sync.Pool (newGameState /
-// release), so in steady state a batch's best-response run allocates nothing
-// beyond the once-per-batch wiring: the strategy and claims slices resize in
-// place and only grow when a larger batch arrives.
+// The wiring is flat CSR slices, and the state lives in the batch's step
+// arena (newGameState), so once the arena has seen its largest batch a
+// best-response run allocates nothing: the strategy and claims slices
+// resize in place and only grow when a larger batch arrives.
 type gameState struct {
 	b     *Batch
 	alpha float64
@@ -20,8 +17,8 @@ type gameState struct {
 	strategy []int // worker index -> pending task index, or -1 (idle)
 	claims   []int // pending task index -> number of claimants nw_t
 
-	// harm memoizes harmonic numbers (harm[n] = H(n)), grown on demand and
-	// kept across pool recycles — potential() calls it once per claimed task.
+	// harm memoizes harmonic numbers (harm[n] = H(n)), grown on demand —
+	// potential() calls it once per claimed task.
 	harm []float64
 
 	// claimOff/claimDat/claimCur are resolve's counting-sort scratch: the
@@ -32,34 +29,13 @@ type gameState struct {
 	claimCur []int32
 }
 
-// gameStatePool recycles gameStates across batches. Only AssignTraced
-// releases states back; tests that hold one past newGameState simply let the
-// GC take it.
-var gameStatePool = sync.Pool{New: func() any { return new(gameState) }}
-
-// grown returns a length-n slice reusing s's capacity when possible. The
-// contents are unspecified; callers must initialise them.
-func grown[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
-// newGameState wires a pooled state to the batch's dependency structure.
-// Pair it with release() on paths that own the state to completion.
+// newGameState readies the batch's arena-held state for a run over the
+// batch's dependency structure. The state stays valid until the next run
+// over the same arena.
 func newGameState(b *Batch, alpha float64) *gameState {
-	gs := gameStatePool.Get().(*gameState)
+	gs := &b.arena.game
 	gs.reset(b, alpha)
 	return gs
-}
-
-// release returns the state (and its buffers) to the pool, dropping the
-// references that would otherwise pin the batch in memory.
-func (gs *gameState) release() {
-	gs.b = nil
-	gs.depWiring = nil
-	gameStatePool.Put(gs)
 }
 
 // reset points the state at a new batch, reusing the mutable buffers. The

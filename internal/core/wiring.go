@@ -1,9 +1,7 @@
 package core
 
 import (
-	"math"
 	"slices"
-	"sync"
 
 	"dasc/internal/model"
 )
@@ -15,8 +13,9 @@ import (
 // sets and the index-domain dependency fixpoint read it, and so does
 // ExactDP's closure check. It depends only on the batch's task list and
 // satisfied set — never on strategies — so it is built once per batch
-// (Batch.depWiring) and shared read-only, including by the paired runs of
-// VerifyWorklist and repeated Assign calls in benchmarks.
+// (Batch.depWiring) into the batch's step arena and shared read-only,
+// including by the paired runs of VerifyWorklist and repeated Assign calls
+// in benchmarks.
 type depWiring struct {
 	// deps(ti) = depDat[depOff[ti]:depOff[ti+1]] lists the pending-task
 	// indexes of ti's unsatisfied dependencies, deduplicated, in first-listed
@@ -37,32 +36,31 @@ type depWiring struct {
 // depWiring returns the batch's dependency wiring, building it on first use.
 // Like Index, the result is immutable and safe for concurrent readers.
 func (b *Batch) depWiring() *depWiring {
-	b.wireOnce.Do(func() { b.wire = buildDepWiring(b) })
+	b.wireOnce.Do(func() { b.wire = b.arena.buildWiring(b) })
 	return b.wire
 }
 
-// depScratch is the TaskID-indexed scratch of one wiring build, borrowed
-// from depScratchPool for the build and returned afterwards. tag is indexed
-// by task ID and only grows, to cover every task of the largest instance
-// seen (and any higher pending ID); last is indexed by pending task index.
-// Nothing is cleared between builds: each build reserves a fresh range of
-// stamps above every stamp written before, so entries left by earlier
-// builds never match, and a build costs O(pending + Σ|D_t|) however many
-// tasks the instance has registered, plus the amortised growth of tag.
+// depScratch is the task-ID-indexed table of a step arena: newBatch marks
+// the pending tasks in it (Batch.TaskIndex reads them), and the wiring
+// build deduplicates dependencies through it. tag is indexed by task ID and
+// only grows, to cover every task of the largest instance seen (and any
+// higher pending ID); last is indexed by pending task index. Nothing is
+// cleared between batches: each batch reserves 2n fresh stamps above every
+// stamp written before, so entries left by earlier batches never match, and
+// a batch costs O(pending + Σ|D_t|) however many tasks the instance has
+// registered, plus the amortised growth of tag.
+//
+// With base the batch's first stamp and n its pending count:
+// tag[id] == base+i means id is pending at index i < n, and
+// tag[id] == base+n+ti means id is a dependency outside the batch that task
+// ti has already counted.
 type depScratch struct {
-	// With base the build's first stamp and n its pending count:
-	// tag[id] == base+i means id is pending at index i < n, and
-	// tag[id] == base+n+ti means id is a dependency outside the batch that
-	// task ti has already counted.
-	tag  []uint32
+	idStamps
 	last []int32 // pending index -> last task index whose deps counted it
-	next uint32  // first stamp the next build may use; 0 before first use
 }
 
-var depScratchPool = sync.Pool{New: func() any { return new(depScratch) }}
-
 // begin marks the pending tasks of a batch over instance in and returns the
-// build's base stamp, leaving base+n … base+2n-1 to the per-task
+// batch's base stamp, leaving base+n … base+2n-1 to the per-task
 // deduplication. Pending tasks with a negative ID cannot be indexed, so
 // dependencies on them resolve as not pending (Validate rejects such IDs,
 // and the server numbers tasks by position).
@@ -72,55 +70,40 @@ func (sc *depScratch) begin(in *model.Instance, tasks []*model.Task) uint32 {
 	for _, t := range tasks {
 		size = max(size, int(t.ID)+1)
 	}
-	if grow := size - len(sc.tag); grow > 0 {
-		sc.tag = append(sc.tag, make([]uint32, grow)...)
-	}
-	switch {
-	case sc.next == 0:
-		// A fresh scratch: tag was just made, so it holds no stamp yet.
-		sc.next = 1
-	case uint64(sc.next)+2*uint64(n) > math.MaxUint32:
-		clear(sc.tag)
-		sc.next = 1
-	}
-	base := sc.next
-	sc.next += 2 * uint32(n)
+	base := sc.reserve(size, 2*n)
 	for i, t := range tasks {
 		if t.ID >= 0 {
 			sc.tag[t.ID] = base + uint32(i)
 		}
 	}
+	return base
+}
+
+// buildWiring assembles the batch's wiring into the arena: one pass over
+// the tasks' dependency lists, resolved and deduplicated through the
+// ID-indexed scratch, to produce the dep CSR, then a count/prefix/fill
+// inversion into the dependant CSR.
+func (a *stepArena) buildWiring(b *Batch) *depWiring {
+	n := len(b.Tasks)
+	w := &a.wire
+	w.depOff = grown(w.depOff, n+1)
+	w.depOff[0] = 0
+	w.depDat = w.depDat[:0]
+	w.dependantOff = grown(w.dependantOff, n+1)
+	w.depCount = grown(w.depCount, n)
+	clear(w.depCount)
+	w.deadTask = grown(w.deadTask, n)
+	clear(w.deadTask)
+	w.satisfiedDeps = grown(w.satisfiedDeps, n)
+	clear(w.satisfiedDeps)
+	w.weight = grown(w.weight, n)
+
+	sc := &a.taskIDs
 	sc.last = grown(sc.last, n)
 	for i := range sc.last {
 		sc.last[i] = -1
 	}
-	return base
-}
-
-// buildDepWiring assembles the batch's wiring on a scratch borrowed from
-// depScratchPool for the duration of the build.
-func buildDepWiring(b *Batch) *depWiring {
-	sc := depScratchPool.Get().(*depScratch)
-	w := sc.wire(b)
-	depScratchPool.Put(sc)
-	return w
-}
-
-// wire assembles the wiring: one pass over the tasks' dependency lists,
-// resolved and deduplicated through the ID-indexed scratch, to produce the
-// dep CSR, then a count/prefix/fill inversion into the dependant CSR.
-func (sc *depScratch) wire(b *Batch) *depWiring {
-	n := len(b.Tasks)
-	w := &depWiring{
-		depOff:        make([]int32, n+1),
-		dependantOff:  make([]int32, n+1),
-		depCount:      make([]int32, n),
-		deadTask:      make([]bool, n),
-		satisfiedDeps: make([]int32, n),
-		weight:        make([]float64, n),
-	}
-
-	base := sc.begin(b.In, b.Tasks)
+	base := b.taskBase
 	// Duplicate dependency entries (possible in instances that bypass
 	// Validate) are collapsed so |D_t| and the dependant lists stay true to
 	// the set semantics of Equation 3: a pending dependency through last, one
@@ -165,7 +148,9 @@ func (sc *depScratch) wire(b *Batch) *depWiring {
 
 	// Invert into the dependant CSR: count, prefix-sum, fill. Scanning tasks
 	// ascending keeps every dependant list ascending.
-	cnt := make([]int32, n)
+	a.wireCnt = grown(a.wireCnt, n)
+	cnt := a.wireCnt
+	clear(cnt)
 	for _, di := range w.depDat {
 		cnt[di]++
 	}
@@ -175,7 +160,7 @@ func (sc *depScratch) wire(b *Batch) *depWiring {
 		off += cnt[ti]
 	}
 	w.dependantOff[n] = off
-	w.dependantDat = make([]int32, off)
+	w.dependantDat = grown(w.dependantDat, int(off))
 	copy(cnt, w.dependantOff[:n])
 	for ti := 0; ti < n; ti++ {
 		for _, di := range w.deps(ti) {

@@ -38,8 +38,8 @@ func fig10MaxBatch(tb testing.TB) *Batch {
 var wiringSink *depWiring
 
 // BenchmarkBatchWiring measures one batch's dependency resolution at paper
-// scale: the dense pooled-scratch build against the map-based oracle it
-// replaced.
+// scale: the dense build in the batch's step arena against the map-based
+// oracle it replaced.
 func BenchmarkBatchWiring(b *testing.B) {
 	batch := fig10MaxBatch(b)
 	entries := 0
@@ -51,7 +51,7 @@ func BenchmarkBatchWiring(b *testing.B) {
 		name  string
 		build func() *depWiring
 	}{
-		{"dense", func() *depWiring { return buildDepWiring(batch) }},
+		{"dense", func() *depWiring { return batch.arena.buildWiring(batch) }},
 		{"map-oracle", func() *depWiring { return oracleWiring(batch, sat) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

@@ -346,33 +346,50 @@ func TestDepWiringHandBuilt(t *testing.T) {
 	}
 }
 
-// TestDepWiringScratchReuse drives one scratch through many unrelated
-// batches, with stale stamps from every earlier build in its slices, and
-// then wraps fresh scratches' stamps right after a first build: the wrap
-// must clear the tags, or the first build's pending marks would match the
-// restarted stamps.
+// TestDepWiringScratchReuse drives one step arena through many unrelated
+// batches, with stale stamps from every earlier batch in its task table,
+// and then wraps fresh arenas' stamps right after a first batch: the wrap
+// must clear the tags, or the first batch's pending marks would match the
+// restarted stamps. Every batch's TaskIndex must agree with a map built
+// over its tasks.
 func TestDepWiringScratchReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(1402))
-	sc := new(depScratch)
+	check := func(label string, a *stepArena, src *Batch) *Batch {
+		b := a.newBatch(src.In, src.Workers, src.Tasks, src.Satisfied)
+		checkWiring(t, label, b.depWiring(), oracleWiring(b, satisfiedMap(b.Satisfied)))
+		pending := map[model.TaskID]int{}
+		for i, tk := range b.Tasks {
+			pending[tk.ID] = i
+		}
+		for id := model.TaskID(-1); int(id) <= len(b.In.Tasks); id++ {
+			want, ok := pending[id]
+			if !ok || id < 0 {
+				want = -1
+			}
+			if got := b.TaskIndex(id); got != want {
+				t.Fatalf("%s: TaskIndex(%d) = %d, want %d", label, id, got, want)
+			}
+		}
+		return b
+	}
+	a := new(stepArena)
 	for trial := 0; trial < 100; trial++ {
-		b := randomWiringBatch(rng, trial%3 == 0)
-		checkWiring(t, fmt.Sprintf("trial %d", trial), sc.wire(b), oracleWiring(b, satisfiedMap(b.Satisfied)))
+		check(fmt.Sprintf("trial %d", trial), a, randomWiringBatch(rng, trial%3 == 0))
 	}
 	for trial := 0; trial < 50; trial++ {
-		sc := new(depScratch)
+		a := new(stepArena)
 		for k, dirty := range []bool{false, trial%2 == 0} {
-			b := randomWiringBatch(rng, dirty)
-			checkWiring(t, fmt.Sprintf("wrap trial %d build %d", trial, k), sc.wire(b), oracleWiring(b, satisfiedMap(b.Satisfied)))
-			if k == 1 && len(b.Tasks) > 0 && sc.next != 2*uint32(len(b.Tasks))+1 {
-				t.Fatalf("wrap trial %d: next stamp %d after the wrap, want a fresh range", trial, sc.next)
+			b := check(fmt.Sprintf("wrap trial %d build %d", trial, k), a, randomWiringBatch(rng, dirty))
+			if k == 1 && len(b.Tasks) > 0 && a.taskIDs.next != 2*uint32(len(b.Tasks))+1 {
+				t.Fatalf("wrap trial %d: next stamp %d after the wrap, want a fresh range", trial, a.taskIDs.next)
 			}
-			sc.next = math.MaxUint32 // no build with a pending task fits its stamps
+			a.taskIDs.next = math.MaxUint32 // no batch with a pending task fits its stamps
 		}
 	}
 }
 
-// TestDepWiringScratchCoversInstance: the scratch's tags cover every task
-// of the instance, not just the pending ones, so valid dependencies on
+// TestDepWiringScratchCoversInstance: the arena's task tags cover every
+// task of the instance, not just the pending ones, so valid dependencies on
 // higher-numbered tasks that are not pending (forward references, as a
 // loaded dataset may have) deduplicate through their tag, never by a scan.
 func TestDepWiringScratchCoversInstance(t *testing.T) {
@@ -391,19 +408,20 @@ func TestDepWiringScratchCoversInstance(t *testing.T) {
 	var sat model.TaskFlags
 	sat.Set(4)
 	b := NewBatch(in, nil, []*model.Task{&in.Tasks[1], &in.Tasks[0]}, sat)
-	sc := new(depScratch)
-	checkWiring(t, "forward references", sc.wire(b), oracleWiring(b, satisfiedMap(sat)))
+	checkWiring(t, "forward references", b.depWiring(), oracleWiring(b, satisfiedMap(sat)))
+	sc := &b.arena.taskIDs
 	if len(sc.tag) != len(in.Tasks) {
 		t.Fatalf("scratch tags cover %d task IDs, want the instance's %d", len(sc.tag), len(in.Tasks))
 	}
 	if sc.next != 2*uint32(len(b.Tasks))+1 {
-		t.Fatalf("next stamp %d after a fresh scratch's first build, want %d", sc.next, 2*len(b.Tasks)+1)
+		t.Fatalf("next stamp %d after a fresh arena's first batch, want %d", sc.next, 2*len(b.Tasks)+1)
 	}
 }
 
 // TestDepWiringConcurrentScratch builds wirings from many goroutines at
-// once, all borrowing from the shared scratch pool, and requires every
-// result to equal the oracle: a scratch is never shared by two builds.
+// once, each over a batch with a step arena of its own, and requires every
+// result to equal the oracle: no package-level scratch is shared by two
+// builds.
 func TestDepWiringConcurrentScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(1403))
 	const nBatches = 24
@@ -422,7 +440,7 @@ func TestDepWiringConcurrentScratch(t *testing.T) {
 			for k := 0; k < 3*nBatches; k++ {
 				i := (g*7 + k*5) % nBatches
 				src := batches[i]
-				b := NewBatch(src.In, src.Workers, src.Tasks, src.Satisfied) // fresh once-cache
+				b := NewBatch(src.In, src.Workers, src.Tasks, src.Satisfied) // fresh arena
 				got := b.depWiring()
 				if !slices.Equal(got.depDat, want[i].depDat) || !slices.Equal(got.depCount, want[i].depCount) ||
 					!slices.Equal(got.deadTask, want[i].deadTask) || !slices.Equal(got.dependantDat, want[i].dependantDat) {
@@ -553,7 +571,8 @@ func TestGreedyStaffMatchesMapOracle(t *testing.T) {
 		for ti := range b.Tasks {
 			candidates[ti] = b.Index().CandidateSet(ti)
 		}
-		sc := newColScratch(len(b.Workers))
+		sc := &b.arena.greedy.cols
+		sc.begin(len(b.Workers))
 		if trial%2 == 1 {
 			sc.next = math.MaxInt32 - int32(len(b.Workers)) - 1
 		}
@@ -564,7 +583,7 @@ func TestGreedyStaffMatchesMapOracle(t *testing.T) {
 			}
 			for _, m := range []MatcherKind{MatchHungarian, MatchFeasible} {
 				g := NewGreedyOpt(GreedyOptions{Matcher: m, MaxCandidatesPerTask: 1 + rng.Intn(3)})
-				got, gotOK := g.staff(b, s.members, candidates, free, sc)
+				got, gotOK := g.staff(b, s.members, candidates, free)
 				want, wantOK := oracleStaff(g, b, s.members, candidates, free)
 				if gotOK != wantOK || !slices.Equal(got, want) {
 					t.Fatalf("trial %d anchor %d matcher %d: staff %v %v, want %v %v",

@@ -1,7 +1,5 @@
 package core
 
-import "sync"
-
 // gameWorklist is the incremental bookkeeping of the worklist best-response
 // engine (DESIGN.md §3.11).
 //
@@ -67,8 +65,11 @@ type gameWorklist struct {
 	// insertion on liveness flips, so iterating it visits the contributing
 	// dependants in exactly the CSR order the naive scan uses — the skipped
 	// entries add nothing, so the float summation is unchanged while the
-	// scans shrink to the live fraction of each dependant list.
+	// scans shrink to the live fraction of each dependant list. Each list
+	// is a window of liveDat over dependants(ti)'s CSR range, capped there,
+	// so insertions never reallocate.
 	liveDeps [][]int32
+	liveDat  []int32
 
 	// stamp/gen: generation-stamped membership scratch marking
 	// dependants(cur) during a sole-claimant evaluation, giving O(1)
@@ -89,21 +90,15 @@ type gameWorklist struct {
 	movUValid []bool
 }
 
-// gameWorklistPool recycles worklists across batches, like gameStatePool.
-var gameWorklistPool = sync.Pool{New: func() any { return new(gameWorklist) }}
-
-// newGameWorklist builds the worklist for the batch wired into gs, with the
-// deficits computed from the current (post-initialisation) claims and every
-// worker dirty with no cached utilities — the state of the first naive
-// round. Pair with release().
+// newGameWorklist builds the worklist for the batch wired into gs, in the
+// batch's step arena, with the deficits computed from the current
+// (post-initialisation) claims and every worker dirty with no cached
+// utilities — the state of the first naive round.
 func newGameWorklist(gs *gameState) *gameWorklist {
-	wl := gameWorklistPool.Get().(*gameWorklist)
+	wl := &gs.b.arena.wl
 	wl.build(gs)
 	return wl
 }
-
-// release returns the worklist (and its buffers) to the pool.
-func (wl *gameWorklist) release() { gameWorklistPool.Put(wl) }
 
 // build initialises the deficits from the current claims in one pass over
 // the dependency CSR — Σ|deps| work, far below one naive round.
@@ -111,8 +106,10 @@ func (wl *gameWorklist) build(gs *gameState) {
 	n, m := len(gs.claims), len(gs.strategy)
 	wl.liveDeficit = grown(wl.liveDeficit, n)
 	wl.liveDeps = grown(wl.liveDeps, n)
+	wl.liveDat = grown(wl.liveDat, len(gs.dependantDat))
 	for ti := 0; ti < n; ti++ {
-		wl.liveDeps[ti] = wl.liveDeps[ti][:0]
+		lo, hi := gs.dependantOff[ti], gs.dependantOff[ti+1]
+		wl.liveDeps[ti] = wl.liveDat[lo:lo:hi]
 	}
 	for ti := 0; ti < n; ti++ {
 		var def int32

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -106,6 +107,24 @@ func TestReadRejectsBadInput(t *testing.T) {
 		if _, err := Read(strings.NewReader(body)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestReadRejectsSkillAboveMax: a worker skill above model.MaxSkill fails
+// the load with the skill named, on the one-pass path's fallback to the
+// strict decoder, before any skill set is sized by it.
+func TestReadRejectsSkillAboveMax(t *testing.T) {
+	body := `{"version": 1, "skill_universe": 1,
+	  "workers": [{"id":0,"x":0,"y":0,"start":0,"wait":1,"velocity":1,"max_dist":1,"skills":[0,1073741824]}],
+	  "tasks": []}`
+	want := fmt.Sprintf("dataset: worker w0 has skill 1073741824 above the maximum %d", model.MaxSkill)
+	if _, err := Read(strings.NewReader(body)); err == nil || err.Error() != want {
+		t.Fatalf("got %v, want %s", err, want)
+	}
+	// The bound itself loads.
+	ok := strings.Replace(body, "1073741824", fmt.Sprint(model.MaxSkill), 1)
+	if _, err := Read(strings.NewReader(ok)); err != nil {
+		t.Fatalf("skill %d rejected: %v", model.MaxSkill, err)
 	}
 }
 

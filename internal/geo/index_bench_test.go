@@ -24,10 +24,11 @@ func benchUniform(n int) ([]KDItem, []Point) {
 
 func BenchmarkGridWithin(b *testing.B) {
 	items, queries := benchUniform(10000)
-	g := NewGridIndex(NewBBox(Pt(0, 0), Pt(1, 1)), len(items))
-	for _, it := range items {
-		g.Insert(it.ID, it.Pt)
+	pts := make([]Point, len(items))
+	for i, it := range items {
+		pts[i] = it.Pt
 	}
+	g := NewGridIndex(NewBBox(Pt(0, 0), Pt(1, 1)), len(pts), pts)
 	var buf []int
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -60,28 +60,33 @@ func TestGridIndexWithinMatchesBruteForce(t *testing.T) {
 		NewBBox(Pt(0, 3), Pt(100, 3)),
 	} {
 		pts := randPoints(rng, 300, box)
-		g := NewGridIndex(box, len(pts))
+		g := NewGridIndex(box, len(pts), pts)
 		if cells := g.cols * g.rows; cells > 2*len(pts) {
 			t.Fatalf("box %v: %d×%d cells for targetCells %d", box, g.cols, g.rows, len(pts))
 		}
-		for i, p := range pts {
-			g.Insert(i, p)
-		}
-		side := max(box.Width(), box.Height())
-		for trial := 0; trial < 50; trial++ {
-			q := Point{box.Min.X + rng.Float64()*box.Width(), box.Min.Y + rng.Float64()*box.Height()}
-			r := rng.Float64() * 0.4 * side
-			got := g.Within(q, r, nil)
-			want := bruteWithin(pts, q, r)
-			if !equalIntSets(got, want) {
-				t.Fatalf("box %v trial %d: Within(%v, %v) = %v, want %v", box, trial, q, r, got, want)
+		// Reset over fewer points, then more again: a rebuilt table must
+		// hold nothing of the one before.
+		for k, n := range []int{300, 40, 300} {
+			if k > 0 {
+				pts = randPoints(rng, n, box)
+				g.Reset(box, len(pts), pts)
+			}
+			side := max(box.Width(), box.Height())
+			for trial := 0; trial < 50; trial++ {
+				q := Point{box.Min.X + rng.Float64()*box.Width(), box.Min.Y + rng.Float64()*box.Height()}
+				r := rng.Float64() * 0.4 * side
+				got := g.Within(q, r, nil)
+				want := bruteWithin(pts, q, r)
+				if !equalIntSets(got, want) {
+					t.Fatalf("box %v (%d points) trial %d: Within(%v, %v) = %v, want %v", box, n, trial, q, r, got, want)
+				}
 			}
 		}
 	}
 }
 
 func TestGridIndexEmpty(t *testing.T) {
-	g := NewGridIndex(NewBBox(Pt(0, 0), Pt(1, 1)), 8)
+	g := NewGridIndex(NewBBox(Pt(0, 0), Pt(1, 1)), 8, nil)
 	if got := g.Within(Pt(0.5, 0.5), 10, nil); len(got) != 0 {
 		t.Errorf("Within on empty index = %v", got)
 	}
@@ -89,8 +94,7 @@ func TestGridIndexEmpty(t *testing.T) {
 
 func TestGridIndexClampedOutsidePoints(t *testing.T) {
 	// Points outside the declared box must still be stored and findable.
-	g := NewGridIndex(NewBBox(Pt(0, 0), Pt(1, 1)), 16)
-	g.Insert(0, Pt(5, 5))
+	g := NewGridIndex(NewBBox(Pt(0, 0), Pt(1, 1)), 16, []Point{Pt(5, 5)})
 	got := g.Within(Pt(5, 5), 0.1, nil)
 	if !equalIntSets(got, []int{0}) {
 		t.Errorf("outside point not found: %v", got)

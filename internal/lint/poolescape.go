@@ -9,15 +9,15 @@ import (
 // memory (DESIGN.md §3.7) is one-way: what an owner's slab arenas, free
 // lists or aliasing fields hold stays owner-owned, and an owner takes in
 // outside data by COPYING it, never by aliasing slices out of a result it
-// built. The sync.Pool recycling of game state, dependency-wiring scratch
-// and the server's request/body pools has the same shape: a pooled object
-// is borrowed, used, and Put back — it must not outlive the borrow by
-// escaping into a field, a global, a channel, or the package's exported
-// surface.
+// built. The step arena that owns a batch's buffers (core's stepArena) and
+// the server's request/body pools have the same shape: arena memory lives
+// until the arena's next batch, and a pooled object is borrowed, used, and
+// Put back — neither may outlive its owner by escaping into a field, a
+// global, a channel, or the package's exported surface.
 //
 // The analyzer computes a per-function taint: values produced by
 // (sync.Pool).Get, by carve/carveLen on a slab reached through an owner
-// type (depScratch, prunedScan), by free-list
+// type (stepArena, prunedScan), by free-list
 // pops, or by reading an aliasing field (slice/pointer/map) of an owner, are
 // pool-owned. It flags:
 //
@@ -49,11 +49,12 @@ func NewPoolEscape() *Analyzer {
 
 // poolOwnerTypes are the types whose slabs, free lists and aliasing fields
 // are pool-owned. New pool-owning types must be registered here.
-// depScratch is the dependency-wiring build's pooled scratch: its ID-indexed
-// slices must never alias into the wiring it builds. prunedScan is a build's
-// view of the candidate source (skill buckets and grid): what it holds must
-// never alias into the index either.
-var poolOwnerTypes = map[string]bool{"depScratch": true, "prunedScan": true}
+// stepArena owns every per-batch buffer of core's batch step: its memory is
+// reused by the next step, so it must never land in a package variable or
+// leave through an exported function. prunedScan is a build's view of the
+// candidate source (skill buckets and grid): what it holds must never alias
+// into the index.
+var poolOwnerTypes = map[string]bool{"stepArena": true, "prunedScan": true}
 
 func runPoolEscape(pass *Pass) error {
 	for _, f := range pass.Files {
@@ -69,7 +70,7 @@ func runPoolEscape(pass *Pass) error {
 }
 
 // ownerRooted reports whether the expression is reached through a value of
-// a pool-owner type (sc.free, ps.buckets, sc.tag[i], a local *depScratch).
+// a pool-owner type (sc.free, ps.buckets, a.tag[i], a local *stepArena).
 func ownerRooted(pass *Pass, e ast.Expr) bool {
 	root := rootIdent(e)
 	if root == nil {

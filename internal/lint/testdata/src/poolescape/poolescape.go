@@ -1,6 +1,6 @@
 // Package poolescape is analyzer testdata. It models pooled-memory
 // ownership shapes locally — the analyzer matches pool owners by type NAME
-// (depScratch, prunedScan) and slab carving by method name.
+// (stepArena, prunedScan) and slab carving by method name.
 package poolescape
 
 import "sync"
@@ -13,10 +13,12 @@ func (s *slab) carveLen(n int) []int32 {
 	return s.buf[start : start+n]
 }
 
-// depScratch models an owner with a slab arena, a free list of recycled
-// structs and scratch tables: values may be read out of it, but none of
-// its memory may alias into a result.
-type depScratch struct {
+// stepArena models the batch step arena: an owner with slabs, a free list
+// of recycled structs and scratch tables, all reused by the next step.
+// Values may be read out of it, but none of its memory may alias into a
+// result, a package variable or the exported surface.
+type stepArena struct {
+	workers []int32
 	ids     slab
 	free    []*prunedScan
 	scratch []int32
@@ -54,20 +56,20 @@ func borrow() *state {
 	return statePool.Get().(*state)
 }
 
-func CarvedTasks(sc *depScratch, n int) []int32 {
+func CarvedTasks(sc *stepArena, n int) []int32 {
 	return sc.ids.carveLen(n) // want "slab-arena memory returned from exported CarvedTasks"
 }
 
-func carvedTasks(sc *depScratch, n int) []int32 {
+func carvedTasks(sc *stepArena, n int) []int32 {
 	return sc.ids.carveLen(n)
 }
 
-func sendLeak(sc *depScratch, ch chan []int32) {
+func sendLeak(sc *stepArena, ch chan []int32) {
 	buf := sc.ids.carveLen(4)
 	ch <- buf // want "slab-arena memory sent on a channel"
 }
 
-func stashGlobal(sc *depScratch) {
+func stashGlobal(sc *stepArena) {
 	global = sc.ids.carveLen(4) // want "slab-arena memory stored in package-level variable global"
 }
 
@@ -79,13 +81,13 @@ func copyInWithoutCopy(ps *prunedScan, foreign []int32) {
 	ps.tasks = foreign // want "foreign slice/pointer stored into pool-owned field without a copy"
 }
 
-func copyInAlways(sc *depScratch, ps *prunedScan, foreign []int32) {
+func copyInAlways(sc *stepArena, ps *prunedScan, foreign []int32) {
 	// Carve owner memory, then copy: the blessed copy-in shape.
 	ps.tasks = sc.ids.carveLen(len(foreign))
 	copy(ps.tasks, foreign)
 }
 
-func FreePop(sc *depScratch) *prunedScan {
+func FreePop(sc *stepArena) *prunedScan {
 	ps := sc.free[len(sc.free)-1]
 	sc.free = sc.free[:len(sc.free)-1]
 	return ps // want "free-list memory returned from exported FreePop"
@@ -96,19 +98,32 @@ func scalarReadsAreCopies(ps *prunedScan, k int) float64 {
 	return ps.costs[k]
 }
 
-func Scratch(sc *depScratch) []int32 {
+func Scratch(sc *stepArena) []int32 {
 	//lint:poolescape-ok documented contract: the only caller copies before the next batch reuses the buffer
 	return sc.scratch
 }
 
-func (sc *depScratch) wire() *depWiring {
+func (sc *stepArena) wire() *depWiring {
 	w := &depWiring{}
 	w.depDat = append(w.depDat, sc.pos[0]) // element copy: no finding
 	w.depDat = sc.pos                      // want "pool-owned memory stored into non-owner structure"
 	return w
 }
 
-func (sc *depScratch) view() prunedScan {
+func StepWorkers(a *stepArena) []int32 {
+	return a.workers // want "pool-owned memory returned from exported StepWorkers"
+}
+
+func stepWorkers(a *stepArena) []int32 {
+	// Unexported: the package's own batch code reads the arena.
+	return a.workers
+}
+
+func keepWorkers(a *stepArena) {
+	global = a.workers[:1] // want "pool-owned memory stored in package-level variable global"
+}
+
+func (sc *stepArena) view() prunedScan {
 	var ps prunedScan
 	ps.pos = sc.tag // owner to owner: no finding
 	return ps

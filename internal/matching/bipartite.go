@@ -31,65 +31,102 @@ func (b *Bipartite) AddEdge(u, v int) {
 // O(E·√V). It returns matchL where matchL[u] is the right vertex matched to
 // left vertex u, or -1, and the matching's size.
 func (b *Bipartite) MaxMatchingHK() (matchL []int, size int) {
-	const inf = int32(1) << 30
+	return new(Workspace).MaxMatchingHK(b)
+}
+
+// Workspace holds the working arrays of MaxMatchingHK and Hungarian so that
+// repeated solves reuse them instead of allocating per call. What a solve
+// returns lives in the workspace and stays valid only until its next solve.
+// A workspace serves one solve at a time.
+type Workspace struct {
+	matchL, matchR []int
+	dist           []int32
+	queue          []int
+	adj            [][]int
+
+	u, v, minv []float64
+	p, way     []int
+	used       []bool
+	assign     []int
+}
+
+// grown returns s resliced to n, at least doubling its capacity when it is
+// short; the contents are unspecified.
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, max(n, 2*cap(s)))
+	}
+	return s[:n]
+}
+
+// hkInf is the BFS distance of a left vertex not on the current layering.
+const hkInf = int32(1) << 30
+
+// MaxMatchingHK is Bipartite.MaxMatchingHK on the workspace's arrays; the
+// returned matchL is the workspace's.
+func (ws *Workspace) MaxMatchingHK(b *Bipartite) (matchL []int, size int) {
 	nL := len(b.Adj)
-	matchL = make([]int, nL)
-	matchR := make([]int, b.N)
-	for i := range matchL {
-		matchL[i] = -1
+	ws.adj = b.Adj
+	ws.matchL = grown(ws.matchL, nL)
+	ws.matchR = grown(ws.matchR, b.N)
+	for i := range ws.matchL {
+		ws.matchL[i] = -1
 	}
-	for i := range matchR {
-		matchR[i] = -1
+	for i := range ws.matchR {
+		ws.matchR[i] = -1
 	}
-	dist := make([]int32, nL)
-	queue := make([]int, 0, nL)
-
-	bfs := func() bool {
-		queue = queue[:0]
+	ws.dist = grown(ws.dist, nL)
+	for ws.hkLayer() {
 		for u := 0; u < nL; u++ {
-			if matchL[u] == -1 {
-				dist[u] = 0
-				queue = append(queue, u)
-			} else {
-				dist[u] = inf
-			}
-		}
-		found := false
-		for qi := 0; qi < len(queue); qi++ {
-			u := queue[qi]
-			for _, v := range b.Adj[u] {
-				w := matchR[v]
-				if w == -1 {
-					found = true
-				} else if dist[w] == inf {
-					dist[w] = dist[u] + 1
-					queue = append(queue, w)
-				}
-			}
-		}
-		return found
-	}
-
-	var dfs func(u int) bool
-	dfs = func(u int) bool {
-		for _, v := range b.Adj[u] {
-			w := matchR[v]
-			if w == -1 || (dist[w] == dist[u]+1 && dfs(w)) {
-				matchL[u] = v
-				matchR[v] = u
-				return true
-			}
-		}
-		dist[u] = inf
-		return false
-	}
-
-	for bfs() {
-		for u := 0; u < nL; u++ {
-			if matchL[u] == -1 && dfs(u) {
+			if ws.matchL[u] == -1 && ws.hkAugment(u) {
 				size++
 			}
 		}
 	}
-	return matchL, size
+	ws.adj = nil
+	return ws.matchL, size
+}
+
+// hkLayer is Hopcroft–Karp's BFS phase: it layers the left vertices from
+// the free ones and reports whether an augmenting path exists.
+func (ws *Workspace) hkLayer() bool {
+	queue := ws.queue[:0]
+	for u := range ws.matchL {
+		if ws.matchL[u] == -1 {
+			ws.dist[u] = 0
+			queue = append(queue, u)
+		} else {
+			ws.dist[u] = hkInf
+		}
+	}
+	found := false
+	for qi := 0; qi < len(queue); qi++ {
+		u := queue[qi]
+		for _, v := range ws.adj[u] {
+			w := ws.matchR[v]
+			if w == -1 {
+				found = true
+			} else if ws.dist[w] == hkInf {
+				ws.dist[w] = ws.dist[u] + 1
+				queue = append(queue, w)
+			}
+		}
+	}
+	ws.queue = queue
+	return found
+}
+
+// hkAugment is Hopcroft–Karp's DFS phase from left vertex u along the
+// layering.
+func (ws *Workspace) hkAugment(u int) bool {
+	for _, v := range ws.adj[u] {
+		w := ws.matchR[v]
+		if w == -1 || (ws.dist[w] == ws.dist[u]+1 && ws.hkAugment(w)) {
+			ws.matchL[u] = v
+			ws.matchR[v] = u
+			return true
+		}
+	}
+	ws.dist[u] = hkInf
+	return false
 }

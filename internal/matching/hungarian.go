@@ -28,6 +28,12 @@ const Forbidden = 1e15
 // columns are candidate workers and the costs are travel times, so the chosen
 // worker set is the cheapest complete staffing.
 func Hungarian(cost [][]float64) (assign []int, total float64, err error) {
+	return new(Workspace).Hungarian(cost)
+}
+
+// Hungarian is the package-level Hungarian on the workspace's arrays; the
+// returned assign is the workspace's.
+func (ws *Workspace) Hungarian(cost [][]float64) (assign []int, total float64, err error) {
 	n := len(cost)
 	if n == 0 {
 		return nil, 0, nil
@@ -44,12 +50,17 @@ func Hungarian(cost [][]float64) (assign []int, total float64, err error) {
 
 	const unassigned = 0
 	// 1-based potentials as in the classic formulation.
-	u := make([]float64, n+1)
-	v := make([]float64, m+1)
-	p := make([]int, m+1) // p[j] = row assigned to column j (1-based); 0 = none
-	way := make([]int, m+1)
-	minv := make([]float64, m+1)
-	used := make([]bool, m+1)
+	u := grown(ws.u, n+1)
+	v := grown(ws.v, m+1)
+	p := grown(ws.p, m+1) // p[j] = row assigned to column j (1-based); 0 = none
+	way := grown(ws.way, m+1)
+	minv := grown(ws.minv, m+1)
+	used := grown(ws.used, m+1)
+	ws.u, ws.v, ws.p, ws.way, ws.minv, ws.used = u, v, p, way, minv, used
+	clear(u)
+	clear(v)
+	clear(p)
+	clear(way)
 
 	for i := 1; i <= n; i++ {
 		p[0] = i
@@ -100,7 +111,8 @@ func Hungarian(cost [][]float64) (assign []int, total float64, err error) {
 		}
 	}
 
-	assign = make([]int, n)
+	assign = grown(ws.assign, n)
+	ws.assign = assign
 	for i := range assign {
 		assign[i] = -1
 	}

@@ -1,8 +1,9 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dasc/internal/geo"
 )
@@ -53,13 +54,14 @@ func (a *Assignment) TaskSet() map[TaskID]bool {
 	return out
 }
 
-// Sort orders pairs by task ID (then worker ID) for stable output.
+// Sort orders pairs by task ID (then worker ID) for stable output. Equal
+// keys are equal pairs, so the order is the same whatever the sort.
 func (a *Assignment) Sort() {
-	sort.Slice(a.Pairs, func(i, j int) bool {
-		if a.Pairs[i].Task != a.Pairs[j].Task {
-			return a.Pairs[i].Task < a.Pairs[j].Task
+	slices.SortFunc(a.Pairs, func(x, y Pair) int {
+		if c := cmp.Compare(x.Task, y.Task); c != 0 {
+			return c
 		}
-		return a.Pairs[i].Worker < a.Pairs[j].Worker
+		return cmp.Compare(x.Worker, y.Worker)
 	})
 }
 

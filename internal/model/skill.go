@@ -14,6 +14,28 @@ import (
 // integers in [0, r).
 type Skill int32
 
+// MaxSkill is the highest skill a worker may hold. A SkillSet costs one bit
+// per skill up to its highest, so the decoders reject a worker skill above
+// it (or below zero) before building one: an unbounded skill would let one
+// registration size a set by its value (skill 2^30 took about a second and
+// over 128 MB). At 2^20 a set costs at most 128 KiB, and the bound lies far
+// above every generated universe (synthetic 1500, meetup 400, the skill
+// sweeps of Figure 8) and above the ~700K distinct skills the journal's
+// long-line replay test registers.
+const MaxSkill Skill = 1 << 20
+
+// CheckSkill returns an error naming sk when it is negative or above
+// MaxSkill, the skills no SkillSet is built for.
+func CheckSkill(sk Skill) error {
+	switch {
+	case sk < 0:
+		return fmt.Errorf("negative skill %d", sk)
+	case sk > MaxSkill:
+		return fmt.Errorf("skill %d above the maximum %d", sk, MaxSkill)
+	}
+	return nil
+}
+
 // SkillSet is a bitset over the skill universe. The synthetic workloads use
 // universes up to ~2000 skills and workers holding ≤ 30 of them, so a packed
 // bitset keeps the per-worker membership test at a couple of instructions.
@@ -36,10 +58,15 @@ func (s *SkillSet) Add(sk Skill) {
 		panic(fmt.Sprintf("model: negative skill %d", sk))
 	}
 	w := int(sk) / 64
-	for w >= len(s.words) {
-		s.words = append(s.words, 0)
+	if w >= len(s.words) {
+		s.words = append(s.words, make([]uint64, w+1-len(s.words))...)
 	}
 	s.words[w] |= 1 << (uint(sk) % 64)
+}
+
+// Clear empties the set, keeping its storage for the skills added next.
+func (s *SkillSet) Clear() {
+	s.words = s.words[:0]
 }
 
 // Remove deletes sk from the set; removing an absent skill is a no-op.

@@ -191,3 +191,26 @@ func TestSkillSetNextCommonProperty(t *testing.T) {
 		t.Errorf("NextCommon across a word boundary = %d, want 70", got)
 	}
 }
+
+// TestSkillSetClearAndBound: Add grows the words to a high skill in one
+// step, Clear empties the set without keeping any old skill, and CheckSkill
+// admits exactly [0, MaxSkill].
+func TestSkillSetClearAndBound(t *testing.T) {
+	s := NewSkillSet(3, MaxSkill)
+	if !s.Has(MaxSkill) || !s.Has(3) || s.Len() != 2 || s.Max() != MaxSkill {
+		t.Fatalf("set %v: want {3, %d}", s, MaxSkill)
+	}
+	s.Clear()
+	if !s.IsEmpty() || s.Has(3) || s.Has(MaxSkill) {
+		t.Fatalf("cleared set still holds %v", s)
+	}
+	s.Add(200)
+	if s.Len() != 1 || !s.Has(200) || s.Has(MaxSkill) {
+		t.Fatalf("set after Clear and Add(200): %v", s)
+	}
+	for sk, ok := range map[Skill]bool{-1: false, 0: true, MaxSkill: true, MaxSkill + 1: false, 1 << 30: false} {
+		if err := CheckSkill(sk); (err == nil) != ok {
+			t.Errorf("CheckSkill(%d) = %v", sk, err)
+		}
+	}
+}

@@ -35,13 +35,28 @@ type workerDTO struct {
 
 // validate rejects non-finite numeric fields at the DTO layer (the platform
 // re-checks; two layers so embedders calling AddWorker directly get the same
-// protection HTTP clients do).
+// protection HTTP clients do), and skills outside [0, model.MaxSkill],
+// before any skill set is built from them.
 func (d *workerDTO) validate() error {
-	return checkFinite(
+	if err := checkFinite(
 		finiteField{"x", d.X}, finiteField{"y", d.Y},
 		finiteField{"start", d.Start}, finiteField{"wait", d.Wait},
 		finiteField{"velocity", d.Velocity}, finiteField{"max_dist", d.MaxDist},
-	)
+	); err != nil {
+		return err
+	}
+	return checkSkills(d.Skills)
+}
+
+// checkSkills returns an error naming the first skill outside
+// [0, model.MaxSkill].
+func checkSkills(skills []model.Skill) error {
+	for _, sk := range skills {
+		if err := model.CheckSkill(sk); err != nil {
+			return fmt.Errorf("skills: %w", err)
+		}
+	}
+	return nil
 }
 
 // taskDTO is the JSON body of POST /v1/tasks. Weight must round-trip here:

@@ -486,6 +486,9 @@ func applyEntry(p *Platform, e *journalEntry, line int) (entries, ticks int, err
 			return 0, 0, fmt.Errorf("server: journal line %d: worker entry without payload", line)
 		}
 		w := e.Worker
+		if err := checkSkills(w.Skills); err != nil {
+			return 0, 0, fmt.Errorf("server: journal line %d: worker: %w", line, err)
+		}
 		_, err := p.AddWorker(model.Worker{
 			Loc: pt(w.X, w.Y), Start: w.Start, Wait: w.Wait,
 			Velocity: w.Velocity, MaxDist: w.MaxDist,

@@ -95,27 +95,31 @@ race_guard() {
 # kernel's doomed-task rule against a brute-force oracle, on a hand-built
 # instance and, for the allocators whose outcome must not move, against a
 # kernel that keeps offering doomed tasks; the server's recovery test
-# checks that a restored platform rebuilds it.
+# checks that a restored platform rebuilds it. The arena tests poison the
+# kernel's step arena after every step over the allocator matrix and step
+# two kernels concurrently: a result or a later step that reads arena memory
+# an earlier step left behind diverges.
 echo "== go test -race candidate-engine and kernel guards (GOMAXPROCS=2, 8)"
 race_guard ./internal/core/ TestBatchIndexParallelDeterministic \
 	TestBatchIndexMatchesScan TestKernelCacheMatchesScratch \
 	TestKernelPopulationMatchesFullScan TestKernelRetirementKeepsOutcome \
-	TestKernelRetiresHandBuiltDoom
+	TestKernelRetiresHandBuiltDoom TestKernelArenaPoison \
+	TestKernelsStepConcurrently
 race_guard ./internal/server/ TestRecoverRetiresDependantsOfBotchedTasks
 
 # The game worklist engine's bit-exactness matrix (worklist vs naive sweep
 # across thresholds, inits and sweep orders) plus its GOMAXPROCS determinism
-# sweep: the engine itself is single-threaded, but it shares pooled state
-# (gameState, gameWorklist, batch wiring) across concurrently-allocating
-# goroutines in the sim and server.
+# sweep: the engine itself is single-threaded, and its state (gameState,
+# gameWorklist, batch wiring) lives in each batch's step arena, while the
+# sim and server allocate concurrently.
 echo "== go test -race game worklist guards (GOMAXPROCS=2, 8)"
 race_guard ./internal/core/ TestGameWorklist
 
 # The dense dependency wiring's differentials (map-based oracles for the
 # wiring, the associative sets, the index-domain fixpoint and Greedy's
 # column scratch), Greedy's staffable-set prune against its unpruned loop,
-# and the wiring's concurrent pooled-scratch test: batches allocated
-# concurrently borrow their build scratch from one shared sync.Pool.
+# and the wiring's concurrent test: batches wired concurrently, each in a
+# step arena of its own, share no scratch.
 echo "== go test -race dependency wiring (GOMAXPROCS=2, 8)"
 race_guard ./internal/core/ TestDepWiring TestGreedyStaffMatchesMapOracle \
 	TestGreedyPruneIsExact
@@ -165,6 +169,12 @@ echo "fuzz: OK"
 echo "== batch wiring micro-benchmark smoke"
 go test -run '^$' -bench BenchmarkBatchWiring -benchtime=1x ./internal/core >/dev/null
 echo "batch wiring smoke: OK"
+
+# A whole fig10-max run of G-G kernel steps at batch interval 1, allocations
+# reported; run it with a real -benchtime to compare.
+echo "== kernel step micro-benchmark smoke"
+go test -run '^$' -bench BenchmarkKernelStepFig10Max -benchtime=1x ./internal/core >/dev/null
+echo "kernel step smoke: OK"
 
 # Black-box durability check: a real dasc-server process with a journal is
 # loaded over HTTP, SIGTERMed, restarted, and its /v1/stats +
