@@ -62,7 +62,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		trace    = fs.String("trace", "", "write a per-batch CSV trace of the simulation to this file")
 		metrics  = fs.String("metrics", "", "write aggregated run metrics (Prometheus text format) to this file, or - for stdout")
 		poa      = fs.Int("poa", 0, "with -static: sample N random-init game equilibria against the exact optimum (small instances only)")
-		noGameWL = fs.Bool("no-game-worklist", false, "run game allocators with the naive full best-response sweep instead of the incremental worklist engine")
 		verifyWL = fs.Bool("verify-game-worklist", false, "cross-check the game worklist engine against the naive sweep every batch (differential mode; slow)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -78,12 +77,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	alloc, err := core.NewByName(*alg, *seed)
 	if err != nil {
 		return err
-	}
-
-	if *noGameWL {
-		if g, ok := alloc.(*core.Game); ok {
-			alloc = g.WithWorklistDisabled(true)
-		}
 	}
 
 	timer := stats.StartTimer()

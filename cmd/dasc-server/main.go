@@ -79,7 +79,6 @@ func run() error {
 		logLevel    = flag.String("log-level", "info", "structured log level: debug, info, warn or error")
 		logFormat   = flag.String("log-format", "text", "structured log encoding: text or json")
 		accessEvery = flag.Int("access-log-every", 100, "log every Nth HTTP request with its X-Request-ID (1 = all, 0 = no access log)")
-		noGameWL    = flag.Bool("no-game-worklist", false, "run game allocators with the naive full best-response sweep instead of the incremental worklist engine")
 		verifyWL    = flag.Bool("verify-game-worklist", false, "cross-check the game worklist engine against the naive sweep every tick (differential mode; slow)")
 	)
 	flag.Parse()
@@ -92,11 +91,6 @@ func run() error {
 	alloc, err := core.NewByName(*alg, *seed)
 	if err != nil {
 		return err
-	}
-	if *noGameWL {
-		if g, ok := alloc.(*core.Game); ok {
-			alloc = g.WithWorklistDisabled(true)
-		}
 	}
 	mode, err := server.ParseFsyncMode(*fsync)
 	if err != nil {

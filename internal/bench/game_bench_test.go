@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"os"
-	"strconv"
 	"testing"
 
 	"dasc/internal/core"
@@ -11,21 +9,11 @@ import (
 
 // gameBenchInstance generates the fig10-max workload the game benchmarks
 // run on (5K workers / 8K tasks — largestRegistryInstance's sweep point).
-// DASC_GAME_BENCH_SCALE scales it down for smoke runs (scripts/bench.sh
-// -quick sets 0.05 so the naive sweep stays in CI budget).
 func gameBenchInstance(b *testing.B) *model.Instance {
 	b.Helper()
-	scale := 1.0
-	if s := os.Getenv("DASC_GAME_BENCH_SCALE"); s != "" {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil || v <= 0 || v > 1 {
-			b.Fatalf("bad DASC_GAME_BENCH_SCALE %q", s)
-		}
-		scale = v
-	}
 	w := DefaultSyntheticWorkload()
 	w.Syn.Tasks = 8000
-	in, err := w.Generate(scale, 1)
+	in, err := w.Generate(1, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -37,8 +25,7 @@ func gameBenchInstance(b *testing.B) *model.Instance {
 // best-response sweep + resolution the worklist engine optimises.
 func benchmarkGameAssign(b *testing.B, disableWorklist bool) {
 	in := gameBenchInstance(b)
-	g := core.NewGame(core.GameOptions{Seed: 1}).
-		WithWorklistDisabled(disableWorklist)
+	g := core.NewGame(core.GameOptions{Seed: 1, DisableWorklist: disableWorklist})
 
 	// Differential gate: every bench run first proves the worklist engine
 	// bit-exact against the naive sweep on this exact batch, so a speedup

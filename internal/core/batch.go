@@ -126,16 +126,19 @@ func (b *Batch) WorkerIndex(id model.WorkerID) int {
 	return b.arena.workerIDs.index(int(id), b.workerBase, len(b.Workers))
 }
 
-// DropUnknownWorkers removes from m every pair naming a worker that is not
-// active in this batch and returns how many were dropped. Allocators are
-// contractually bound to b.Workers, but a misbehaving custom implementation
-// used to slip through: the platforms' worker-ID lookup resolved unknown IDs
-// to batch index 0 and silently corrupted worker 0's state. The platforms
-// call this right after Assign so scoring and dispatch see only real pairs.
-func DropUnknownWorkers(b *Batch, m *model.Assignment) int {
+// DropRoguePairs removes from m every pair naming a worker that is not
+// active in this batch or a task ID outside the instance, and returns how
+// many were dropped. Allocators are contractually bound to b.Workers and
+// b.Tasks, but a misbehaving custom implementation is not: the dependency
+// fixpoint and dispatch look each pair's task up in the instance, where an
+// ID outside it would panic them, and a worker outside the batch has no
+// batch state to dispatch. The kernel calls this right after Assign so
+// they see only real pairs. A pair naming a real task that is not pending
+// stays: dispatch treats it like any other pair.
+func DropRoguePairs(b *Batch, m *model.Assignment) int {
 	kept := m.Pairs[:0]
 	for _, p := range m.Pairs {
-		if b.WorkerIndex(p.Worker) >= 0 {
+		if b.WorkerIndex(p.Worker) >= 0 && b.In.Task(p.Task) != nil {
 			kept = append(kept, p)
 		}
 	}

@@ -35,9 +35,10 @@ type GameOptions struct {
 	// every worker's whole strategy set. The default (false) runs the
 	// incremental worklist engine, which skips workers whose neighbourhood
 	// did not change since their last evaluation — bit-exact with the naive
-	// sweep including the RNG stream (VerifyWorklist is the differential
-	// cross-check). The flag exists for A/B benchmarks and debugging, and
-	// both CLIs' -no-game-worklist set it through WithWorklistDisabled.
+	// sweep including the RNG stream. The naive sweep is the reference that
+	// VerifyWorklist checks the engine against (the platforms'
+	// VerifyGameWorklist mode); tests and benchmarks set the field to build
+	// it directly.
 	DisableWorklist bool
 }
 
@@ -77,16 +78,6 @@ func (g *Game) DependencyAware() bool { return true }
 
 // Options returns the game's effective configuration.
 func (g *Game) Options() GameOptions { return g.opt }
-
-// WithWorklistDisabled returns a copy of the allocator with the incremental
-// worklist engine disabled (true = naive full sweep) or enabled. The CLIs
-// use it to honour their -no-game-worklist flags without reconstructing the
-// allocator.
-func (g *Game) WithWorklistDisabled(disable bool) *Game {
-	ng := *g
-	ng.opt.DisableWorklist = disable
-	return &ng
-}
 
 // GameTrace reports how a best-response run went; retrievable via AssignTraced.
 type GameTrace struct {

@@ -35,7 +35,9 @@ func TestGameWorklistBitExactMatrix(t *testing.T) {
 			opt.Seed = seed
 			b := NewStaticBatch(in)
 			fast := NewGame(opt)
-			slow := fast.WithWorklistDisabled(true)
+			slowOpt := opt
+			slowOpt.DisableWorklist = true
+			slow := NewGame(slowOpt)
 			if got := fast.Options().DisableWorklist; got {
 				t.Fatal("worklist engine must be the default")
 			}

@@ -101,11 +101,12 @@ type StepResult struct {
 	Workers int // active workers presented to the allocator
 	Tasks   int // pending tasks presented to the allocator
 	// Raw is the allocator's assignment without pairs naming workers outside
-	// the batch; Valid is its dependency-valid subset. Both are nil when the
-	// batch had no workers or no tasks.
+	// the batch or tasks outside the instance; Valid is its dependency-valid
+	// subset. Both are nil when the batch had no workers or no tasks.
 	Raw   *model.Assignment
 	Valid *model.Assignment
-	// Rogue counts the pairs dropped for naming a worker outside the batch.
+	// Rogue counts the pairs dropped for naming a worker outside the batch
+	// or a task outside the instance.
 	Rogue int
 	// Dispatches lists the executed pairs in dispatch order.
 	Dispatches []Dispatch
@@ -149,7 +150,7 @@ func (k *Kernel) Step(in *model.Instance, now float64, rec *obs.BatchRec) (*Step
 		}
 	}
 	st.Raw = k.cfg.Allocator.Assign(b)
-	st.Rogue = DropUnknownWorkers(b, st.Raw)
+	st.Rogue = DropRoguePairs(b, st.Raw)
 	// Allocators may return raw assignments (the paper's Closest and Random
 	// baselines ignore dependencies); only the valid subset scores and
 	// satisfies dependency obligations.
@@ -261,7 +262,7 @@ func (k *Kernel) dispatch(b *Batch, now float64, st *StepResult) {
 	}
 	st.Dispatches = make([]Dispatch, 0, len(order))
 	for _, pair := range order {
-		// DropUnknownWorkers already removed pairs naming workers outside
+		// DropRoguePairs already removed pairs naming workers outside
 		// the batch; the guard stays as a backstop so a miss can never
 		// dispatch through batch index 0.
 		bi := b.WorkerIndex(pair.Worker)

@@ -50,7 +50,7 @@ type BatchTrace struct {
 	// Allocation results.
 	Assigned int `json:"assigned"` // valid pairs
 	Deferred int `json:"deferred"` // pairs dropped by the dependency fixpoint
-	Rogue    int `json:"rogue"`    // pairs naming a worker outside the batch
+	Rogue    int `json:"rogue"`    // pairs naming a worker outside the batch or an unknown task
 
 	// DASC_Game best-response engine outcomes (zero when the allocator is not
 	// game-based). Invariant: GameEvaluated + GameSkipped ==

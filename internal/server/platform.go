@@ -401,8 +401,8 @@ type BatchOutcome struct {
 	Assigned []model.Pair `json:"assigned"`
 	Wasted   int          `json:"wasted"`
 	// Rogue counts allocator pairs dropped for naming a worker that was not
-	// active in the batch (misbehaving custom Allocator); they are never
-	// dispatched.
+	// active in the batch or a task outside the instance (misbehaving custom
+	// Allocator); they are never dispatched.
 	Rogue int `json:"rogue"`
 	// MemoHits counts this tick's travel-time lookups served from the
 	// candidate engine's memo.

@@ -7,6 +7,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -304,6 +306,29 @@ func TestTickRejectsNonFiniteDirect(t *testing.T) {
 	}
 }
 
+// FuzzTickParam drives POST /v1/tick?t=<raw> through the whole handler on a
+// fresh platform: no input may panic or draw a 5xx, and the answer is 400
+// exactly when strconv.ParseFloat rejects raw or raw is not finite.
+func FuzzTickParam(f *testing.F) {
+	for _, raw := range []string{"0", "12.5", "-3", "1e3", "NaN", "+Inf", "1.5junk", ""} {
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		p, err := NewPlatform(Config{Allocator: core.NewGreedy()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		rec := httptest.NewRecorder()
+		Handler(p).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/tick?t="+url.QueryEscape(raw), nil))
+		v, perr := strconv.ParseFloat(raw, 64)
+		bad := perr != nil || math.IsNaN(v) || math.IsInf(v, 0)
+		if rec.Code >= 500 || bad != (rec.Code == http.StatusBadRequest) {
+			t.Fatalf("t=%q: status %d (parse error %v, value %v): %s", raw, rec.Code, perr, v, rec.Body)
+		}
+	})
+}
+
 // populate registers a time-staggered population so ticks see arrivals and
 // departures.
 func populate(t *testing.T, p *Platform) {
@@ -359,53 +384,71 @@ func TestServerEngineCacheDifferential(t *testing.T) {
 	}
 }
 
-// serverRogueAllocator names a worker outside the batch for every pending
-// task — the misbehaving-custom-Allocator case.
-type serverRogueAllocator struct{}
+// serverRogueAllocator returns one pair naming a worker outside the batch
+// or a task outside the instance — the misbehaving-custom-Allocator case.
+type serverRogueAllocator struct {
+	pair func(b *core.Batch) model.Pair
+}
 
 func (serverRogueAllocator) Name() string          { return "Rogue" }
 func (serverRogueAllocator) DependencyAware() bool { return false }
 
-func (serverRogueAllocator) Assign(b *core.Batch) *model.Assignment {
+func (r serverRogueAllocator) Assign(b *core.Batch) *model.Assignment {
 	a := model.NewAssignment()
-	for _, task := range b.Tasks {
-		a.Add(model.WorkerID(777), task.ID)
-	}
+	p := r.pair(b)
+	a.Add(p.Worker, p.Task)
 	return a
 }
 
 func TestServerRogueAllocatorPairsSkipped(t *testing.T) {
-	p, err := NewPlatform(Config{Allocator: serverRogueAllocator{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.AddWorker(model.Worker{
-		Wait: 100, Velocity: 1, MaxDist: 10, Skills: model.NewSkillSet(0),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.AddTask(model.Task{Loc: geo.Pt(1, 0), Wait: 100, Requires: 0}); err != nil {
-		t.Fatal(err)
-	}
-	out, err := p.Tick(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Rogue != 1 {
-		t.Errorf("outcome.Rogue = %d, want 1", out.Rogue)
-	}
-	if len(out.Assigned) != 0 {
-		t.Errorf("rogue pair dispatched: %v", out.Assigned)
-	}
-	st := p.Snapshot()
-	if st.RoguePairs != 1 {
-		t.Errorf("stats.RoguePairs = %d, want 1", st.RoguePairs)
-	}
-	if st.AssignedTasks != 0 {
-		t.Errorf("rogue pair recorded as assignment")
-	}
-	// Worker 0's state must be untouched: it can still take the task.
-	if got := p.kernel.Worker(&p.workers[0]); got != (core.WorkerState{Loc: geo.Pt(0, 0)}) {
-		t.Errorf("worker 0 state mutated by rogue pair: %v", got)
+	for _, rc := range []struct {
+		name string
+		pair func(b *core.Batch) model.Pair
+	}{
+		{"unknown-worker", func(b *core.Batch) model.Pair {
+			return model.Pair{Worker: 777, Task: b.Tasks[0].ID}
+		}},
+		{"task-past-end", func(b *core.Batch) model.Pair {
+			return model.Pair{Worker: b.Workers[0].W.ID, Task: model.TaskID(len(b.In.Tasks) + 5)}
+		}},
+		{"negative-task", func(b *core.Batch) model.Pair {
+			return model.Pair{Worker: b.Workers[0].W.ID, Task: -1}
+		}},
+	} {
+		t.Run(rc.name, func(t *testing.T) {
+			p, err := NewPlatform(Config{Allocator: serverRogueAllocator{rc.pair}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.AddWorker(model.Worker{
+				Wait: 100, Velocity: 1, MaxDist: 10, Skills: model.NewSkillSet(0),
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.AddTask(model.Task{Loc: geo.Pt(1, 0), Wait: 100, Requires: 0}); err != nil {
+				t.Fatal(err)
+			}
+			out, err := p.Tick(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Rogue != 1 {
+				t.Errorf("outcome.Rogue = %d, want 1", out.Rogue)
+			}
+			if len(out.Assigned) != 0 {
+				t.Errorf("rogue pair dispatched: %v", out.Assigned)
+			}
+			st := p.Snapshot()
+			if st.RoguePairs != 1 {
+				t.Errorf("stats.RoguePairs = %d, want 1", st.RoguePairs)
+			}
+			if st.AssignedTasks != 0 {
+				t.Errorf("rogue pair recorded as assignment")
+			}
+			// Worker 0's state must be untouched: it can still take the task.
+			if got := p.kernel.Worker(&p.workers[0]); got != (core.WorkerState{Loc: geo.Pt(0, 0)}) {
+				t.Errorf("worker 0 state mutated by rogue pair: %v", got)
+			}
+		})
 	}
 }

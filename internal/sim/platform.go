@@ -82,8 +82,8 @@ type Result struct {
 	// Config.CollectDelays is set; nil otherwise.
 	Delays []float64
 	// RoguePairs counts assignment pairs dropped because they named a worker
-	// not active in the batch (only a misbehaving custom Allocator produces
-	// them). They score nothing and are never dispatched.
+	// not active in the batch or a task outside the instance (only a
+	// misbehaving custom Allocator produces them). They score nothing and are never dispatched.
 	RoguePairs int
 	// WorkerAssignments[w] counts tasks worker w conducted.
 	WorkerAssignments map[model.WorkerID]int

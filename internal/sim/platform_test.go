@@ -516,22 +516,39 @@ func TestSimEngineCacheDifferential(t *testing.T) {
 	}
 }
 
-// rogueAllocator returns pairs naming a worker that is not in the batch —
-// the misbehaving-custom-Allocator case the platforms must survive. Before
-// the guard, the worker-ID lookup resolved the unknown ID to batch index 0
-// and silently moved worker 0.
-type rogueAllocator struct{}
+// rogueAllocator returns one pair naming a worker that is not in the batch
+// or a task that is not in the instance — the misbehaving-custom-Allocator
+// case the platforms must survive without moving worker 0 or panicking.
+type rogueAllocator struct {
+	pair func(b *core.Batch) model.Pair
+}
 
 func (rogueAllocator) Name() string          { return "Rogue" }
 func (rogueAllocator) DependencyAware() bool { return false }
 
-func (rogueAllocator) Assign(b *core.Batch) *model.Assignment {
+func (r rogueAllocator) Assign(b *core.Batch) *model.Assignment {
 	a := model.NewAssignment()
-	for _, task := range b.Tasks {
-		a.Add(model.WorkerID(9999), task.ID)
-		break
-	}
+	p := r.pair(b)
+	a.Add(p.Worker, p.Task)
 	return a
+}
+
+// roguePairs are the rogue inputs the test feeds the kernel: an unknown
+// worker on a real task, and a real worker on a task ID past the
+// instance's end or below zero.
+var roguePairs = []struct {
+	name string
+	pair func(b *core.Batch) model.Pair
+}{
+	{"unknown-worker", func(b *core.Batch) model.Pair {
+		return model.Pair{Worker: 9999, Task: b.Tasks[0].ID}
+	}},
+	{"task-past-end", func(b *core.Batch) model.Pair {
+		return model.Pair{Worker: b.Workers[0].W.ID, Task: model.TaskID(len(b.In.Tasks) + 5)}
+	}},
+	{"negative-task", func(b *core.Batch) model.Pair {
+		return model.Pair{Worker: b.Workers[0].W.ID, Task: -1}
+	}},
 }
 
 func TestSimRogueAllocatorPairsSkipped(t *testing.T) {
@@ -544,28 +561,32 @@ func TestSimRogueAllocatorPairsSkipped(t *testing.T) {
 			{ID: 0, Loc: geo.Pt(1, 0), Start: 0, Wait: 10, Requires: 0},
 		},
 	}
-	p, err := New(in, Config{Allocator: rogueAllocator{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RoguePairs == 0 {
-		t.Error("rogue pairs were not counted")
-	}
-	if res.AssignedPairs != 0 || res.CompletedTasks != 0 {
-		t.Errorf("rogue pairs scored: assigned=%d completed=%d", res.AssignedPairs, res.CompletedTasks)
-	}
-	// Worker 0 must never have been dispatched on the rogue pair.
-	if res.TotalTravel != 0 {
-		t.Errorf("worker 0 travelled %v on a rogue pair", res.TotalTravel)
-	}
-	if got := res.WorkerAssignments[0]; got != 0 {
-		t.Errorf("worker 0 conducted %d tasks via rogue pairs", got)
-	}
-	if res.ExpiredTasks != 1 {
-		t.Errorf("task not returned to the pool: expired=%d, want 1", res.ExpiredTasks)
+	for _, rc := range roguePairs {
+		t.Run(rc.name, func(t *testing.T) {
+			p, err := New(in, Config{Allocator: rogueAllocator{rc.pair}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := p.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.RoguePairs == 0 {
+				t.Error("rogue pairs were not counted")
+			}
+			if res.AssignedPairs != 0 || res.CompletedTasks != 0 {
+				t.Errorf("rogue pairs scored: assigned=%d completed=%d", res.AssignedPairs, res.CompletedTasks)
+			}
+			// Worker 0 must never have been dispatched on the rogue pair.
+			if res.TotalTravel != 0 {
+				t.Errorf("worker 0 travelled %v on a rogue pair", res.TotalTravel)
+			}
+			if got := res.WorkerAssignments[0]; got != 0 {
+				t.Errorf("worker 0 conducted %d tasks via rogue pairs", got)
+			}
+			if res.ExpiredTasks != 1 {
+				t.Errorf("task not returned to the pool: expired=%d, want 1", res.ExpiredTasks)
+			}
+		})
 	}
 }

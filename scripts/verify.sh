@@ -65,20 +65,29 @@ go run ./cmd/dasc-bench -verify -q -scale 0.5
 echo "== go test -race (core, obs, sim, server, bench)"
 go test -race ./internal/core/... ./internal/obs/... ./internal/sim/... ./internal/server/... ./internal/bench/...
 
-# race_guard PKG PATTERN... re-runs the tests matching any PATTERN under
-# the race detector at two scheduler widths: GOMAXPROCS=2 forces heavy
-# interleaving, 8 gives real parallelism. `go test -run` passes when a
-# pattern matches no test, so every PATTERN must first list at least one
-# test: a moved or renamed guard fails the step instead of passing empty.
-race_guard() {
-	pkg=$1
-	shift
+# require_listed KIND PKG PATTERN... fails unless every PATTERN lists at
+# least one KIND (Test or Benchmark) in PKG under `go test -list`. `go test
+# -run` and `-bench` pass when a pattern matches nothing, so without it a
+# moved or renamed target would pass empty instead of failing the step.
+require_listed() {
+	kind=$1
+	pkg=$2
+	shift 2
 	for pat in "$@"; do
-		if [ -z "$(go test -list "$pat" "$pkg" | grep '^Test')" ]; then
-			echo "verify: no test in $pkg matches '$pat'" >&2
+		if [ -z "$(go test -list "$pat" "$pkg" | grep "^$kind")" ]; then
+			echo "verify: no $kind in $pkg matches '$pat'" >&2
 			exit 1
 		fi
 	done
+}
+
+# race_guard PKG PATTERN... re-runs the tests matching any PATTERN under
+# the race detector at two scheduler widths: GOMAXPROCS=2 forces heavy
+# interleaving, 8 gives real parallelism.
+race_guard() {
+	pkg=$1
+	shift
+	require_listed Test "$pkg" "$@"
 	run=$(printf '%s|' "$@")
 	for gmp in 2 8; do
 		GOMAXPROCS=$gmp go test -race "$pkg" -run "${run%|}" -count 1
@@ -130,29 +139,48 @@ race_guard ./internal/core/ TestDepWiring TestGreedyStaffMatchesMapOracle \
 echo "== go test -race ingest pipeline (GOMAXPROCS=2, 8)"
 race_guard ./internal/server/ TestIngest
 
-echo "== bench smoke"
-BENCH_OUT=$(mktemp) GAME_OUT=$(mktemp) INGEST_OUT=$(mktemp) sh scripts/bench.sh -quick >/dev/null
-echo "bench smoke: OK"
+# bench_smoke PKG PATTERN... runs each benchmark matching any PATTERN once
+# (-benchtime=1x): the smoke proves a benchmark still builds and runs; give
+# it a real -benchtime to compare.
+bench_smoke() {
+	pkg=$1
+	shift
+	require_listed Benchmark "$pkg" "$@"
+	run=$(printf '%s|' "$@")
+	go test -run '^$' -bench "${run%|}" -benchtime=1x "$pkg" >/dev/null
+}
+
+# The candidate engine against its scan, and the grid's radius query.
+echo "== candidate engine and grid micro-benchmark smoke"
+bench_smoke ./internal/bench '^BenchmarkBatchCandidatesIndexed$'
+bench_smoke ./internal/geo '^BenchmarkGridWithin$'
+echo "candidate engine and grid smoke: OK"
+
+# The DASC_Game worklist engine and the naive best-response sweep on the
+# fig10-max workload; each run first checks the two bit-exact on the bench
+# batch (VerifyWorklist).
+echo "== game engine micro-benchmark smoke"
+bench_smoke ./internal/bench '^BenchmarkGameAssignWorklist$' '^BenchmarkGameAssignNaive$'
+echo "game engine smoke: OK"
 
 # A tick's cost must not grow with history: one iteration of each history
-# size (0, 50K, 200K expired or assigned registrations) proves the
-# benchmark runs; run it with a real -benchtime to compare the sizes.
+# size (0, 50K, 200K expired or assigned registrations).
 echo "== tick history micro-benchmark smoke"
-go test -run '^$' -bench BenchmarkTickHistory -benchtime=1x ./internal/server >/dev/null
+bench_smoke ./internal/server '^BenchmarkTickHistory$'
 echo "tick history smoke: OK"
 
-# Restoring and writing a 200K-registration snapshot, once each; run them
-# with a real -benchtime to compare.
+# Restoring and writing a 200K-registration snapshot, once each.
 echo "== snapshot codec micro-benchmark smoke"
-go test -run '^$' -bench 'Benchmark(Read|Write)Snapshot$' -benchtime=1x ./internal/server >/dev/null
+bench_smoke ./internal/server '^BenchmarkReadSnapshot$' '^BenchmarkWriteSnapshot$'
 echo "snapshot codec smoke: OK"
 
-# Bounded differential fuzzing of the one-pass decoders (instance,
-# registration bodies, snapshot) against the strict encoding/json decoder
-# they fall back to, from the seed corpora under each package's
-# testdata/fuzz. A short -fuzzminimizetime keeps the budget on new inputs
-# rather than on shrinking the ones that widened coverage.
-echo "== fuzz: one-pass decoders vs the strict decoder (5s each)"
+# Bounded fuzzing from the seed corpora under each package's testdata/fuzz:
+# the one-pass decoders (instance, registration bodies, snapshot) against
+# the strict encoding/json decoder they fall back to, and the /v1/tick?t=
+# parser against strconv.ParseFloat. A short -fuzzminimizetime keeps the
+# budget on new inputs rather than on shrinking the ones that widened
+# coverage.
+echo "== fuzz: one-pass decoders and the tick parser (5s each)"
 fuzz() {
 	if ! out=$(go test -run '^$' -fuzz "^$2\$" -fuzztime 5s -fuzzminimizetime 1s "$1" 2>&1); then
 		echo "$out" >&2
@@ -162,18 +190,19 @@ fuzz() {
 fuzz ./internal/dataset FuzzRead
 fuzz ./internal/server FuzzParseDTO
 fuzz ./internal/server FuzzReadSnapshot
+fuzz ./internal/server FuzzTickParam
 echo "fuzz: OK"
 
 # One fig10-max batch's dependency resolution, dense build and map-based
-# oracle; run it with a real -benchtime to compare them.
+# oracle.
 echo "== batch wiring micro-benchmark smoke"
-go test -run '^$' -bench BenchmarkBatchWiring -benchtime=1x ./internal/core >/dev/null
+bench_smoke ./internal/core '^BenchmarkBatchWiring$'
 echo "batch wiring smoke: OK"
 
-# A whole fig10-max run of G-G kernel steps at batch interval 1, allocations
-# reported; run it with a real -benchtime to compare.
+# A whole fig10-max run of G-G kernel steps at batch interval 1,
+# allocations reported.
 echo "== kernel step micro-benchmark smoke"
-go test -run '^$' -bench BenchmarkKernelStepFig10Max -benchtime=1x ./internal/core >/dev/null
+bench_smoke ./internal/core '^BenchmarkKernelStepFig10Max$'
 echo "kernel step smoke: OK"
 
 # Black-box durability check: a real dasc-server process with a journal is
@@ -181,18 +210,13 @@ echo "kernel step smoke: OK"
 # /v1/assignments diffed against the pre-kill values; a second round does
 # the same through a snapshot + journal-tail recovery. The in-process
 # equivalents (including truncation at every byte offset) run in the
-# race-enabled server tests above.
+# race-enabled server tests above, and the served-load check (the real
+# binary under 16 concurrent clients at -fsync never and always, X-Request-ID
+# echo, telemetry scrape, journal recovery byte-compared against
+# GET /v1/instance) is cmd/dasc-server's TestServedLoadReplaysJournal in the
+# go test phase.
 echo "== lifecycle smoke (kill-and-restart differential)"
 sh scripts/lifecycle_smoke.sh >/dev/null
 echo "lifecycle smoke: OK"
-
-# Loadgen smoke: dasc-loadgen drives a real server twice (fsync=never, then
-# fsync=always), requiring every request acknowledged and the journal replay
-# to match served state byte-for-byte after each pass. Every request carries
-# an X-Request-ID (echo verified by the loadgen), and a mid-run /v1/metrics
-# scrape must show live dasc_http_*, dasc_ingest_* and dasc_runtime_* series.
-echo "== loadgen smoke (incl. fsync=always, journal replay, telemetry scrape)"
-sh scripts/loadgen_smoke.sh >/dev/null
-echo "loadgen smoke: OK"
 
 echo "verify: OK"
