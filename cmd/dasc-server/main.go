@@ -62,9 +62,9 @@ func run() error {
 		service     = flag.Float64("service", 0, "service duration per task")
 		manual      = flag.Bool("manual", false, "no automatic ticker; advance time via POST /v1/tick")
 		journal     = flag.String("journal", "", "append-only JSONL event log; replayed on startup to restore state")
-		ingQueue    = flag.Int("ingest-queue", 4096, "group-commit admission queue capacity; 0 = synchronous per-request commits")
-		ingBatch    = flag.Int("ingest-batch", server.DefaultIngestBatch, "max registrations committed per group-commit drain")
-		ingWait     = flag.Duration("ingest-wait", 0, "group-commit formation window: gather registrations this long (or to -ingest-batch) before each commit; 0 commits whatever has queued")
+		ingQueue    = flag.Int("ingest-queue", server.DefaultIngestQueue, "registrations that may wait for a group commit (429 beyond)")
+		ingBatch    = flag.Int("ingest-batch", server.DefaultIngestBatch, "max registrations committed per group commit")
+		ingWait     = flag.Duration("ingest-wait", 0, "group-commit formation window: a leader gathers registrations this long (or to -ingest-batch) before each commit; 0 commits whatever is pending")
 		fsync       = flag.String("fsync", "interval", "journal durability: always, interval or never")
 		fsyncEvery  = flag.Duration("fsync-interval", server.DefaultFsyncInterval, "fsync cadence for -fsync=interval")
 		snapshot    = flag.String("snapshot", "", "state snapshot path (default <journal>.snap when -journal is set)")
@@ -132,8 +132,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// Stop the ingest committer (final drain included) before the journal
-	// defer above flushes and closes the file.
+	// Commit every admitted registration before the journal defer above
+	// flushes and closes the file.
 	defer p.Close()
 
 	// Serve before recovering: /v1/healthz answers immediately, /v1/readyz

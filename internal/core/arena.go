@@ -63,7 +63,6 @@ type stepArena struct {
 	game   gameState
 	wl     gameWorklist
 	trace  GameTrace // Game.Assign's trace; AssignTraced hands out its own
-	order  []int     // Game's worker visiting order
 	kept   []bool    // dependencyFixpointIndexed's kept tasks
 	taken  []bool    // the baselines' taken tasks
 	avail  []int     // Random's free candidates of one worker

@@ -137,7 +137,6 @@ func (a *stepArena) poison() {
 
 	fill(a.trace.UpdateRatios, nan)
 	a.trace = GameTrace{Rounds: -7, UpdateRatios: a.trace.UpdateRatios, FinalUtility: nan}
-	fill(a.order, -7)
 	fill(a.kept, true)
 	fill(a.taken, true)
 	fill(a.avail, -7)

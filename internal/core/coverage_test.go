@@ -2,25 +2,72 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dasc/internal/model"
 )
 
-// TestGreedyCandidateTrimmingPreservesScore: shrinking the Hungarian column
-// budget must never change the score (feasibility is guaranteed by the HK
-// matching's own workers), only possibly the travel cost.
+// TestGreedyCandidateTrimmingPreservesScore: trimming the Hungarian
+// columns to the maxCandidatesPerTask cheapest free candidates per task must
+// never lose a complete staffing (the feasibility matching's own workers
+// stay), only possibly travel cost. On every associative set of dense random
+// batches, under random availability, staff succeeds exactly when the
+// untrimmed oracle does, with distinct free candidates, at a cost no lower
+// than the untrimmed optimum.
 func TestGreedyCandidateTrimmingPreservesScore(t *testing.T) {
 	rng := rand.New(rand.NewSource(100))
+	trimmed := 0
 	for trial := 0; trial < 10; trial++ {
-		in := randomInstance(rng, 6+rng.Intn(10), 6+rng.Intn(10), 3, true)
+		in := randomInstance(rng, 40+rng.Intn(30), 10+rng.Intn(20), 2, true)
 		b := NewStaticBatch(in)
-		wide := NewGreedyOpt(GreedyOptions{MaxCandidatesPerTask: 64}).Assign(b)
-		tight := NewGreedyOpt(GreedyOptions{MaxCandidatesPerTask: 1}).Assign(b)
-		validateBatchAssignment(t, b, tight)
-		if wide.Size() != tight.Size() {
-			t.Fatalf("trial %d: trimming changed score %d → %d", trial, wide.Size(), tight.Size())
+		idx := b.Index()
+		candidates := make([][]int32, len(b.Tasks))
+		for ti := range b.Tasks {
+			candidates[ti] = idx.CandidateSet(ti)
 		}
+		g := NewGreedy()
+		for _, s := range atSets(b) {
+			free := make([]bool, len(b.Workers))
+			for wi := range free {
+				free[wi] = rng.Float64() < 0.9
+			}
+			got, ok := g.staff(b, s.members, candidates, free)
+			got = slices.Clone(got)
+			want, wantOK := oracleStaff(g, len(b.Workers), b, s.members, candidates, free)
+			if ok != wantOK {
+				t.Fatalf("trial %d anchor %d: trimmed staffing ok=%v, untrimmed %v", trial, s.anchor, ok, wantOK)
+			}
+			if !ok {
+				continue
+			}
+			gotCost, wantCost := 0.0, 0.0
+			used := make(map[int]bool, len(got))
+			for row, ti := range s.members {
+				wi := got[row]
+				if used[wi] || !free[wi] || !slices.Contains(candidates[ti], int32(wi)) {
+					t.Fatalf("trial %d anchor %d: staffing %v is not distinct free candidates", trial, s.anchor, got)
+				}
+				used[wi] = true
+				gotCost += idx.TravelCost(wi, ti)
+				wantCost += idx.TravelCost(want[row], ti)
+				n := 0
+				for _, w := range candidates[ti] {
+					if free[w] {
+						n++
+					}
+				}
+				if n > maxCandidatesPerTask {
+					trimmed++
+				}
+			}
+			if gotCost < wantCost-1e-9 {
+				t.Fatalf("trial %d anchor %d: trimmed cost %v below the untrimmed optimum %v", trial, s.anchor, gotCost, wantCost)
+			}
+		}
+	}
+	if trimmed == 0 {
+		t.Fatal("no task had more free candidates than the trim keeps")
 	}
 }
 

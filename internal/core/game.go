@@ -24,11 +24,6 @@ type GameOptions struct {
 	// GreedyInit seeds the initial strategies from DASC_Greedy instead of
 	// uniformly random choices — the paper's G-G heuristic.
 	GreedyInit bool
-	// ShuffleOrder visits workers in a fresh random order every
-	// best-response round instead of Algorithm 3's fixed order. Random
-	// sweeps can escape order-induced equilibria at the cost of slightly
-	// slower convergence; still deterministic for a fixed Seed.
-	ShuffleOrder bool
 	// Seed drives the random initialisation and conflict resolution.
 	Seed int64
 	// DisableWorklist restores the naive full sweep: every round re-evaluates
@@ -134,17 +129,12 @@ func (g *Game) run(b *Batch, trace *GameTrace) *model.Assignment {
 		return model.NewAssignment()
 	}
 
-	b.arena.order = grown(b.arena.order, len(b.Workers))
-	order := b.arena.order
-	for i := range order {
-		order[i] = i
-	}
 	if g.opt.DisableWorklist {
-		g.sweepNaive(gs, idx, rng, order, maxRounds, active, trace)
+		g.sweepNaive(gs, idx, maxRounds, active, trace)
 		trace.FinalUtility = gs.totalUtility()
 	} else {
 		wl := newGameWorklist(gs)
-		g.sweepWorklist(gs, wl, idx, rng, order, maxRounds, active, trace)
+		g.sweepWorklist(gs, wl, idx, maxRounds, active, trace)
 		trace.FinalUtility = wl.totalUtility(gs)
 	}
 	b.rec.SetGameStats(trace.Rounds, active, trace.Evaluated, trace.Skipped, trace.Moved)
@@ -184,13 +174,10 @@ func (g *Game) initStrategies(b *Batch, gs *gameState, idx *BatchIndex, rng *ran
 // sweepNaive is Algorithm 3's literal round loop: every round re-evaluates
 // every worker's full strategy set. It is the reference the worklist engine
 // must match bit-exactly, kept reachable via GameOptions.DisableWorklist.
-func (g *Game) sweepNaive(gs *gameState, idx *BatchIndex, rng *rand.Rand, order []int, maxRounds, active int, trace *GameTrace) {
+func (g *Game) sweepNaive(gs *gameState, idx *BatchIndex, maxRounds, active int, trace *GameTrace) {
 	for round := 0; round < maxRounds; round++ {
 		changed := 0
-		if g.opt.ShuffleOrder {
-			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		}
-		for _, wi := range order {
+		for wi := range idx.b.Workers {
 			set := idx.StrategySet(wi)
 			if len(set) == 0 {
 				continue
@@ -226,21 +213,18 @@ func (g *Game) sweepNaive(gs *gameState, idx *BatchIndex, rng *rand.Rand, order 
 }
 
 // sweepWorklist is the incremental engine: the same rounds in the same
-// (possibly shuffled) order, but clean workers — no count or liveness
-// boolean their utility evaluation reads has changed since their last
-// evaluation — are skipped, and dirty workers are evaluated through the
-// worklist's O(1)-depsLive fast path with the utility(cur, cur) baseline
-// served from cache when still valid. Skipping consumes no RNG draws and the
-// shuffle still runs every round, so the move sequence, update ratios,
+// order, but clean workers — no count or liveness boolean their utility
+// evaluation reads has changed since their last evaluation — are skipped,
+// and dirty workers are evaluated through the worklist's O(1)-depsLive
+// fast path with the utility(cur, cur) baseline served from cache when
+// still valid. Skipping changes no visit order and
+// draws no random numbers, so the move sequence, update ratios,
 // termination round and final profile are bit-exact with sweepNaive
 // (DESIGN.md §3.11; VerifyWorklist checks it).
-func (g *Game) sweepWorklist(gs *gameState, wl *gameWorklist, idx *BatchIndex, rng *rand.Rand, order []int, maxRounds, active int, trace *GameTrace) {
+func (g *Game) sweepWorklist(gs *gameState, wl *gameWorklist, idx *BatchIndex, maxRounds, active int, trace *GameTrace) {
 	for round := 0; round < maxRounds; round++ {
 		changed := 0
-		if g.opt.ShuffleOrder {
-			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		}
-		for _, wi := range order {
+		for wi := range idx.b.Workers {
 			set := idx.StrategySet(wi)
 			if len(set) == 0 {
 				continue

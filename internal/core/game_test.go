@@ -319,19 +319,3 @@ func TestNewByName(t *testing.T) {
 		t.Error("unknown name accepted")
 	}
 }
-
-func TestGameShuffleOrderDeterministicAndValid(t *testing.T) {
-	rng := rand.New(rand.NewSource(150))
-	in := randomInstance(rng, 15, 20, 4, true)
-	b := NewStaticBatch(in)
-	g := NewGame(GameOptions{Seed: 5, ShuffleOrder: true})
-	a1, tr := g.AssignTraced(b)
-	validateBatchAssignment(t, b, a1)
-	if !tr.Converged {
-		t.Errorf("shuffled game did not converge in %d rounds", tr.Rounds)
-	}
-	a2, _ := NewGame(GameOptions{Seed: 5, ShuffleOrder: true}).AssignTraced(b)
-	if a1.String() != a2.String() {
-		t.Error("shuffled game not deterministic per seed")
-	}
-}

@@ -9,17 +9,12 @@ import (
 )
 
 // gameWorklistMatrix is the full option matrix the differential tests sweep:
-// both termination thresholds the paper uses, both initialisations, and both
-// visit orders.
+// both termination thresholds the paper uses and both initialisations.
 var gameWorklistMatrix = []GameOptions{
 	{Threshold: 0},
 	{Threshold: 0, GreedyInit: true},
-	{Threshold: 0, ShuffleOrder: true},
-	{Threshold: 0, GreedyInit: true, ShuffleOrder: true},
 	{Threshold: 0.05},
 	{Threshold: 0.05, GreedyInit: true},
-	{Threshold: 0.05, ShuffleOrder: true},
-	{Threshold: 0.05, GreedyInit: true, ShuffleOrder: true},
 }
 
 // TestGameWorklistBitExactMatrix sweeps seeds × the full option matrix and
@@ -95,7 +90,7 @@ func TestGameWorklistVerify(t *testing.T) {
 func TestGameWorklistDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	rng := rand.New(rand.NewSource(903))
 	in := randomInstance(rng, 40, 50, 5, true)
-	opt := GameOptions{Threshold: 0, GreedyInit: true, ShuffleOrder: true, Seed: 7}
+	opt := GameOptions{Threshold: 0, GreedyInit: true, Seed: 7}
 
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)

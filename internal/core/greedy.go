@@ -25,11 +25,12 @@ const (
 // GreedyOptions configures DASC_Greedy.
 type GreedyOptions struct {
 	Matcher MatcherKind
-	// MaxCandidatesPerTask trims the Hungarian cost matrix to the K
-	// cheapest candidate workers per task (plus the feasibility matching's
-	// own workers, so completeness is never lost). Zero means 8.
-	MaxCandidatesPerTask int
 }
+
+// maxCandidatesPerTask trims the Hungarian cost matrix to the K cheapest
+// free candidate workers per task (plus the feasibility matching's own
+// workers, so completeness is never lost).
+const maxCandidatesPerTask = 8
 
 // Greedy implements DASC_Greedy (Algorithm 1): build the associative task
 // sets, then repeatedly commit the heaviest set that can be completely
@@ -46,9 +47,6 @@ func NewGreedy() *Greedy { return NewGreedyOpt(GreedyOptions{}) }
 
 // NewGreedyOpt returns a DASC_Greedy allocator with explicit options.
 func NewGreedyOpt(opt GreedyOptions) *Greedy {
-	if opt.MaxCandidatesPerTask <= 0 {
-		opt.MaxCandidatesPerTask = 8
-	}
 	return &Greedy{opt: opt}
 }
 
@@ -379,7 +377,7 @@ func (g *Greedy) staff(b *Batch, members []int, candidates [][]int32, workerFree
 			}
 			return cmp.Compare(x.wi, y.wi)
 		})
-		for i := 0; i < len(cs) && i < g.opt.MaxCandidatesPerTask; i++ {
+		for i := 0; i < len(cs) && i < maxCandidatesPerTask; i++ {
 			keep(cs[i].wi)
 		}
 		gs.cands = cs

@@ -12,32 +12,37 @@ import (
 // Hungarian cost-matrix corruption: the fill did cost[row][colIdx[wi]] for
 // every free candidate, but colIdx only held the kept (top-K + HK-matched)
 // columns — a trimmed-out candidate's missing key resolved to column 0 and
-// silently overwrote its cost. On this instance the old code staffed
-// ⟨t0→w1, t1→w0⟩ — w0 lacks t1's skill (an infeasible pair that
-// finishAssignment's dependency-only filter let through) at travel cost 4 —
-// instead of the exhaustive optimum ⟨t0→w0, t1→w1⟩ at cost 2.
+// silently overwrote its cost, which let an infeasible pair through
+// finishAssignment's dependency-only filter or priced the optimum out.
 //
 // Geometry (velocity 1, so travel time = distance): t0 at (0,0) requiring
 // skill 0, t1 at (3,0) requiring skill 1 and depending on t0, so both form
 // one associative set staffed together. Worker w0 (1,0) holds {0}, w1 (2,0)
-// holds {0,1}, w2 (9,0) holds {0,1}. With MaxCandidatesPerTask=1, t0 has 3 >
-// 1 free candidates; w2 is trimmed from the kept columns of both rows and
-// its writes landed on column 0.
+// holds {0,1}, and w2..w9 at (9,0), (10,0) … (16,0) hold {0,1}: t0 has 10
+// free candidates and t1 has 9, more than the maxCandidatesPerTask = 8 the
+// staffing keeps, so the farthest are trimmed from the kept columns. With
+// the corruption their writes land on w0's column 0, and the staffing
+// misses the exhaustive optimum ⟨t0→w0, t1→w1⟩ at cost 2.
 func TestGreedyStaffTrimmedCandidateRegression(t *testing.T) {
 	in := &model.Instance{
 		SkillUniverse: 2,
 		Workers: []model.Worker{
 			{ID: 0, Loc: geo.Pt(1, 0), Start: 0, Wait: 100, Velocity: 1, MaxDist: 20, Skills: model.NewSkillSet(0)},
 			{ID: 1, Loc: geo.Pt(2, 0), Start: 0, Wait: 100, Velocity: 1, MaxDist: 20, Skills: model.NewSkillSet(0, 1)},
-			{ID: 2, Loc: geo.Pt(9, 0), Start: 0, Wait: 100, Velocity: 1, MaxDist: 20, Skills: model.NewSkillSet(0, 1)},
 		},
 		Tasks: []model.Task{
 			{ID: 0, Loc: geo.Pt(0, 0), Start: 0, Wait: 100, Requires: 0},
 			{ID: 1, Loc: geo.Pt(3, 0), Start: 0, Wait: 100, Requires: 1, Deps: []model.TaskID{0}},
 		},
 	}
+	for i := 0; i < 8; i++ {
+		in.Workers = append(in.Workers, model.Worker{
+			ID: model.WorkerID(2 + i), Loc: geo.Pt(float64(9+i), 0), Start: 0, Wait: 100,
+			Velocity: 1, MaxDist: 20, Skills: model.NewSkillSet(0, 1),
+		})
+	}
 	b := NewStaticBatch(in)
-	a := NewGreedyOpt(GreedyOptions{MaxCandidatesPerTask: 1}).Assign(b)
+	a := NewGreedy().Assign(b)
 
 	if err := a.Validate(in, model.ValidationOptions{}); err != nil {
 		t.Fatalf("corrupted staffing produced an invalid assignment: %v", err)
@@ -75,8 +80,7 @@ func TestGreedyStaffTrimmedCandidateRegression(t *testing.T) {
 }
 
 // allocatorsUnderTest enumerates every allocator configuration the validity
-// property must hold for: Greedy in all three matcher modes (plus an
-// aggressively trimmed Hungarian, the regime of the staffing regression),
+// property must hold for: Greedy in both matcher modes,
 // the three game variants, and the two oblivious baselines. DFS is appended
 // only when small is true — it is exact search, exponential in the worker
 // count.
@@ -84,7 +88,6 @@ func allocatorsUnderTest(seed int64, small bool) []Allocator {
 	allocs := []Allocator{
 		NewGreedyOpt(GreedyOptions{Matcher: MatchHungarian}),
 		NewGreedyOpt(GreedyOptions{Matcher: MatchFeasible}),
-		NewGreedyOpt(GreedyOptions{Matcher: MatchHungarian, MaxCandidatesPerTask: 1}),
 		NewGame(GameOptions{Seed: seed}),
 		NewGame(GameOptions{Seed: seed, Threshold: 0.05}),
 		NewGame(GameOptions{Seed: seed, GreedyInit: true}),

@@ -459,7 +459,9 @@ func TestDepWiringConcurrentScratch(t *testing.T) {
 
 // oracleStaff is Greedy.staff as it was with maps keyed by batch-worker
 // index (colOf, keep, colIdx), the oracle for the stamped column scratch.
-func oracleStaff(g *Greedy, b *Batch, members []int, candidates [][]int32, workerFree []bool) ([]int, bool) {
+// k is the per-task column budget: maxCandidatesPerTask as staff trims, or
+// the batch's worker count to keep every free candidate.
+func oracleStaff(g *Greedy, k int, b *Batch, members []int, candidates [][]int32, workerFree []bool) ([]int, bool) {
 	colOf := make(map[int]int)
 	var cols []int
 	bg := matching.NewBipartite(len(members), 0)
@@ -515,7 +517,7 @@ func oracleStaff(g *Greedy, b *Batch, members []int, candidates [][]int32, worke
 			}
 			return cs[i].wi < cs[j].wi
 		})
-		for i := 0; i < len(cs) && i < g.opt.MaxCandidatesPerTask; i++ {
+		for i := 0; i < len(cs) && i < k; i++ {
 			keep[cs[i].wi] = true
 		}
 	}
@@ -565,7 +567,9 @@ func oracleStaff(g *Greedy, b *Batch, members []int, candidates [][]int32, worke
 func TestGreedyStaffMatchesMapOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1404))
 	for trial := 0; trial < 60; trial++ {
-		in := randomInstance(rng, 4+rng.Intn(30), 4+rng.Intn(30), 2, true)
+		// Up to 64 workers over two skills: many tasks have more free
+		// candidates than the trim keeps.
+		in := randomInstance(rng, 4+rng.Intn(60), 4+rng.Intn(30), 2, true)
 		b := NewStaticBatch(in)
 		candidates := make([][]int32, len(b.Tasks))
 		for ti := range b.Tasks {
@@ -582,9 +586,9 @@ func TestGreedyStaffMatchesMapOracle(t *testing.T) {
 				free[wi] = rng.Float64() < 0.8
 			}
 			for _, m := range []MatcherKind{MatchHungarian, MatchFeasible} {
-				g := NewGreedyOpt(GreedyOptions{Matcher: m, MaxCandidatesPerTask: 1 + rng.Intn(3)})
+				g := NewGreedyOpt(GreedyOptions{Matcher: m})
 				got, gotOK := g.staff(b, s.members, candidates, free)
-				want, wantOK := oracleStaff(g, b, s.members, candidates, free)
+				want, wantOK := oracleStaff(g, maxCandidatesPerTask, b, s.members, candidates, free)
 				if gotOK != wantOK || !slices.Equal(got, want) {
 					t.Fatalf("trial %d anchor %d matcher %d: staff %v %v, want %v %v",
 						trial, s.anchor, m, got, gotOK, want, wantOK)

@@ -28,9 +28,9 @@ const (
 	MJournalBytesTotal   = "dasc_journal_bytes_total"
 	MJournalFsyncsTotal  = "dasc_journal_fsyncs_total"
 
-	// Ingest pipeline (server): the group-commit admission queue and its
-	// committer drains. Enqueued counts accepted stagings, rejected counts
-	// backpressured (429) submissions, committed/failed split drain results.
+	// Ingest (server): the group commit's pending list and its drains.
+	// Enqueued counts admitted registrations, rejected counts backpressured
+	// (429) ones, committed/failed split drain results.
 	MIngestEnqueuedTotal  = "dasc_ingest_enqueued_total"
 	MIngestRejectedTotal  = "dasc_ingest_rejected_total"
 	MIngestDrainsTotal    = "dasc_ingest_drains_total"

@@ -203,34 +203,47 @@ func TestBatchRecAccumulatesIntoTrace(t *testing.T) {
 	}
 }
 
+// TestTraceRing covers the one ring both trace kinds share: the platforms'
+// batch traces and the server's ingest drain traces.
 func TestTraceRing(t *testing.T) {
-	r := NewTraceRing(3)
+	t.Run("BatchTrace", func(t *testing.T) {
+		testRing(t, func(i int) BatchTrace { return BatchTrace{Batch: i} },
+			func(b BatchTrace) int { return b.Batch })
+	})
+	t.Run("DrainTrace", func(t *testing.T) {
+		testRing(t, func(i int) DrainTrace { return DrainTrace{Seq: i} },
+			func(d DrainTrace) int { return d.Seq })
+	})
+}
+
+func testRing[T any](t *testing.T, mk func(int) T, key func(T) int) {
+	r := NewRing[T](3)
 	if r.Cap() != 3 || r.Len() != 0 {
 		t.Fatalf("Cap/Len = %d/%d", r.Cap(), r.Len())
 	}
 	for i := 0; i < 5; i++ {
-		r.Add(BatchTrace{Batch: i})
+		r.Add(mk(i))
 	}
 	if r.Len() != 3 {
 		t.Errorf("Len = %d, want 3", r.Len())
 	}
 	got := r.Last(10) // over-asking clamps
-	if len(got) != 3 || got[0].Batch != 2 || got[2].Batch != 4 {
+	if len(got) != 3 || key(got[0]) != 2 || key(got[2]) != 4 {
 		t.Errorf("Last(10) = %+v", got)
 	}
 	got = r.Last(2)
-	if len(got) != 2 || got[0].Batch != 3 || got[1].Batch != 4 {
+	if len(got) != 2 || key(got[0]) != 3 || key(got[1]) != 4 {
 		t.Errorf("Last(2) = %+v", got)
 	}
 	if out := r.Last(0); out == nil || len(out) != 0 {
 		t.Errorf("Last(0) = %v", out)
 	}
-	var nilRing *TraceRing
-	nilRing.Add(BatchTrace{})
-	if nilRing.Len() != 0 || nilRing.Cap() != 0 || len(nilRing.Last(5)) != 0 {
+	var nilRing *Ring[T]
+	nilRing.Add(mk(0))
+	if nilRing.Len() != 0 || nilRing.Cap() != 0 || nilRing.Last(5) == nil || len(nilRing.Last(5)) != 0 {
 		t.Error("nil ring misbehaved")
 	}
-	if NewTraceRing(0).Cap() != DefaultTraceDepth {
+	if NewRing[T](0).Cap() != DefaultTraceDepth {
 		t.Error("default capacity not applied")
 	}
 }

@@ -1,14 +1,13 @@
 package obs
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // BatchTrace is the per-batch instrumentation record: what one batch process
 // cost, phase by phase, and what the candidate engine and the allocator did
-// inside it. The platforms keep the recent traces in a TraceRing (served by
+// inside it. The platforms keep the recent traces in a Ring (served by
 // GET /v1/trace on the server) and fold each one into a Registry
 // (RecordBatch) for the aggregate view.
 type BatchTrace struct {
@@ -226,81 +225,4 @@ func (r *BatchRec) Finish() BatchTrace {
 	t.ArenaCarvedBytes = r.arenaCarved.Load()
 	t.ArenaAllocBytes = r.arenaAlloc.Load()
 	return t
-}
-
-// TraceRing is a fixed-capacity ring buffer of the most recent BatchTraces,
-// safe for concurrent use.
-type TraceRing struct {
-	mu   sync.Mutex
-	buf  []BatchTrace
-	next int
-	n    int
-}
-
-// DefaultTraceDepth is the ring capacity the platforms use unless
-// configured otherwise.
-const DefaultTraceDepth = 256
-
-// NewTraceRing creates a ring holding the last capacity traces; a
-// non-positive capacity means DefaultTraceDepth.
-func NewTraceRing(capacity int) *TraceRing {
-	if capacity <= 0 {
-		capacity = DefaultTraceDepth
-	}
-	return &TraceRing{buf: make([]BatchTrace, capacity)}
-}
-
-// Add appends a trace, evicting the oldest when full. No-op on a nil ring.
-func (r *TraceRing) Add(t BatchTrace) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.buf[r.next] = t
-	r.next = (r.next + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
-	r.mu.Unlock()
-}
-
-// Len returns how many traces are buffered; zero on a nil ring.
-func (r *TraceRing) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
-}
-
-// Cap returns the ring capacity; zero on a nil ring.
-func (r *TraceRing) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.buf)
-}
-
-// Last returns up to n of the most recent traces, oldest first. Asking for
-// more than is buffered returns everything; the result is always non-nil so
-// it JSON-encodes as [] rather than null.
-func (r *TraceRing) Last(n int) []BatchTrace {
-	if r == nil || n <= 0 {
-		return []BatchTrace{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n > r.n {
-		n = r.n
-	}
-	out := make([]BatchTrace, 0, n)
-	start := r.next - n
-	if start < 0 {
-		start += len(r.buf)
-	}
-	for i := 0; i < n; i++ {
-		out = append(out, r.buf[(start+i)%len(r.buf)])
-	}
-	return out
 }

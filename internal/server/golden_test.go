@@ -107,12 +107,12 @@ func (d *goldenDriver) run(t *testing.T, p *Platform, from, to int) {
 			nw, nt = 10, 10
 		}
 		for i := 0; i < nw; i++ {
-			if _, err := p.RegisterWorker(d.worker(now, short)); err != nil {
+			if _, err := p.AddWorker(d.worker(now, short)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for i := 0; i < nt; i++ {
-			id, err := p.RegisterTask(d.task(now, short))
+			id, err := p.AddTask(d.task(now, short))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -120,8 +120,8 @@ func writeID(w http.ResponseWriter, id int) {
 // /v1/assignments, /v1/instance and /v1/svg from the atomically swapped read
 // view, so they never contend with the ingest/tick mutex. Registration
 // failures classify: 422 for invalid requests, 429 + Retry-After when the
-// ingest admission queue is full, 503 + Retry-After when the journal (disk)
-// failed.
+// group commit's pending list is full, 503 + Retry-After when the journal
+// (disk) failed.
 //
 // Every route runs through the request-telemetry middleware (middleware.go):
 // X-Request-ID in/out, per-route dasc_http_* instruments, sampled access log.
@@ -255,7 +255,7 @@ func Handler(p *Platform) http.Handler {
 			n = v
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
-			"enabled":        capacity > 0,
+			"enabled":        true,
 			"queue_depth":    depth,
 			"queue_capacity": capacity,
 			"drains":         p.IngestDrains(n),
@@ -380,7 +380,7 @@ func readBody(p *Platform, w http.ResponseWriter, r *http.Request) ([]byte, *[]b
 
 // registerStatus maps a registration failure to its HTTP status. Durability
 // failures (ErrJournal) and a closing platform are the server's fault — 503
-// with a Retry-After hint; a full admission queue is backpressure — 429 with
+// with a Retry-After hint; a full pending list is backpressure — 429 with
 // Retry-After; everything else is request validation — 422.
 func registerStatus(w http.ResponseWriter, err error) int {
 	switch {

@@ -9,31 +9,42 @@ import (
 	"dasc/internal/obs"
 )
 
-// This file is the group-commit ingest pipeline. Registrations arriving at
-// rate (POST /v1/workers, /v1/tasks) no longer take the platform mutex and
-// pay their own journal fsync one at a time; they stage through a bounded
-// admission queue and a single committer goroutine drains it:
+// This file is the group commit every registration goes through: POST
+// /v1/workers and /v1/tasks, AddWorker/AddTask, and journal replay. It is
+// the writer-queue scheme of LevelDB's DBImpl::Write. A registration
+// appends itself to a bounded pending list; one that finds no commit in
+// flight becomes the leader, takes up to IngestBatch pending entries (its
+// own first) and runs the one commit function:
 //
-//	stage → drain (≤ IngestBatch) → assign IDs → journal one v2 multi-entry
-//	record, ONE fsync → publish to platform state → answer every waiter
+//	assign IDs → close dependencies → journal ONE record, ONE fsync →
+//	publish → answer every waiter → hand leadership to the oldest waiter
 //
-// Under -fsync=always this turns one disk flush per request into one per
-// drain, and the drain size grows automatically with the arrival rate (while
-// a commit is in flight the queue refills; the next drain takes everything).
-// Backpressure is explicit: a full queue fails fast with ErrIngestBacklog
-// and the HTTP layer answers 429 + Retry-After.
+// A lone registrant therefore commits inline, on its own goroutine, at the
+// cost of a plain locked append. Registrants that arrive while a commit is
+// in flight wait in the pending list, and the next leader commits them
+// together: under -fsync=always one disk flush serves the whole group, and
+// the group grows with the arrival rate. Backpressure is explicit: a full
+// pending list fails fast with ErrIngestBacklog and the HTTP layer answers
+// 429 + Retry-After.
 //
-// Ordering: the committer journals and publishes under the platform mutex,
+// Ordering: the commit journals and publishes under the platform mutex,
 // the same mutex ticks and snapshots take, so journal order always equals
-// publish order and a snapshot rotation can never cut a drain in half.
+// publish order and a snapshot rotation can never cut a group in half.
+// Lock order is p.mu before ingest.mu; a leader never holds both while it
+// waits.
 
-// DefaultIngestBatch caps how many staged registrations one committer drain
-// commits as a single journal record when Config.IngestBatch is zero.
+// DefaultIngestBatch caps how many pending registrations one group commit
+// journals as a single record when Config.IngestBatch is zero.
 const DefaultIngestBatch = 256
 
-// ErrIngestBacklog reports a full admission queue: the client should retry
-// after a moment (HTTP 429 + Retry-After). Submissions are not blocked on a
-// slow disk — the queue bound converts an overload into fast feedback.
+// DefaultIngestQueue bounds the pending registrations when
+// Config.IngestQueue is zero.
+const DefaultIngestQueue = 4096
+
+// ErrIngestBacklog reports a full pending list: the client should retry
+// after a moment (HTTP 429 + Retry-After). Registrations are not queued
+// without bound behind a slow disk — the bound converts an overload into
+// fast feedback.
 var ErrIngestBacklog = errors.New("server: ingest queue full")
 
 // ErrPlatformClosed reports a registration attempted after Close.
@@ -46,30 +57,31 @@ const (
 	ingestTask
 )
 
-// ingestReq is one staged registration; done (buffered, capacity 1) carries
-// the committer's answer back to the waiting submitter. reqID is the HTTP
-// correlation ID (middleware.go), reported on the drain trace that commits
-// the entry; empty for untagged submissions.
+// ingestReq is one registration on its way through the group commit. reqID
+// is the HTTP correlation ID (middleware.go), reported on the drain trace
+// that commits the entry; empty for untagged registrations. id and err are
+// the commit's answer. wake (capacity 1) is signalled exactly once per
+// wait: when a leader has answered the request (done is then true) or when
+// the request is handed leadership (done is false).
 type ingestReq struct {
 	kind   ingestKind
 	worker model.Worker
 	task   model.Task
 	reqID  string
-	done   chan ingestResult
+
+	id   int
+	err  error
+	done bool
+	wake chan struct{}
 }
 
-type ingestResult struct {
-	id  int
-	err error
-}
-
-// reqPool recycles ingestReqs (and their answer channels) between
-// registrations. The done channel is capacity 1 and receives exactly one
-// result per use, so a request that has been answered is empty and safe to
-// reuse. putReq zeroes the payload so pooled requests do not retain skill or
-// dependency slices.
+// reqPool recycles ingestReqs (and their wake channels) between
+// registrations. A returned request's wake channel is empty: it was either
+// never signalled (a lone leader) or signalled once and received. putReq
+// zeroes the payload so pooled requests do not retain skill or dependency
+// slices.
 var reqPool = sync.Pool{New: func() any {
-	return &ingestReq{done: make(chan ingestResult, 1)}
+	return &ingestReq{wake: make(chan struct{}, 1)}
 }}
 
 func getReq(kind ingestKind) *ingestReq {
@@ -79,324 +91,322 @@ func getReq(kind ingestKind) *ingestReq {
 }
 
 func putReq(r *ingestReq) {
-	r.worker = model.Worker{}
-	r.task = model.Task{}
-	r.reqID = ""
+	wake := r.wake
+	*r = ingestReq{wake: wake}
 	reqPool.Put(r)
 }
 
-// ingest is the admission queue plus committer lifecycle. The RWMutex
-// fences queue sends against shutdown: submitters hold the read side across
-// the closed-check-then-send, shutdown takes the write side before closing
-// stop, so no request can land in the queue after the committer's final
-// drain.
-type ingest struct {
-	mu     sync.RWMutex
-	closed bool
-
-	queue    chan *ingestReq
-	batchMax int
-	wait     time.Duration
-	stop     chan struct{}
-	done     chan struct{}
-	once     sync.Once
-
-	seq    int // committer-goroutine only
-	drains *obs.DrainRing
+// validate checks the fields a registration carries on its own; the
+// dependency check needs the registry and runs inside the commit.
+func (r *ingestReq) validate() error {
+	if r.kind == ingestWorker {
+		return validateWorker(&r.worker)
+	}
+	return validateTask(&r.task)
 }
 
-func newIngest(queueCap, batchMax int, wait time.Duration) *ingest {
+// ingest is the pending list and the leadership it hands around. Invariant:
+// pending is empty whenever leading is false, so a registrant that becomes
+// leader, or is handed leadership, is always pending[0].
+type ingest struct {
+	mu        sync.Mutex
+	idle      sync.Cond // broadcast when leading drops to false
+	pending   []*ingestReq
+	leading   bool // a leader is gathering or committing
+	gathering bool // the leader is waiting out its formation window
+	closed    bool
+	// kick (capacity 1) cuts a gathering leader's window short: the
+	// pending list reached batchMax, or the platform is closing.
+	kick chan struct{}
+
+	queueCap int
+	batchMax int
+	wait     time.Duration
+
+	// Leader-only: the group being committed and the drain sequence.
+	group  []*ingestReq
+	seq    int
+	drains *obs.Ring[obs.DrainTrace]
+}
+
+func (g *ingest) init(queueCap, batchMax int, wait time.Duration) {
+	if queueCap <= 0 {
+		queueCap = DefaultIngestQueue
+	}
 	if batchMax <= 0 {
 		batchMax = DefaultIngestBatch
 	}
-	return &ingest{
-		queue:    make(chan *ingestReq, queueCap),
-		batchMax: batchMax,
-		wait:     wait,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-		drains:   obs.NewDrainRing(0),
-	}
+	g.idle.L = &g.mu
+	g.kick = make(chan struct{}, 1)
+	g.queueCap, g.batchMax, g.wait = queueCap, batchMax, wait
+	g.drains = obs.NewRing[obs.DrainTrace](0)
 }
 
-// submit stages a request without blocking: a full queue is ErrIngestBacklog,
-// a closed pipeline ErrPlatformClosed.
-func (g *ingest) submit(r *ingestReq) error {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if g.closed {
-		return ErrPlatformClosed
-	}
+// requires: g.mu
+func (g *ingest) kickLocked() {
 	select {
-	case g.queue <- r:
-		return nil
+	case g.kick <- struct{}{}:
 	default:
-		return ErrIngestBacklog
 	}
 }
 
-// shutdown stops the committer after a final drain of everything admitted.
-func (g *ingest) shutdown() {
-	g.once.Do(func() {
-		g.mu.Lock()
-		g.closed = true
-		g.mu.Unlock()
-		close(g.stop)
-		<-g.done
-	})
-}
-
-// fill drains the queue non-blocking into batch, up to batchMax entries.
-func (g *ingest) fill(batch []*ingestReq) []*ingestReq {
-	for len(batch) < g.batchMax {
-		select {
-		case r := <-g.queue:
-			batch = append(batch, r)
-		default:
-			return batch
-		}
+// gather waits out the formation window: up to g.wait, or until the
+// pending list holds a full group, or until Close. Without a window, group
+// commit is bistable under closed-loop clients: a small group commits
+// quickly, so few clients resubmit in time for the next one, which is then
+// also small. A sub-millisecond wait (cf. Postgres commit_delay) lets each
+// group form fully at high concurrency for a bounded latency cost.
+func (g *ingest) gather() {
+	g.mu.Lock()
+	g.gathering = len(g.pending) < g.batchMax && !g.closed
+	gathering := g.gathering
+	g.mu.Unlock()
+	if !gathering {
+		return
 	}
-	return batch
-}
-
-// gather extends a drain for up to the configured formation window, blocking
-// for stragglers instead of only sweeping what already queued. Without a
-// window, group commit is bistable under closed-loop clients: a small drain
-// commits quickly, so few clients resubmit in time for the next drain, which
-// is then also small — and the pipeline gets stuck paying near-per-request
-// fsyncs. A sub-millisecond wait (cf. Postgres commit_delay) lets each drain
-// form fully at high concurrency for a bounded latency cost. Shutdown cuts
-// the window short; the final sweep in committer picks up anything left.
-func (g *ingest) gather(batch []*ingestReq) []*ingestReq {
 	timer := time.NewTimer(g.wait)
-	defer timer.Stop()
-	for len(batch) < g.batchMax {
-		select {
-		case r := <-g.queue:
-			batch = append(batch, r)
-		case <-timer.C:
-			return batch
-		case <-g.stop:
-			return batch
-		}
+	select {
+	case <-timer.C:
+	case <-g.kick:
 	}
-	return batch
+	timer.Stop()
+	g.mu.Lock()
+	g.gathering = false
+	g.mu.Unlock()
+	// Drop a kick that raced the timer, so the next window runs in full.
+	select {
+	case <-g.kick:
+	default:
+	}
 }
 
-// RegisterWorker registers a worker through the group-commit pipeline when
-// it is enabled, falling back to the synchronous AddWorker path otherwise.
-// The call returns once the registration is durable (journaled under the
-// configured fsync policy) and visible in served state, exactly like
-// AddWorker — only the commit is shared with every other registration in
-// the same drain.
-func (p *Platform) RegisterWorker(w model.Worker) (model.WorkerID, error) {
+// AddWorker registers a worker and returns its ID. It returns once the
+// registration is durable (journaled under the configured fsync policy) and
+// visible in served state. The journal append happens before the publish:
+// a failed append returns ID 0 with an ErrJournal-classified error and
+// leaves no trace in served state, so replayed state never diverges from
+// what was acknowledged.
+func (p *Platform) AddWorker(w model.Worker) (model.WorkerID, error) {
 	return p.RegisterWorkerTagged(w, "")
 }
 
-// RegisterWorkerTagged is RegisterWorker carrying the correlation ID of the
-// HTTP request, reported on the drain trace that commits the registration
-// (GET /v1/ingest). Empty means untagged.
-func (p *Platform) RegisterWorkerTagged(w model.Worker, requestID string) (model.WorkerID, error) {
-	if p.ing == nil {
-		return p.AddWorker(w)
-	}
-	// Field validation fails fast before taking a queue slot; the committer
-	// re-checks nothing but dependencies (which need platform state).
-	if err := validateWorker(&w); err != nil {
-		return 0, err
-	}
-	req := getReq(ingestWorker)
-	req.worker = w
-	req.reqID = requestID
-	if err := p.enqueue(req); err != nil {
-		putReq(req)
-		return 0, err
-	}
-	res := <-req.done
-	putReq(req)
-	return model.WorkerID(res.id), res.err
-}
-
-// RegisterTask is RegisterWorker for tasks: staged field validation up
-// front, dependency validation and closure inside the commit (it needs the
-// registry), group-committed with the rest of the drain.
-func (p *Platform) RegisterTask(t model.Task) (model.TaskID, error) {
+// AddTask registers a task and returns its ID, with the same journal-first
+// atomicity as AddWorker. Its dependencies must name registered tasks (the
+// same group may register them first); the platform stores the transitive
+// closure.
+func (p *Platform) AddTask(t model.Task) (model.TaskID, error) {
 	return p.RegisterTaskTagged(t, "")
 }
 
-// RegisterTaskTagged is RegisterTask carrying the correlation ID of the HTTP
+// RegisterWorkerTagged is AddWorker carrying the correlation ID of the HTTP
+// request, reported on the drain trace that commits the registration
+// (GET /v1/ingest). Empty means untagged.
+func (p *Platform) RegisterWorkerTagged(w model.Worker, requestID string) (model.WorkerID, error) {
+	r := getReq(ingestWorker)
+	r.worker, r.reqID = w, requestID
+	id, err := p.register(r)
+	return model.WorkerID(id), err
+}
+
+// RegisterTaskTagged is AddTask carrying the correlation ID of the HTTP
 // request; see RegisterWorkerTagged.
 func (p *Platform) RegisterTaskTagged(t model.Task, requestID string) (model.TaskID, error) {
-	if p.ing == nil {
-		return p.AddTask(t)
-	}
-	if err := validateTask(&t); err != nil {
-		return 0, err
-	}
-	req := getReq(ingestTask)
-	req.task = t
-	req.reqID = requestID
-	if err := p.enqueue(req); err != nil {
-		putReq(req)
-		return 0, err
-	}
-	res := <-req.done
-	putReq(req)
-	return model.TaskID(res.id), res.err
+	r := getReq(ingestTask)
+	r.task, r.reqID = t, requestID
+	id, err := p.register(r)
+	return model.TaskID(id), err
 }
 
-// IngestQueueDepth returns the admission-queue backlog and capacity; (0, 0)
-// when the pipeline is disabled.
+// IngestQueueDepth returns the pending registrations and their bound.
 func (p *Platform) IngestQueueDepth() (depth, capacity int) {
-	if p.ing == nil {
-		return 0, 0
-	}
-	return len(p.ing.queue), cap(p.ing.queue)
+	p.ing.mu.Lock()
+	defer p.ing.mu.Unlock()
+	return len(p.ing.pending), p.ing.queueCap
 }
 
-// IngestDrains returns up to n recent drain traces, oldest first; empty when
-// the pipeline is disabled.
+// IngestDrains returns up to n recent drain traces, oldest first.
 func (p *Platform) IngestDrains(n int) []obs.DrainTrace {
-	if p.ing == nil {
-		return []obs.DrainTrace{}
-	}
 	return p.ing.drains.Last(n)
 }
 
-func (p *Platform) enqueue(r *ingestReq) error {
-	err := p.ing.submit(r)
-	switch err {
-	case nil:
-		p.cIngEnq.Inc()
-	case ErrIngestBacklog:
-		p.cIngRej.Inc()
+// register validates r, admits it to the pending list and returns once a
+// leader — possibly this goroutine — has committed it. Field validation
+// fails before taking a pending slot.
+func (p *Platform) register(r *ingestReq) (int, error) {
+	defer putReq(r)
+	if err := r.validate(); err != nil {
+		return 0, err
 	}
-	return err
-}
-
-// committer is the pipeline's single drain loop: block for the first staged
-// request, soak up whatever else arrived (bounded by batchMax), commit the
-// drain, repeat. On shutdown it commits everything already admitted before
-// exiting, so no accepted request is ever left unanswered.
-func (p *Platform) committer() {
-	g := p.ing
-	defer close(g.done)
-	var batch []*ingestReq
-	for {
-		select {
-		case <-g.stop:
-			for {
-				batch = g.fill(batch[:0])
-				if len(batch) == 0 {
-					return
-				}
-				p.commitBatch(batch)
-			}
-		case r := <-g.queue:
-			batch = append(batch[:0], r)
-			if g.wait > 0 {
-				batch = g.gather(batch)
-			} else {
-				batch = g.fill(batch)
-			}
-			p.commitBatch(batch)
+	g := &p.ing
+	g.mu.Lock()
+	if g.closed {
+		g.mu.Unlock()
+		return 0, ErrPlatformClosed
+	}
+	if len(g.pending) >= g.queueCap {
+		g.mu.Unlock()
+		p.cIngRej.Inc()
+		return 0, ErrIngestBacklog
+	}
+	g.pending = append(g.pending, r)
+	if g.gathering && len(g.pending) >= g.batchMax {
+		g.kickLocked()
+	}
+	follower := g.leading
+	g.leading = true
+	g.mu.Unlock()
+	p.cIngEnq.Inc()
+	if follower {
+		if <-r.wake; r.done {
+			return r.id, r.err
 		}
 	}
+	p.lead()
+	return r.id, r.err
 }
 
-// commitBatch commits one drain: stage IDs under the platform mutex, append
-// every valid entry as one journal record with a single fsync, publish, then
-// answer the waiters. A journal failure fails the WHOLE drain and publishes
-// nothing — served state and journal never diverge, in either direction.
-func (p *Platform) commitBatch(reqs []*ingestReq) {
-	start := time.Now()
-	results := make([]ingestResult, len(reqs))
-	entries := make([]journalEntry, 0, len(reqs))
-	staged := make([]int, 0, len(reqs)) // indices into reqs, in commit order
+// lead runs one group commit as the leader: wait out the formation window,
+// take up to batchMax pending registrations (the leader's own first),
+// commit them, record the drain, answer the waiters and hand leadership to
+// the oldest remaining one.
+func (p *Platform) lead() {
+	g := &p.ing
+	if g.wait > 0 {
+		g.gather()
+	}
+	g.mu.Lock()
+	n := min(len(g.pending), g.batchMax)
+	group := append(g.group[:0], g.pending[:n]...)
+	g.pending = g.pending[:copy(g.pending, g.pending[n:])]
+	g.mu.Unlock()
 
+	tr := p.commit(group)
+	g.mu.Lock()
+	tr.QueueDepth = len(g.pending)
+	g.mu.Unlock()
+	g.seq++
+	tr.Seq = g.seq
+	g.drains.Add(tr)
+	obs.RecordDrain(p.reg, tr)
+
+	for _, r := range group[1:] {
+		r.done = true
+		r.wake <- struct{}{}
+	}
+	clear(group)
+	g.group = group[:0]
+
+	g.mu.Lock()
+	if len(g.pending) > 0 {
+		g.pending[0].wake <- struct{}{}
+	} else {
+		g.leading = false
+		g.idle.Broadcast()
+	}
+	g.mu.Unlock()
+}
+
+// commit is the one registration commit, shared by the group commit and
+// journal replay: under the platform mutex it assigns each entry its ID,
+// closes task dependencies (a task may depend on one staged earlier in the
+// same group), appends every valid entry as one journal record with at
+// most one fsync, and publishes. A journal failure fails the WHOLE group
+// and publishes nothing — served state and journal never diverge, in
+// either direction. Each request's id and err carry its answer; the
+// returned trace has everything but Seq and QueueDepth. While replaying,
+// the journal is the source and is not written.
+func (p *Platform) commit(reqs []*ingestReq) obs.DrainTrace {
+	start := time.Now()
 	p.mu.Lock()
-	var stagedW []model.Worker
-	var stagedT []model.Task
-	for i, r := range reqs {
+	w0, t0 := len(p.workers), len(p.tasks)
+	for _, r := range reqs {
 		switch r.kind {
 		case ingestWorker:
-			w := r.worker
-			w.ID = model.WorkerID(len(p.workers) + len(stagedW))
-			stagedW = append(stagedW, w)
-			entries = append(entries, workerEntry(w))
-			staged = append(staged, i)
-			results[i] = ingestResult{id: int(w.ID)}
+			r.worker.ID = model.WorkerID(len(p.workers))
+			r.id = int(r.worker.ID)
+			p.workers = append(p.workers, r.worker)
 		case ingestTask:
-			t := r.task
-			closed, err := p.closeDepsLocked(&t, stagedT)
+			closed, err := p.closeDepsLocked(&r.task)
 			if err != nil {
-				results[i] = ingestResult{err: err}
+				r.err = err
 				continue
 			}
-			t.Deps = closed
-			t.ID = model.TaskID(len(p.tasks) + len(stagedT))
-			stagedT = append(stagedT, t)
-			entries = append(entries, taskEntry(t))
-			staged = append(staged, i)
-			results[i] = ingestResult{id: int(t.ID)}
+			r.task.Deps = closed
+			r.task.ID = model.TaskID(len(p.tasks))
+			r.id = int(r.task.ID)
+			p.tasks = append(p.tasks, r.task)
 		}
 	}
+	staged := len(p.workers) - w0 + len(p.tasks) - t0
 
 	jstart := time.Now()
 	var jerr error
-	if len(entries) > 0 && p.journal != nil {
+	if staged > 0 && p.journal != nil && !p.replaying {
+		entries := make([]journalEntry, 0, staged)
+		for _, r := range reqs {
+			switch {
+			case r.err != nil:
+			case r.kind == ingestWorker:
+				entries = append(entries, workerEntry(r.worker))
+			default:
+				entries = append(entries, taskEntry(r.task))
+			}
+		}
 		if err := p.journal.Batch(entries); err != nil {
 			jerr = journalFailure(err)
 		}
 	}
 	journalD := time.Since(jstart)
 
-	committed := 0
+	tr := obs.DrainTrace{Requests: len(reqs)}
 	var reqIDs []string
 	if jerr != nil {
-		for _, i := range staged {
-			results[i] = ingestResult{err: jerr}
+		// Unstage: no view ever saw the staged entries.
+		clear(p.workers[w0:])
+		clear(p.tasks[t0:])
+		p.workers, p.tasks = p.workers[:w0], p.tasks[:t0]
+		for _, r := range reqs {
+			if r.err == nil {
+				r.id, r.err = 0, jerr
+			}
 		}
-		stagedW, stagedT = nil, nil
 	} else {
-		p.workers = append(p.workers, stagedW...)
-		p.tasks = append(p.tasks, stagedT...)
-		committed = len(staged)
-		// Collect correlation IDs in commit order NOW: once a waiter is
-		// answered below it recycles its request (putReq zeroes reqID).
-		for _, i := range staged {
-			if id := reqs[i].reqID; id != "" {
-				reqIDs = append(reqIDs, id)
+		tr.Workers, tr.Tasks = len(p.workers)-w0, len(p.tasks)-t0
+		tr.Committed = staged
+		for _, r := range reqs {
+			if r.err == nil && r.reqID != "" {
+				reqIDs = append(reqIDs, r.reqID)
 			}
 		}
 		p.publishViewLocked()
 	}
-	depth := len(p.ing.queue)
 	p.mu.Unlock()
 
 	if jerr != nil {
-		p.log.Error("ingest drain failed",
-			"requests", len(reqs), "queue_depth", depth, "error", jerr.Error())
+		p.log.Error("ingest drain failed", "requests", len(reqs), "error", jerr.Error())
 	}
+	tr.Failed = tr.Requests - tr.Committed
+	tr.CommitMS = float64(time.Since(start)) / float64(time.Millisecond)
+	tr.JournalMS = float64(journalD) / float64(time.Millisecond)
+	tr.RequestIDs = obs.CapRequestIDs(reqIDs)
+	tr.RequestIDCount = len(reqIDs)
+	return tr
+}
 
-	for i := range reqs {
-		reqs[i].done <- results[i]
+// Close commits every registration already admitted to the pending list
+// and makes every later registration fail with ErrPlatformClosed. It cuts
+// a formation window short. Idempotent. The journal is not closed — its
+// owner (whoever opened it) is.
+func (p *Platform) Close() error {
+	g := &p.ing
+	g.mu.Lock()
+	g.closed = true
+	if g.gathering {
+		g.kickLocked()
 	}
-
-	p.ing.seq++
-	tr := obs.DrainTrace{
-		Seq:            p.ing.seq,
-		Requests:       len(reqs),
-		Committed:      committed,
-		Workers:        len(stagedW),
-		Tasks:          len(stagedT),
-		Failed:         len(reqs) - committed,
-		QueueDepth:     depth,
-		CommitMS:       float64(time.Since(start)) / float64(time.Millisecond),
-		JournalMS:      float64(journalD) / float64(time.Millisecond),
-		RequestIDs:     obs.CapRequestIDs(reqIDs),
-		RequestIDCount: len(reqIDs),
+	for g.leading {
+		g.idle.Wait()
 	}
-	p.ing.drains.Add(tr)
-	obs.RecordDrain(p.reg, tr)
+	g.mu.Unlock()
+	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -85,8 +86,8 @@ func assertReplayMatchesServed(t *testing.T, p *Platform, journal []byte) {
 }
 
 // TestAddWorkerJournalFailureAtomic pins the journal/state divergence bug on
-// the synchronous path: when the journal write fails, the registration must
-// not be published (the old code published first and journaled second, so a
+// a lone registrant's commit: when the journal write fails, the
+// registration must not be published (the old code published first and journaled second, so a
 // disk failure left served state ahead of the journal — acknowledged workers
 // vanished on restart). Journal first means replayed state always equals
 // served state, before and after the failure.
@@ -123,9 +124,9 @@ func TestAddWorkerJournalFailureAtomic(t *testing.T) {
 	assertReplayMatchesServed(t, p, fw.bytes())
 }
 
-// TestIngestJournalFailureFailsWholeDrain is the same regression through the
-// group-commit pipeline: a drain whose single journal append fails must fail
-// every registration in it and publish nothing.
+// TestIngestJournalFailureFailsWholeDrain is the same regression for a
+// group: a drain whose single journal append fails must fail every
+// registration in it and publish nothing.
 func TestIngestJournalFailureFailsWholeDrain(t *testing.T) {
 	fw := &failAfterWriter{remaining: 1}
 	p, err := NewPlatform(Config{
@@ -138,12 +139,12 @@ func TestIngestJournalFailureFailsWholeDrain(t *testing.T) {
 	defer p.Close()
 
 	// First drain commits fine and spends the last good write.
-	if _, err := p.RegisterWorker(exWorker(0)); err != nil {
+	if _, err := p.AddWorker(exWorker(0)); err != nil {
 		t.Fatal(err)
 	}
 
-	// Group three registrations into one drain by stalling the committer on
-	// the platform mutex while they queue up.
+	// Stall the platform mutex while three registrations arrive: they
+	// commit in one or two groups, and every group fails.
 	p.mu.Lock()
 	var wg sync.WaitGroup
 	errs := make([]error, 3)
@@ -152,7 +153,7 @@ func TestIngestJournalFailureFailsWholeDrain(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ids[i], errs[i] = p.RegisterWorker(exWorker(i + 1))
+			ids[i], errs[i] = p.RegisterWorkerTagged(exWorker(i+1), fmt.Sprint("r", i))
 		}(i)
 	}
 	waitFor(t, func() bool {
@@ -172,6 +173,16 @@ func TestIngestJournalFailureFailsWholeDrain(t *testing.T) {
 	if st := p.Snapshot(); st.Workers != 1 {
 		t.Errorf("served %d workers, want 1 (failed drain must publish nothing)", st.Workers)
 	}
+	failed := 0
+	for _, d := range p.IngestDrains(10)[1:] {
+		if d.Committed != 0 || d.Failed != d.Requests || len(d.RequestIDs) != 0 {
+			t.Errorf("drain %+v committed part of a failed group", d)
+		}
+		failed += d.Failed
+	}
+	if failed != 3 {
+		t.Errorf("failed drains answered %d registrations, want 3", failed)
+	}
 	assertReplayMatchesServed(t, p, fw.bytes())
 }
 
@@ -187,64 +198,101 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
-// TestIngestGroupCommit checks that concurrent registrations actually share
-// journal records and fsyncs: N registrations stalled behind the platform
-// mutex commit in a handful of drains, appear as v2 batch lines, get dense
-// unique IDs, and replay to the exact served state.
+// TestIngestGroupCommit checks what one group commit journals: with the
+// platform mutex stalled, a burst of concurrent registrations (half through
+// AddWorker, half through RegisterWorkerTagged) commits in a handful of
+// drains with one v2 batch line and one fsync each; registrations one
+// after another each lead alone, one drain, one v1 line and one fsync
+// apiece. Either way IDs are dense and unique and the journal replays to
+// the served state.
 func TestIngestGroupCommit(t *testing.T) {
-	var log safeBuffer
-	p, err := NewPlatform(Config{
-		Allocator: core.NewGreedy(), Journal: NewJournal(&log, nil),
-		IngestQueue: 128,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
 	const n = 40
-	p.mu.Lock()
-	var wg sync.WaitGroup
-	ids := make([]model.WorkerID, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			id, err := p.RegisterWorker(exWorker(i))
+	for _, tc := range []struct {
+		name  string
+		burst bool
+	}{{"burst", true}, {"sequential", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			jpath := filepath.Join(t.TempDir(), "events.jsonl")
+			j, err := OpenJournalMode(jpath, FsyncAlways, 0)
 			if err != nil {
-				t.Errorf("register %d: %v", i, err)
+				t.Fatal(err)
 			}
-			ids[i] = id
-		}(i)
-	}
-	waitFor(t, func() bool {
-		return p.reg.Counter(obs.MIngestEnqueuedTotal).Value() == n
-	})
-	p.mu.Unlock()
-	wg.Wait()
+			defer j.Close()
+			p, err := NewPlatform(Config{Allocator: core.NewGreedy(), Journal: j})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
 
-	seen := make(map[model.WorkerID]bool, n)
-	for _, id := range ids {
-		if id < 0 || int(id) >= n || seen[id] {
-			t.Fatalf("IDs not a dense unique 0..%d assignment: %v", n-1, ids)
-		}
-		seen[id] = true
+			ids := make([]model.WorkerID, n)
+			register := func(i int) {
+				var err error
+				if i%2 == 0 {
+					ids[i], err = p.AddWorker(exWorker(i))
+				} else {
+					ids[i], err = p.RegisterWorkerTagged(exWorker(i), fmt.Sprint("r", i))
+				}
+				if err != nil {
+					t.Errorf("register %d: %v", i, err)
+				}
+			}
+			if tc.burst {
+				p.mu.Lock()
+				var wg sync.WaitGroup
+				for i := 0; i < n; i++ {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						register(i)
+					}(i)
+				}
+				waitFor(t, func() bool {
+					return p.reg.Counter(obs.MIngestEnqueuedTotal).Value() == n
+				})
+				p.mu.Unlock()
+				wg.Wait()
+			} else {
+				for i := 0; i < n; i++ {
+					register(i)
+				}
+			}
+
+			seen := make(map[model.WorkerID]bool, n)
+			for _, id := range ids {
+				if id < 0 || int(id) >= n || seen[id] {
+					t.Fatalf("IDs not a dense unique 0..%d assignment: %v", n-1, ids)
+				}
+				seen[id] = true
+			}
+			drains := p.reg.Counter(obs.MIngestDrainsTotal).Value()
+			if fsyncs := p.reg.Counter(obs.MJournalFsyncsTotal).Value(); fsyncs != drains {
+				t.Errorf("fsyncs = %d, drains = %d: want one fsync per drain", fsyncs, drains)
+			}
+			if got := p.reg.Counter(obs.MIngestCommittedTotal).Value(); got != n {
+				t.Errorf("committed = %d, want %d", got, n)
+			}
+			raw, err := os.ReadFile(jpath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			text := string(raw)
+			if lines := strings.Count(text, "\n"); lines != int(drains) {
+				t.Errorf("journal lines = %d, want one per drain (%d)", lines, drains)
+			}
+			batches := strings.Count(text, `"kind":"batch"`)
+			if tc.burst {
+				if drains < 1 || drains > 5 {
+					t.Errorf("drains = %d for %d stalled registrations, want a handful (group commit)", drains, n)
+				}
+				if batches == 0 {
+					t.Error("journal has no v2 batch record despite multi-entry drains")
+				}
+			} else if drains != n || batches != 0 {
+				t.Errorf("drains = %d, batch records = %d for %d sequential registrations, want %d and 0", drains, batches, n, n)
+			}
+			assertReplayMatchesServed(t, p, raw)
+		})
 	}
-	drains := p.reg.Counter(obs.MIngestDrainsTotal).Value()
-	if drains < 1 || drains > 5 {
-		t.Errorf("drains = %d for %d stalled registrations, want a handful (group commit)", drains, n)
-	}
-	if got := p.reg.Counter(obs.MIngestCommittedTotal).Value(); got != n {
-		t.Errorf("committed = %d, want %d", got, n)
-	}
-	text := log.String()
-	if lines := strings.Count(text, "\n"); lines != int(drains) {
-		t.Errorf("journal lines = %d, want one per drain (%d)", lines, drains)
-	}
-	if !strings.Contains(text, `"kind":"batch"`) {
-		t.Error("journal has no v2 batch record despite multi-entry drains")
-	}
-	assertReplayMatchesServed(t, p, []byte(text))
 }
 
 // TestIngestFormationWindow checks the -ingest-wait gather behaviour: with a
@@ -270,7 +318,7 @@ func TestIngestFormationWindow(t *testing.T) {
 			go func(i int) {
 				defer wg.Done()
 				time.Sleep(time.Duration(i) * 5 * time.Millisecond)
-				if _, err := p.RegisterWorker(exWorker(i)); err != nil {
+				if _, err := p.AddWorker(exWorker(i)); err != nil {
 					t.Errorf("register %d: %v", i, err)
 				}
 			}(i)
@@ -302,7 +350,7 @@ func TestIngestFormationWindow(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				if _, err := p.RegisterWorker(exWorker(i)); err != nil {
+				if _, err := p.AddWorker(exWorker(i)); err != nil {
 					t.Errorf("register %d: %v", i, err)
 				}
 			}(i)
@@ -326,8 +374,8 @@ func TestIngestFormationWindow(t *testing.T) {
 	})
 }
 
-// safeBuffer is a bytes.Buffer usable as a journal sink from the committer
-// goroutine while the test reads it.
+// safeBuffer is a bytes.Buffer usable as a journal sink from concurrent
+// leaders while the test reads it.
 type safeBuffer struct {
 	mu  sync.Mutex
 	buf bytes.Buffer
@@ -345,13 +393,13 @@ func (b *safeBuffer) String() string {
 	return b.buf.String()
 }
 
-// TestIngestBackpressure fills the bounded admission queue and expects fast
+// TestIngestBackpressure fills the bounded pending list and expects fast
 // ErrIngestBacklog / HTTP 429 + Retry-After instead of unbounded queueing.
 func TestIngestBackpressure(t *testing.T) {
 	p, err := NewPlatform(Config{
 		Allocator:   core.NewGreedy(),
 		IngestQueue: 4,
-		IngestBatch: 1, // committer takes exactly one request per drain
+		IngestBatch: 1, // each leader takes exactly one registration
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -360,28 +408,28 @@ func TestIngestBackpressure(t *testing.T) {
 	ts := httptest.NewServer(Handler(p))
 	defer ts.Close()
 
-	// Stall the committer: it pulls one primer request (batch max 1) and
-	// blocks on the platform mutex; everything after stays in the queue.
+	// Stall the group commit: the primer leads, takes itself as its group
+	// and blocks on the platform mutex; everything after stays pending.
 	p.mu.Lock()
-	primerDone := make(chan struct{})
-	go func() {
-		defer close(primerDone)
-		if _, err := p.RegisterWorker(exWorker(0)); err != nil {
-			t.Errorf("primer: %v", err)
-		}
-	}()
-	waitFor(t, func() bool {
-		depth, _ := p.IngestQueueDepth()
-		return depth == 0 && p.reg.Counter(obs.MIngestEnqueuedTotal).Value() == 1
-	})
-
-	for i := 0; i < 4; i++ {
-		if err := p.ing.submit(&ingestReq{kind: ingestWorker, worker: exWorker(i + 1), done: make(chan ingestResult, 1)}); err != nil {
-			t.Fatalf("fill %d: %v", i, err)
+	var wg sync.WaitGroup
+	for i := 0; i < 5; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := p.AddWorker(exWorker(i)); err != nil {
+				t.Errorf("registration %d: %v", i, err)
+			}
+		}(i)
+		if i == 0 {
+			waitFor(t, func() bool {
+				depth, _ := p.IngestQueueDepth()
+				return depth == 0 && p.reg.Counter(obs.MIngestEnqueuedTotal).Value() == 1
+			})
 		}
 	}
-	if _, err := p.RegisterWorker(exWorker(9)); !errors.Is(err, ErrIngestBacklog) {
-		t.Errorf("full queue: error = %v, want ErrIngestBacklog", err)
+	waitFor(t, func() bool { depth, _ := p.IngestQueueDepth(); return depth == 4 })
+	if _, err := p.AddWorker(exWorker(9)); !errors.Is(err, ErrIngestBacklog) {
+		t.Errorf("full pending list: error = %v, want ErrIngestBacklog", err)
 	}
 	if got := p.reg.Counter(obs.MIngestRejectedTotal).Value(); got != 1 {
 		t.Errorf("rejected counter = %d, want 1", got)
@@ -401,14 +449,20 @@ func TestIngestBackpressure(t *testing.T) {
 	}
 
 	p.mu.Unlock()
-	<-primerDone
-	waitFor(t, func() bool { depth, _ := p.IngestQueueDepth(); return depth == 0 })
+	wg.Wait()
+	if depth, _ := p.IngestQueueDepth(); depth != 0 {
+		t.Errorf("pending after every registration returned = %d, want 0", depth)
+	}
+	if st := p.Snapshot(); st.Workers != 5 {
+		t.Errorf("workers = %d, want the 5 admitted", st.Workers)
+	}
 }
 
 // TestRegisterHTTPJournalFailure503 pins the error-classification fix: a
 // journal (disk) failure is the server's fault — 503 + Retry-After, not the
 // 422 the old code answered for every AddWorker error.
 func TestRegisterHTTPJournalFailure503(t *testing.T) {
+	// Zero is the default pending bound.
 	for _, queue := range []int{0, 64} {
 		t.Run(fmt.Sprintf("queue=%d", queue), func(t *testing.T) {
 			p, err := NewPlatform(Config{
@@ -667,14 +721,14 @@ func TestIngestConcurrentHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				if i%3 == 0 {
-					id, err := p.RegisterTask(exTask(g*perG + i))
+					id, err := p.AddTask(exTask(g*perG + i))
 					if err != nil {
 						t.Errorf("task %d/%d: %v", g, i, err)
 						return
 					}
 					taskIDs[g] = append(taskIDs[g], id)
 				} else {
-					id, err := p.RegisterWorker(exWorker(g*perG + i))
+					id, err := p.AddWorker(exWorker(g*perG + i))
 					if err != nil {
 						t.Errorf("worker %d/%d: %v", g, i, err)
 						return
@@ -698,7 +752,7 @@ func TestIngestConcurrentHammer(t *testing.T) {
 		}
 	}()
 
-	// Snapshot rotations race the committer's drains.
+	// Snapshot rotations race the group commits.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -813,8 +867,9 @@ func TestIngestConcurrentHammer(t *testing.T) {
 }
 
 // TestIngestShutdownDrains checks the Close contract: every registration
-// admitted before Close is committed and answered; registrations after
-// Close fail with ErrPlatformClosed.
+// admitted before Close is committed and answered, even one a leader is
+// holding in its formation window; registrations after Close fail with
+// ErrPlatformClosed.
 func TestIngestShutdownDrains(t *testing.T) {
 	var log safeBuffer
 	p, err := NewPlatform(Config{
@@ -825,17 +880,40 @@ func TestIngestShutdownDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := p.RegisterWorker(exWorker(i)); err != nil {
+		if _, err := p.AddWorker(exWorker(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	p.Close()
 	p.Close() // idempotent
-	if _, err := p.RegisterWorker(exWorker(99)); !errors.Is(err, ErrPlatformClosed) {
+	if _, err := p.AddWorker(exWorker(99)); !errors.Is(err, ErrPlatformClosed) {
 		t.Errorf("register after Close: err = %v, want ErrPlatformClosed", err)
 	}
 	if st := p.Snapshot(); st.Workers != 10 {
 		t.Errorf("workers = %d, want 10", st.Workers)
 	}
 	assertReplayMatchesServed(t, p, []byte(log.String()))
+
+	// Close cuts a leader's formation window short and commits its group.
+	p, err = NewPlatform(Config{Allocator: core.NewGreedy(), IngestWait: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.AddWorker(exWorker(0))
+		done <- err
+	}()
+	waitFor(t, func() bool { return p.reg.Counter(obs.MIngestEnqueuedTotal).Value() == 1 })
+	start := time.Now()
+	p.Close()
+	if err := <-done; err != nil {
+		t.Errorf("registration admitted before Close: %v", err)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Errorf("Close waited %v, want the window cut short", d)
+	}
+	if st := p.Snapshot(); st.Workers != 1 {
+		t.Errorf("workers = %d, want 1", st.Workers)
+	}
 }

@@ -339,12 +339,6 @@ func taskEntry(t model.Task) journalEntry {
 	}}
 }
 
-// Worker logs a worker registration.
-func (j *Journal) Worker(w model.Worker) error { return j.append(workerEntry(w)) }
-
-// Task logs a task registration.
-func (j *Journal) Task(t model.Task) error { return j.append(taskEntry(t)) }
-
 // Batch logs a group of registration events as one journal record with a
 // single flush and at most one fsync (group commit). A single entry stays a
 // v1 line (so the common case remains greppable one-event-per-line); two or
@@ -396,14 +390,6 @@ type ReplayReport struct {
 	// file before appending new events (Recover does).
 	TornTail      bool
 	TornTailBytes int
-}
-
-// Replay feeds a journal stream back into a fresh platform, reproducing its
-// state. See ReplayJournal for the report-returning variant and the
-// torn-tail contract.
-func Replay(r io.Reader, p *Platform) error {
-	_, err := ReplayJournal(r, p)
-	return err
 }
 
 // ReplayJournal feeds a journal stream back into a platform, reproducing its
@@ -489,11 +475,11 @@ func applyEntry(p *Platform, e *journalEntry, line int) (entries, ticks int, err
 		if err := checkSkills(w.Skills); err != nil {
 			return 0, 0, fmt.Errorf("server: journal line %d: worker: %w", line, err)
 		}
-		_, err := p.AddWorker(model.Worker{
+		err := p.replayRegistration(&ingestReq{kind: ingestWorker, worker: model.Worker{
 			Loc: pt(w.X, w.Y), Start: w.Start, Wait: w.Wait,
 			Velocity: w.Velocity, MaxDist: w.MaxDist,
 			Skills: model.NewSkillSet(w.Skills...),
-		})
+		}})
 		if err != nil {
 			return 0, 0, fmt.Errorf("server: journal line %d: %w", line, err)
 		}
@@ -503,10 +489,10 @@ func applyEntry(p *Platform, e *journalEntry, line int) (entries, ticks int, err
 			return 0, 0, fmt.Errorf("server: journal line %d: task entry without payload", line)
 		}
 		t := e.Task
-		_, err := p.AddTask(model.Task{
+		err := p.replayRegistration(&ingestReq{kind: ingestTask, task: model.Task{
 			Loc: pt(t.X, t.Y), Start: t.Start, Wait: t.Wait,
 			Requires: t.Requires, Deps: t.Deps, Weight: t.Weight,
-		})
+		}})
 		if err != nil {
 			return 0, 0, fmt.Errorf("server: journal line %d: %w", line, err)
 		}
@@ -546,6 +532,18 @@ func applyEntry(p *Platform, e *journalEntry, line int) (entries, ticks int, err
 	}
 }
 
+// replayRegistration applies one journaled registration through the same
+// commit as a live one, as a group of its own: no pending list, no
+// formation window, no drain trace and no dasc_ingest_* counters, and no
+// journal write (the platform is replaying).
+func (p *Platform) replayRegistration(r *ingestReq) error {
+	if err := r.validate(); err != nil {
+		return err
+	}
+	p.commit([]*ingestReq{r})
+	return r.err
+}
+
 // recordRecovery folds a replay's outcome into the platform's registry.
 func recordRecovery(p *Platform, rep ReplayReport) {
 	reg := p.Metrics()
@@ -556,6 +554,3 @@ func recordRecovery(p *Platform, rep ReplayReport) {
 		reg.Counter(obs.MRecoveryTornBytesTotal).Add(int64(rep.TornTailBytes))
 	}
 }
-
-// openForRead opens a journal file for replay.
-func openForRead(path string) (*os.File, error) { return os.Open(path) }

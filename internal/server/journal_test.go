@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"dasc/internal/core"
+	"dasc/internal/dataset"
 	"dasc/internal/model"
 	"dasc/internal/obs"
 )
@@ -58,7 +59,7 @@ func TestJournalReplayReproducesState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Replay(bytes.NewReader(log.Bytes()), p2); err != nil {
+	if _, err := ReplayJournal(bytes.NewReader(log.Bytes()), p2); err != nil {
 		t.Fatal(err)
 	}
 	s1, s2 := p1.Snapshot(), p2.Snapshot()
@@ -82,7 +83,7 @@ func TestJournalReplayIsNotReJournaled(t *testing.T) {
 	var dst bytes.Buffer
 	j2 := NewJournal(&dst, nil)
 	p2, _ := NewPlatform(Config{Allocator: core.NewGreedy(), Journal: j2})
-	if err := Replay(bytes.NewReader(src.Bytes()), p2); err != nil {
+	if _, err := ReplayJournal(bytes.NewReader(src.Bytes()), p2); err != nil {
 		t.Fatal(err)
 	}
 	if dst.Len() != 0 {
@@ -108,13 +109,13 @@ func TestJournalFileRoundTrip(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := openForRead(path)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 	p2, _ := NewPlatform(Config{Allocator: core.NewGreedy()})
-	if err := Replay(f, p2); err != nil {
+	if _, err := ReplayJournal(f, p2); err != nil {
 		t.Fatal(err)
 	}
 	if p2.Snapshot().AssignedTasks != p1.Snapshot().AssignedTasks {
@@ -133,13 +134,13 @@ func TestReplayRejectsCorruptJournals(t *testing.T) {
 	}
 	for name, body := range cases {
 		p, _ := NewPlatform(Config{Allocator: core.NewGreedy()})
-		if err := Replay(strings.NewReader(body), p); err == nil {
+		if _, err := ReplayJournal(strings.NewReader(body), p); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 	// Empty lines are tolerated.
 	p, _ := NewPlatform(Config{Allocator: core.NewGreedy()})
-	if err := Replay(strings.NewReader("\n\n"), p); err != nil {
+	if _, err := ReplayJournal(strings.NewReader("\n\n"), p); err != nil {
 		t.Errorf("blank lines rejected: %v", err)
 	}
 }
@@ -200,7 +201,7 @@ func TestReplayTornTailToleratedAsCleanEOF(t *testing.T) {
 
 	// The applied state must equal a replay of the complete prefix.
 	want, _ := NewPlatform(Config{Allocator: core.NewGreedy()})
-	if err := Replay(bytes.NewReader(full[:last]), want); err != nil {
+	if _, err := ReplayJournal(bytes.NewReader(full[:last]), want); err != nil {
 		t.Fatal(err)
 	}
 	if g, w := fmt.Sprint(p.Snapshot()), fmt.Sprint(want.Snapshot()); g != w {
@@ -245,7 +246,7 @@ func TestReplayInteriorCorruptionFailsWithLineNumber(t *testing.T) {
 	lines[2] = []byte("{\"kind\":\"worker\",\"wor\n")
 	corrupt := bytes.Join(lines, nil)
 	p, _ := NewPlatform(Config{Allocator: core.NewGreedy()})
-	err := Replay(bytes.NewReader(corrupt), p)
+	_, err := ReplayJournal(bytes.NewReader(corrupt), p)
 	if err == nil {
 		t.Fatal("interior corruption accepted")
 	}
@@ -271,7 +272,7 @@ func TestReplayHugeLineHasNoSizeCap(t *testing.T) {
 		t.Fatalf("journal line only %d bytes; test needs > 4 MiB", log.Len())
 	}
 	p2, _ := NewPlatform(Config{Allocator: core.NewGreedy()})
-	if err := Replay(bytes.NewReader(log.Bytes()), p2); err != nil {
+	if _, err := ReplayJournal(bytes.NewReader(log.Bytes()), p2); err != nil {
 		t.Fatalf("huge line rejected: %v", err)
 	}
 	if p2.Snapshot().Workers != 1 {
@@ -358,4 +359,43 @@ func TestJournalRewindTruncatesAndStaysAppendable(t *testing.T) {
 	if NewJournal(&bytes.Buffer{}, nil).Rewind() == nil {
 		t.Error("writer-backed journal rewound")
 	}
+}
+
+// FuzzReplayJournal feeds arbitrary bytes to ReplayJournal on a fresh
+// platform. Replay must never panic, whatever it rejects; and a replay that
+// succeeds must be deterministic: a second fresh platform replaying the
+// same bytes serves the same registries, byte for byte through the dataset
+// codec. Seeds under testdata/fuzz cover v1 worker, task and tick lines, a
+// v2 batch record whose task depends on a task staged earlier in the same
+// record, a torn tail, an interior bad line and an out-of-range skill.
+func FuzzReplayJournal(f *testing.F) {
+	f.Add([]byte(`{"kind":"tick","tick":0}` + "\n"))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		replay := func() (*Platform, error) {
+			p, err := NewPlatform(Config{Allocator: core.NewGreedy()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = ReplayJournal(bytes.NewReader(b), p)
+			return p, err
+		}
+		p1, err := replay()
+		if err != nil {
+			return // rejection is fine; panics are not
+		}
+		p2, err := replay()
+		if err != nil {
+			t.Fatalf("second replay of accepted bytes failed: %v", err)
+		}
+		var first, second bytes.Buffer
+		if err := dataset.WriteCompact(&first, p1.Instance()); err != nil {
+			t.Fatalf("replayed state does not encode: %v", err)
+		}
+		if err := dataset.WriteCompact(&second, p2.Instance()); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("replays diverge:\nfirst:  %s\nsecond: %s", first.Bytes(), second.Bytes())
+		}
+	})
 }

@@ -39,7 +39,7 @@ func TestTaskWeightRoundTripsThroughHTTPAndJournal(t *testing.T) {
 	}
 	// And it survives replay.
 	p2, _ := NewPlatform(Config{Allocator: core.NewGreedy()})
-	if err := Replay(bytes.NewReader(log.Bytes()), p2); err != nil {
+	if _, err := ReplayJournal(bytes.NewReader(log.Bytes()), p2); err != nil {
 		t.Fatal(err)
 	}
 	if w := p2.Instance().Tasks[0].Weight; w != 2.5 {

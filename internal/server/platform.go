@@ -47,9 +47,8 @@ type Platform struct {
 	maxBody  int64
 	notReady atomic.Bool
 
-	// ing is the group-commit ingest pipeline (ingest.go); nil when
-	// Config.IngestQueue is zero and registrations commit synchronously.
-	ing *ingest
+	// ing is the group commit every registration goes through (ingest.go).
+	ing ingest
 
 	// view is the atomically swapped read snapshot (view.go): every mutation
 	// republishes it under mu, and the read endpoints serve from it without
@@ -61,7 +60,7 @@ type Platform struct {
 	// buffered in traces (GET /v1/trace). Always on — the per-tick cost is
 	// a handful of atomic adds and three clock reads.
 	reg    *obs.Registry
-	traces *obs.TraceRing
+	traces *obs.Ring[obs.BatchTrace]
 	// Hot-path ingest counters resolved once at construction (a registry
 	// lookup is a mutex + map access the per-request path should not pay).
 	cIngEnq *obs.Counter
@@ -122,25 +121,19 @@ type Config struct {
 	SnapshotEvery int
 	// MaxBodyBytes caps HTTP request bodies; zero means DefaultMaxBodyBytes.
 	MaxBodyBytes int64
-	// IngestQueue, when positive, enables the group-commit ingest pipeline:
-	// RegisterWorker/RegisterTask stage registrations through a bounded
-	// admission queue of this capacity and a single committer goroutine
-	// drains it, journaling each drain as one multi-entry record with a
-	// single fsync before publishing (ingest.go). A full queue rejects with
-	// ErrIngestBacklog (HTTP 429 + Retry-After). Platforms with the pipeline
-	// enabled must be Close()d to stop the committer.
+	// IngestQueue bounds the registrations waiting for a group commit
+	// (ingest.go); beyond it a registration fails with ErrIngestBacklog
+	// (HTTP 429 + Retry-After). Zero means DefaultIngestQueue.
 	IngestQueue int
-	// IngestBatch caps how many staged registrations one drain commits
-	// together; zero means DefaultIngestBatch. Only meaningful with
-	// IngestQueue > 0.
+	// IngestBatch caps how many pending registrations one group commit
+	// journals together; zero means DefaultIngestBatch.
 	IngestBatch int
-	// IngestWait is the group-commit formation window: after the first
-	// staged registration of a drain, the committer keeps gathering for up
-	// to this long (or until IngestBatch) before committing. Zero commits
-	// immediately with whatever has queued. A sub-millisecond window trades
-	// bounded per-request latency for much larger drains — and therefore
-	// far fewer fsyncs — under concurrent load (cf. Postgres commit_delay).
-	// Only meaningful with IngestQueue > 0.
+	// IngestWait is the group-commit formation window: a leader waits up to
+	// this long (or until IngestBatch registrations are pending) before
+	// taking its group. Zero commits immediately with whatever is pending.
+	// A sub-millisecond window trades bounded per-request latency for much
+	// larger groups — and therefore far fewer fsyncs — under concurrent
+	// load (cf. Postgres commit_delay).
 	IngestWait time.Duration
 	// Logger receives the platform's structured events (snapshot rotations,
 	// journal failures, ingest drain failures, the sampled access log). Nil
@@ -174,7 +167,7 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		return nil, fmt.Errorf("server: negative request body cap %d", cfg.MaxBodyBytes)
 	}
 	if cfg.IngestQueue < 0 {
-		return nil, fmt.Errorf("server: negative ingest queue capacity %d", cfg.IngestQueue)
+		return nil, fmt.Errorf("server: negative ingest queue bound %d", cfg.IngestQueue)
 	}
 	if cfg.IngestBatch < 0 {
 		return nil, fmt.Errorf("server: negative ingest batch cap %d", cfg.IngestBatch)
@@ -200,7 +193,7 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		snapEvery: cfg.SnapshotEvery,
 		maxBody:   maxBody,
 		reg:       obs.NewRegistry(),
-		traces:    obs.NewTraceRing(cfg.TraceDepth),
+		traces:    obs.NewRing[obs.BatchTrace](cfg.TraceDepth),
 		log:       orDiscard(cfg.Logger),
 	}
 	p.mw = newMiddleware(p.log, cfg.AccessLogEvery)
@@ -215,22 +208,9 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	// (append, flush, fsync) land in the structured log.
 	p.journal.SetMetrics(p.reg)
 	p.journal.SetLogger(p.log)
+	p.ing.init(cfg.IngestQueue, cfg.IngestBatch, cfg.IngestWait)
 	p.publishView()
-	if cfg.IngestQueue > 0 {
-		p.ing = newIngest(cfg.IngestQueue, cfg.IngestBatch, cfg.IngestWait)
-		go p.committer()
-	}
 	return p, nil
-}
-
-// Close stops the ingest committer after it commits everything already
-// admitted to the queue. Idempotent; a no-op on platforms without the
-// pipeline. The journal is not closed — its owner (whoever opened it) is.
-func (p *Platform) Close() error {
-	if p.ing != nil {
-		p.ing.shutdown()
-	}
-	return nil
 }
 
 func (p *Platform) publishView() {
@@ -304,25 +284,18 @@ func validateTask(t *model.Task) error {
 	return nil
 }
 
-// closeDepsLocked validates t's dependency list against the registered tasks
-// plus staged (tasks committed earlier in the same ingest drain, whose IDs
-// follow len(p.tasks)) and returns the transitively closed list. Dependencies
-// must reference already-registered tasks, which keeps the dependency graph
-// acyclic by construction (as in the paper's generators, creation order is
-// appearance order).
+// closeDepsLocked validates t's dependency list against the registered
+// tasks (tasks staged earlier in the same group commit included) and
+// returns the transitively closed list. Dependencies must reference
+// already-registered tasks, which keeps the dependency graph acyclic by
+// construction (as in the paper's generators, creation order is appearance
+// order).
 //
 // requires: p.mu
-func (p *Platform) closeDepsLocked(t *model.Task, staged []model.Task) ([]model.TaskID, error) {
-	n := len(p.tasks) + len(staged)
-	lookup := func(id model.TaskID) *model.Task {
-		if int(id) < len(p.tasks) {
-			return &p.tasks[id]
-		}
-		return &staged[int(id)-len(p.tasks)]
-	}
+func (p *Platform) closeDepsLocked(t *model.Task) ([]model.TaskID, error) {
 	seen := make(map[model.TaskID]bool, len(t.Deps))
 	for _, d := range t.Deps {
-		if d < 0 || int(d) >= n {
+		if d < 0 || int(d) >= len(p.tasks) {
 			return nil, fmt.Errorf("server: dependency t%d not registered yet", d)
 		}
 		if seen[d] {
@@ -333,7 +306,7 @@ func (p *Platform) closeDepsLocked(t *model.Task, staged []model.Task) ([]model.
 	// Keep dependency sets transitively closed, the library invariant.
 	closed := append([]model.TaskID(nil), t.Deps...)
 	for _, d := range t.Deps {
-		for _, dd := range lookup(d).Deps {
+		for _, dd := range p.tasks[d].Deps {
 			if !seen[dd] {
 				seen[dd] = true
 				closed = append(closed, dd)
@@ -341,55 +314,6 @@ func (p *Platform) closeDepsLocked(t *model.Task, staged []model.Task) ([]model.
 		}
 	}
 	return closed, nil
-}
-
-// AddWorker registers a worker and returns its ID. Fields other than the ID
-// are taken from w verbatim; validation mirrors model.Instance.Validate.
-// The journal append happens BEFORE the in-memory publish: a failed append
-// returns ID 0 with an ErrJournal-classified error and leaves no trace in
-// served state, so replayed state can never diverge from what was
-// acknowledged.
-func (p *Platform) AddWorker(w model.Worker) (model.WorkerID, error) {
-	if err := validateWorker(&w); err != nil {
-		return 0, err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	w.ID = model.WorkerID(len(p.workers))
-	if p.journal != nil && !p.replaying {
-		if err := p.journal.Worker(w); err != nil {
-			return 0, journalFailure(err)
-		}
-	}
-	p.workers = append(p.workers, w)
-	p.publishViewLocked()
-	return w.ID, nil
-}
-
-// AddTask registers a task and returns its ID, with the same journal-first
-// atomicity as AddWorker: validation, then the journal append, then the
-// in-memory publish — an error at any stage returns ID 0 and changes
-// nothing.
-func (p *Platform) AddTask(t model.Task) (model.TaskID, error) {
-	if err := validateTask(&t); err != nil {
-		return 0, err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	closed, err := p.closeDepsLocked(&t, nil)
-	if err != nil {
-		return 0, err
-	}
-	t.Deps = closed
-	t.ID = model.TaskID(len(p.tasks))
-	if p.journal != nil && !p.replaying {
-		if err := p.journal.Task(t); err != nil {
-			return 0, journalFailure(err)
-		}
-	}
-	p.tasks = append(p.tasks, t)
-	p.publishViewLocked()
-	return t.ID, nil
 }
 
 // BatchOutcome reports one tick's allocation.
@@ -501,7 +425,7 @@ func (p *Platform) recordTick(out *BatchOutcome, rec *obs.BatchRec) {
 func (p *Platform) Metrics() *obs.Registry { return p.reg }
 
 // Traces returns the platform's recent batch traces (GET /v1/trace).
-func (p *Platform) Traces() *obs.TraceRing { return p.traces }
+func (p *Platform) Traces() *obs.Ring[obs.BatchTrace] { return p.traces }
 
 // Stats is a snapshot of platform counters.
 type Stats struct {

@@ -60,7 +60,7 @@ func TestReplayRejectsBadSkills(t *testing.T) {
 			"batch": good + `{"kind":"batch","v":2,"entries":[` + strings.TrimSuffix(good, "\n") + `,` + bad + `]}` + "\n",
 		} {
 			p, _ := NewPlatform(Config{Allocator: core.NewGreedy()})
-			err := Replay(strings.NewReader(body), p)
+			_, err := ReplayJournal(strings.NewReader(body), p)
 			want := "server: journal line 2: worker: skills: " + c.want
 			if err == nil || err.Error() != want {
 				t.Fatalf("skill %d in a %s: replay error %v, want %q", c.skill, name, err, want)

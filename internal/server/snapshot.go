@@ -486,7 +486,7 @@ func Recover(p *Platform, snapshotPath, journalPath string) (RecoveryReport, err
 		}
 	}
 	if journalPath != "" {
-		f, err := openForRead(journalPath)
+		f, err := os.Open(journalPath)
 		switch {
 		case err == nil:
 			rrep, rerr := ReplayJournal(f, p)

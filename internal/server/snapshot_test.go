@@ -247,7 +247,7 @@ func TestReplayTruncatedAtEveryByteOffset(t *testing.T) {
 	states = append(states, stateString(p0))
 	for k, end := range prefixes {
 		p, _ := NewPlatform(Config{Allocator: core.NewGreedy()})
-		if err := Replay(bytes.NewReader(full[:end]), p); err != nil {
+		if _, err := ReplayJournal(bytes.NewReader(full[:end]), p); err != nil {
 			t.Fatalf("clean prefix of %d lines rejected: %v", k+1, err)
 		}
 		states = append(states, stateString(p))
@@ -518,11 +518,11 @@ func TestRecoverRetiresDependantsOfBotchedTasks(t *testing.T) {
 		t.Helper()
 		if k == 0 {
 			for i := 0; i < 2; i++ {
-				if _, err := p.RegisterWorker(model.Worker{Wait: 100, Velocity: 1, MaxDist: 100, Skills: model.NewSkillSet(0)}); err != nil {
+				if _, err := p.AddWorker(model.Worker{Wait: 100, Velocity: 1, MaxDist: 100, Skills: model.NewSkillSet(0)}); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if _, err := p.RegisterTask(model.Task{Wait: 100, Requires: 5}); err != nil {
+			if _, err := p.AddTask(model.Task{Wait: 100, Requires: 5}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -536,7 +536,7 @@ func TestRecoverRetiresDependantsOfBotchedTasks(t *testing.T) {
 		}
 		tasks = append(tasks, model.Task{Start: now, Wait: 100})
 		for _, task := range tasks {
-			if _, err := p.RegisterTask(task); err != nil {
+			if _, err := p.AddTask(task); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -70,7 +70,7 @@ func WriteCSVHeader(w io.Writer) error {
 // which records every tick, the ring holds only batches with at least one
 // active worker and one pending task (see Config.OnBatch). Compose it with
 // other sinks by calling both from one closure.
-func TraceSink(ring *obs.TraceRing) func(BatchResult) {
+func TraceSink(ring *obs.Ring[obs.BatchTrace]) func(BatchResult) {
 	return func(br BatchResult) { ring.Add(br.Trace) }
 }
 

@@ -56,7 +56,7 @@ func TestCSVColumnsAgree(t *testing.T) {
 // engine counters and population fields are live.
 func TestRunFillsBatchTrace(t *testing.T) {
 	in := model.Example1()
-	ring := obs.NewTraceRing(16)
+	ring := obs.NewRing[obs.BatchTrace](16)
 	reg := obs.NewRegistry()
 	var results []BatchResult
 	p, err := New(in, Config{

@@ -117,7 +117,7 @@ race_guard ./internal/core/ TestBatchIndexParallelDeterministic \
 race_guard ./internal/server/ TestRecoverRetiresDependantsOfBotchedTasks
 
 # The game worklist engine's bit-exactness matrix (worklist vs naive sweep
-# across thresholds, inits and sweep orders) plus its GOMAXPROCS determinism
+# across thresholds and inits) plus its GOMAXPROCS determinism
 # sweep: the engine itself is single-threaded, and its state (gameState,
 # gameWorklist, batch wiring) lives in each batch's step arena, while the
 # sim and server allocate concurrently.
@@ -133,11 +133,14 @@ echo "== go test -race dependency wiring (GOMAXPROCS=2, 8)"
 race_guard ./internal/core/ TestDepWiring TestGreedyStaffMatchesMapOracle \
 	TestGreedyPruneIsExact
 
-# The group-commit ingest pipeline's concurrency tests (hammer included:
-# registrations, ticks, snapshot rotations and reads all concurrent, then a
-# replay-equivalence check).
-echo "== go test -race ingest pipeline (GOMAXPROCS=2, 8)"
-race_guard ./internal/server/ TestIngest
+# The group commit's concurrency tests (leader hand-over, bursts behind a
+# stalled platform mutex, backpressure, Close, and the hammer: registrations,
+# ticks, snapshot rotations and reads all concurrent, then a
+# replay-equivalence check), plus its journal-failure atomicity for a lone
+# leader and over HTTP.
+echo "== go test -race group commit (GOMAXPROCS=2, 8)"
+race_guard ./internal/server/ TestIngest TestAddWorkerJournalFailureAtomic \
+	TestRegisterHTTPJournalFailure503
 
 # bench_smoke PKG PATTERN... runs each benchmark matching any PATTERN once
 # (-benchtime=1x): the smoke proves a benchmark still builds and runs; give
@@ -176,11 +179,12 @@ echo "snapshot codec smoke: OK"
 
 # Bounded fuzzing from the seed corpora under each package's testdata/fuzz:
 # the one-pass decoders (instance, registration bodies, snapshot) against
-# the strict encoding/json decoder they fall back to, and the /v1/tick?t=
-# parser against strconv.ParseFloat. A short -fuzzminimizetime keeps the
+# the strict encoding/json decoder they fall back to, the /v1/tick?t=
+# parser against strconv.ParseFloat, and journal replay (no panic, and an
+# accepted journal replays to the same registries twice). A short -fuzzminimizetime keeps the
 # budget on new inputs rather than on shrinking the ones that widened
 # coverage.
-echo "== fuzz: one-pass decoders and the tick parser (5s each)"
+echo "== fuzz: one-pass decoders, the tick parser and journal replay (5s each)"
 fuzz() {
 	if ! out=$(go test -run '^$' -fuzz "^$2\$" -fuzztime 5s -fuzzminimizetime 1s "$1" 2>&1); then
 		echo "$out" >&2
@@ -191,6 +195,7 @@ fuzz ./internal/dataset FuzzRead
 fuzz ./internal/server FuzzParseDTO
 fuzz ./internal/server FuzzReadSnapshot
 fuzz ./internal/server FuzzTickParam
+fuzz ./internal/server FuzzReplayJournal
 echo "fuzz: OK"
 
 # One fig10-max batch's dependency resolution, dense build and map-based
