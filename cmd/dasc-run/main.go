@@ -62,7 +62,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		trace    = fs.String("trace", "", "write a per-batch CSV trace of the simulation to this file")
 		metrics  = fs.String("metrics", "", "write aggregated run metrics (Prometheus text format) to this file, or - for stdout")
 		poa      = fs.Int("poa", 0, "with -static: sample N random-init game equilibria against the exact optimum (small instances only)")
-		verifyWL = fs.Bool("verify-game-worklist", false, "cross-check the game worklist engine against the naive sweep every batch (differential mode; slow)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -82,13 +81,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	timer := stats.StartTimer()
 	if *static {
 		b := core.NewStaticBatch(in)
-		if *verifyWL {
-			if g, ok := alloc.(*core.Game); ok {
-				if err := g.VerifyWorklist(b); err != nil {
-					return fmt.Errorf("game worklist diverged: %w", err)
-				}
-			}
-		}
 		m := core.DependencyFixpoint(b, alloc.Assign(b))
 		fmt.Fprintf(stdout, "algorithm: %s\nscore: %d\ntime_ms: %.3f\n",
 			alloc.Name(), m.Size(), timer.ElapsedMS())
@@ -118,10 +110,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	cfg := sim.Config{
-		Allocator:          alloc,
-		BatchInterval:      *interval,
-		ServiceTime:        *service,
-		VerifyGameWorklist: *verifyWL,
+		Allocator:     alloc,
+		BatchInterval: *interval,
+		ServiceTime:   *service,
 	}
 	var traceFile *os.File
 	var csvSink func(sim.BatchResult)

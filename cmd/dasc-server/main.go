@@ -79,7 +79,6 @@ func run() error {
 		logLevel    = flag.String("log-level", "info", "structured log level: debug, info, warn or error")
 		logFormat   = flag.String("log-format", "text", "structured log encoding: text or json")
 		accessEvery = flag.Int("access-log-every", 100, "log every Nth HTTP request with its X-Request-ID (1 = all, 0 = no access log)")
-		verifyWL    = flag.Bool("verify-game-worklist", false, "cross-check the game worklist engine against the naive sweep every tick (differential mode; slow)")
 	)
 	flag.Parse()
 
@@ -101,18 +100,17 @@ func run() error {
 		snapPath = *journal + ".snap"
 	}
 	cfg := server.Config{
-		Allocator:          alloc,
-		ServiceTime:        *service,
-		TraceDepth:         *traceDepth,
-		SnapshotPath:       snapPath,
-		SnapshotEvery:      *snapEvery,
-		MaxBodyBytes:       *maxBody,
-		IngestQueue:        *ingQueue,
-		IngestBatch:        *ingBatch,
-		IngestWait:         *ingWait,
-		Logger:             logger,
-		AccessLogEvery:     *accessEvery,
-		VerifyGameWorklist: *verifyWL,
+		Allocator:      alloc,
+		ServiceTime:    *service,
+		TraceDepth:     *traceDepth,
+		SnapshotPath:   snapPath,
+		SnapshotEvery:  *snapEvery,
+		MaxBodyBytes:   *maxBody,
+		IngestQueue:    *ingQueue,
+		IngestBatch:    *ingBatch,
+		IngestWait:     *ingWait,
+		Logger:         logger,
+		AccessLogEvery: *accessEvery,
 	}
 	if *journal != "" {
 		j, err := server.OpenJournalMode(*journal, mode, *fsyncEvery)

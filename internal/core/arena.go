@@ -12,7 +12,7 @@ import (
 
 // stepArena owns every per-batch buffer of the batch built over it: the
 // population, the ID tables behind TaskIndex and WorkerIndex, the candidate
-// engine's arrays, slabs, skill buckets and grid, the dependency wiring,
+// engine's arrays and rows, skill buckets and grid, the dependency wiring,
 // the associative sets, Greedy's and Game's working state and the RNG.
 // Every buffer grows geometrically and is never shrunk, so once an arena
 // has seen its largest batch, building and allocating a batch over it
@@ -81,8 +81,8 @@ type stepArena struct {
 // workers, tasks and satisfied without copying.
 func (a *stepArena) newBatch(in *model.Instance, workers []BatchWorker, tasks []*model.Task, satisfied model.TaskFlags) *Batch {
 	for i := range a.scratches {
-		a.scratches[i].ints.reset()
-		a.scratches[i].floats.reset()
+		a.scratches[i].rows = a.scratches[i].rows[:0]
+		a.scratches[i].costs = a.scratches[i].costs[:0]
 	}
 	b := &a.batch
 	*b = Batch{In: in, Workers: workers, Tasks: tasks, Satisfied: satisfied, dist: in.Distance(), arena: a}
@@ -163,102 +163,27 @@ func grown[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// slab is a bump allocator that carves exact-length slices out of large
-// blocks, so a build that used to pay one heap allocation per worker pays
-// one per block instead, and nothing once its blocks cover the largest
-// batch. A slab is single-owner: every build goroutine carries its own.
-//
-// The blocks belong to the arena: reset hands them out again from the
-// first, so a carved slice stays valid only until its arena's next batch.
-// Carved slices are capped with a three-index expression, so appending to
-// one can never bleed into its neighbour.
-type slab[T any] struct {
-	buf    []T   // the block being carved
-	blocks [][]T // every block opened, in carving order
-	next   int   // blocks[next] is the first not yet carved since reset
-	// carved and allocd count elements handed out vs. freshly allocated in
-	// blocks, for the arena-economy observability counters.
-	carved int64
-	allocd int64
-}
-
-// slabBlock is the minimum block size in elements. Large enough that a
-// 10k-worker batch opens a handful of blocks, small enough that the tail
-// waste of an almost-full block stays in the tens of kilobytes.
-const slabBlock = 4096
-
-// reset makes every block available for carving again.
-func (s *slab[T]) reset() {
-	s.buf = nil
-	s.next = 0
-}
-
-// carve copies src into memory carved from the current block, moving to
-// the next block when the remainder is too small; an empty src returns nil.
-func (s *slab[T]) carve(src []T) []T {
-	n := len(src)
-	if n == 0 {
-		return nil
-	}
-	if cap(s.buf)-len(s.buf) < n {
-		s.open(n)
-	}
-	off := len(s.buf)
-	s.buf = s.buf[:off+n]
-	s.carved += int64(n)
-	dst := s.buf[off : off+n : off+n]
-	copy(dst, src)
-	return dst
-}
-
-// open makes the next block with room for n the current one: a block of an
-// earlier batch when one is left, a fresh one otherwise.
-func (s *slab[T]) open(n int) {
-	for s.next < len(s.blocks) {
-		blk := s.blocks[s.next]
-		s.next++
-		if cap(blk) >= n {
-			s.buf = blk[:0]
-			return
-		}
-	}
-	s.buf = make([]T, 0, max(slabBlock, n))
-	s.blocks = append(s.blocks, s.buf)
-	s.next = len(s.blocks)
-	s.allocd += int64(cap(s.buf))
-}
-
 // buildScratch is the per-goroutine working state of an index build: the
-// strategy set and cost row under construction (reused worker to worker),
-// the grid radius-query buffer, the co-sorting view, and the slabs the
-// finished rows are carved into. The sorter lives here so sort.Sort
-// receives a pointer that is already heap-resident instead of boxing a
-// fresh interface value per worker.
+// grid radius-query buffer, the co-sorting view, and the rows and costs
+// buffers every strategy set and cost row the goroutine builds is appended
+// to. The index keeps slices of them capped at their length, so appending
+// to one row can never bleed into its neighbour; when an append reallocates,
+// the earlier rows stay valid in the old array, which nothing writes again.
+// The buffers restart empty with each batch, so once they have grown to the
+// largest batch a build appends without allocating. The sorter lives here
+// so sort.Sort receives a pointer that is already heap-resident instead of
+// boxing a fresh interface value per worker.
 type buildScratch struct {
 	grid   []int
-	set    []int32
+	rows   []int32
 	costs  []float64
 	sorter strategyByIndex
-	ints   slab[int32]
-	floats slab[float64]
 }
 
-// flushArena publishes the scratch's arena economy to the batch recorder
-// (bytes carved into the index vs. bytes of fresh block allocations) and
-// zeroes the counters so a reused scratch doesn't double-report.
-func (sc *buildScratch) flushArena(b *Batch) {
-	carved := sc.ints.carved*4 + sc.floats.carved*8
-	allocd := sc.ints.allocd*4 + sc.floats.allocd*8
-	if carved != 0 || allocd != 0 {
-		b.rec.AddArenaBytes(carved, allocd)
-	}
-	sc.ints.carved, sc.ints.allocd = 0, 0
-	sc.floats.carved, sc.floats.allocd = 0, 0
-}
-
-// sortStrategy sorts the scratch's set/costs pair ascending by task index.
-func (sc *buildScratch) sortStrategy() {
-	sc.sorter.set, sc.sorter.costs = sc.set, sc.costs
+// sortRow sorts the row appended from off, with its costs, ascending by
+// task index.
+func (sc *buildScratch) sortRow(off int) {
+	sc.sorter.set, sc.sorter.costs = sc.rows[off:], sc.costs[off:]
 	sortStrategyByIndex(&sc.sorter)
 	sc.sorter.set, sc.sorter.costs = nil, nil
 }

@@ -55,16 +55,9 @@ func (a *stepArena) poison() {
 	for i := range a.scratches[:cap(a.scratches)] {
 		sc := &a.scratches[i]
 		fill(sc.grid, -7)
-		fill(sc.set, -7)
+		fill(sc.rows, -7)
 		fill(sc.costs, nan)
-		for _, blk := range sc.ints.blocks {
-			fill(blk, -7)
-		}
-		for _, blk := range sc.floats.blocks {
-			fill(blk, nan)
-		}
-		sc.ints.buf = sc.ints.buf[:cap(sc.ints.buf)]
-		sc.floats.buf = sc.floats.buf[:cap(sc.floats.buf)]
+		sc.rows, sc.costs = sc.rows[:cap(sc.rows)], sc.costs[:cap(sc.costs)]
 	}
 	a.buildNext.Store(1 << 40)
 	a.scan = prunedScan{boxScale: nan, density: nan}

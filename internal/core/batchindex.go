@@ -111,10 +111,7 @@ func newBatchIndexN(b *Batch, procs int) *BatchIndex {
 		ps.density = float64(len(b.Tasks)) / area
 	}
 
-	scs := fanOut(len(b.Workers), procs, a, func(wi int, sc *buildScratch) { ps.scan(b, wi, idx, sc) })
-	for p := range scs {
-		scs[p].flushArena(b)
-	}
+	fanOut(len(b.Workers), procs, a, func(wi int, sc *buildScratch) { ps.scan(b, wi, idx, sc) })
 
 	idx.invertStrategies()
 	return idx
@@ -122,11 +119,10 @@ func newBatchIndexN(b *Batch, procs int) *BatchIndex {
 
 // fanOut runs work(wi, sc) for every wi in [0, nw) over up to procs
 // goroutines, each claiming buildChunk workers per atomic increment and
-// owning one of the arena's build scratches, and returns the scratches used
-// for the caller to flush. Below minParallelWorkers, or with one proc, it
+// owning one of the arena's build scratches. Below minParallelWorkers, or with one proc, it
 // runs serially on one scratch. Work for wi must depend only on wi's inputs
 // and write only wi's slots, so the result does not depend on scheduling.
-func fanOut(nw, procs int, a *stepArena, work func(wi int, sc *buildScratch)) []buildScratch {
+func fanOut(nw, procs int, a *stepArena, work func(wi int, sc *buildScratch)) {
 	procs = min(procs, (nw+buildChunk-1)/buildChunk)
 	if nw < minParallelWorkers || procs <= 1 {
 		procs = 1
@@ -139,7 +135,7 @@ func fanOut(nw, procs int, a *stepArena, work func(wi int, sc *buildScratch)) []
 		for wi := 0; wi < nw; wi++ {
 			work(wi, &scs[0])
 		}
-		return scs
+		return
 	}
 	next, wg := &a.buildNext, &a.buildWG
 	next.Store(0)
@@ -160,7 +156,6 @@ func fanOut(nw, procs int, a *stepArena, work func(wi int, sc *buildScratch)) []
 		}(&scs[p])
 	}
 	wg.Wait()
-	return scs
 }
 
 // skillBuckets groups pending-task indexes by required skill in one CSR
@@ -232,20 +227,19 @@ type prunedScan struct {
 
 // scan computes batch worker wi's strategy set through whichever pruning
 // promises the smaller pool — its skill buckets, or a radius query around
-// its location — and carves it into idx. Both finish with the exact
+// its location — and appends it to the scratch's rows for idx. Both finish with the exact
 // model.FeasibleFrom predicate, so the choice never changes the result.
 func (ps *prunedScan) scan(b *Batch, wi int, idx *BatchIndex, sc *buildScratch) {
 	bw := &b.Workers[wi]
 	skills := bw.W.Skills
 	mask := ps.buckets.mask
-	sc.set = sc.set[:0]
-	sc.costs = sc.costs[:0]
+	off := len(sc.rows)
 	examined := 0
 	appendFeasible := func(ti int32) {
 		examined++
 		t := b.Tasks[ti]
 		if model.FeasibleFrom(bw.W, bw.Loc, bw.ReadyAt, bw.DistBudget, t, b.dist) {
-			sc.set = append(sc.set, ti)
+			sc.rows = append(sc.rows, ti)
 			sc.costs = append(sc.costs, bw.W.TravelTime(bw.Loc, t.Loc, b.dist))
 		}
 	}
@@ -279,14 +273,17 @@ func (ps *prunedScan) scan(b *Batch, wi int, idx *BatchIndex, sc *buildScratch) 
 	}
 	// Grid hits come back in cell order and buckets of different skills
 	// interleave task indexes.
-	sc.sortStrategy()
+	sc.sortRow(off)
 	// Two nil-safe recorder calls per worker (not per pair): the counts
 	// accumulate locally above, so the disabled path costs two nil checks
 	// per worker.
 	b.rec.AddExamined(int64(examined))
-	b.rec.AddAdmitted(int64(len(sc.set)))
-	idx.strategies[wi] = sc.ints.carve(sc.set)
-	idx.costs[wi] = sc.floats.carve(sc.costs)
+	n := len(sc.rows)
+	b.rec.AddAdmitted(int64(n - off))
+	if n > off {
+		idx.strategies[wi] = sc.rows[off:n:n]
+		idx.costs[wi] = sc.costs[off:n:n]
+	}
 }
 
 // invertStrategies derives the per-task candidate lists from the strategy

@@ -108,11 +108,9 @@ func TestKernelCacheMatchesScratch(t *testing.T) {
 }
 
 // counters is a batch trace without the fields that vary run to run: the
-// wall-clock phase timings, and the arena blocks opened, which depend on how
-// the build's goroutines split the workers.
+// wall-clock phase timings.
 func counters(tr obs.BatchTrace) obs.BatchTrace {
 	tr.IndexBuildMS, tr.AllocMS, tr.DispatchMS = 0, 0, 0
-	tr.ArenaAllocBytes = 0
 	return tr
 }
 

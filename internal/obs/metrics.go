@@ -14,10 +14,6 @@ const (
 	MDeferredTotal = "dasc_deferred_pairs_total"
 	MRogueTotal    = "dasc_rogue_pairs_total"
 
-	// Allocation economy: slab-arena bytes feeding the index builds.
-	MArenaCarvedTotal = "dasc_arena_carved_bytes_total"
-	MArenaAllocTotal  = "dasc_arena_alloc_bytes_total"
-
 	// Travel-time memo.
 	MMemoHitsTotal   = "dasc_memo_hits_total"
 	MMemoMissesTotal = "dasc_memo_misses_total"
@@ -108,9 +104,6 @@ func RecordBatch(r *Registry, t BatchTrace) {
 	r.Counter(MAssignedTotal).Add(int64(t.Assigned))
 	r.Counter(MDeferredTotal).Add(int64(t.Deferred))
 	r.Counter(MRogueTotal).Add(int64(t.Rogue))
-
-	r.Counter(MArenaCarvedTotal).Add(t.ArenaCarvedBytes)
-	r.Counter(MArenaAllocTotal).Add(t.ArenaAllocBytes)
 
 	r.Counter(MMemoHitsTotal).Add(t.MemoHits)
 	r.Counter(MMemoMissesTotal).Add(t.MemoMisses)

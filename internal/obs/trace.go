@@ -40,12 +40,6 @@ type BatchTrace struct {
 	CandidatesExamined int64 `json:"candidates_examined"`
 	CandidatesAdmitted int64 `json:"candidates_admitted"`
 
-	// Allocation economy of the engine build: bytes carved out of slab
-	// arenas into the index vs. bytes of freshly allocated arena blocks
-	// (carved ≫ alloc means the arenas are amortising well).
-	ArenaCarvedBytes int64 `json:"arena_carved_bytes"`
-	ArenaAllocBytes  int64 `json:"arena_alloc_bytes"`
-
 	// Allocation results.
 	Assigned int `json:"assigned"` // valid pairs
 	Deferred int `json:"deferred"` // pairs dropped by the dependency fixpoint
@@ -87,12 +81,10 @@ type BatchRec struct {
 	trace BatchTrace
 	lap   time.Time // start of the current phase (StartPhases, Lap)
 
-	examined    atomic.Int64
-	admitted    atomic.Int64
-	memoHits    atomic.Int64
-	memoMisses  atomic.Int64
-	arenaCarved atomic.Int64
-	arenaAlloc  atomic.Int64
+	examined   atomic.Int64
+	admitted   atomic.Int64
+	memoHits   atomic.Int64
+	memoMisses atomic.Int64
 }
 
 // NewBatchRec starts a recorder for batch number batch at logical time t.
@@ -131,17 +123,6 @@ func (r *BatchRec) AddMemoMisses(n int64) {
 		return
 	}
 	r.memoMisses.Add(n)
-}
-
-// AddArenaBytes records slab-arena economy for the batch's index build:
-// carved is bytes handed out to index slices, alloc is bytes of freshly
-// allocated blocks.
-func (r *BatchRec) AddArenaBytes(carved, alloc int64) {
-	if r == nil {
-		return
-	}
-	r.arenaCarved.Add(carved)
-	r.arenaAlloc.Add(alloc)
 }
 
 // SetRequestID records the request ID of the HTTP request driving the batch.
@@ -222,7 +203,5 @@ func (r *BatchRec) Finish() BatchTrace {
 	t.CandidatesAdmitted = r.admitted.Load()
 	t.MemoHits = r.memoHits.Load()
 	t.MemoMisses = r.memoMisses.Load()
-	t.ArenaCarvedBytes = r.arenaCarved.Load()
-	t.ArenaAllocBytes = r.arenaAlloc.Load()
 	return t
 }

@@ -73,10 +73,10 @@ func assertReplayMatchesServed(t *testing.T, p *Platform, journal []byte) {
 		t.Fatalf("replay: %v", err)
 	}
 	var served, replayed bytes.Buffer
-	if err := dataset.WriteCompact(&served, p.Instance()); err != nil {
+	if err := dataset.WriteCompact(&served, p.InstanceView()); err != nil {
 		t.Fatal(err)
 	}
-	if err := dataset.WriteCompact(&replayed, p2.Instance()); err != nil {
+	if err := dataset.WriteCompact(&replayed, p2.InstanceView()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(served.Bytes(), replayed.Bytes()) {
@@ -840,10 +840,10 @@ func TestIngestConcurrentHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 	var served, recovered bytes.Buffer
-	if err := dataset.WriteCompact(&served, p.Instance()); err != nil {
+	if err := dataset.WriteCompact(&served, p.InstanceView()); err != nil {
 		t.Fatal(err)
 	}
-	if err := dataset.WriteCompact(&recovered, p2.Instance()); err != nil {
+	if err := dataset.WriteCompact(&recovered, p2.InstanceView()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(served.Bytes(), recovered.Bytes()) {
@@ -855,10 +855,10 @@ func TestIngestConcurrentHammer(t *testing.T) {
 		t.Errorf("recovered stats %+v differ from served %+v", st2, st)
 	}
 	var aServed, aRecovered bytes.Buffer
-	if err := dataset.WriteAssignment(&aServed, p.Assignments()); err != nil {
+	if err := dataset.WriteAssignment(&aServed, p.AssignmentsView()); err != nil {
 		t.Fatal(err)
 	}
-	if err := dataset.WriteAssignment(&aRecovered, p2.Assignments()); err != nil {
+	if err := dataset.WriteAssignment(&aRecovered, p2.AssignmentsView()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(aServed.Bytes(), aRecovered.Bytes()) {

@@ -67,7 +67,7 @@ func TestJournalReplayReproducesState(t *testing.T) {
 		s1.AssignedTasks != s2.AssignedTasks || s1.Batches != s2.Batches || s1.Now != s2.Now {
 		t.Fatalf("replayed state differs: %+v vs %+v", s1, s2)
 	}
-	if a1, a2 := p1.Assignments().String(), p2.Assignments().String(); a1 != a2 {
+	if a1, a2 := p1.AssignmentsView().String(), p2.AssignmentsView().String(); a1 != a2 {
 		t.Fatalf("replayed assignments differ:\n%s\n%s", a1, a2)
 	}
 }
@@ -388,10 +388,10 @@ func FuzzReplayJournal(f *testing.F) {
 			t.Fatalf("second replay of accepted bytes failed: %v", err)
 		}
 		var first, second bytes.Buffer
-		if err := dataset.WriteCompact(&first, p1.Instance()); err != nil {
+		if err := dataset.WriteCompact(&first, p1.InstanceView()); err != nil {
 			t.Fatalf("replayed state does not encode: %v", err)
 		}
-		if err := dataset.WriteCompact(&second, p2.Instance()); err != nil {
+		if err := dataset.WriteCompact(&second, p2.InstanceView()); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {

@@ -31,7 +31,7 @@ func TestTaskWeightRoundTripsThroughHTTPAndJournal(t *testing.T) {
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("status %d (%v)", resp.StatusCode, out)
 	}
-	if w := p.Instance().Tasks[0].Weight; w != 2.5 {
+	if w := p.InstanceView().Tasks[0].Weight; w != 2.5 {
 		t.Fatalf("registered weight = %v, want 2.5", w)
 	}
 	if !strings.Contains(log.String(), `"weight":2.5`) {
@@ -42,7 +42,7 @@ func TestTaskWeightRoundTripsThroughHTTPAndJournal(t *testing.T) {
 	if _, err := ReplayJournal(bytes.NewReader(log.Bytes()), p2); err != nil {
 		t.Fatal(err)
 	}
-	if w := p2.Instance().Tasks[0].Weight; w != 2.5 {
+	if w := p2.InstanceView().Tasks[0].Weight; w != 2.5 {
 		t.Fatalf("replayed weight = %v, want 2.5", w)
 	}
 }

@@ -466,34 +466,3 @@ func (p *Platform) statsLocked() Stats {
 		MemoMisses: p.cMemoMisses.Value(),
 	}
 }
-
-// Assignments returns every valid pair so far, sorted by task ID.
-func (p *Platform) Assignments() *model.Assignment {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return sortedAssignment(p.assignLog)
-}
-
-// Instance returns a deep copy of the current worker and task registries,
-// suitable for archiving via the dataset codec.
-func (p *Platform) Instance() *model.Instance {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.instanceLocked()
-}
-
-// requires: p.mu
-func (p *Platform) instanceLocked() *model.Instance {
-	in := &model.Instance{
-		Workers: append([]model.Worker(nil), p.workers...),
-		Tasks:   make([]model.Task, len(p.tasks)),
-	}
-	for i, t := range p.tasks {
-		t.Deps = append([]model.TaskID(nil), t.Deps...)
-		in.Tasks[i] = t
-	}
-	for i := range in.Workers {
-		in.Workers[i].Skills = in.Workers[i].Skills.Clone()
-	}
-	return in
-}

@@ -450,7 +450,7 @@ func TestAssignmentViewFollowsRepeatedDispatch(t *testing.T) {
 	if want[4] == want[3] || want[5] == want[4] {
 		t.Fatalf("re-dispatch ticks did not change the assignment: %v", want[3:])
 	}
-	if got := p.Assignments().String(); got != want[5] {
+	if got := p.AssignmentsView().String(); got != want[5] {
 		t.Errorf("Assignments %s, kernel books %s", got, want[5])
 	}
 	for k, v := range views {

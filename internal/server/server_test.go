@@ -198,7 +198,7 @@ func TestPlatformDependencyClosureOnAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := p.Instance()
+	in := p.InstanceView()
 	if got := len(in.Tasks[t2].Deps); got != 2 {
 		t.Errorf("closed deps = %v", in.Tasks[t2].Deps)
 	}
@@ -243,21 +243,6 @@ func TestPlatformConfigValidation(t *testing.T) {
 	}
 	if _, err := NewPlatform(Config{Allocator: core.NewGreedy(), ServiceTime: -1}); err == nil {
 		t.Error("negative service time accepted")
-	}
-}
-
-func TestPlatformInstanceIsDeepCopy(t *testing.T) {
-	p, err := NewPlatform(Config{Allocator: core.NewGreedy()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.AddWorker(model.Worker{Loc: geo.Pt(1, 1), Wait: 5, Velocity: 1, MaxDist: 1, Skills: model.NewSkillSet(0)}); err != nil {
-		t.Fatal(err)
-	}
-	in := p.Instance()
-	in.Workers[0].Skills.Add(99)
-	if p.Instance().Workers[0].Skills.Has(99) {
-		t.Error("Instance() shares skill storage with the platform")
 	}
 }
 

@@ -43,7 +43,7 @@ func TestRegisterWorkerRejectsBadSkills(t *testing.T) {
 			t.Fatalf("skill %d: error %q, want it to contain %q", c.skill, msg, c.want)
 		}
 	}
-	if n := len(p.Instance().Workers); n != 0 {
+	if n := len(p.InstanceView().Workers); n != 0 {
 		t.Fatalf("%d workers registered from rejected bodies", n)
 	}
 }

@@ -91,7 +91,7 @@ func legacySnapshot(t *testing.T, p *Platform) []byte {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var inst bytes.Buffer
-	if err := dataset.WriteCompact(&inst, p.instanceLocked()); err != nil {
+	if err := dataset.WriteCompact(&inst, p.InstanceView()); err != nil {
 		t.Fatal(err)
 	}
 	sf := snapshotFile{

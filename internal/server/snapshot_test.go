@@ -22,7 +22,7 @@ func stateString(p *Platform) string {
 	s := p.Snapshot()
 	return fmt.Sprintf("now=%v batches=%d workers=%d tasks=%d assigned=%d wasted=%d rogue=%d|%s",
 		s.Now, s.Batches, s.Workers, s.Tasks, s.AssignedTasks, s.WastedPairs, s.RoguePairs,
-		p.Assignments().String())
+		p.AssignmentsView().String())
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -440,8 +440,8 @@ func TestSnapshotRoundTripBotchedAndRepeated(t *testing.T) {
 	if s2 := snapshotOf(t, p2); !bytes.Equal(snap, s2) {
 		t.Fatalf("restored snapshot differs:\n%s\n%s", snap, s2)
 	}
-	if got := p2.Assignments().String(); got != p1.Assignments().String() {
-		t.Fatalf("restored assignments %s, want %s", got, p1.Assignments())
+	if got := p2.AssignmentsView().String(); got != p1.AssignmentsView().String() {
+		t.Fatalf("restored assignments %s, want %s", got, p1.AssignmentsView())
 	}
 	for _, p := range []*Platform{p1, p2} {
 		if _, err := p.Tick(6); err != nil {

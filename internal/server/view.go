@@ -82,15 +82,9 @@ func sameLog(a, b []model.Pair) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
-// loadView returns the current read view, building one on the rare path of
-// a platform that predates the first publish.
-func (p *Platform) loadView() *readView {
-	if v := p.view.Load(); v != nil {
-		return v
-	}
-	p.publishView()
-	return p.view.Load()
-}
+// loadView returns the current read view. NewPlatform publishes the first
+// one, so there always is one.
+func (p *Platform) loadView() *readView { return p.view.Load() }
 
 // StatsView returns the platform counters from the read view, without
 // taking the platform mutex. Every mutation republishes the view, so this is
@@ -104,7 +98,7 @@ func (p *Platform) AssignmentsView() *model.Assignment { return p.loadView().ass
 
 // InstanceView returns the current worker and task registries from the read
 // view without copying. The instance aliases live platform storage and MUST
-// be treated as read-only; use Instance for a deep copy.
+// be treated as read-only.
 func (p *Platform) InstanceView() *model.Instance {
 	v := p.loadView()
 	return &model.Instance{Workers: v.workers, Tasks: v.tasks, Dist: p.dist}

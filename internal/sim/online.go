@@ -1,11 +1,11 @@
 package sim
 
 import (
+	"container/heap"
 	"math"
 	"sort"
 
 	"dasc/internal/core"
-	"dasc/internal/geo"
 	"dasc/internal/model"
 )
 
@@ -17,245 +17,164 @@ import (
 // dependencies are still pending wait and are re-examined whenever a
 // dependency is assigned or a worker frees up.
 //
+// The regime runs on the batch kernel: every decision point is a kernel
+// step whose allocator is the per-arrival rule (onlineRule), repeated at
+// that instant until a step assigns nothing. A worker therefore takes at
+// most one task per step, as in a batch; one that finishes at the very
+// instant it was dispatched (zero travel and zero service time) is offered
+// again in the next step at that instant. Config.Allocator and
+// BatchInterval are ignored, and Result.Batches counts the arrivals (one
+// decision point per task or worker arrival), not the kernel steps.
+//
 // Comparing Run (batch) against RunOnline on the same instance measures how
 // much the paper's batch window buys: batching can coordinate an associative
 // task set, while the online rule commits myopically.
 func RunOnline(in *model.Instance, cfg Config) (*Result, error) {
-	if cfg.Allocator == nil {
-		// The online rule is fixed (greedy-by-travel-time); the field is
-		// unused but kept required so both entry points validate alike.
-		cfg.Allocator = core.NewGreedy()
-	}
+	rule := &onlineRule{arriving: -1}
+	cfg.Allocator = rule
 	p, err := New(in, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return p.runOnline()
+	r := p.start()
+	if len(in.Tasks) == 0 {
+		return r.res, nil
+	}
+
+	// The arrival timeline holds task AND worker arrivals: a worker whose
+	// Start falls after the last task arrival must still trigger a step, or
+	// the tasks it could serve are silently dropped. At equal times the
+	// tasks come first, in registration order.
+	arrivals := make([]arrival, 0, len(in.Tasks)+len(in.Workers))
+	for i := range in.Tasks {
+		arrivals = append(arrivals, arrival{at: in.Tasks[i].Start, task: in.Tasks[i].ID})
+	}
+	for i := range in.Workers {
+		arrivals = append(arrivals, arrival{at: in.Workers[i].Start, task: -1})
+	}
+	sort.SliceStable(arrivals, func(a, b int) bool { return arrivals[a].at < arrivals[b].at })
+
+	// Wake-ups re-examine the pending tasks when a dispatched worker frees.
+	// Each dispatch pushes its finish time, so completions chained after
+	// the last arrival keep generating decision points until none is left.
+	var wake wakeups
+	for next := 0; next < len(arrivals) || len(wake) > 0; {
+		// A wake-up at or before the next arrival comes first; an arrival
+		// that shares its instant gives its task no priority, since the
+		// wake-up's steps have already offered every pending task.
+		var now float64
+		rule.arriving = -1
+		if len(wake) > 0 && (next == len(arrivals) || wake[0] <= arrivals[next].at) {
+			now = wake[0]
+		} else {
+			now = arrivals[next].at
+			rule.arriving = arrivals[next].task
+		}
+		for len(wake) > 0 && wake[0] == now {
+			heap.Pop(&wake)
+		}
+		for ; next < len(arrivals) && arrivals[next].at == now; next++ {
+			r.res.Batches++
+		}
+		for {
+			ds, err := r.step(now)
+			if err != nil {
+				return nil, err
+			}
+			if len(ds) == 0 {
+				break
+			}
+			for _, d := range ds {
+				if d.Finish > now {
+					heap.Push(&wake, d.Finish)
+				}
+			}
+			rule.arriving = -1
+		}
+	}
+	return r.close(), nil
 }
 
-// event is one point of the online timeline: a task appearing or a worker
-// appearing.
-type event struct {
+// arrival is one point of the online timeline: a task appearing, or a
+// worker appearing (task -1).
+type arrival struct {
 	at   float64
-	task model.TaskID // -1 for worker-arrival events
+	task model.TaskID
 }
 
-// wakeupQueue is a min-heap of re-examination times with duplicate
-// suppression: worker-finish times are pushed as assignments are made and
-// popped in time order, including wakeups created while draining earlier
-// ones — the fixpoint that keeps late completion chains alive.
-type wakeupQueue struct {
-	heap []float64
-	seen map[float64]bool
+// wakeups is a container/heap min-heap of dispatch finish times; equal
+// times are popped together.
+type wakeups []float64
+
+func (h wakeups) Len() int           { return len(h) }
+func (h wakeups) Less(i, j int) bool { return h[i] < h[j] }
+func (h wakeups) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *wakeups) Push(x any)        { *h = append(*h, x.(float64)) }
+func (h *wakeups) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
 }
 
-func newWakeupQueue() *wakeupQueue {
-	return &wakeupQueue{seen: make(map[float64]bool)}
+// onlineRule is the per-arrival rule as a kernel allocator. A pass takes the
+// arriving task first, then every pending task in registration order. Each
+// task whose dependencies are satisfied, or taken earlier in the pass, takes
+// the free candidate worker with the least travel time, the lowest batch
+// index on a tie.
+type onlineRule struct {
+	// arriving is the task whose arrival triggered the step, or -1.
+	arriving model.TaskID
+	// busy flags the batch workers and taken the batch tasks taken in the
+	// current pass.
+	busy  []bool
+	taken []bool
 }
 
-func (q *wakeupQueue) push(at float64) {
-	if q.seen[at] {
+func (*onlineRule) Name() string { return "Online" }
+
+func (*onlineRule) DependencyAware() bool { return true }
+
+func (r *onlineRule) Assign(b *core.Batch) *model.Assignment {
+	r.busy = append(r.busy[:0], make([]bool, len(b.Workers))...)
+	r.taken = append(r.taken[:0], make([]bool, len(b.Tasks))...)
+	a := model.NewAssignment()
+	if ti := b.TaskIndex(r.arriving); ti >= 0 {
+		r.take(b, ti, a)
+	}
+	for ti := range b.Tasks {
+		r.take(b, ti, a)
+	}
+	return a
+}
+
+// take gives pending task ti its nearest free candidate, if it is not
+// taken and its dependencies allow.
+func (r *onlineRule) take(b *core.Batch, ti int, a *model.Assignment) {
+	if r.taken[ti] {
 		return
 	}
-	q.seen[at] = true
-	q.heap = append(q.heap, at)
-	i := len(q.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if q.heap[p] <= q.heap[i] {
-			break
-		}
-		q.heap[p], q.heap[i] = q.heap[i], q.heap[p]
-		i = p
-	}
-}
-
-func (q *wakeupQueue) len() int { return len(q.heap) }
-
-func (q *wakeupQueue) min() float64 { return q.heap[0] }
-
-func (q *wakeupQueue) pop() float64 {
-	top := q.heap[0]
-	last := len(q.heap) - 1
-	q.heap[0] = q.heap[last]
-	q.heap = q.heap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < last && q.heap[l] < q.heap[best] {
-			best = l
-		}
-		if r < last && q.heap[r] < q.heap[best] {
-			best = r
-		}
-		if best == i {
-			break
-		}
-		q.heap[i], q.heap[best] = q.heap[best], q.heap[i]
-		i = best
-	}
-	return top
-}
-
-func (p *Platform) runOnline() (*Result, error) {
-	in, cfg := p.in, p.cfg
-	dist := in.Distance()
-	res := &Result{WorkerAssignments: map[model.WorkerID]int{}}
-	if len(in.Tasks) == 0 {
-		return res, nil
-	}
-
-	type wstate struct {
-		loc       geo.Point
-		busyUntil float64
-		distUsed  float64
-	}
-	ws := make([]wstate, len(in.Workers))
-	for i := range in.Workers {
-		ws[i] = wstate{loc: in.Workers[i].Loc}
-	}
-	assigned := make(map[model.TaskID]bool)
-	finishAt := make(map[model.TaskID]float64)
-
-	// Per-skill worker lists, in ascending index order, prune the
-	// per-arrival worker scan: only workers holding rs_t are examined for a
-	// task.
-	bySkill := make(map[model.Skill][]int)
-	for i := range in.Workers {
-		for _, sk := range in.Workers[i].Skills.Skills() {
-			bySkill[sk] = append(bySkill[sk], i)
-		}
-	}
-
-	// Timeline: task arrivals AND worker arrivals. A worker whose Start
-	// falls after the last task arrival must still trigger a sweep, or the
-	// tasks it could serve are silently dropped.
-	var timeline []event
-	for i := range in.Tasks {
-		timeline = append(timeline, event{at: in.Tasks[i].Start, task: in.Tasks[i].ID})
-	}
-	for i := range in.Workers {
-		timeline = append(timeline, event{at: in.Workers[i].Start, task: -1})
-	}
-	sort.SliceStable(timeline, func(a, b int) bool { return timeline[a].at < timeline[b].at })
-
-	// Wakeups re-examine pending tasks when a busy worker frees. New
-	// assignments push their finish time as they are made, so completions
-	// chained through the post-timeline drain keep generating wakeups.
-	wake := newWakeupQueue()
-
-	var delaySum float64
-	var delayCount int
-
-	// tryAssign attempts the online rule for task id at time now.
-	tryAssign := func(id model.TaskID, now float64) bool {
-		t := in.Task(id)
-		if assigned[t.ID] || t.Deadline() < now {
-			return false
-		}
-		for _, d := range t.Deps {
-			if !assigned[d] {
-				return false
-			}
-		}
-		best := -1
-		bestTravel := math.Inf(1)
-		for _, i := range bySkill[t.Requires] {
-			w := &in.Workers[i]
-			if w.Start > now || now > w.Expiry() || ws[i].busyUntil > now {
-				continue
-			}
-			if !model.FeasibleFrom(w, ws[i].loc, now, w.MaxDist-ws[i].distUsed, t, dist) {
-				continue
-			}
-			if tr := w.TravelTime(ws[i].loc, t.Loc, dist); tr < bestTravel {
-				bestTravel = tr
-				best = i
-			}
-		}
-		if best < 0 {
-			return false
-		}
-		w := &in.Workers[best]
-		d := dist(ws[best].loc, t.Loc)
-		arrive := math.Max(now, t.Start) + bestTravel
-		serviceStart := arrive
-		for _, dep := range t.Deps {
-			if fa, ok := finishAt[dep]; ok && fa > serviceStart {
-				serviceStart = fa
-			}
-		}
-		finish := serviceStart + cfg.ServiceTime
-		assigned[t.ID] = true
-		finishAt[t.ID] = finish
-		ws[best].loc = t.Loc
-		ws[best].distUsed += d
-		ws[best].busyUntil = finish
-		if finish > now {
-			wake.push(finish)
-		}
-		res.WorkerBusyTime += finish - now
-		res.AssignedPairs++
-		res.AssignedWeight += t.EffWeight()
-		res.CompletedTasks++
-		res.TotalTravel += d
-		res.WorkerAssignments[w.ID]++
-		delaySum += serviceStart - t.Start
-		delayCount++
-		if cfg.CollectDelays {
-			res.Delays = append(res.Delays, serviceStart-t.Start)
-		}
-		return true
-	}
-
-	// pendingSweep retries every open pending task until nothing more fits —
-	// an assignment may have unblocked dependants, or a worker may have
-	// freed/arrived at this instant.
-	pendingSweep := func(now float64) {
-		for changed := true; changed; {
-			changed = false
-			for i := range in.Tasks {
-				t := &in.Tasks[i]
-				if assigned[t.ID] || t.Start > now || t.Deadline() < now {
-					continue
-				}
-				if tryAssign(t.ID, now) {
-					changed = true
-				}
+	t := b.Tasks[ti]
+	for _, dep := range t.Deps {
+		if !b.Satisfied.Has(dep) {
+			if dj := b.TaskIndex(dep); dj < 0 || !r.taken[dj] {
+				return
 			}
 		}
 	}
-
-	for _, ev := range timeline {
-		now := ev.at
-		// Process earlier wakeups first, in time order; sweeps may push
-		// fresh wakeups that still precede now.
-		for wake.len() > 0 && wake.min() <= now {
-			pendingSweep(wake.pop())
+	idx := b.Index()
+	best, bestTravel := -1, math.Inf(1)
+	for _, wi := range idx.CandidateSet(ti) {
+		if r.busy[wi] {
+			continue
 		}
-		if ev.task >= 0 {
-			tryAssign(ev.task, now)
-		}
-		pendingSweep(now)
-		res.Batches++ // one "decision point" per arrival, for comparability
-	}
-	// Drain remaining wakeups to a fixpoint: assignments made here set
-	// busyUntil times that push their own wakeups, so dependants completed
-	// after the last arrival still get their chance.
-	for wake.len() > 0 {
-		pendingSweep(wake.pop())
-	}
-
-	for i := range in.Tasks {
-		if !assigned[in.Tasks[i].ID] {
-			res.ExpiredTasks++
+		if tr := idx.TravelCost(int(wi), ti); tr < bestTravel {
+			best, bestTravel = int(wi), tr
 		}
 	}
-	if delayCount > 0 {
-		res.MeanStartDelay = delaySum / float64(delayCount)
-	} else {
-		res.MeanStartDelay = math.NaN()
+	if best < 0 {
+		return
 	}
-	return res, nil
+	r.busy[best], r.taken[ti] = true, true
+	a.Add(b.Workers[best].W.ID, t.ID)
 }

@@ -93,3 +93,41 @@ func TestOnlineDeepChainSingleWorker(t *testing.T) {
 		t.Fatalf("CompletedTasks = %d, want %d", res.CompletedTasks, n)
 	}
 }
+
+// TestOnlineOneTaskPerWorkerPerPass pins the exclusive constraint in the
+// online regime: within one pass at an instant a worker takes at most one
+// task, even a worker that finishes at the very instant it is dispatched
+// (zero travel, zero service time). Both tasks sit on worker 0, so a rule
+// that reused it within the pass would give it both; instead the second
+// task goes to worker 1, one unit away, in the same pass.
+func TestOnlineOneTaskPerWorkerPerPass(t *testing.T) {
+	worker := func(id model.WorkerID, x float64) model.Worker {
+		return model.Worker{
+			ID: id, Loc: geo.Pt(x, 0), Start: 0, Wait: 100, Velocity: 1, MaxDist: 100,
+			Skills: model.NewSkillSet(0),
+		}
+	}
+	in := &model.Instance{
+		Workers: []model.Worker{worker(0, 0), worker(1, 1)},
+		Tasks: []model.Task{
+			{ID: 0, Loc: geo.Pt(0, 0), Start: 0, Wait: 100, Requires: 0},
+			{ID: 1, Loc: geo.Pt(0, 0), Start: 0, Wait: 100, Requires: 0},
+		},
+	}
+	steps := 0
+	res, err := RunOnline(in, Config{OnBatch: func(r BatchResult) {
+		if steps == 0 && r.Assignment.Size() != 2 {
+			t.Errorf("first pass assigned %v, want both tasks", r.Assignment)
+		}
+		steps++
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CompletedTasks != 2 || res.WorkerAssignments[0] != 1 || res.WorkerAssignments[1] != 1 {
+		t.Fatalf("completed %d, per worker %v; want one task each", res.CompletedTasks, res.WorkerAssignments)
+	}
+	if res.TotalTravel != 1 {
+		t.Errorf("TotalTravel = %v, want 1 (worker 1's leg)", res.TotalTravel)
+	}
+}

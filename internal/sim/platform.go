@@ -115,7 +115,7 @@ func New(in *model.Instance, cfg Config) (*Platform, error) {
 // Run executes the simulation to completion and returns aggregate metrics.
 func (p *Platform) Run() (*Result, error) {
 	in, cfg := p.in, p.cfg
-	res := &Result{WorkerAssignments: map[model.WorkerID]int{}}
+	r := p.start()
 
 	// Time horizon: nothing can happen after every worker window and every
 	// task deadline has passed.
@@ -130,78 +130,115 @@ func (p *Platform) Run() (*Result, error) {
 		start = math.Min(start, in.Tasks[i].Start)
 	}
 	if math.IsInf(start, 1) { // empty instance
-		return res, nil
+		return r.res, nil
 	}
 	maxBatches := int((horizon-start)/cfg.BatchInterval) + 2
 
-	k := core.NewKernel(core.KernelConfig{
-		Allocator:          cfg.Allocator,
-		ServiceTime:        cfg.ServiceTime,
-		VerifyEngineCache:  cfg.VerifyEngineCache,
-		VerifyGameWorklist: cfg.VerifyGameWorklist,
-	})
-	var delaySum float64
-	var delayCount int
 	for batch := 0; batch < maxBatches; batch++ {
 		now := start + float64(batch)*cfg.BatchInterval
-		// Instrumentation is driven by the observer: no OnBatch sink means
-		// a nil recorder, and the recording sites reduce to nil checks.
-		var rec *obs.BatchRec
-		if cfg.OnBatch != nil {
-			rec = obs.NewBatchRec(batch, now)
+		if _, err := r.step(now); err != nil {
+			return nil, err
 		}
-		st, err := k.Step(in, now, rec)
-		if err != nil {
-			return nil, fmt.Errorf("sim: batch %d: %w", batch, err)
-		}
-		if st.Valid != nil {
-			res.AssignedPairs += st.Valid.Size()
-			res.AssignedWeight += st.Valid.WeightSum(in)
-			res.WastedPairs += st.Raw.Size() - st.Valid.Size()
-			res.RoguePairs += st.Rogue
-			for _, d := range st.Dispatches {
-				res.TotalTravel += d.Dist
-				res.WorkerBusyTime += d.Finish - now
-				if d.Valid {
-					delay := d.ServiceStart - in.Task(d.Pair.Task).Start
-					res.CompletedTasks++
-					delaySum += delay
-					delayCount++
-					if cfg.CollectDelays {
-						res.Delays = append(res.Delays, delay)
-					}
-				}
-			}
-			if cfg.OnBatch != nil {
-				cfg.OnBatch(BatchResult{
-					Index: batch, Time: now,
-					Workers: st.Workers, Tasks: st.Tasks,
-					Assignment: st.Valid,
-					Trace:      rec.Finish(),
-				})
-			}
-		}
-		res.Batches++
+		r.res.Batches++
 		//lint:epsfloat-ok loop bound on the synthesized batch grid; both sides are recomputed identically every run, and a tolerance would change the batch count
 		if now >= horizon {
 			break
 		}
 	}
+	return r.close(), nil
+}
 
+// run is one simulation on the batch kernel: the kernel and the Result it
+// accumulates step by step. Both regimes drive one; only when they step
+// differs.
+type run struct {
+	p        *Platform
+	k        *core.Kernel
+	res      *Result
+	steps    int
+	delaySum float64
+	delays   int
+}
+
+// start returns a run over a fresh kernel with empty books.
+func (p *Platform) start() *run {
+	return &run{
+		p: p,
+		k: core.NewKernel(core.KernelConfig{
+			Allocator:          p.cfg.Allocator,
+			ServiceTime:        p.cfg.ServiceTime,
+			VerifyEngineCache:  p.cfg.VerifyEngineCache,
+			VerifyGameWorklist: p.cfg.VerifyGameWorklist,
+		}),
+		res: &Result{WorkerAssignments: map[model.WorkerID]int{}},
+	}
+}
+
+// step runs one kernel step at now, adds what it assigned and dispatched to
+// the result, reports it to OnBatch and returns its dispatches. It does not
+// count Result.Batches, which each regime counts its own way.
+func (r *run) step(now float64) ([]core.Dispatch, error) {
+	in, cfg, res := r.p.in, r.p.cfg, r.res
+	batch := r.steps
+	r.steps++
+	// Instrumentation is driven by the observer: no OnBatch sink means a
+	// nil recorder, and the recording sites reduce to nil checks.
+	var rec *obs.BatchRec
+	if cfg.OnBatch != nil {
+		rec = obs.NewBatchRec(batch, now)
+	}
+	st, err := r.k.Step(in, now, rec)
+	if err != nil {
+		return nil, fmt.Errorf("sim: batch %d: %w", batch, err)
+	}
+	if st.Valid == nil {
+		return nil, nil
+	}
+	res.AssignedPairs += st.Valid.Size()
+	res.AssignedWeight += st.Valid.WeightSum(in)
+	res.WastedPairs += st.Raw.Size() - st.Valid.Size()
+	res.RoguePairs += st.Rogue
+	for _, d := range st.Dispatches {
+		res.TotalTravel += d.Dist
+		res.WorkerBusyTime += d.Finish - now
+		if d.Valid {
+			delay := d.ServiceStart - in.Task(d.Pair.Task).Start
+			res.CompletedTasks++
+			r.delaySum += delay
+			r.delays++
+			if cfg.CollectDelays {
+				res.Delays = append(res.Delays, delay)
+			}
+		}
+	}
+	if cfg.OnBatch != nil {
+		cfg.OnBatch(BatchResult{
+			Index: batch, Time: now,
+			Workers: st.Workers, Tasks: st.Tasks,
+			Assignment: st.Valid,
+			Trace:      rec.Finish(),
+		})
+	}
+	return st.Dispatches, nil
+}
+
+// close reads the final books off the kernel and returns the result.
+func (r *run) close() *Result {
+	in, res := r.p.in, r.res
 	for i := range in.Workers {
-		if n := k.Worker(&in.Workers[i]).Done; n > 0 {
+		if n := r.k.Worker(&in.Workers[i]).Done; n > 0 {
 			res.WorkerAssignments[in.Workers[i].ID] = n
 		}
 	}
 	for i := range in.Tasks {
-		if tb := k.Task(in.Tasks[i].ID); !tb.Assigned && !tb.Botched {
+		if tb := r.k.Task(in.Tasks[i].ID); !tb.Assigned && !tb.Botched {
 			res.ExpiredTasks++
 		}
 	}
-	if delayCount > 0 {
-		res.MeanStartDelay = delaySum / float64(delayCount)
+	if r.delays > 0 {
+		res.MeanStartDelay = r.delaySum / float64(r.delays)
 	} else {
 		res.MeanStartDelay = math.NaN()
 	}
-	return res, nil
+	return res
 }

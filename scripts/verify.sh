@@ -121,6 +121,13 @@ race_guard ./internal/server/ TestRecoverRetiresDependantsOfBotchedTasks
 # sweep: the engine itself is single-threaded, and its state (gameState,
 # gameWorklist, batch wiring) lives in each batch's step arena, while the
 # sim and server allocate concurrently.
+# The online regime runs every decision point as a kernel step, so every
+# one runs the parallel index build: its tests (the per-arrival rule, the
+# wake-up fixpoint, the one-task-per-worker-per-pass rule and the online
+# goldens) run under the race detector too.
+echo "== go test -race online regime on the kernel (GOMAXPROCS=2, 8)"
+race_guard ./internal/sim/ TestOnline
+
 echo "== go test -race game worklist guards (GOMAXPROCS=2, 8)"
 race_guard ./internal/core/ TestGameWorklist
 
