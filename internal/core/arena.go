@@ -27,9 +27,10 @@ import (
 // call may run on a batch at a time: they share the arena's working state.
 type stepArena struct {
 	// workers and tasks are the kernel's batch population, filled by
-	// Kernel.population.
+	// Kernel.population; admit is the population's admission scratch.
 	workers []BatchWorker
 	tasks   []*model.Task
+	admit   admitScratch
 
 	batch Batch
 
@@ -50,6 +51,15 @@ type stepArena struct {
 	buckets   skillBuckets
 	grid      geo.GridIndex
 	locs      []geo.Point
+	// holders links the kernel's workers by skill, nil outside a kernel;
+	// it outlives every batch and is the kernel's, not the arena's.
+	// pairs holds the skill-first build's (worker, task) pairs. force pins
+	// the build for tests (buildAuto applies the size rule); built records
+	// the build that made the last index.
+	holders *skillHolders
+	pairs   []uint64
+	force   candidateBuild
+	built   candidateBuild
 
 	wire    depWiring
 	wireCnt []int32

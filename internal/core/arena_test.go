@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -40,6 +41,8 @@ func (a *stepArena) poison() {
 	junk32 := []int32{-7, -7}
 	fill(a.workers, BatchWorker{Loc: geo.Pt(nan, nan), ReadyAt: nan, DistBudget: nan})
 	fill(a.tasks, nil)
+	fill(a.admit.due, -7)
+	fill(a.admit.fresh, waiting{due: nan, id: -7})
 	a.batch = Batch{}
 
 	stale(&a.taskIDs.idStamps)
@@ -65,6 +68,10 @@ func (a *stepArena) poison() {
 	fill(a.buckets.dat, -7)
 	a.buckets.mask = model.NewSkillSet(0, 3, 64, 200)
 	fill(a.locs, geo.Pt(nan, nan))
+	fill(a.pairs, ^uint64(0))
+	a.built = candidateBuild(99)
+	// a.holders and a.force are not the step's: the holders are the
+	// kernel's, and force is a test's setting.
 	a.grid.Reset(geo.NewBBox(geo.Pt(-9, -9), geo.Pt(-1, -1)), 64, []geo.Point{geo.Pt(-5, -5), geo.Pt(-2, -8)})
 
 	w := &a.wire
@@ -227,6 +234,105 @@ func TestKernelArenaPoison(t *testing.T) {
 					t.Fatalf("%d steps assigned anything: the batch loop was not exercised", steps)
 				}
 				sameBooks(t, in, poisoned, clean)
+			})
+		}
+	}
+}
+
+// indexSnapshot is a deep copy of a batch's candidate engine.
+type indexSnapshot struct {
+	strategies, candidates [][]int32
+	costs                  [][]float64
+}
+
+// indexRecorder copies every batch's candidate engine before its
+// allocator runs, and counts the builds that made them.
+type indexRecorder struct {
+	Allocator
+	snaps []indexSnapshot
+	built map[candidateBuild]int
+}
+
+func (r *indexRecorder) Assign(b *Batch) *model.Assignment {
+	idx := b.Index()
+	var s indexSnapshot
+	for wi := range b.Workers {
+		s.strategies = append(s.strategies, slices.Clone(idx.strategies[wi]))
+		s.costs = append(s.costs, slices.Clone(idx.costs[wi]))
+	}
+	for ti := range b.Tasks {
+		s.candidates = append(s.candidates, slices.Clone(idx.candidates[ti]))
+	}
+	r.snaps = append(r.snaps, s)
+	r.built[b.arena.built]++
+	return r.Allocator.Assign(b)
+}
+
+// TestKernelCandidateBuildsAgree steps three kernels in lockstep over the
+// allocator matrix — one pinned to the worker-major scan, one to the
+// skill-first build, one left to the size rule — on fig10-max, whose late
+// batches hold a handful of tasks among hundreds of workers, and on a
+// small-scale instance with a ten-skill universe, where every skill has
+// many holders. Every batch's strategy sets, travel costs and candidate
+// lists must be bit-identical across the three, and so must every step
+// result and the books. On fig10-max the size rule must pick each build at
+// least once, and on the small instance the worker-major scan must win at
+// least once. Under the race detector seed 1 of fig10-max runs G-G alone.
+func TestKernelCandidateBuildsAgree(t *testing.T) {
+	big := fig10MaxInstance(t, 1)
+	c := gen.SmallScale()
+	c.Seed = 1
+	small, err := gen.Synthetic(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range arenaCases() {
+		for _, inst := range []struct {
+			name string
+			in   *model.Instance
+		}{{"fig10-max", big}, {"small", small}} {
+			if e.exact && inst.in == big || raceEnabled && (e.exact || e.name != NameGG) {
+				continue
+			}
+			t.Run(e.name+"/"+inst.name, func(t *testing.T) {
+				var recs [3]*indexRecorder
+				var ks [3]*Kernel
+				for i, force := range []candidateBuild{buildWorkerMajor, buildSkillFirst, buildAuto} {
+					recs[i] = &indexRecorder{Allocator: e.alloc(), built: map[candidateBuild]int{}}
+					ks[i] = NewKernel(KernelConfig{Allocator: recs[i], ServiceTime: 1})
+					ks[i].arena.force = force
+				}
+				for _, now := range batchGrid(inst.in, 2) {
+					var sts [3]*StepResult
+					for i, k := range ks {
+						if sts[i], err = k.Step(inst.in, now, nil); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for i := 1; i < 3; i++ {
+						if !reflect.DeepEqual(sts[i], sts[0]) {
+							t.Fatalf("t=%v: kernel %d stepped otherwise than the worker-major one:\n%+v\n%+v", now, i, sts[i], sts[0])
+						}
+					}
+				}
+				for i := 1; i < 3; i++ {
+					if !reflect.DeepEqual(recs[i].snaps, recs[0].snaps) {
+						t.Fatalf("kernel %d built other candidate engines than the worker-major one", i)
+					}
+					sameBooks(t, inst.in, ks[i], ks[0])
+				}
+				built := recs[2].built
+				t.Logf("%d batches: size rule chose worker-major %d, skill-first %d", len(recs[0].snaps), built[buildWorkerMajor], built[buildSkillFirst])
+				switch {
+				case len(recs[0].snaps) < 2:
+					t.Fatalf("%d batches allocated: the kernel was not exercised", len(recs[0].snaps))
+				case recs[0].built[buildWorkerMajor] != len(recs[0].snaps) || recs[1].built[buildSkillFirst] != len(recs[1].snaps):
+					t.Fatal("a pinned kernel ran the other build")
+				case inst.in == big && (built[buildWorkerMajor] == 0 || built[buildSkillFirst] == 0):
+					t.Fatal("the size rule did not pick both builds on fig10-max")
+				case inst.in == small && built[buildWorkerMajor] == 0:
+					t.Fatal("the size rule never picked the worker-major scan on the small instance")
+				}
 			})
 		}
 	}

@@ -19,6 +19,16 @@ type atSet struct {
 // unreachable dependency (dead in the batch's wiring) are skipped — they
 // cannot be validly assigned in batch b no matter what.
 //
+// With candidates (the batch's candidate workers per pending task) it also
+// skips every anchor whose set would have a member with no candidate, and
+// checks that on the wiring's dependency lists before copying any member.
+// Such a set fails every staff call of DASC_Greedy's loop: its row for that
+// member is a subset of the member's candidates, a member nobody can staff
+// is never assigned, so the set never shrinks past it, and workers only get
+// scarcer within a batch. Leaving it out therefore changes no commit, and
+// the heap's total order by (weight, anchor) keeps the order of the sets
+// that remain. A nil candidates builds every set.
+//
 // Members come from the wiring's deduplicated dependency lists: a task
 // listing the same dependency twice (legal in hand-built instances that
 // bypass Instance.Validate) must not double-count the set's weight or make
@@ -26,7 +36,7 @@ type atSet struct {
 // staffable set spuriously infeasible. A self-dependency is the anchor
 // itself. The sets and their member lists are carved from two flat arrays
 // of the batch's step arena, so a batch's sets are rebuilt by each call.
-func atSets(b *Batch) []*atSet {
+func atSets(b *Batch, candidates [][]int32) []*atSet {
 	a := b.arena
 	w := b.depWiring()
 	live, size := 0, 0
@@ -42,7 +52,7 @@ func atSets(b *Batch) []*atSet {
 	a.setPtrs = grown(a.setPtrs, live)
 	slab, mem, sets := a.sets, a.members[:0], a.setPtrs[:0]
 	for ti := range b.Tasks {
-		if w.deadTask[ti] {
+		if w.deadTask[ti] || candidates != nil && !w.staffable(ti, candidates) {
 			continue
 		}
 		s := &slab[len(sets)]
@@ -64,6 +74,20 @@ func atSets(b *Batch) []*atSet {
 		sets = append(sets, s)
 	}
 	return sets
+}
+
+// staffable reports whether pending task ti and each of its pending
+// dependencies has at least one candidate worker.
+func (w *depWiring) staffable(ti int, candidates [][]int32) bool {
+	if len(candidates[ti]) == 0 {
+		return false
+	}
+	for _, di := range w.deps(ti) {
+		if len(candidates[di]) == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // aliveMembers appends to out the member task indexes not yet assigned,

@@ -81,7 +81,7 @@ func TestTravelCost(t *testing.T) {
 
 func TestAtSetsExample1(t *testing.T) {
 	b := NewStaticBatch(model.Example1())
-	sets := atSets(b)
+	sets := atSets(b, nil)
 	if len(sets) != 5 {
 		t.Fatalf("got %d associative sets, want 5", len(sets))
 	}
@@ -103,7 +103,7 @@ func TestAtSetsSkipUnsatisfiableAnchors(t *testing.T) {
 		nil,
 		[]*model.Task{&in.Tasks[1], &in.Tasks[2], &in.Tasks[3]},
 		nil)
-	sets := atSets(b)
+	sets := atSets(b, nil)
 	if len(sets) != 1 || b.Tasks[sets[0].anchor].ID != 3 {
 		t.Fatalf("sets = %+v, want only t4's", sets)
 	}

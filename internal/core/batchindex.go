@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 
 	"dasc/internal/geo"
@@ -60,9 +61,10 @@ const minParallelWorkers = 64
 // increment.
 const buildChunk = 16
 
-// newBatchIndex builds the engine for one batch with a
-// runtime.NumCPU()-bounded worker pool. Cost: O(Σ_w pool_w) exact
-// feasibility checks, where pool_w is the pruned candidate pool of worker w.
+// newBatchIndex builds the engine for one batch, worker-major with a
+// runtime.NumCPU()-bounded worker pool or skill first (chooseBuild). Cost:
+// O(Σ_w pool_w) exact feasibility checks, where pool_w is the pruned
+// candidate pool of worker w.
 func newBatchIndex(b *Batch) *BatchIndex {
 	return newBatchIndexN(b, runtime.NumCPU())
 }
@@ -87,6 +89,12 @@ func newBatchIndexN(b *Batch, procs int) *BatchIndex {
 	// required skill, so the buckets partition the batch (less the tasks no
 	// batch worker can take).
 	a.buckets.build(b, skillLimit(b))
+	a.built = a.chooseBuild(b)
+	if a.built == buildSkillFirst {
+		a.scanHolders(b, idx)
+		idx.invertStrategies()
+		return idx
+	}
 	ps := &a.scan
 	*ps = prunedScan{buckets: &a.buckets}
 
@@ -115,6 +123,80 @@ func newBatchIndexN(b *Batch, procs int) *BatchIndex {
 
 	idx.invertStrategies()
 	return idx
+}
+
+// candidateBuild names how newBatchIndexN finds a batch's candidate pairs.
+type candidateBuild uint8
+
+const (
+	// buildAuto is no build: it leaves the choice to the size rule.
+	buildAuto candidateBuild = iota
+	// buildWorkerMajor scans every batch worker (prunedScan).
+	buildWorkerMajor
+	// buildSkillFirst reads the holders of the batch's task skills from
+	// the kernel's per-skill lists (scanHolders).
+	buildSkillFirst
+)
+
+// chooseBuild picks the batch's candidate build. Skill first needs the
+// kernel's per-skill lists, and pays off only when the holders of the
+// batch's task skills number fewer than its workers: the worker-major
+// scan walks every batch worker's skill set, the skill-first build every
+// holder of a task skill, busy ones included. Both are exact, so the rule
+// moves only cost and the engine's examined count.
+func (a *stepArena) chooseBuild(b *Batch) candidateBuild {
+	switch {
+	case a.holders == nil:
+		return buildWorkerMajor
+	case a.force != buildAuto:
+		return a.force
+	case a.holders.fewer(b.In, a.buckets.mask, len(b.Workers)):
+		return buildSkillFirst
+	}
+	return buildWorkerMajor
+}
+
+// scanHolders builds the strategy sets skill first: for every task skill,
+// every holder that is a batch worker paired with every task of the
+// skill's bucket. Each task requires one skill and a list holds a worker
+// once, so no pair repeats; sorting the pairs groups them by worker and
+// orders each worker's row by task index, and the exact predicate keeps
+// the feasible ones. The rows and costs are the worker-major scan's; the
+// examined count is every batch holder's skill pool, where the worker-major
+// scan counts the smaller of a worker's skill pool and its disc pool.
+func (a *stepArena) scanHolders(b *Batch, idx *BatchIndex) {
+	pairs := a.pairs[:0]
+	mask := a.buckets.mask
+	for sk := mask.NextCommon(mask, 0); sk >= 0; sk = mask.NextCommon(mask, sk+1) {
+		bucket := a.buckets.bucket(sk)
+		for _, id := range a.holders.of(b.In, sk) {
+			wi := b.WorkerIndex(model.WorkerID(id))
+			if wi < 0 {
+				continue
+			}
+			for _, ti := range bucket {
+				pairs = append(pairs, uint64(wi)<<32|uint64(ti))
+			}
+		}
+	}
+	slices.Sort(pairs)
+	a.pairs = pairs
+	if len(a.scratches) == 0 {
+		a.scratches = append(a.scratches, buildScratch{})
+	}
+	sc := &a.scratches[0]
+	admitted := 0
+	for lo := 0; lo < len(pairs); {
+		wi := int(pairs[lo] >> 32)
+		bw := &b.Workers[wi]
+		off := len(sc.rows)
+		for ; lo < len(pairs) && int(pairs[lo]>>32) == wi; lo++ {
+			sc.appendFeasible(b, bw, int32(pairs[lo]))
+		}
+		admitted += idx.setRow(wi, sc, off)
+	}
+	b.rec.AddExamined(int64(len(pairs)))
+	b.rec.AddAdmitted(int64(admitted))
 }
 
 // fanOut runs work(wi, sc) for every wi in [0, nw) over up to procs
@@ -235,14 +317,6 @@ func (ps *prunedScan) scan(b *Batch, wi int, idx *BatchIndex, sc *buildScratch) 
 	mask := ps.buckets.mask
 	off := len(sc.rows)
 	examined := 0
-	appendFeasible := func(ti int32) {
-		examined++
-		t := b.Tasks[ti]
-		if model.FeasibleFrom(bw.W, bw.Loc, bw.ReadyAt, bw.DistBudget, t, b.dist) {
-			sc.rows = append(sc.rows, ti)
-			sc.costs = append(sc.costs, bw.W.TravelTime(bw.Loc, t.Loc, b.dist))
-		}
-	}
 	// Size of the skill-bucket pool for this worker.
 	skillPool := 0
 	for sk := skills.NextCommon(mask, 0); sk >= 0; sk = skills.NextCommon(mask, sk+1) {
@@ -261,13 +335,16 @@ func (ps *prunedScan) scan(b *Batch, wi int, idx *BatchIndex, sc *buildScratch) 
 		for _, key := range sc.grid {
 			ti := int32(key)
 			if skills.Has(b.Tasks[ti].Requires) {
-				appendFeasible(ti)
+				examined++
+				sc.appendFeasible(b, bw, ti)
 			}
 		}
 	} else {
 		for sk := skills.NextCommon(mask, 0); sk >= 0; sk = skills.NextCommon(mask, sk+1) {
-			for _, ti := range ps.buckets.bucket(sk) {
-				appendFeasible(ti)
+			bucket := ps.buckets.bucket(sk)
+			examined += len(bucket)
+			for _, ti := range bucket {
+				sc.appendFeasible(b, bw, ti)
 			}
 		}
 	}
@@ -278,12 +355,28 @@ func (ps *prunedScan) scan(b *Batch, wi int, idx *BatchIndex, sc *buildScratch) 
 	// accumulate locally above, so the disabled path costs two nil checks
 	// per worker.
 	b.rec.AddExamined(int64(examined))
+	b.rec.AddAdmitted(int64(idx.setRow(wi, sc, off)))
+}
+
+// appendFeasible appends pending task ti and its travel time to the
+// scratch's rows when batch worker bw can take it.
+func (sc *buildScratch) appendFeasible(b *Batch, bw *BatchWorker, ti int32) {
+	t := b.Tasks[ti]
+	if model.FeasibleFrom(bw.W, bw.Loc, bw.ReadyAt, bw.DistBudget, t, b.dist) {
+		sc.rows = append(sc.rows, ti)
+		sc.costs = append(sc.costs, bw.W.TravelTime(bw.Loc, t.Loc, b.dist))
+	}
+}
+
+// setRow installs the scratch's rows from off on as worker wi's strategy
+// set and costs, and returns its length.
+func (idx *BatchIndex) setRow(wi int, sc *buildScratch, off int) int {
 	n := len(sc.rows)
-	b.rec.AddAdmitted(int64(n - off))
 	if n > off {
 		idx.strategies[wi] = sc.rows[off:n:n]
 		idx.costs[wi] = sc.costs[off:n:n]
 	}
+	return n - off
 }
 
 // invertStrategies derives the per-task candidate lists from the strategy

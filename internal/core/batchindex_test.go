@@ -223,7 +223,7 @@ func TestAtSetsDedupDuplicateDeps(t *testing.T) {
 		},
 	}
 	b := NewStaticBatch(in)
-	sets := atSets(b)
+	sets := atSets(b, nil)
 	if len(sets) != 2 {
 		t.Fatalf("got %d sets, want 2", len(sets))
 	}

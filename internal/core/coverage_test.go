@@ -27,7 +27,7 @@ func TestGreedyCandidateTrimmingPreservesScore(t *testing.T) {
 			candidates[ti] = idx.CandidateSet(ti)
 		}
 		g := NewGreedy()
-		for _, s := range atSets(b) {
+		for _, s := range atSets(b, nil) {
 			free := make([]bool, len(b.Workers))
 			for wi := range free {
 				free[wi] = rng.Float64() < 0.9

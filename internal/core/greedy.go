@@ -126,28 +126,7 @@ func (g *Greedy) assignIndices(b *Batch) []int32 {
 	for ti := range b.Tasks {
 		candidates[ti] = idx.CandidateSet(ti)
 	}
-	return g.commitSets(b, staffable(atSets(b), candidates), candidates)
-}
-
-// staffable filters sets in place down to those whose every member has at
-// least one candidate worker. A set with a candidate-less member fails
-// every staff call: its row for that member is a subset of the member's
-// candidates, a member nobody can staff is never assigned, so the set never
-// shrinks past it, and workers only get scarcer within a batch. Dropping
-// such sets up front therefore changes no commit, and the heap's total
-// order by (weight, anchor) keeps the order of the sets that remain.
-func staffable(sets []*atSet, candidates [][]int32) []*atSet {
-	kept := sets[:0]
-next:
-	for _, s := range sets {
-		for _, ti := range s.members {
-			if len(candidates[ti]) == 0 {
-				continue next
-			}
-		}
-		kept = append(kept, s)
-	}
-	return kept
+	return g.commitSets(b, atSets(b, candidates), candidates)
 }
 
 // commitSets is Algorithm 1's loop over the given associative sets:

@@ -10,8 +10,8 @@ import (
 )
 
 // checkPruneExact runs the greedy loop on b twice, over every associative
-// set and over the staffable ones only, under both matchers, and fails
-// unless both runs commit the same pairs. It returns the number of sets the
+// set and over the staffable ones atSets builds from the candidates, under
+// both matchers, and fails unless both runs commit the same pairs. It returns the number of sets the
 // prune dropped and how many of those had an anchor with a candidate.
 func checkPruneExact(t *testing.T, name string, b *Batch) (pruned, reachableAnchors int) {
 	t.Helper()
@@ -19,7 +19,7 @@ func checkPruneExact(t *testing.T, name string, b *Batch) (pruned, reachableAnch
 	for ti := range b.Tasks {
 		candidates[ti] = b.Index().CandidateSet(ti)
 	}
-	for _, s := range atSets(b) {
+	for _, s := range atSets(b, nil) {
 		if slices.ContainsFunc(s.members, func(ti int) bool { return len(candidates[ti]) == 0 }) {
 			pruned++
 			if len(candidates[s.anchor]) > 0 {
@@ -27,15 +27,15 @@ func checkPruneExact(t *testing.T, name string, b *Batch) (pruned, reachableAnch
 			}
 		}
 	}
-	if got := len(staffable(atSets(b), candidates)); got != len(atSets(b))-pruned {
-		t.Fatalf("%s: prune kept %d sets, want %d", name, got, len(atSets(b))-pruned)
+	if got := len(atSets(b, candidates)); got != len(atSets(b, nil))-pruned {
+		t.Fatalf("%s: prune kept %d sets, want %d", name, got, len(atSets(b, nil))-pruned)
 	}
 	for _, m := range []MatcherKind{MatchHungarian, MatchFeasible} {
 		g := NewGreedyOpt(GreedyOptions{Matcher: m})
 		// The loop's result is the batch arena's: keep a copy before the
 		// second run reuses it.
-		want := slices.Clone(g.commitSets(b, atSets(b), candidates))
-		got := g.commitSets(b, staffable(atSets(b), candidates), candidates)
+		want := slices.Clone(g.commitSets(b, atSets(b, nil), candidates))
+		got := g.commitSets(b, atSets(b, candidates), candidates)
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s matcher %d: pruned loop %v, unpruned %v", name, m, got, want)
 		}

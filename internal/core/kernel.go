@@ -43,9 +43,10 @@ type KernelConfig struct {
 // Every per-batch buffer lives in the kernel's step arena, which each Step
 // reuses, so a warm kernel's step allocates only what it returns.
 type Kernel struct {
-	cfg   KernelConfig
-	pop   Population
-	arena stepArena
+	cfg     KernelConfig
+	pop     Population
+	holders skillHolders // the registered workers by skill
+	arena   stepArena
 
 	workers []WorkerState
 	// satisfied flags the validly assigned tasks; every batch reads it as
@@ -114,7 +115,9 @@ type StepResult struct {
 
 // NewKernel returns a kernel with empty books.
 func NewKernel(cfg KernelConfig) *Kernel {
-	return &Kernel{cfg: cfg}
+	k := &Kernel{cfg: cfg}
+	k.arena.holders = &k.holders
+	return k
 }
 
 // Step runs one batch at time now over the instance's registries. rec, when
@@ -184,10 +187,13 @@ func (k *Kernel) grow(in *model.Instance) {
 
 // population builds the batch at now: the active workers (appeared, not
 // expired, not busy) and the pending tasks (appeared, deadline not passed,
-// neither assigned nor botched), both in registration order. It walks only
-// k.pop's candidates, after admitting everything registered since the last
-// step, and drops for good what can never qualify again: an expired worker,
-// and an assigned, botched or overdue task.
+// neither assigned nor botched), both in registration order. It admits
+// everything registered since the last step, walks only k.pop's due
+// candidates and drops for good what can never qualify again: an expired
+// worker, and an assigned, botched or overdue task. A task already assigned
+// or botched when it is admitted (a restored book) is due at once, so the
+// walk drops it, and marks it gone, at the first step as a full scan
+// would. Newly registered workers join k.holders too.
 //
 // For a dependency-aware allocator it also retires for good every appeared
 // task with a gone dependency. The walk runs in registration order, and a
@@ -198,7 +204,16 @@ func (k *Kernel) grow(in *model.Instance) {
 // assignment can hold.
 func (k *Kernel) population(in *model.Instance, now float64) (bws []BatchWorker, tasks []*model.Task) {
 	bws, tasks = k.arena.workers[:0], k.arena.tasks[:0]
-	k.pop.Admit(len(in.Workers), len(in.Tasks))
+	workerDue := func(i int) float64 { w := &in.Workers[i]; return min(w.Start, w.Expiry()) }
+	taskDue := func(i int) float64 {
+		t := &in.Tasks[i]
+		if k.satisfied.Has(t.ID) || k.botched.Has(t.ID) {
+			return math.Inf(-1)
+		}
+		return min(t.Start, t.Deadline())
+	}
+	k.pop.Admit(len(in.Workers), len(in.Tasks), now, workerDue, taskDue, &k.arena.admit)
+	k.holders.register(in, now)
 	k.pop.Workers(func(i int) bool {
 		w, ws := &in.Workers[i], &k.workers[i]
 		if now > w.Expiry() {
@@ -272,6 +287,10 @@ func (k *Kernel) dispatch(b *Batch, now float64, st *StepResult) {
 		}
 		w, ws := b.Workers[bi].W, &k.workers[pair.Worker]
 		t := b.In.Task(pair.Task)
+		if t.Start > now {
+			// A task outside the batch: the walk must see it at once.
+			k.pop.Wake(int(pair.Task))
+		}
 		d := Dispatch{Pair: pair, Dist: dist(ws.Loc, t.Loc), Valid: vt.index(int(pair.Task), valid, 1) == 0}
 		d.ServiceStart = math.Max(now, t.Start) + w.TravelTime(ws.Loc, t.Loc, dist)
 		for _, dep := range t.Deps {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -145,88 +146,229 @@ func doomedAt(in *model.Instance, k *Kernel, now float64) model.TaskFlags {
 // the population kept exactly what was live when the step began. For a
 // dependency-aware allocator the scan leaves out every appeared task that
 // doomedAt names; an oblivious one is still offered them.
+//
+// Past the generated instance, the cases stress the arrival queue: task
+// start times shuffled so they do not rise with ID; registrations that
+// arrive between steps, many of them starting later; and a rogue
+// allocator that dispatches tasks before they start, some validly and
+// some botched, whose dependants must retire at the same batch as under a
+// full scan — also when the run continues on a kernel restored from the
+// books half way, which admits those tasks already settled.
 func TestKernelPopulationMatchesFullScan(t *testing.T) {
-	in := kernelInstance(t, 5)
-	for _, name := range []string{NameGreedy, NameGG, NameClosest, NameRandom} {
-		t.Run(name, func(t *testing.T) {
-			alloc, _ := NewByName(name, 5)
-			aware := alloc.DependencyAware()
-			k := NewKernel(KernelConfig{Allocator: alloc, ServiceTime: 2})
-			botched, retired, offered := 0, 0, 0
-			for _, now := range batchGrid(in, 3) {
-				var wantW []*model.Worker
-				var wantT []*model.Task
-				liveW, liveT := 0, 0
-				doomed := doomedAt(in, k, now)
-				for i := range in.Workers {
-					w := &in.Workers[i]
-					if now <= w.Expiry() {
-						liveW++
-					}
-					if w.Start <= now && now <= w.Expiry() && k.Worker(w).BusyUntil <= now {
-						wantW = append(wantW, w)
-					}
-				}
-				for i := range in.Tasks {
-					task := &in.Tasks[i]
-					if tb := k.Task(task.ID); tb.Assigned || tb.Botched || task.Deadline() < now {
-						continue
-					}
-					if task.Start > now {
-						liveT++
-						continue
-					}
-					switch {
-					case !doomed.Has(task.ID):
-					case aware:
-						retired++
-						continue
-					default:
-						offered++
-					}
-					liveT++
-					wantT = append(wantT, task)
-				}
-				k.grow(in)
-				bws, tasks := k.population(in, now)
-				var gotW []*model.Worker
-				for i := range bws {
-					gotW = append(gotW, bws[i].W)
-					if ws := k.Worker(bws[i].W); bws[i].Loc != ws.Loc || bws[i].DistBudget != bws[i].W.MaxDist-ws.DistUsed {
-						t.Fatalf("t=%v: batch worker %+v does not carry its state %+v", now, bws[i], ws)
-					}
-				}
-				// slices.Equal: the kernel's population slices are its
-				// arena's, empty rather than nil in an empty batch.
-				if !slices.Equal(gotW, wantW) || !slices.Equal(tasks, wantT) {
-					t.Fatalf("t=%v: population (%d workers, %d tasks) differs from the full scan (%d, %d)",
-						now, len(gotW), len(tasks), len(wantW), len(wantT))
-				}
-				st, err := k.Step(in, now, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if st.Workers != len(wantW) || st.Tasks != len(wantT) {
-					t.Fatalf("t=%v: step allocated %d workers %d tasks, full scan %d and %d",
-						now, st.Workers, st.Tasks, len(wantW), len(wantT))
-				}
-				if w, tk := k.Live(); w != liveW || tk != liveT {
-					t.Fatalf("t=%v: population holds %d workers %d tasks, live set was %d and %d", now, w, tk, liveW, liveT)
-				}
-				for _, d := range st.Dispatches {
-					if !d.Valid {
-						botched++
-					}
-				}
-			}
-			if name == NameClosest && botched == 0 {
-				t.Fatal("no botched dispatch: the botched drop rule was not exercised")
-			}
-			if retired+offered == 0 {
-				t.Fatal("no doomed task: the retirement rule was not exercised")
-			}
-		})
+	base := kernelInstance(t, 5)
+	shuffled := shuffledTaskStarts(base, 5)
+	cases := []struct {
+		name    string
+		in      *model.Instance
+		grow    bool // register the instance a slice at a time
+		rogue   bool // dispatch not-yet-started tasks
+		restore bool // continue on a restored kernel half way
+	}{
+		{"", base, false, false, false},
+		{"ShuffledStarts/", shuffled, false, false, false},
+		{"ArrivingRegistrations/", shuffled, true, false, false},
+		{"EarlyDispatch/", shuffled, false, true, false},
+		{"RestoredAfterEarlyDispatch/", shuffled, false, true, true},
 	}
+	for _, c := range cases {
+		for _, name := range []string{NameGreedy, NameGG, NameClosest, NameRandom} {
+			t.Run(c.name+name, func(t *testing.T) {
+				alloc, _ := NewByName(name, 5)
+				var rogue *earlyDispatcher
+				if c.rogue {
+					rogue = &earlyDispatcher{Allocator: alloc}
+					alloc = rogue
+				}
+				checkPopulation(t, c.in, alloc, c.grow, c.restore)
+				if rogue != nil && (rogue.valid == 0 || rogue.botched == 0) {
+					t.Fatalf("%d valid and %d botched early dispatches: the wake was not exercised", rogue.valid, rogue.botched)
+				}
+			})
+		}
+	}
+}
+
+// checkPopulation steps a kernel over full's batch grid and checks its
+// population against the full scan around every step. With grow, the
+// kernel sees a registry that gains a share of full's workers and tasks
+// before each step, in ID order. With restore, a fresh kernel restored
+// from the books takes over half way.
+func checkPopulation(t *testing.T, full *model.Instance, alloc Allocator, grow, restore bool) {
+	t.Helper()
+	aware := alloc.DependencyAware()
+	k := NewKernel(KernelConfig{Allocator: alloc, ServiceTime: 2})
+	botched, retired, offered, queued := 0, 0, 0, 0
+	grid := batchGrid(full, 3)
+	for step, now := range grid {
+		if restore && step == len(grid)/2 {
+			k = restoredKernel(full, k)
+		}
+		in := full
+		if grow {
+			view := *full
+			view.Workers = full.Workers[:len(full.Workers)*(step+1)/len(grid)]
+			view.Tasks = full.Tasks[:len(full.Tasks)*(step+1)/len(grid)]
+			in = &view
+		}
+		var wantW []*model.Worker
+		var wantT []*model.Task
+		liveW, liveT := 0, 0
+		doomed := doomedAt(in, k, now)
+		for i := range in.Workers {
+			w := &in.Workers[i]
+			if now <= w.Expiry() {
+				liveW++
+			}
+			if w.Start <= now && now <= w.Expiry() && k.Worker(w).BusyUntil <= now {
+				wantW = append(wantW, w)
+			}
+		}
+		for i := range in.Tasks {
+			task := &in.Tasks[i]
+			if tb := k.Task(task.ID); tb.Assigned || tb.Botched || task.Deadline() < now {
+				continue
+			}
+			if task.Start > now {
+				liveT++
+				continue
+			}
+			switch {
+			case !doomed.Has(task.ID):
+			case aware:
+				retired++
+				continue
+			default:
+				offered++
+			}
+			liveT++
+			wantT = append(wantT, task)
+		}
+		k.grow(in)
+		bws, tasks := k.population(in, now)
+		queued += k.pop.waitW.len() + k.pop.waitT.len()
+		var gotW []*model.Worker
+		for i := range bws {
+			gotW = append(gotW, bws[i].W)
+			if ws := k.Worker(bws[i].W); bws[i].Loc != ws.Loc || bws[i].DistBudget != bws[i].W.MaxDist-ws.DistUsed {
+				t.Fatalf("t=%v: batch worker %+v does not carry its state %+v", now, bws[i], ws)
+			}
+		}
+		// slices.Equal: the kernel's population slices are its arena's,
+		// empty rather than nil in an empty batch.
+		if !slices.Equal(gotW, wantW) || !slices.Equal(tasks, wantT) {
+			t.Fatalf("t=%v: population (%d workers, %d tasks) differs from the full scan (%d, %d)",
+				now, len(gotW), len(tasks), len(wantW), len(wantT))
+		}
+		st, err := k.Step(in, now, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Workers != len(wantW) || st.Tasks != len(wantT) {
+			t.Fatalf("t=%v: step allocated %d workers %d tasks, full scan %d and %d",
+				now, st.Workers, st.Tasks, len(wantW), len(wantT))
+		}
+		if w, tk := k.Live(); w != liveW || tk != liveT {
+			t.Fatalf("t=%v: population holds %d workers %d tasks, live set was %d and %d", now, w, tk, liveW, liveT)
+		}
+		for _, d := range st.Dispatches {
+			if !d.Valid {
+				botched++
+			}
+		}
+	}
+	if alloc.Name() == NameClosest && botched == 0 {
+		t.Fatal("no botched dispatch: the botched drop rule was not exercised")
+	}
+	if retired+offered == 0 {
+		t.Fatal("no doomed task: the retirement rule was not exercised")
+	}
+	if queued == 0 {
+		t.Fatal("no entry ever waited in the arrival queue")
+	}
+}
+
+// restoredKernel returns a kernel with k's configuration, restored from
+// copies of k's books over in's registries.
+func restoredKernel(in *model.Instance, k *Kernel) *Kernel {
+	workers := make([]WorkerState, len(in.Workers))
+	for i := range in.Workers {
+		workers[i] = k.Worker(&in.Workers[i])
+	}
+	tasks := make([]TaskBook, len(in.Tasks))
+	for i := range in.Tasks {
+		tasks[i] = k.Task(model.TaskID(i))
+	}
+	r := NewKernel(k.cfg)
+	r.Restore(workers, tasks)
+	return r
+}
+
+// shuffledTaskStarts returns a copy of in whose task start times are
+// permuted at random, so they no longer rise with ID; each task keeps its
+// waiting time and dependencies.
+func shuffledTaskStarts(in *model.Instance, seed int64) *model.Instance {
+	out := *in
+	out.Tasks = slices.Clone(in.Tasks)
+	rng := rand.New(rand.NewSource(seed))
+	rng.Shuffle(len(out.Tasks), func(i, j int) {
+		out.Tasks[i].Start, out.Tasks[j].Start = out.Tasks[j].Start, out.Tasks[i].Start
+	})
+	return &out
+}
+
+// earlyDispatcher adds to its allocator's assignment, while a batch has a
+// worker to spare, one pair naming a task that has not started yet: in
+// turn a task without dependencies, which the fixpoint keeps valid, and a
+// task with a dependency nobody is assigned, which it botches. Botched
+// picks prefer tasks some later task depends on, so their retirement
+// reaches dependants.
+type earlyDispatcher struct {
+	Allocator
+	used           model.TaskFlags
+	valid, botched int
+}
+
+func (r *earlyDispatcher) Assign(b *Batch) *model.Assignment {
+	out := r.Allocator.Assign(b)
+	now := b.Workers[0].ReadyAt
+	wi := slices.IndexFunc(b.Workers, func(bw BatchWorker) bool {
+		return !slices.ContainsFunc(out.Pairs, func(p model.Pair) bool { return p.Worker == bw.W.ID })
+	})
+	if wi < 0 {
+		return out
+	}
+	wantDeps := r.valid > r.botched
+	pick := -1
+	for i := range b.In.Tasks {
+		t := &b.In.Tasks[i]
+		if t.Start <= now || r.used.Has(t.ID) || (len(t.Deps) > 0) != wantDeps {
+			continue
+		}
+		if pick < 0 || wantDeps && hasDependant(b.In, t.ID) && !hasDependant(b.In, model.TaskID(pick)) {
+			pick = i
+		}
+	}
+	if pick < 0 {
+		return out
+	}
+	r.used.Set(model.TaskID(pick))
+	if wantDeps {
+		r.botched++
+	} else {
+		r.valid++
+	}
+	out.Pairs = append(out.Pairs, model.Pair{Worker: b.Workers[wi].W.ID, Task: model.TaskID(pick)})
+	return out
+}
+
+// hasDependant reports whether some task of in depends on id.
+func hasDependant(in *model.Instance, id model.TaskID) bool {
+	for i := range in.Tasks {
+		if slices.Contains(in.Tasks[i].Deps, id) {
+			return true
+		}
+	}
+	return false
 }
 
 // unaware reports its allocator as dependency-oblivious, so the kernel

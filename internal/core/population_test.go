@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -8,22 +9,50 @@ import (
 )
 
 func TestPopulationAdmitsDropsAndKeepsOrder(t *testing.T) {
+	// Due times by index; entries due after now wait in the queue.
+	wDue := []float64{0, 0, 0, 0, 0, 3, 1, 2, 1}
+	tDue := []float64{0, 0, 0, 5, math.NaN()}
+	dueW := func(i int) float64 { return wDue[i] }
+	dueT := func(i int) float64 { return tDue[i] }
+	walk := func(visit func(keep func(i int) bool), drop func(i int) bool) []int {
+		var seen []int
+		visit(func(i int) bool { seen = append(seen, i); return !drop(i) })
+		return seen
+	}
+	none := func(int) bool { return false }
 	var p Population
-	p.Admit(5, 3)
-	var seen []int
-	p.Workers(func(i int) bool { seen = append(seen, i); return i%2 == 0 })
-	if !reflect.DeepEqual(seen, []int{0, 1, 2, 3, 4}) {
+	sc := new(admitScratch)
+	p.Admit(5, 3, 0, dueW, dueT, sc)
+	if seen := walk(p.Workers, func(i int) bool { return i%2 == 1 }); !reflect.DeepEqual(seen, []int{0, 1, 2, 3, 4}) {
 		t.Fatalf("first walk visited %v", seen)
 	}
-	p.Admit(7, 3) // two arrivals
-	seen = nil
-	p.Workers(func(i int) bool { seen = append(seen, i); return true })
-	if !reflect.DeepEqual(seen, []int{0, 2, 4, 5, 6}) {
+	// Four arrivals, all but worker 8's and task 4's due after 0; a NaN
+	// due time is due.
+	wDue[8] = 0
+	p.Admit(9, 5, 0, dueW, dueT, sc)
+	if w, tk := p.Len(); w != 7 || tk != 5 {
+		t.Fatalf("Len = %d, %d; want 7, 5", w, tk)
+	}
+	if seen := walk(p.Tasks, none); !reflect.DeepEqual(seen, []int{0, 1, 2, 4}) {
+		t.Fatalf("task walk visited %v", seen)
+	}
+	// Worker 6 falls due at 1 and merges in ID order; 7 and 5 wait.
+	p.Admit(9, 5, 1, dueW, dueT, sc)
+	if seen := walk(p.Workers, none); !reflect.DeepEqual(seen, []int{0, 2, 4, 6, 8}) {
 		t.Fatalf("walk after drops and arrivals visited %v", seen)
 	}
-	p.Tasks(func(i int) bool { return i != 1 })
-	if w, tk := p.Len(); w != 5 || tk != 2 {
-		t.Fatalf("Len = %d, %d; want 5, 2", w, tk)
+	// A woken task joins the walk at its place before it is due.
+	p.Wake(3)
+	p.Wake(3)
+	if seen := walk(p.Tasks, func(i int) bool { return i == 1 }); !reflect.DeepEqual(seen, []int{0, 1, 2, 3, 4}) {
+		t.Fatalf("walk after a wake visited %v", seen)
+	}
+	p.Admit(9, 5, 3, dueW, dueT, sc)
+	if seen := walk(p.Workers, none); !reflect.DeepEqual(seen, []int{0, 2, 4, 5, 6, 7, 8}) {
+		t.Fatalf("walk after the last arrivals visited %v", seen)
+	}
+	if w, tk := p.Len(); w != 7 || tk != 4 {
+		t.Fatalf("Len = %d, %d; want 7, 4", w, tk)
 	}
 }
 

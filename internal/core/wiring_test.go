@@ -199,7 +199,7 @@ func checkWiring(t *testing.T, label string, got, want *depWiring) {
 // bit-equal weights.
 func checkAtSets(t *testing.T, label string, b *Batch, satisfied map[model.TaskID]bool) {
 	t.Helper()
-	got, want := atSets(b), oracleAtSets(b, satisfied)
+	got, want := atSets(b, nil), oracleAtSets(b, satisfied)
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d sets, want %d", label, len(got), len(want))
 	}
@@ -580,7 +580,7 @@ func TestGreedyStaffMatchesMapOracle(t *testing.T) {
 		if trial%2 == 1 {
 			sc.next = math.MaxInt32 - int32(len(b.Workers)) - 1
 		}
-		for _, s := range atSets(b) {
+		for _, s := range atSets(b, nil) {
 			free := make([]bool, len(b.Workers))
 			for wi := range free {
 				free[wi] = rng.Float64() < 0.8

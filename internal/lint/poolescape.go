@@ -6,8 +6,8 @@ import (
 )
 
 // NewPoolEscape returns the pooled-memory ownership analyzer. Pooled
-// memory (DESIGN.md §3.7) is one-way: what an owner's slab arenas, free
-// lists or aliasing fields hold stays owner-owned, and an owner takes in
+// memory (DESIGN.md §3.7) is one-way: what an owner's free lists or
+// aliasing fields hold stays owner-owned, and an owner takes in
 // outside data by COPYING it, never by aliasing slices out of a result it
 // built. The step arena that owns a batch's buffers (core's stepArena) and
 // the server's request/body pools have the same shape: arena memory lives
@@ -16,9 +16,8 @@ import (
 // global, a channel, or the package's exported surface.
 //
 // The analyzer computes a per-function taint: values produced by
-// (sync.Pool).Get, by carve/carveLen on a slab reached through an owner
-// type (stepArena, prunedScan), by free-list
-// pops, or by reading an aliasing field (slice/pointer/map) of an owner, are
+// (sync.Pool).Get, by free-list pops, or by reading an aliasing field
+// (slice/pointer/map) of an owner type (stepArena, prunedScan), are
 // pool-owned. It flags:
 //
 //   - returning a pool-owned value from an EXPORTED function or method
@@ -30,14 +29,14 @@ import (
 //     BatchIndex);
 //   - the reverse direction: assigning a foreign slice/pointer into an
 //     owner's field without a copy — the only values that may land in
-//     owner fields are owner-rooted reslices, carve results, and fresh
-//     allocations (calls, literals).
+//     owner fields are owner-rooted reslices and fresh allocations
+//     (calls, literals).
 //
 // Deliberate exceptions are annotated //lint:poolescape-ok <reason>.
 func NewPoolEscape() *Analyzer {
 	return &Analyzer{
 		Name:     "poolescape",
-		Doc:      "enforces the one-way ownership rule for slab arenas, free lists and sync.Pool objects",
+		Doc:      "enforces the one-way ownership rule for step arenas, free lists and sync.Pool objects",
 		Suppress: "poolescape-ok",
 		AppliesTo: prefixFilter(
 			"dasc/internal/core",
@@ -47,7 +46,7 @@ func NewPoolEscape() *Analyzer {
 	}
 }
 
-// poolOwnerTypes are the types whose slabs, free lists and aliasing fields
+// poolOwnerTypes are the types whose free lists and aliasing fields
 // are pool-owned. New pool-owning types must be registered here.
 // stepArena owns every per-batch buffer of core's batch step: its memory is
 // reused by the next step, so it must never land in a package variable or
@@ -97,11 +96,6 @@ func poolSource(pass *Pass, e ast.Expr) (string, bool) {
 		}
 		if fn.Name() == "Get" && fn.Pkg() != nil && fn.Pkg().Path() == "sync" {
 			return "sync.Pool memory", true
-		}
-		if fn.Name() == "carve" || fn.Name() == "carveLen" {
-			if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok && ownerRooted(pass, sel.X) {
-				return "slab-arena memory", true
-			}
 		}
 	case *ast.IndexExpr:
 		if sel, ok := ast.Unparen(e.X).(*ast.SelectorExpr); ok && sel.Sel.Name == "free" && ownerRooted(pass, sel.X) {
@@ -275,7 +269,7 @@ func checkPoolStores(pass *Pass, as *ast.AssignStmt, exprPoolTaint func(ast.Expr
 				if _, rhsPooled := exprPoolTaint(rhs); rhsPooled || freshOrOwnerExpr(pass, rhs) {
 					continue
 				}
-				pass.Reportf(as.Pos(), "foreign slice/pointer stored into pool-owned field without a copy; the owner must carve or copy (copy-always)")
+				pass.Reportf(as.Pos(), "foreign slice/pointer stored into pool-owned field without a copy; the owner must copy (copy-always)")
 			} else if src, ok := exprPoolTaint(rhs); ok {
 				pass.Reportf(as.Pos(), "%s stored into non-owner structure; the store aliases recycled memory past its owner — copy it", src)
 			}

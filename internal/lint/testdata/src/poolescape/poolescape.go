@@ -1,25 +1,16 @@
 // Package poolescape is analyzer testdata. It models pooled-memory
 // ownership shapes locally — the analyzer matches pool owners by type NAME
-// (stepArena, prunedScan) and slab carving by method name.
+// (stepArena, prunedScan).
 package poolescape
 
 import "sync"
 
-type slab struct{ buf []int32 }
-
-func (s *slab) carveLen(n int) []int32 {
-	start := len(s.buf)
-	s.buf = append(s.buf, make([]int32, n)...)
-	return s.buf[start : start+n]
-}
-
-// stepArena models the batch step arena: an owner with slabs, a free list
-// of recycled structs and scratch tables, all reused by the next step.
+// stepArena models the batch step arena: an owner with a free list of
+// recycled structs and scratch tables, all reused by the next step.
 // Values may be read out of it, but none of its memory may alias into a
 // result, a package variable or the exported surface.
 type stepArena struct {
 	workers []int32
-	ids     slab
 	free    []*prunedScan
 	scratch []int32
 	tag     []uint32
@@ -56,21 +47,9 @@ func borrow() *state {
 	return statePool.Get().(*state)
 }
 
-func CarvedTasks(sc *stepArena, n int) []int32 {
-	return sc.ids.carveLen(n) // want "slab-arena memory returned from exported CarvedTasks"
-}
-
-func carvedTasks(sc *stepArena, n int) []int32 {
-	return sc.ids.carveLen(n)
-}
-
 func sendLeak(sc *stepArena, ch chan []int32) {
-	buf := sc.ids.carveLen(4)
-	ch <- buf // want "slab-arena memory sent on a channel"
-}
-
-func stashGlobal(sc *stepArena) {
-	global = sc.ids.carveLen(4) // want "slab-arena memory stored in package-level variable global"
+	buf := sc.scratch[:4]
+	ch <- buf // want "pool-owned memory sent on a channel"
 }
 
 func aliasIntoIndex(b *BatchIndex, ps *prunedScan) {
@@ -81,9 +60,9 @@ func copyInWithoutCopy(ps *prunedScan, foreign []int32) {
 	ps.tasks = foreign // want "foreign slice/pointer stored into pool-owned field without a copy"
 }
 
-func copyInAlways(sc *stepArena, ps *prunedScan, foreign []int32) {
-	// Carve owner memory, then copy: the blessed copy-in shape.
-	ps.tasks = sc.ids.carveLen(len(foreign))
+func copyInAlways(ps *prunedScan, foreign []int32) {
+	// Fresh memory, then copy: the blessed copy-in shape.
+	ps.tasks = make([]int32, len(foreign))
 	copy(ps.tasks, foreign)
 }
 

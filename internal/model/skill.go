@@ -125,11 +125,6 @@ func (s SkillSet) Equal(o SkillSet) bool {
 	return true
 }
 
-// Clone returns an independent copy of the set.
-func (s SkillSet) Clone() SkillSet {
-	return SkillSet{words: append([]uint64(nil), s.words...)}
-}
-
 // Max returns the highest skill in the set, or -1 when the set is empty.
 func (s SkillSet) Max() Skill {
 	for wi := len(s.words) - 1; wi >= 0; wi-- {
@@ -167,16 +162,19 @@ func (s SkillSet) NextCommon(o SkillSet, from Skill) Skill {
 }
 
 // Skills returns the members in ascending order.
-func (s SkillSet) Skills() []Skill {
-	out := make([]Skill, 0, s.Len())
+func (s SkillSet) Skills() []Skill { return s.AppendTo(make([]Skill, 0, s.Len())) }
+
+// AppendTo appends the members to dst in ascending order and returns the
+// extended slice; with a reused dst it walks the set without allocating.
+func (s SkillSet) AppendTo(dst []Skill) []Skill {
 	for wi, w := range s.words {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
-			out = append(out, Skill(wi*64+b))
+			dst = append(dst, Skill(wi*64+b))
 			w &= w - 1
 		}
 	}
-	return out
+	return dst
 }
 
 // String implements fmt.Stringer, e.g. "{ψ1, ψ4}". Skills appear in

@@ -45,12 +45,14 @@ func TestSkillSetOps(t *testing.T) {
 	}
 }
 
-func TestSkillSetCloneIndependence(t *testing.T) {
-	a := NewSkillSet(1)
-	b := a.Clone()
-	b.Add(2)
-	if a.Has(2) {
-		t.Error("Clone shares storage")
+func TestSkillSetAppendTo(t *testing.T) {
+	buf := []Skill{7}
+	buf = NewSkillSet(130, 0, 64, 3).AppendTo(buf)
+	if !reflect.DeepEqual(buf, []Skill{7, 0, 3, 64, 130}) {
+		t.Errorf("AppendTo = %v", buf)
+	}
+	if got := (SkillSet{}).AppendTo(buf[:0]); len(got) != 0 {
+		t.Errorf("empty AppendTo = %v", got)
 	}
 }
 

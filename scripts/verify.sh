@@ -107,13 +107,15 @@ race_guard() {
 # checks that a restored platform rebuilds it. The arena tests poison the
 # kernel's step arena after every step over the allocator matrix and step
 # two kernels concurrently: a result or a later step that reads arena memory
-# an earlier step left behind diverges.
+# an earlier step left behind diverges. The build differential pins one
+# kernel to the worker-major scan and one to the skill-first build: every
+# batch's engine, step and book must match bit for bit.
 echo "== go test -race candidate-engine and kernel guards (GOMAXPROCS=2, 8)"
 race_guard ./internal/core/ TestBatchIndexParallelDeterministic \
 	TestBatchIndexMatchesScan TestKernelCacheMatchesScratch \
 	TestKernelPopulationMatchesFullScan TestKernelRetirementKeepsOutcome \
 	TestKernelRetiresHandBuiltDoom TestKernelArenaPoison \
-	TestKernelsStepConcurrently
+	TestKernelsStepConcurrently TestKernelCandidateBuildsAgree
 race_guard ./internal/server/ TestRecoverRetiresDependantsOfBotchedTasks
 
 # The game worklist engine's bit-exactness matrix (worklist vs naive sweep
