@@ -255,3 +255,45 @@ func TestScanBailsOnWhatItCannotMirror(t *testing.T) {
 		}
 	}
 }
+
+// goldenIndented is Write's output for goldenInstance, written before the
+// instance file and the server's journal shared one record type.
+const goldenIndented = "testdata/golden_indented.json"
+
+// goldenInstance is Example 1 with a weighted task and a worker whose skills
+// are given out of order.
+func goldenInstance() *model.Instance {
+	in := model.Example1()
+	in.Tasks[2].Weight = 2.5
+	in.Tasks[3].Weight = 0.125
+	in.Workers[2].Skills = model.NewSkillSet(2, 0, 1)
+	in.Workers[1].Loc.X = -1e-7
+	return in
+}
+
+// TestWriteMatchesGolden pins Write's indented bytes, and Read of them
+// writes them back unchanged.
+func TestWriteMatchesGolden(t *testing.T) {
+	want, err := os.ReadFile(goldenIndented)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := Write(&got, goldenInstance()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("Write differs from %s:\n got %s\nwant %s", goldenIndented, got.Bytes(), want)
+	}
+	in, err := Decode(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Reset()
+	if err := Write(&got, in); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("Read then Write changed %s:\n got %s", goldenIndented, got.Bytes())
+	}
+}
