@@ -9,10 +9,10 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"dasc/internal/dataset"
 	"dasc/internal/geo"
-	"dasc/internal/model"
 	"dasc/internal/viz"
 )
 
@@ -21,65 +21,6 @@ import (
 // tens of thousands of dependencies) while keeping a misbehaving client from
 // buffering arbitrary amounts of memory server-side.
 const DefaultMaxBodyBytes = 1 << 20
-
-// workerDTO is the JSON body of POST /v1/workers.
-type workerDTO struct {
-	X        float64       `json:"x"`
-	Y        float64       `json:"y"`
-	Start    float64       `json:"start"`
-	Wait     float64       `json:"wait"`
-	Velocity float64       `json:"velocity"`
-	MaxDist  float64       `json:"max_dist"`
-	Skills   []model.Skill `json:"skills"`
-}
-
-// validate rejects non-finite numeric fields at the DTO layer (the platform
-// re-checks; two layers so embedders calling AddWorker directly get the same
-// protection HTTP clients do), and skills outside [0, model.MaxSkill],
-// before any skill set is built from them.
-func (d *workerDTO) validate() error {
-	if err := checkFinite(
-		finiteField{"x", d.X}, finiteField{"y", d.Y},
-		finiteField{"start", d.Start}, finiteField{"wait", d.Wait},
-		finiteField{"velocity", d.Velocity}, finiteField{"max_dist", d.MaxDist},
-	); err != nil {
-		return err
-	}
-	return checkSkills(d.Skills)
-}
-
-// checkSkills returns an error naming the first skill outside
-// [0, model.MaxSkill].
-func checkSkills(skills []model.Skill) error {
-	for _, sk := range skills {
-		if err := model.CheckSkill(sk); err != nil {
-			return fmt.Errorf("skills: %w", err)
-		}
-	}
-	return nil
-}
-
-// taskDTO is the JSON body of POST /v1/tasks. Weight must round-trip here:
-// model.Task, the journal and GET /v1/instance all carry it, and dropping it
-// at registration would silently zero every weighted-objective allocation.
-type taskDTO struct {
-	X        float64        `json:"x"`
-	Y        float64        `json:"y"`
-	Start    float64        `json:"start"`
-	Wait     float64        `json:"wait"`
-	Requires model.Skill    `json:"requires"`
-	Deps     []model.TaskID `json:"deps"`
-	Weight   float64        `json:"weight"`
-}
-
-// validate rejects non-finite numeric fields at the DTO layer.
-func (d *taskDTO) validate() error {
-	return checkFinite(
-		finiteField{"x", d.X}, finiteField{"y", d.Y},
-		finiteField{"start", d.Start}, finiteField{"wait", d.Wait},
-		finiteField{"weight", d.Weight},
-	)
-}
 
 // idResponse acknowledges a registration.
 type idResponse struct {
@@ -134,23 +75,17 @@ func Handler(p *Platform) http.Handler {
 		if !ready(p, w) {
 			return
 		}
-		var dto workerDTO
-		if err := decode(p, w, r, &dto); err != nil {
+		var rec dataset.WorkerRecord
+		if err := decode(p, w, r, &rec); err != nil {
 			httpError(w, decodeStatus(err), err)
 			return
 		}
-		if err := dto.validate(); err != nil {
-			httpError(w, http.StatusUnprocessableEntity, err)
+		wk, err := rec.Worker()
+		if err != nil {
+			httpError(w, http.StatusUnprocessableEntity, fmt.Errorf("skills: %w", err))
 			return
 		}
-		id, err := p.RegisterWorkerTagged(model.Worker{
-			Loc:      pt(dto.X, dto.Y),
-			Start:    dto.Start,
-			Wait:     dto.Wait,
-			Velocity: dto.Velocity,
-			MaxDist:  dto.MaxDist,
-			Skills:   model.NewSkillSet(dto.Skills...),
-		}, requestIDFrom(r.Context()))
+		id, err := p.RegisterWorkerTagged(wk, requestIDFrom(r.Context()))
 		if err != nil {
 			httpError(w, registerStatus(w, err), err)
 			return
@@ -161,23 +96,12 @@ func Handler(p *Platform) http.Handler {
 		if !ready(p, w) {
 			return
 		}
-		var dto taskDTO
-		if err := decode(p, w, r, &dto); err != nil {
+		var rec dataset.TaskRecord
+		if err := decode(p, w, r, &rec); err != nil {
 			httpError(w, decodeStatus(err), err)
 			return
 		}
-		if err := dto.validate(); err != nil {
-			httpError(w, http.StatusUnprocessableEntity, err)
-			return
-		}
-		id, err := p.RegisterTaskTagged(model.Task{
-			Loc:      pt(dto.X, dto.Y),
-			Start:    dto.Start,
-			Wait:     dto.Wait,
-			Requires: dto.Requires,
-			Deps:     dto.Deps,
-			Weight:   dto.Weight,
-		}, requestIDFrom(r.Context()))
+		id, err := p.RegisterTaskTagged(rec.Task(), requestIDFrom(r.Context()))
 		if err != nil {
 			httpError(w, registerStatus(w, err), err)
 			return
@@ -327,30 +251,34 @@ func ready(p *Platform, w http.ResponseWriter) bool {
 	return false
 }
 
-// decode reads a JSON request body capped at the platform's body limit. The
-// registration endpoints try the flat fast-path scanner first (fastdto.go)
-// and fall back to this strict decoder for anything it does not recognise,
-// so errors and edge cases are always the decoder's.
-func decode(p *Platform, w http.ResponseWriter, r *http.Request, v any) error {
+// record is a registration body: a dataset.WorkerRecord or TaskRecord.
+type record interface {
+	Scan(body []byte) bool
+}
+
+// decode reads a registration body, capped at the platform's body limit,
+// into v. The record's one-pass scan reads a well-formed body; anything it
+// does not recognise goes to the strict decoder, so errors and edge cases
+// are always the decoder's.
+func decode(p *Platform, w http.ResponseWriter, r *http.Request, v record) error {
 	body, bp, err := readBody(p, w, r)
 	if err != nil {
 		return err
 	}
 	defer bodyPool.Put(bp)
-	switch d := v.(type) {
-	case *workerDTO:
-		if parseWorkerDTO(body, d) {
-			return nil
-		}
-	case *taskDTO:
-		if parseTaskDTO(body, d) {
-			return nil
-		}
+	if v.Scan(body) {
+		return nil
 	}
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
 }
+
+// bodyPool recycles request-body buffers for the registration endpoints.
+var bodyPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, 512)
+	return &b
+}}
 
 // readBody drains the request body into a pooled buffer, preserving the
 // MaxBytesReader size cap (readers past the cap surface *MaxBytesError,

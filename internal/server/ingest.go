@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"dasc/internal/dataset"
 	"dasc/internal/model"
 	"dasc/internal/obs"
 )
@@ -347,9 +348,11 @@ func (p *Platform) commit(reqs []*ingestReq) obs.DrainTrace {
 			switch {
 			case r.err != nil:
 			case r.kind == ingestWorker:
-				entries = append(entries, workerEntry(r.worker))
+				rec := dataset.NewWorkerRecord(&r.worker)
+				entries = append(entries, journalEntry{Kind: "worker", Worker: &rec})
 			default:
-				entries = append(entries, taskEntry(r.task))
+				rec := dataset.NewTaskRecord(&r.task)
+				entries = append(entries, journalEntry{Kind: "task", Task: &rec})
 			}
 		}
 		if err := p.journal.Batch(entries); err != nil {

@@ -12,7 +12,7 @@ import (
 	"sync"
 	"time"
 
-	"dasc/internal/model"
+	"dasc/internal/dataset"
 	"dasc/internal/obs"
 )
 
@@ -107,38 +107,33 @@ type Journal struct {
 // replay accepts both side by side.
 const journalBatchVersion = 2
 
-// journalEntry is one logged event. Exactly one of the payload fields is set.
+// journalEntry is one logged event. Exactly the payload its Kind names is
+// set: Worker, Task, Tick, or V and Entries.
 type journalEntry struct {
 	// Kind is "worker", "task", "tick" — or "batch" for the v2 multi-entry
 	// group-commit record (V = journalBatchVersion, Entries = the
 	// registrations committed together under a single fsync).
-	Kind   string         `json:"kind"`
-	Worker *journalWorker `json:"worker,omitempty"`
-	Task   *journalTask   `json:"task,omitempty"`
-	Tick   *float64       `json:"tick,omitempty"`
+	Kind   string                `json:"kind"`
+	Worker *dataset.WorkerRecord `json:"worker,omitempty"`
+	Task   *dataset.TaskRecord   `json:"task,omitempty"`
+	Tick   *float64              `json:"tick,omitempty"`
 
 	V       int            `json:"v,omitempty"`
 	Entries []journalEntry `json:"entries,omitempty"`
 }
 
-type journalWorker struct {
-	X        float64       `json:"x"`
-	Y        float64       `json:"y"`
-	Start    float64       `json:"start"`
-	Wait     float64       `json:"wait"`
-	Velocity float64       `json:"velocity"`
-	MaxDist  float64       `json:"max_dist"`
-	Skills   []model.Skill `json:"skills"`
+// payloads reports which payloads e carries: a worker, a task, a tick
+// time, and a batch's version or entries.
+func (e *journalEntry) payloads() [4]bool {
+	return [4]bool{e.Worker != nil, e.Task != nil, e.Tick != nil, e.V != 0 || e.Entries != nil}
 }
 
-type journalTask struct {
-	X        float64        `json:"x"`
-	Y        float64        `json:"y"`
-	Start    float64        `json:"start"`
-	Wait     float64        `json:"wait"`
-	Requires model.Skill    `json:"requires"`
-	Deps     []model.TaskID `json:"deps,omitempty"`
-	Weight   float64        `json:"weight,omitempty"`
+// journalPayloads is the one payload each kind carries, in payloads' order.
+var journalPayloads = map[string][4]bool{
+	"worker": {true, false, false, false},
+	"task":   {false, true, false, false},
+	"tick":   {false, false, true, false},
+	"batch":  {false, false, false, true},
 }
 
 // NewJournal writes events to w; close (may be nil) is closed by Close.
@@ -321,24 +316,6 @@ func (j *Journal) Rewind() error {
 	return nil
 }
 
-// workerEntry builds the journal record of a worker registration.
-func workerEntry(w model.Worker) journalEntry {
-	return journalEntry{Kind: "worker", Worker: &journalWorker{
-		X: w.Loc.X, Y: w.Loc.Y, Start: w.Start, Wait: w.Wait,
-		Velocity: w.Velocity, MaxDist: w.MaxDist, Skills: w.Skills.Skills(),
-	}}
-}
-
-// taskEntry builds the journal record of a task registration (with its
-// closed dependency list — closure is idempotent, so the platform's reclose
-// on replay is a no-op).
-func taskEntry(t model.Task) journalEntry {
-	return journalEntry{Kind: "task", Task: &journalTask{
-		X: t.Loc.X, Y: t.Loc.Y, Start: t.Start, Wait: t.Wait,
-		Requires: t.Requires, Deps: t.Deps, Weight: t.Weight,
-	}}
-}
-
 // Batch logs a group of registration events as one journal record with a
 // single flush and at most one fsync (group commit). A single entry stays a
 // v1 line (so the common case remains greppable one-event-per-line); two or
@@ -384,10 +361,12 @@ type ReplayReport struct {
 	// ticks); Ticks is how many of those were batch ticks re-run.
 	Entries int
 	Ticks   int
+	// Bytes is how many bytes replay read, the torn tail included.
+	Bytes int64
 	// TornTail reports that the final line was an unterminated partial
 	// write (a crash mid-append); TornTailBytes is its length. The torn
-	// bytes were NOT applied — the caller should truncate them from the
-	// file before appending new events (Recover does).
+	// bytes were NOT applied — the caller should truncate the file to
+	// Bytes-TornTailBytes before appending new events (Recover does).
 	TornTail      bool
 	TornTailBytes int
 }
@@ -397,14 +376,16 @@ type ReplayReport struct {
 // the same allocator configuration as the original for identical outcomes
 // (allocators are deterministic for a fixed seed).
 //
-// A torn tail — a final line with no trailing newline that is not valid
-// JSON, the signature of a crash mid-append — is treated as a clean EOF and
-// reported, not returned as an error: the journal's complete prefix fully
-// determines a consistent state. Any malformed *interior* line (terminated
-// by a newline, or followed by more data) still fails loudly with its line
-// number. Lines are read through bufio.Reader, so a single huge entry (e.g.
-// a task with an enormous dependency list journaled before body limits) has
-// no fixed size cap.
+// A torn tail — a final line with no trailing newline that is cut short or
+// not JSON at all, the signature of a crash mid-append — is treated as a
+// clean EOF and reported, not returned as an error: the journal's complete
+// prefix fully determines a consistent state. Everything else fails loudly
+// with its line number: a malformed interior line, and on any line an
+// unknown key, a value of the wrong type, data after the entry, or a
+// payload other than the one the entry's kind names. Lines are read
+// through bufio.Reader, so a single huge entry (e.g. a task with an
+// enormous dependency list journaled before body limits) has no fixed size
+// cap.
 func ReplayJournal(r io.Reader, p *Platform) (ReplayReport, error) {
 	var rep ReplayReport
 	p.mu.Lock()
@@ -422,15 +403,17 @@ func ReplayJournal(r io.Reader, p *Platform) (ReplayReport, error) {
 		if rerr != nil && rerr != io.EOF {
 			return rep, rerr
 		}
+		rep.Bytes += int64(len(data))
 		atEOF := rerr == io.EOF
 		complete := len(data) > 0 && data[len(data)-1] == '\n'
 		torn := atEOF && !complete && len(data) > 0
 		trimmed := bytes.TrimSpace(data)
 		if len(trimmed) > 0 {
 			line++
-			var e journalEntry
-			if err := json.Unmarshal(trimmed, &e); err != nil {
-				if torn {
+			e, err := decodeEntry(trimmed)
+			if err != nil {
+				var syntax *json.SyntaxError
+				if torn && (errors.Is(err, io.ErrUnexpectedEOF) || errors.As(err, &syntax)) {
 					// Torn tail: a crash cut the final append short. The
 					// complete prefix fully determines a consistent state;
 					// drop the fragment and report it for truncation.
@@ -462,74 +445,79 @@ func ReplayJournal(r io.Reader, p *Platform) (ReplayReport, error) {
 	}
 }
 
+// decodeEntry decodes one journal line, which holds one entry and nothing
+// else, with unknown keys rejected.
+func decodeEntry(b []byte) (journalEntry, error) {
+	var e journalEntry
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&e); err != nil {
+		return e, err
+	}
+	if dec.InputOffset() != int64(len(b)) {
+		return e, errors.New("data after the entry")
+	}
+	return e, nil
+}
+
 // applyEntry applies one decoded journal entry — descending into v2 batch
 // records — and returns how many logical events (and how many ticks) it
 // applied; errors carry the line number.
 func applyEntry(p *Platform, e *journalEntry, line int) (entries, ticks int, err error) {
+	fail := func(err error) (int, int, error) {
+		return 0, 0, fmt.Errorf("server: journal line %d: %w", line, err)
+	}
+	// A record that parses but carries another kind's payload is
+	// corruption, not something to drop.
+	want, known := journalPayloads[e.Kind]
+	if !known {
+		return fail(fmt.Errorf("unknown kind %q", e.Kind))
+	}
+	if e.payloads() != want {
+		return fail(fmt.Errorf("%s entry without exactly a %s payload", e.Kind, e.Kind))
+	}
 	switch e.Kind {
 	case "worker":
-		if e.Worker == nil {
-			return 0, 0, fmt.Errorf("server: journal line %d: worker entry without payload", line)
-		}
-		w := e.Worker
-		if err := checkSkills(w.Skills); err != nil {
-			return 0, 0, fmt.Errorf("server: journal line %d: worker: %w", line, err)
-		}
-		err := p.replayRegistration(&ingestReq{kind: ingestWorker, worker: model.Worker{
-			Loc: pt(w.X, w.Y), Start: w.Start, Wait: w.Wait,
-			Velocity: w.Velocity, MaxDist: w.MaxDist,
-			Skills: model.NewSkillSet(w.Skills...),
-		}})
+		w, err := e.Worker.Worker()
 		if err != nil {
-			return 0, 0, fmt.Errorf("server: journal line %d: %w", line, err)
+			return fail(fmt.Errorf("worker: skills: %w", err))
+		}
+		if err := p.replayRegistration(&ingestReq{kind: ingestWorker, worker: w}); err != nil {
+			return fail(err)
 		}
 		return 1, 0, nil
 	case "task":
-		if e.Task == nil {
-			return 0, 0, fmt.Errorf("server: journal line %d: task entry without payload", line)
-		}
-		t := e.Task
-		err := p.replayRegistration(&ingestReq{kind: ingestTask, task: model.Task{
-			Loc: pt(t.X, t.Y), Start: t.Start, Wait: t.Wait,
-			Requires: t.Requires, Deps: t.Deps, Weight: t.Weight,
-		}})
-		if err != nil {
-			return 0, 0, fmt.Errorf("server: journal line %d: %w", line, err)
+		if err := p.replayRegistration(&ingestReq{kind: ingestTask, task: e.Task.Task()}); err != nil {
+			return fail(err)
 		}
 		return 1, 0, nil
 	case "tick":
-		if e.Tick == nil {
-			return 0, 0, fmt.Errorf("server: journal line %d: tick entry without time", line)
-		}
 		if _, err := p.Tick(*e.Tick); err != nil {
-			return 0, 0, fmt.Errorf("server: journal line %d: %w", line, err)
+			return fail(err)
 		}
 		return 1, 1, nil
-	case "batch":
-		// v2 group-commit record: registrations committed together under one
-		// fsync, applied in order. Ticks never group (they are journaled by
-		// Tick itself), and batches never nest, so both are corruption here.
-		if e.V != journalBatchVersion {
-			return 0, 0, fmt.Errorf("server: journal line %d: unsupported batch record version %d (want %d)", line, e.V, journalBatchVersion)
-		}
-		if len(e.Entries) == 0 {
-			return 0, 0, fmt.Errorf("server: journal line %d: empty batch record", line)
-		}
-		for i := range e.Entries {
-			sub := &e.Entries[i]
-			if sub.Kind != "worker" && sub.Kind != "task" {
-				return entries, 0, fmt.Errorf("server: journal line %d: batch record holds %q entry", line, sub.Kind)
-			}
-			n, _, err := applyEntry(p, sub, line)
-			entries += n
-			if err != nil {
-				return entries, 0, err
-			}
-		}
-		return entries, 0, nil
-	default:
-		return 0, 0, fmt.Errorf("server: journal line %d: unknown kind %q", line, e.Kind)
 	}
+	// v2 group-commit record: registrations committed together under one
+	// fsync, applied in order. Ticks never group (they are journaled by
+	// Tick itself), and batches never nest, so both are corruption here.
+	if e.V != journalBatchVersion {
+		return fail(fmt.Errorf("unsupported batch record version %d (want %d)", e.V, journalBatchVersion))
+	}
+	if len(e.Entries) == 0 {
+		return fail(errors.New("empty batch record"))
+	}
+	for i := range e.Entries {
+		sub := &e.Entries[i]
+		if sub.Kind != "worker" && sub.Kind != "task" {
+			return entries, 0, fmt.Errorf("server: journal line %d: batch record holds %q entry", line, sub.Kind)
+		}
+		n, _, err := applyEntry(p, sub, line)
+		entries += n
+		if err != nil {
+			return entries, 0, err
+		}
+	}
+	return entries, 0, nil
 }
 
 // replayRegistration applies one journaled registration through the same

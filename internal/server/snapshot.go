@@ -496,10 +496,8 @@ func Recover(p *Platform, snapshotPath, journalPath string) (RecoveryReport, err
 				return rep, rerr
 			}
 			if rrep.TornTail {
-				if fi, serr := os.Stat(journalPath); serr == nil {
-					if terr := os.Truncate(journalPath, fi.Size()-int64(rrep.TornTailBytes)); terr != nil {
-						return rep, fmt.Errorf("server: truncating torn journal tail: %w", terr)
-					}
+				if terr := os.Truncate(journalPath, rrep.Bytes-int64(rrep.TornTailBytes)); terr != nil {
+					return rep, fmt.Errorf("server: truncating torn journal tail: %w", terr)
 				}
 			}
 		case !os.IsNotExist(err):

@@ -66,9 +66,10 @@ echo "== go test -race (core, obs, sim, server, bench)"
 go test -race ./internal/core/... ./internal/obs/... ./internal/sim/... ./internal/server/... ./internal/bench/...
 
 # require_listed KIND PKG PATTERN... fails unless every PATTERN lists at
-# least one KIND (Test or Benchmark) in PKG under `go test -list`. `go test
-# -run` and `-bench` pass when a pattern matches nothing, so without it a
-# moved or renamed target would pass empty instead of failing the step.
+# least one KIND (Test, Benchmark or Fuzz) in PKG under `go test -list`.
+# `go test -run`, `-bench` and `-fuzz` pass when a pattern matches nothing,
+# so without it a moved or renamed target would pass empty instead of
+# failing the step.
 require_listed() {
 	kind=$1
 	pkg=$2
@@ -195,6 +196,7 @@ echo "snapshot codec smoke: OK"
 # coverage.
 echo "== fuzz: one-pass decoders, the tick parser and journal replay (5s each)"
 fuzz() {
+	require_listed Fuzz "$1" "^$2\$"
 	if ! out=$(go test -run '^$' -fuzz "^$2\$" -fuzztime 5s -fuzzminimizetime 1s "$1" 2>&1); then
 		echo "$out" >&2
 		exit 1
