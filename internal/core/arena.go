@@ -72,10 +72,10 @@ type stepArena struct {
 	greedy greedyScratch
 	game   gameState
 	wl     gameWorklist
-	trace  GameTrace // Game.Assign's trace; AssignTraced hands out its own
-	kept   []bool    // dependencyFixpointIndexed's kept tasks
-	taken  []bool    // the baselines' taken tasks
-	avail  []int     // Random's free candidates of one worker
+	trace  GameTrace    // Game.Assign's trace; AssignTraced hands out its own
+	seed   []model.Pair // G-G's greedy seed as pairs (seedFixpoint)
+	taken  []bool       // the baselines' taken tasks
+	avail  []int        // Random's free candidates of one worker
 	rnd    *rand.Rand
 
 	// pairTasks is the task-ID-indexed scratch of the assignment-level

@@ -96,11 +96,9 @@ func (a *stepArena) poison() {
 	fill(g.requeued, true)
 	fill(g.requeue, nil)
 	fill(g.alive, -7)
-	if g.cols.next > 0 {
-		fill(g.cols.col, g.cols.next-1)
-	}
-	fill(g.cols.rows, []int{-7})
-	fill(g.cols.adj, -7)
+	stale(&g.cols)
+	fill(g.rows, []int{-7})
+	fill(g.adj, -7)
 	fill(g.matched, -7)
 	fill(g.trimmed, -7)
 	fill(g.cands, staffCand{wi: -7, cost: nan})
@@ -117,8 +115,6 @@ func (a *stepArena) poison() {
 	gs.b, gs.depWiring, gs.alpha = nil, nil, nan
 	fill(gs.strategy, -7)
 	fill(gs.claims, -7)
-	fill(gs.harm, nan) // a memo: only its prefix is ever read
-	gs.harm = gs.harm[:0]
 	fill(gs.claimOff, -7)
 	fill(gs.claimDat, -7)
 	fill(gs.claimCur, -7)
@@ -127,8 +123,8 @@ func (a *stepArena) poison() {
 	fill(wl.liveDeficit, -7)
 	fill(wl.liveDeps, junk32)
 	fill(wl.liveDat, -7)
-	fill(wl.stamp, ^uint32(0))
-	wl.gen = 12345
+	fill(wl.selfDep, true)
+	stale(&wl.mark)
 	fill(wl.dirty, false)
 	fill(wl.curU, nan)
 	fill(wl.curUValid, true)
@@ -137,7 +133,7 @@ func (a *stepArena) poison() {
 
 	fill(a.trace.UpdateRatios, nan)
 	a.trace = GameTrace{Rounds: -7, UpdateRatios: a.trace.UpdateRatios, FinalUtility: nan}
-	fill(a.kept, true)
+	fill(a.seed, model.Pair{Worker: -7, Task: -7})
 	fill(a.taken, true)
 	fill(a.avail, -7)
 	if a.rnd != nil {

@@ -12,7 +12,6 @@
 package core
 
 import (
-	"math/rand"
 	"sync"
 
 	"dasc/internal/geo"
@@ -235,14 +234,4 @@ func (b *Batch) ScanCandidateWorkers(t *model.Task) []int {
 		}
 	}
 	return out
-}
-
-// shuffledIndexes returns 0..n-1 in a seeded random order.
-func shuffledIndexes(n int, rng *rand.Rand) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	rng.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-	return idx
 }

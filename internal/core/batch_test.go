@@ -186,18 +186,6 @@ func TestDependencyFixpointIdempotent(t *testing.T) {
 	}
 }
 
-func TestShuffledIndexesIsPermutation(t *testing.T) {
-	rng := rand.New(rand.NewSource(63))
-	idx := shuffledIndexes(20, rng)
-	seen := make([]bool, 20)
-	for _, v := range idx {
-		if v < 0 || v >= 20 || seen[v] {
-			t.Fatalf("not a permutation: %v", idx)
-		}
-		seen[v] = true
-	}
-}
-
 func TestBatchWithSimStateOverrides(t *testing.T) {
 	// A relocated worker with a partial budget: feasibility must follow the
 	// overridden state, not the declared one.

@@ -148,13 +148,11 @@ func (g *Game) run(b *Batch, trace *GameTrace) *model.Assignment {
 // initStrategies seeds the initial profile: a random strategy per worker
 // (Algorithm 3 line 2), or the DASC_Greedy assignment for G-G with
 // greedy-unassigned workers falling back to a random strategy. The greedy
-// seeding stays in the index domain end to end — worker→task index pairs
-// filtered by the index-domain dependency fixpoint — instead of the old
-// map[WorkerID]TaskID round-trip through IDs.
+// seed is filtered by the same dependency fixpoint as every assignment.
 func (g *Game) initStrategies(b *Batch, gs *gameState, idx *BatchIndex, rng *rand.Rand) {
 	if g.opt.GreedyInit {
 		taskOf := NewGreedyOpt(GreedyOptions{}).assignIndices(b)
-		dependencyFixpointIndexed(b, taskOf)
+		seedFixpoint(b, taskOf)
 		for wi := range b.Workers {
 			if ti := taskOf[wi]; ti >= 0 {
 				gs.move(wi, int(ti))
@@ -346,35 +344,22 @@ func (g *Game) resolve(b *Batch, gs *gameState, rng *rand.Rand) *model.Assignmen
 	return out
 }
 
-// dependencyFixpointIndexed is DependencyFixpoint in the index domain: it
-// filters taskOf (worker index → claimed task index, -1 = unassigned) in
-// place, dropping assignments whose task has a dependency that is neither
-// satisfied by earlier batches nor kept in the assignment, until stable.
-// Chaotic iteration of the same monotone removal operator converges to the
-// same greatest fixpoint as the ID-domain version.
-func dependencyFixpointIndexed(b *Batch, taskOf []int32) {
-	w := b.depWiring()
-	b.arena.kept = grown(b.arena.kept, len(b.Tasks))
-	kept := b.arena.kept
-	clear(kept)
-	for _, ti := range taskOf {
+// seedFixpoint filters G-G's seed taskOf (worker index → claimed task
+// index, -1 = unassigned) in place through the dependency fixpoint every
+// assignment passes: the claims become pairs in the arena's seed buffer,
+// with the worker's batch index in Worker (the fixpoint reads only Task),
+// and the surviving pairs are mapped back to indexes.
+func seedFixpoint(b *Batch, taskOf []int32) {
+	pairs := b.arena.seed[:0]
+	for wi, ti := range taskOf {
 		if ti >= 0 {
-			kept[ti] = true
+			pairs = append(pairs, model.Pair{Worker: model.WorkerID(wi), Task: b.Tasks[ti].ID})
+			taskOf[wi] = -1
 		}
 	}
-	for {
-		dropped := false
-		for wi, ti := range taskOf {
-			if ti < 0 || w.depsKept(int(ti), kept) {
-				continue
-			}
-			kept[ti] = false
-			taskOf[wi] = -1
-			dropped = true
-		}
-		if !dropped {
-			return
-		}
+	b.arena.seed = pairs
+	for _, p := range b.arena.fixpoint(b, pairs) {
+		taskOf[p.Worker] = int32(b.TaskIndex(p.Task))
 	}
 }
 

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"dasc/internal/model"
@@ -82,6 +84,17 @@ func TestGameWorklistVerify(t *testing.T) {
 			}
 		}
 	}
+	// Batches with satisfied and corrupted dependencies too: duplicates,
+	// self-dependencies, and IDs beyond the instance or negative.
+	for trial := 0; trial < 100; trial++ {
+		b := randomWiringBatch(rng, trial%2 == 1)
+		for _, opt := range gameWorklistMatrix {
+			opt.Seed = rng.Int63()
+			if err := NewGame(opt).VerifyWorklist(b); err != nil {
+				t.Fatalf("wiring trial %d opt %+v: %v", trial, opt, err)
+			}
+		}
+	}
 }
 
 // TestGameWorklistDeterministicAcrossGOMAXPROCS pins that the engine's output
@@ -114,8 +127,9 @@ func TestGameWorklistDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestGreedyAssignIndicesMatchesAssign pins the index-pair form of the greedy
-// result against the public Assign: same pairs after the dependency fixpoint.
+// TestGreedyAssignIndicesMatchesAssign pins G-G's seed — the index-pair form
+// of the greedy result, filtered by seedFixpoint — against the public
+// Assign, and against the map oracle of the fixpoint on the same raw pairs.
 func TestGreedyAssignIndicesMatchesAssign(t *testing.T) {
 	rng := rand.New(rand.NewSource(904))
 	for trial := 0; trial < 20; trial++ {
@@ -123,7 +137,12 @@ func TestGreedyAssignIndicesMatchesAssign(t *testing.T) {
 		g := NewGreedy()
 		b := NewStaticBatch(in)
 		taskOf := g.assignIndices(b)
-		dependencyFixpointIndexed(b, taskOf)
+		want := slices.Clone(taskOf)
+		oracleFixpointIndexed(b, satisfiedMap(b.Satisfied), want)
+		seedFixpoint(b, taskOf)
+		if !slices.Equal(taskOf, want) {
+			t.Fatalf("trial %d: seed kept %v, want %v", trial, taskOf, want)
+		}
 		viaIdx := make(map[[2]int64]bool)
 		for wi, ti := range taskOf {
 			if ti >= 0 {
@@ -142,17 +161,69 @@ func TestGreedyAssignIndicesMatchesAssign(t *testing.T) {
 	}
 }
 
-// TestHarmonicMemoMatchesLoop pins the grow-on-demand memo against the
-// open-coded sum, bit for bit, including after out-of-order queries.
-func TestHarmonicMemoMatchesLoop(t *testing.T) {
-	gs := &gameState{}
-	for _, n := range []int{5, 0, 1, 17, 3, 64, 63, 200} {
-		if got, want := gs.harmonic(n), harmonic(n); got != want {
-			t.Fatalf("harmonic(%d): memo %v, loop %v", n, got, want)
+// TestGameWorklistEvaluatorMatchesUtility drives random claim profiles
+// through gs.move and markMove on random batches, clean and corrupted, and
+// requires the worklist's evaluator to equal gameState.utility bit for bit
+// for every worker and candidate: the baseline utility(cur, cur), and the
+// deviation utility(ti, cur) in its shared form (cur keeps a claimant) and
+// its sole-claimant form.
+func TestGameWorklistEvaluatorMatchesUtility(t *testing.T) {
+	rng := rand.New(rand.NewSource(906))
+	forms := [3]int{}
+	for trial := 0; trial < 200; trial++ {
+		b := randomWiringBatch(rng, trial%2 == 1)
+		gs := newGameState(b, []float64{1.5, 3.7, 10}[trial%3])
+		idx := b.Index()
+		for wi := range b.Workers {
+			if s := idx.StrategySet(wi); len(s) > 0 && rng.Intn(3) > 0 {
+				gs.move(wi, int(s[rng.Intn(len(s))]))
+			}
+		}
+		wl := newGameWorklist(gs)
+		for step := 0; step <= 3*len(b.Workers); step++ {
+			for wi := range b.Workers {
+				cur := gs.strategy[wi]
+				if cur >= 0 {
+					forms[0]++
+					got, want := wl.utility(gs, cur, false, -1, 0), gs.utility(cur, cur)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("trial %d step %d worker %d: baseline utility(%d) = %v, want %v",
+							trial, step, wi, cur, got, want)
+					}
+				}
+				sole, base := wl.leave(gs, cur)
+				for _, s := range idx.StrategySet(wi) {
+					ti := int(s)
+					if ti == cur {
+						continue
+					}
+					if sole < 0 {
+						forms[1]++
+					} else {
+						forms[2]++
+					}
+					got, want := wl.utility(gs, ti, true, sole, base), gs.utility(ti, cur)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("trial %d step %d worker %d: utility(%d, %d) = %v, want %v (sole %d)",
+							trial, step, wi, ti, cur, got, want, sole)
+					}
+				}
+			}
+			wi := rng.Intn(len(b.Workers))
+			from, to := gs.strategy[wi], -1
+			if s := idx.StrategySet(wi); len(s) > 0 && rng.Intn(4) > 0 {
+				to = int(s[rng.Intn(len(s))])
+			}
+			if to != from {
+				gs.move(wi, to)
+				wl.markMove(gs, idx, from, to)
+			}
 		}
 	}
-	if gs.harmonic(-3) != 0 {
-		t.Fatal("harmonic of negative n should be 0")
+	for i, n := range forms {
+		if n < 1000 {
+			t.Fatalf("form %d evaluated only %d times: %v", i, n, forms)
+		}
 	}
 }
 

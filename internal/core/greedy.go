@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"math"
 	"slices"
 
 	"dasc/internal/matching"
@@ -91,10 +90,13 @@ type greedyScratch struct {
 	requeued []bool
 	requeue  []*atSet
 	alive    []int
-	cols     colScratch
 
-	// staff's buffers.
-	matched []int // the feasibility graph's columns, by worker
+	// staff's buffers. cols maps batch workers to matrix columns: worker
+	// wi is column i of the current use when it holds stamp base+i.
+	cols    idStamps
+	rows    [][]int // the feasibility graph's adjacency rows
+	adj     []int   // and their flat backing
+	matched []int   // the feasibility graph's columns, by worker
 	trimmed []int
 	cands   []staffCand
 	cost    [][]float64
@@ -236,44 +238,6 @@ func (g *Greedy) commitSets(b *Batch, sets []*atSet, candidates [][]int32) []int
 	return taskOf
 }
 
-// colScratch maps batch workers to matrix columns for staff: one []int32
-// over the batch workers, reused across the staff calls of one batch and
-// kept by the step arena from batch to batch. Every use reserves a fresh
-// range [base, base+len) of values, so col[wi] names column col[wi]-base of
-// the current use exactly when it is at least base; nothing is cleared
-// between uses. rows and adj hold the feasibility graph's adjacency rows
-// and their flat backing, overwritten by each call.
-type colScratch struct {
-	col  []int32
-	next int32 // base of the next use; 0 before the first
-	rows [][]int
-	adj  []int
-}
-
-// begin readies the scratch for the given worker count. Entries kept from
-// earlier batches all lie below next, so they never match.
-func (c *colScratch) begin(workers int) {
-	c.col = grown(c.col, workers)
-	if c.next == 0 {
-		clear(c.col[:cap(c.col)])
-		c.next = 1
-	}
-}
-
-// use starts a new use and returns its base.
-func (c *colScratch) use() int32 {
-	n := int32(len(c.col))
-	if c.next > math.MaxInt32-n {
-		// Clear the whole capacity: a later batch growing within it must
-		// not expose a value from before the wrap.
-		clear(c.col[:cap(c.col)])
-		c.next = 1
-	}
-	base := c.next
-	c.next += n
-	return base
-}
-
 // staff finds distinct free workers for every task index in members.
 // It returns the chosen worker index per member, aligned with members, or
 // ok=false when no complete staffing exists. The result is the arena's,
@@ -281,33 +245,33 @@ func (c *colScratch) use() int32 {
 func (g *Greedy) staff(b *Batch, members []int, candidates [][]int32, workerFree []bool) ([]int, bool) {
 	gs := &b.arena.greedy
 	sc := &gs.cols
-	sc.begin(len(b.Workers))
+	nw := len(b.Workers)
 	// Feasibility first: Hopcroft–Karp over the full free-candidate graph.
 	// Column space is the union of free candidates, densely renumbered in
 	// first-seen order.
-	base := sc.use()
+	base := sc.reserve(nw, nw)
 	cols := gs.matched[:0]
-	sc.rows = grown(sc.rows, len(members))
+	gs.rows = grown(gs.rows, len(members))
 	bg := &gs.bg
-	bg.Adj = sc.rows
-	adj := sc.adj[:0]
+	bg.Adj = gs.rows
+	adj := gs.adj[:0]
 	for row, ti := range members {
 		start := len(adj)
 		for _, w := range candidates[ti] {
 			if !workerFree[w] {
 				continue
 			}
-			ci := sc.col[w] - base
+			ci := sc.index(int(w), base, nw)
 			if ci < 0 {
-				ci = int32(len(cols))
-				sc.col[w] = base + ci
+				ci = len(cols)
+				sc.tag[w] = base + uint32(ci)
 				cols = append(cols, int(w))
 			}
-			adj = append(adj, int(ci))
+			adj = append(adj, ci)
 		}
 		bg.Adj[row] = adj[start:len(adj):len(adj)]
 	}
-	sc.adj = adj
+	gs.adj = adj
 	gs.matched = cols
 	bg.N = len(cols)
 	matchL, size := gs.match.MaxMatchingHK(bg)
@@ -328,13 +292,13 @@ func (g *Greedy) staff(b *Batch, members []int, candidates [][]int32, workerFree
 	// which keeps a complete matching representable. Travel times come from
 	// the batch index's memo, not fresh dist() calls.
 	idx := b.Index()
-	// Kept columns are marked base in the scratch while they are
+	// Kept columns are marked base in the table while they are
 	// collected, then renumbered base+i in ascending worker order.
-	base = sc.use()
+	base = sc.reserve(nw, nw)
 	trimmed := gs.trimmed[:0]
 	keep := func(wi int) {
-		if sc.col[wi] < base {
-			sc.col[wi] = base
+		if sc.index(wi, base, nw) < 0 {
+			sc.tag[wi] = base
 			trimmed = append(trimmed, wi)
 		}
 	}
@@ -364,7 +328,7 @@ func (g *Greedy) staff(b *Batch, members []int, candidates [][]int32, workerFree
 	slices.Sort(trimmed)
 	gs.trimmed = trimmed
 	for i, wi := range trimmed {
-		sc.col[wi] = base + int32(i)
+		sc.tag[wi] = base + uint32(i)
 	}
 	gs.cost = grown(gs.cost, len(members))
 	gs.costDat = grown(gs.costDat, len(members)*len(trimmed))
@@ -380,9 +344,9 @@ func (g *Greedy) staff(b *Batch, members []int, candidates [][]int32, workerFree
 				continue
 			}
 			// Candidates trimmed out of the kept column set hold a stale
-			// value below base; reading it as a column would overwrite an
-			// unrelated (possibly infeasible) worker's cost.
-			ci := sc.col[wi] - base
+			// stamp; reading it as a column would overwrite an unrelated
+			// (possibly infeasible) worker's cost.
+			ci := sc.index(wi, base, len(trimmed))
 			if ci < 0 {
 				continue
 			}

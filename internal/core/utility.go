@@ -17,10 +17,6 @@ type gameState struct {
 	strategy []int // worker index -> pending task index, or -1 (idle)
 	claims   []int // pending task index -> number of claimants nw_t
 
-	// harm memoizes harmonic numbers (harm[n] = H(n)), grown on demand —
-	// potential() calls it once per claimed task.
-	harm []float64
-
 	// claimOff/claimDat/claimCur are resolve's counting-sort scratch: the
 	// claimant lists of all tasks laid out CSR-style in one flat buffer
 	// instead of a [][]int of per-task appends.
@@ -175,27 +171,9 @@ func (gs *gameState) potential() float64 {
 				v += gs.weight[li] / (gs.alpha * float64(gs.depCount[li]))
 			}
 		}
-		phi += v * gs.harmonic(n)
+		phi += v * harmonic(n)
 	}
 	return phi
-}
-
-// harmonic returns H(n) from the state's grow-on-demand memo table. Entries
-// are built incrementally in the same ascending order as the open-coded sum,
-// so every memoized value is bit-exact with the package-level harmonic(n)
-// (TestHarmonicMemoMatchesLoop pins this).
-func (gs *gameState) harmonic(n int) float64 {
-	if n < 0 {
-		n = 0
-	}
-	if len(gs.harm) == 0 {
-		gs.harm = append(gs.harm, 0)
-	}
-	for len(gs.harm) <= n {
-		i := len(gs.harm)
-		gs.harm = append(gs.harm, gs.harm[i-1]+1/float64(i))
-	}
-	return gs.harm[n]
 }
 
 // harmonic returns H(n) = 1 + 1/2 + … + 1/n.

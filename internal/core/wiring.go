@@ -10,8 +10,7 @@ import (
 // pending task's unsatisfied dependencies as pending-task indexes, the
 // inverse relation, and the per-task counts, weights and liveness
 // preconditions. Equation 3 is evaluated over it, DASC_Greedy's associative
-// sets and the index-domain dependency fixpoint read it, and so does
-// ExactDP's closure check. It depends only on the batch's task list and
+// sets read it, and so does ExactDP's closure check. It depends only on the batch's task list and
 // satisfied set — never on strategies — so it is built once per batch
 // (Batch.depWiring) into the batch's step arena and shared read-only,
 // including by the paired runs of VerifyWorklist and repeated Assign calls
@@ -179,18 +178,4 @@ func (w *depWiring) deps(ti int) []int32 {
 // dependants returns the pending-task indexes that depend on ti, ascending.
 func (w *depWiring) dependants(ti int) []int32 {
 	return w.dependantDat[w.dependantOff[ti]:w.dependantOff[ti+1]]
-}
-
-// depsKept reports whether pending task ti can stay assigned: it is not dead
-// and every unsatisfied dependency is kept.
-func (w *depWiring) depsKept(ti int, kept []bool) bool {
-	if w.deadTask[ti] {
-		return false
-	}
-	for _, di := range w.deps(ti) {
-		if !kept[di] {
-			return false
-		}
-	}
-	return true
 }

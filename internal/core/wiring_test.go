@@ -263,8 +263,9 @@ func randomWiringBatch(rng *rand.Rand, dirty bool) *Batch {
 }
 
 // TestDepWiringMatchesMapOracle: on random batches, clean and corrupted,
-// the dense wiring, the associative sets built on it and the index-domain
-// fixpoint equal the map-based resolution they replaced.
+// the dense wiring and the associative sets built on it equal the map-based
+// resolution they replaced, and G-G's seed filter (seedFixpoint, through
+// the arena's fixpoint) keeps what the map-based index fixpoint keeps.
 func TestDepWiringMatchesMapOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1401))
 	for trial := 0; trial < 300; trial++ {
@@ -283,7 +284,7 @@ func TestDepWiringMatchesMapOracle(t *testing.T) {
 		}
 		want := slices.Clone(taskOf)
 		oracleFixpointIndexed(b, sat, want)
-		dependencyFixpointIndexed(b, taskOf)
+		seedFixpoint(b, taskOf)
 		if !slices.Equal(taskOf, want) {
 			t.Fatalf("%s: fixpoint kept %v, want %v", label, taskOf, want)
 		}
@@ -575,10 +576,8 @@ func TestGreedyStaffMatchesMapOracle(t *testing.T) {
 		for ti := range b.Tasks {
 			candidates[ti] = b.Index().CandidateSet(ti)
 		}
-		sc := &b.arena.greedy.cols
-		sc.begin(len(b.Workers))
 		if trial%2 == 1 {
-			sc.next = math.MaxInt32 - int32(len(b.Workers)) - 1
+			b.arena.greedy.cols.next = math.MaxUint32 - uint32(len(b.Workers)) - 1
 		}
 		for _, s := range atSets(b, nil) {
 			free := make([]bool, len(b.Workers))

@@ -49,19 +49,19 @@ package core
 // (dirtyReaders — a task whose eval inputs changed invalidates its cached
 // evals), and a cache hit returns the bit-identical float the evaluation
 // would recompute, so the argmax sequence is unchanged. Sole claimants
-// (claims[cur] == 1) take the corrected slow path: utilityMove applies the
-// deviation corrections through the maintained deficits plus a
-// generation-stamped dependants(cur) membership test, evaluating Equation 3
-// with the same float expressions, inclusion booleans and summation order as
-// gameState.utility — bit-identical values without the per-dependant
-// dependency re-scan.
+// (claims[cur] == 1) are evaluated uncached by the same evaluator with the
+// deviation corrections switched on: the maintained deficits plus a stamped
+// dependants(cur) membership test, giving gameState.utility's bit-identical
+// values without the per-dependant dependency re-scan.
 type gameWorklist struct {
 	// liveDeficit[ti] = number of ti's unsatisfied in-batch dependencies
 	// currently unclaimed; deps all live ⟺ deficit == 0 (and !deadTask).
 	liveDeficit []int32
 
 	// liveDeps[ti] is the sublist of dependants(ti) that can contribute a
-	// dependant term at all: claimed and not dead. Kept ascending by sorted
+	// dependant term at all: claimed and not dead, and ti itself when it
+	// depends on itself (it is live whenever its own utility is read, so
+	// it stays in its own list). Kept ascending by sorted
 	// insertion on liveness flips, so iterating it visits the contributing
 	// dependants in exactly the CSR order the naive scan uses — the skipped
 	// entries add nothing, so the float summation is unchanged while the
@@ -71,12 +71,14 @@ type gameWorklist struct {
 	liveDeps [][]int32
 	liveDat  []int32
 
-	// stamp/gen: generation-stamped membership scratch marking
-	// dependants(cur) during a sole-claimant evaluation, giving O(1)
-	// "cur ∈ deps(li)" tests for the deviation corrections. Bumping gen
-	// clears in O(1).
-	stamp []uint32
-	gen   uint32
+	// selfDep[ti] marks a task among its own dependencies, which only
+	// instances that bypass Validate have: a move reviving it also revives
+	// one of its own dependencies.
+	selfDep []bool
+
+	// mark stamps dependants(cur) for a sole claimant's evaluations, giving
+	// O(1) "cur ∈ deps(li)" tests for the deviation corrections.
+	mark idStamps
 
 	// dirty marks workers whose best response must be re-evaluated; clean
 	// workers are skipped (their last evaluation stands bit-exactly).
@@ -111,24 +113,30 @@ func (wl *gameWorklist) build(gs *gameState) {
 		lo, hi := gs.dependantOff[ti], gs.dependantOff[ti+1]
 		wl.liveDeps[ti] = wl.liveDat[lo:lo:hi]
 	}
+	wl.selfDep = grown(wl.selfDep, n)
 	for ti := 0; ti < n; ti++ {
 		var def int32
+		wl.selfDep[ti] = false
 		for _, di := range gs.deps(ti) {
 			if gs.claims[di] == 0 {
 				def++
 			}
+			if int(di) == ti {
+				wl.selfDep[ti] = true
+			}
 		}
 		wl.liveDeficit[ti] = def
 		// Scanning ti ascending keeps every liveDeps list sorted.
-		if gs.claims[ti] > 0 && !gs.deadTask[ti] {
+		switch {
+		case gs.deadTask[ti]:
+		case gs.claims[ti] > 0:
 			for _, di := range gs.deps(ti) {
 				wl.liveDeps[di] = append(wl.liveDeps[di], int32(ti))
 			}
+		case wl.selfDep[ti]:
+			wl.liveDeps[ti] = append(wl.liveDeps[ti], int32(ti))
 		}
 	}
-	wl.stamp = grown(wl.stamp, n)
-	clear(wl.stamp)
-	wl.gen = 0
 	wl.dirty = grown(wl.dirty, m)
 	for i := range wl.dirty {
 		wl.dirty[i] = true
@@ -139,17 +147,6 @@ func (wl *gameWorklist) build(gs *gameState) {
 	wl.movU = grown(wl.movU, n)
 	wl.movUValid = grown(wl.movUValid, n)
 	clear(wl.movUValid)
-}
-
-// nextGen returns a fresh stamp generation, clearing the stamps on the
-// (rare) uint32 wrap so a stale stamp can never alias a new generation.
-func (wl *gameWorklist) nextGen() uint32 {
-	wl.gen++
-	if wl.gen == 0 {
-		clear(wl.stamp)
-		wl.gen = 1
-	}
-	return wl.gen
 }
 
 // markMove records that a worker moved its claim from task `from` to task
@@ -191,7 +188,7 @@ func (wl *gameWorklist) onLivenessFlip(gs *gameState, idx *BatchIndex, x int, al
 	keepSorted := !gs.deadTask[x] // dead tasks never enter liveDeps
 	for _, d := range gs.deps(x) {
 		wl.dirtyReaders(gs, idx, int(d))
-		if keepSorted {
+		if keepSorted && int(d) != x { // a self-dependent x stays in its own list
 			if alive {
 				insertSorted(&wl.liveDeps[d], int32(x))
 			} else {
@@ -232,43 +229,24 @@ func (wl *gameWorklist) bestResponse(gs *gameState, set []int32, wi int) (int, f
 	bestTi := cur
 	var bestU float64
 	if cur >= 0 {
-		if wl.curUValid[cur] {
-			bestU = wl.curU[cur]
-		} else {
-			bestU = wl.utilityCurrent(gs, cur)
-			wl.curU[cur] = bestU
-			wl.curUValid[cur] = true
-		}
+		bestU = wl.current(gs, cur)
 	}
-	if cur >= 0 && gs.claims[cur] == 1 {
-		// Sole claimant: leaving kills cur, so every candidate value needs
-		// the deviation corrections — evaluate, don't touch the pure cache.
-		gen := wl.nextGen()
-		for _, li := range gs.dependants(cur) {
-			wl.stamp[li] = gen
-		}
-		for _, t := range set {
-			ti := int(t)
-			if ti == cur {
-				continue
-			}
-			if u := wl.utilityMove(gs, ti, cur, gen); u > bestU+utilityEps {
-				bestU = u
-				bestTi = ti
-			}
-		}
-		return bestTi, bestU
-	}
+	sole, base := wl.leave(gs, cur)
 	for _, t := range set {
 		ti := int(t)
 		if ti == cur {
 			continue
 		}
 		var u float64
-		if wl.movUValid[ti] {
+		switch {
+		case sole >= 0:
+			// Leaving kills cur, so every candidate value needs the
+			// deviation corrections: evaluate, don't touch the movU cache.
+			u = wl.utility(gs, ti, true, sole, base)
+		case wl.movUValid[ti]:
 			u = wl.movU[ti]
-		} else {
-			u = wl.utilityPure(gs, ti)
+		default:
+			u = wl.utility(gs, ti, true, -1, 0)
 			wl.movU[ti] = u
 			wl.movUValid[ti] = true
 		}
@@ -280,78 +258,64 @@ func (wl *gameWorklist) bestResponse(gs *gameState, set []int32, wi int) (int, f
 	return bestTi, bestU
 }
 
-// utilityCurrent is utility(ti, ti): Equation 3 under the unperturbed
-// claims, with the O(1) deficit test replacing the dependency scan.
-func (wl *gameWorklist) utilityCurrent(gs *gameState, ti int) float64 {
-	if ti < 0 {
-		return 0
+// leave returns utility's sole and base arguments for a worker deviating
+// from cur: sole = -1 unless the worker is cur's only claimant, in which
+// case cur's dependants are marked with a fresh stamp base.
+func (wl *gameWorklist) leave(gs *gameState, cur int) (sole int, base uint32) {
+	if cur < 0 || gs.claims[cur] != 1 {
+		return -1, 0
 	}
-	nw := float64(gs.claims[ti])
-	if nw <= 0 {
-		return 0
+	base = wl.mark.reserve(len(gs.claims), 1)
+	for _, li := range gs.dependants(cur) {
+		wl.mark.tag[li] = base
 	}
-	var u float64
-	if gs.depCount[ti] > 0 {
-		if !gs.deadTask[ti] && wl.liveDeficit[ti] == 0 {
-			u += gs.weight[ti] * (gs.alpha - 1) / (gs.alpha * nw)
-		}
-	} else {
-		u += gs.weight[ti] / nw
-	}
-	for _, l := range wl.liveDeps[ti] {
-		li := int(l)
-		if wl.liveDeficit[li] != 0 {
-			continue
-		}
-		u += gs.weight[li] / (gs.alpha * float64(gs.depCount[li]) * nw)
-	}
-	return u
+	return cur, base
 }
 
-// utilityPure is utility(ti, cur) for a worker whose current task keeps at
-// least one claimant after the deviation (claims[cur] ≥ 2, or cur == -1):
-// the −1 perturbation of cur then changes no liveness boolean and no
-// deficit, so the value does not depend on cur at all — it is the shared
-// movU cache entry. The move itself still perturbs ti: claims[ti]+1, and a
-// revived ti lowers each dependant's deficit by one (ti ∈ deps(li) by
-// construction of the dependant loop).
-func (wl *gameWorklist) utilityPure(gs *gameState, ti int) float64 {
-	nw := float64(gs.claims[ti] + 1)
-	tiFlips := gs.claims[ti] == 0 // the move itself revives ti
-	var u float64
-	if gs.depCount[ti] > 0 {
-		if !gs.deadTask[ti] && wl.liveDeficit[ti] == 0 {
-			u += gs.weight[ti] * (gs.alpha - 1) / (gs.alpha * nw)
-		}
-	} else {
-		u += gs.weight[ti] / nw
+// current returns utility(ti, ti) through the curU cache.
+func (wl *gameWorklist) current(gs *gameState, ti int) float64 {
+	if !wl.curUValid[ti] {
+		wl.curU[ti] = wl.utility(gs, ti, false, -1, 0)
+		wl.curUValid[ti] = true
 	}
-	for _, l := range wl.liveDeps[ti] {
-		li := int(l)
-		def := wl.liveDeficit[li]
-		if tiFlips {
-			def--
-		}
-		if def == 0 {
-			u += gs.weight[li] / (gs.alpha * float64(gs.depCount[li]) * nw)
-		}
-	}
-	return u
+	return wl.curU[ti]
 }
 
-// utilityMove is utility(ti, cur) for a sole claimant of cur (ti != cur):
-// the worker hypothetically moves from cur to ti, so claims[ti] gains one
-// (possibly reviving ti) and cur — losing its only claimant — goes dead.
-// Both corrections land on the deficits as ±1 shifts; stamp[li] == gen ⟺
-// cur ∈ deps(li).
-func (wl *gameWorklist) utilityMove(gs *gameState, ti, cur int, gen uint32) float64 {
-	nw := float64(gs.claims[ti] + 1)
-	tiFlips := gs.claims[ti] == 0 // the move itself revives ti
+// utility is Equation 3 for one worker holding or joining claimed task ti,
+// read from the maintained deficits instead of dependency scans, with the
+// float expressions, inclusion booleans and summation order of
+// gameState.utility:
+//
+//   - join adds the worker to ti's claimants (nw = claims[ti]+1); a ti the
+//     move revives lowers each live dependant's deficit by one, since ti ∈
+//     deps(li) by construction of the dependant loop. Without join the
+//     value is utility(ti, ti).
+//   - sole ≥ 0 names a task the worker leaves as its only claimant: that
+//     task goes dead, so it contributes no dependant term, and every task
+//     marked base in wl.mark (the dependants of sole) gains one deficit.
+//     With sole < 0 the departure changes no liveness boolean and no
+//     deficit, so the value is the same for every such worker (movU).
+func (wl *gameWorklist) utility(gs *gameState, ti int, join bool, sole int, base uint32) float64 {
+	n := gs.claims[ti]
+	var revive int32
+	if join {
+		if n == 0 {
+			revive = 1
+		}
+		n++
+	}
+	if n <= 0 {
+		return 0
+	}
+	nw := float64(n)
 	var u float64
 	if gs.depCount[ti] > 0 {
 		def := wl.liveDeficit[ti]
-		if wl.stamp[ti] == gen {
-			def++ // cur ∈ deps(ti) goes dead under the deviation
+		if revive != 0 && wl.selfDep[ti] {
+			def-- // ti ∈ deps(ti), revived by the move
+		}
+		if sole >= 0 && wl.mark.tag[ti] == base {
+			def++
 		}
 		if !gs.deadTask[ti] && def == 0 {
 			u += gs.weight[ti] * (gs.alpha - 1) / (gs.alpha * nw)
@@ -361,15 +325,14 @@ func (wl *gameWorklist) utilityMove(gs *gameState, ti, cur int, gen uint32) floa
 	}
 	for _, l := range wl.liveDeps[ti] {
 		li := int(l)
-		if li == cur {
-			continue // loses its only claimant under the deviation
-		}
-		def := wl.liveDeficit[li]
-		if tiFlips {
-			def-- // ti ∈ deps(li) by construction, revived by the move
-		}
-		if wl.stamp[li] == gen {
-			def++ // cur ∈ deps(li), killed by the move
+		def := wl.liveDeficit[li] - revive
+		if sole >= 0 {
+			if li == sole {
+				continue
+			}
+			if wl.mark.tag[li] == base {
+				def++
+			}
 		}
 		if def == 0 {
 			u += gs.weight[li] / (gs.alpha * float64(gs.depCount[li]) * nw)
@@ -422,14 +385,9 @@ func (wl *gameWorklist) totalUtility(gs *gameState) float64 {
 	var sum float64
 	for wi := range gs.strategy {
 		ti := gs.strategy[wi]
-		if ti < 0 {
-			continue
+		if ti >= 0 {
+			sum += wl.current(gs, ti)
 		}
-		if !wl.curUValid[ti] {
-			wl.curU[ti] = wl.utilityCurrent(gs, ti)
-			wl.curUValid[ti] = true
-		}
-		sum += wl.curU[ti]
 	}
 	return sum
 }

@@ -120,8 +120,9 @@ race_guard ./internal/core/ TestBatchIndexParallelDeterministic \
 race_guard ./internal/server/ TestRecoverRetiresDependantsOfBotchedTasks
 
 # The game worklist engine's bit-exactness matrix (worklist vs naive sweep
-# across thresholds and inits) plus its GOMAXPROCS determinism
-# sweep: the engine itself is single-threaded, and its state (gameState,
+# across thresholds and inits, on clean and corrupted batches), its
+# evaluator differential against gameState.utility, and its GOMAXPROCS
+# determinism sweep: the engine itself is single-threaded, and its state (gameState,
 # gameWorklist, batch wiring) lives in each batch's step arena, while the
 # sim and server allocate concurrently.
 # The online regime runs every decision point as a kernel step, so every
@@ -135,13 +136,14 @@ echo "== go test -race game worklist guards (GOMAXPROCS=2, 8)"
 race_guard ./internal/core/ TestGameWorklist
 
 # The dense dependency wiring's differentials (map-based oracles for the
-# wiring, the associative sets, the index-domain fixpoint and Greedy's
-# column scratch), Greedy's staffable-set prune against its unpruned loop,
-# and the wiring's concurrent test: batches wired concurrently, each in a
-# step arena of its own, share no scratch.
+# wiring, the associative sets, G-G's seed filtered through the arena's
+# dependency fixpoint, and Greedy's stamped column table), Greedy's
+# staffable-set prune against its unpruned loop, and the wiring's
+# concurrent test: batches wired concurrently, each in a step arena of its
+# own, share no scratch.
 echo "== go test -race dependency wiring (GOMAXPROCS=2, 8)"
 race_guard ./internal/core/ TestDepWiring TestGreedyStaffMatchesMapOracle \
-	TestGreedyPruneIsExact
+	TestGreedyPruneIsExact TestGreedyAssignIndicesMatchesAssign
 
 # The group commit's concurrency tests (leader hand-over, bursts behind a
 # stalled platform mutex, backpressure, Close, and the hammer: registrations,
