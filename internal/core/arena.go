@@ -6,13 +6,12 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"dasc/internal/geo"
 	"dasc/internal/model"
 )
 
 // stepArena owns every per-batch buffer of the batch built over it: the
 // population, the ID tables behind TaskIndex and WorkerIndex, the candidate
-// engine's arrays and rows, skill buckets and grid, the dependency wiring,
+// engine's arrays, rows and skill buckets, the dependency wiring,
 // the associative sets, Greedy's and Game's working state and the RNG.
 // Every buffer grows geometrically and is never shrunk, so once an arena
 // has seen its largest batch, building and allocating a batch over it
@@ -41,16 +40,12 @@ type stepArena struct {
 	workerIDs idStamps
 
 	// The candidate engine: the index, its per-goroutine build scratch, and
-	// the pruned candidate source (skill buckets and the grid over the
-	// pending task locations).
+	// the skill buckets over the pending tasks.
 	idx       BatchIndex
 	scratches []buildScratch
 	buildNext atomic.Int64   // fanOut's work cursor
 	buildWG   sync.WaitGroup // fanOut's goroutines
-	scan      prunedScan
 	buckets   skillBuckets
-	grid      geo.GridIndex
-	locs      []geo.Point
 	// holders links the kernel's workers by skill, nil outside a kernel;
 	// it outlives every batch and is the kernel's, not the arena's.
 	// pairs holds the skill-first build's (worker, task) pairs. force pins
@@ -174,17 +169,16 @@ func grown[T any](s []T, n int) []T {
 }
 
 // buildScratch is the per-goroutine working state of an index build: the
-// grid radius-query buffer, the co-sorting view, and the rows and costs
-// buffers every strategy set and cost row the goroutine builds is appended
-// to. The index keeps slices of them capped at their length, so appending
-// to one row can never bleed into its neighbour; when an append reallocates,
-// the earlier rows stay valid in the old array, which nothing writes again.
+// co-sorting view, and the rows and costs buffers every strategy set and
+// cost row the goroutine builds is appended to. The index keeps slices of
+// them capped at their length, so appending to one row can never bleed
+// into its neighbour; when an append reallocates, the earlier rows stay
+// valid in the old array, which nothing writes again.
 // The buffers restart empty with each batch, so once they have grown to the
 // largest batch a build appends without allocating. The sorter lives here
 // so sort.Sort receives a pointer that is already heap-resident instead of
 // boxing a fresh interface value per worker.
 type buildScratch struct {
-	grid   []int
 	rows   []int32
 	costs  []float64
 	sorter strategyByIndex

@@ -13,6 +13,7 @@ import (
 	"dasc/internal/geo"
 	"dasc/internal/matching"
 	"dasc/internal/model"
+	"dasc/internal/obs"
 )
 
 // fill overwrites every element of s up to its capacity with v.
@@ -57,22 +58,18 @@ func (a *stepArena) poison() {
 	fill(a.idx.candCount, -7)
 	for i := range a.scratches[:cap(a.scratches)] {
 		sc := &a.scratches[i]
-		fill(sc.grid, -7)
 		fill(sc.rows, -7)
 		fill(sc.costs, nan)
 		sc.rows, sc.costs = sc.rows[:cap(sc.rows)], sc.costs[:cap(sc.costs)]
 	}
 	a.buildNext.Store(1 << 40)
-	a.scan = prunedScan{boxScale: nan, density: nan}
 	fill(a.buckets.off, -7)
 	fill(a.buckets.dat, -7)
 	a.buckets.mask = model.NewSkillSet(0, 3, 64, 200)
-	fill(a.locs, geo.Pt(nan, nan))
 	fill(a.pairs, ^uint64(0))
 	a.built = candidateBuild(99)
 	// a.holders and a.force are not the step's: the holders are the
 	// kernel's, and force is a test's setting.
-	a.grid.Reset(geo.NewBBox(geo.Pt(-9, -9), geo.Pt(-1, -1)), 64, []geo.Point{geo.Pt(-5, -5), geo.Pt(-2, -8)})
 
 	w := &a.wire
 	for _, s := range [][]int32{w.depOff, w.depDat, w.dependantOff, w.dependantDat, w.depCount, w.satisfiedDeps, a.wireCnt} {
@@ -267,13 +264,16 @@ func (r *indexRecorder) Assign(b *Batch) *model.Assignment {
 // TestKernelCandidateBuildsAgree steps three kernels in lockstep over the
 // allocator matrix — one pinned to the worker-major scan, one to the
 // skill-first build, one left to the size rule — on fig10-max, whose late
-// batches hold a handful of tasks among hundreds of workers, and on a
+// batches hold a handful of tasks among hundreds of workers, on a
 // small-scale instance with a ten-skill universe, where every skill has
-// many holders. Every batch's strategy sets, travel costs and candidate
+// many holders, and on the Meetup substitute, with its clustered tasks and
+// 400-tag universe. Every batch's strategy sets, travel costs and candidate
 // lists must be bit-identical across the three, and so must every step
-// result and the books. On fig10-max the size rule must pick each build at
-// least once, and on the small instance the worker-major scan must win at
-// least once. Under the race detector seed 1 of fig10-max runs G-G alone.
+// result, every batch's examined and admitted counts and the books: both
+// builds probe every batch worker's skill pool. On fig10-max the size rule
+// must pick each build at least once, and on the small instance the
+// worker-major scan must win at least once. Under the race detector seed 1
+// of fig10-max runs G-G alone.
 func TestKernelCandidateBuildsAgree(t *testing.T) {
 	big := fig10MaxInstance(t, 1)
 	c := gen.SmallScale()
@@ -282,12 +282,16 @@ func TestKernelCandidateBuildsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	meetup, err := gen.Meetup(gen.DefaultMeetup())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, e := range arenaCases() {
 		for _, inst := range []struct {
 			name string
 			in   *model.Instance
-		}{{"fig10-max", big}, {"small", small}} {
-			if e.exact && inst.in == big || raceEnabled && (e.exact || e.name != NameGG) {
+		}{{"fig10-max", big}, {"small", small}, {"meetup", meetup}} {
+			if e.exact && inst.in != small || raceEnabled && (e.exact || e.name != NameGG) {
 				continue
 			}
 			t.Run(e.name+"/"+inst.name, func(t *testing.T) {
@@ -298,16 +302,25 @@ func TestKernelCandidateBuildsAgree(t *testing.T) {
 					ks[i] = NewKernel(KernelConfig{Allocator: recs[i], ServiceTime: 1})
 					ks[i].arena.force = force
 				}
+				examined := int64(0)
 				for _, now := range batchGrid(inst.in, 2) {
 					var sts [3]*StepResult
+					var trs [3]obs.BatchTrace
 					for i, k := range ks {
-						if sts[i], err = k.Step(inst.in, now, nil); err != nil {
+						rec := obs.NewBatchRec(0, now)
+						if sts[i], err = k.Step(inst.in, now, rec); err != nil {
 							t.Fatal(err)
 						}
+						trs[i] = rec.Finish()
 					}
+					examined += trs[0].CandidatesExamined
 					for i := 1; i < 3; i++ {
 						if !reflect.DeepEqual(sts[i], sts[0]) {
 							t.Fatalf("t=%v: kernel %d stepped otherwise than the worker-major one:\n%+v\n%+v", now, i, sts[i], sts[0])
+						}
+						if trs[i].CandidatesExamined != trs[0].CandidatesExamined || trs[i].CandidatesAdmitted != trs[0].CandidatesAdmitted {
+							t.Fatalf("t=%v: kernel %d examined %d and admitted %d pairs, the worker-major one %d and %d", now, i,
+								trs[i].CandidatesExamined, trs[i].CandidatesAdmitted, trs[0].CandidatesExamined, trs[0].CandidatesAdmitted)
 						}
 					}
 				}
@@ -320,8 +333,8 @@ func TestKernelCandidateBuildsAgree(t *testing.T) {
 				built := recs[2].built
 				t.Logf("%d batches: size rule chose worker-major %d, skill-first %d", len(recs[0].snaps), built[buildWorkerMajor], built[buildSkillFirst])
 				switch {
-				case len(recs[0].snaps) < 2:
-					t.Fatalf("%d batches allocated: the kernel was not exercised", len(recs[0].snaps))
+				case len(recs[0].snaps) < 2 || examined == 0:
+					t.Fatalf("%d batches allocated, %d pairs examined: the kernel was not exercised", len(recs[0].snaps), examined)
 				case recs[0].built[buildWorkerMajor] != len(recs[0].snaps) || recs[1].built[buildSkillFirst] != len(recs[1].snaps):
 					t.Fatal("a pinned kernel ran the other build")
 				case inst.in == big && (built[buildWorkerMajor] == 0 || built[buildSkillFirst] == 0):

@@ -2,12 +2,10 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"sort"
 
-	"dasc/internal/geo"
 	"dasc/internal/model"
 )
 
@@ -16,19 +14,12 @@ import (
 // batch in a single pass, replacing the O(n_b·m_b) feasibility scans that
 // every allocator round used to rebuild.
 //
-// Three ideas combine:
+// Two ideas combine:
 //
 //   - Skill buckets: pending tasks are grouped by required skill, so a
 //     worker only ever examines tasks whose skill it holds (a per-skill
-//     inverted list over the batch's pending subset).
-//   - Spatial pruning: when the batch metric admits a Euclidean lower bound
-//     (geo.EuclideanBoundScale), a geo.GridIndex over the pending task
-//     locations answers "which tasks are within this worker's remaining
-//     distance budget" as a radius query from the worker's *current*
-//     location — the mid-simulation generalisation of the static index.
-//     Whichever of the two prunings promises the smaller candidate pool is
-//     used per worker; both finish with the exact model.FeasibleFrom
-//     predicate, so the choice never changes the result.
+//     inverted list over the batch's pending subset), and every examined
+//     pair goes through the exact model.FeasibleFrom predicate.
 //   - Travel-time memoization: the travel time of every feasible
 //     (worker, task) pair is computed once, next to the feasibility check
 //     that needed the distance anyway, and served to Greedy's Hungarian
@@ -63,8 +54,8 @@ const buildChunk = 16
 
 // newBatchIndex builds the engine for one batch, worker-major with a
 // runtime.NumCPU()-bounded worker pool or skill first (chooseBuild). Cost:
-// O(Σ_w pool_w) exact feasibility checks, where pool_w is the pruned
-// candidate pool of worker w.
+// O(Σ_w pool_w) exact feasibility checks, where pool_w is the number of
+// pending tasks requiring a skill of worker w.
 func newBatchIndex(b *Batch) *BatchIndex {
 	return newBatchIndexN(b, runtime.NumCPU())
 }
@@ -92,35 +83,9 @@ func newBatchIndexN(b *Batch, procs int) *BatchIndex {
 	a.built = a.chooseBuild(b)
 	if a.built == buildSkillFirst {
 		a.scanHolders(b, idx)
-		idx.invertStrategies()
-		return idx
+	} else {
+		fanOut(len(b.Workers), procs, a, func(wi int, sc *buildScratch) { a.scanWorker(b, wi, idx, sc) })
 	}
-	ps := &a.scan
-	*ps = prunedScan{buckets: &a.buckets}
-
-	// Spatial grid over the pending task locations, keyed by task index,
-	// when the metric allows Euclidean pruning. boxScale converts a metric
-	// radius into a Euclidean one; density estimates how many tasks an
-	// average unit-area disc would return, for the per-worker pruning
-	// choice.
-	if scale, ok := geo.EuclideanBoundScale(b.In.Dist); ok {
-		box := pendingBBox(b)
-		a.locs = grown(a.locs, len(b.Tasks))
-		for ti, t := range b.Tasks {
-			a.locs[ti] = t.Loc
-		}
-		a.grid.Reset(box, len(b.Tasks)+1, a.locs)
-		ps.grid = &a.grid
-		ps.boxScale = scale
-		area := box.Width() * box.Height()
-		if area <= 0 {
-			area = 1e-18
-		}
-		ps.density = float64(len(b.Tasks)) / area
-	}
-
-	fanOut(len(b.Workers), procs, a, func(wi int, sc *buildScratch) { ps.scan(b, wi, idx, sc) })
-
 	idx.invertStrategies()
 	return idx
 }
@@ -131,7 +96,8 @@ type candidateBuild uint8
 const (
 	// buildAuto is no build: it leaves the choice to the size rule.
 	buildAuto candidateBuild = iota
-	// buildWorkerMajor scans every batch worker (prunedScan).
+	// buildWorkerMajor scans every batch worker's skill buckets
+	// (scanWorker).
 	buildWorkerMajor
 	// buildSkillFirst reads the holders of the batch's task skills from
 	// the kernel's per-skill lists (scanHolders).
@@ -142,8 +108,8 @@ const (
 // kernel's per-skill lists, and pays off only when the holders of the
 // batch's task skills number fewer than its workers: the worker-major
 // scan walks every batch worker's skill set, the skill-first build every
-// holder of a task skill, busy ones included. Both are exact, so the rule
-// moves only cost and the engine's examined count.
+// holder of a task skill, busy ones included. Both probe the same pairs,
+// so the rule moves only cost.
 func (a *stepArena) chooseBuild(b *Batch) candidateBuild {
 	switch {
 	case a.holders == nil:
@@ -161,9 +127,8 @@ func (a *stepArena) chooseBuild(b *Batch) candidateBuild {
 // skill's bucket. Each task requires one skill and a list holds a worker
 // once, so no pair repeats; sorting the pairs groups them by worker and
 // orders each worker's row by task index, and the exact predicate keeps
-// the feasible ones. The rows and costs are the worker-major scan's; the
-// examined count is every batch holder's skill pool, where the worker-major
-// scan counts the smaller of a worker's skill pool and its disc pool.
+// the feasible ones. The rows, costs and examined and admitted counts are
+// the worker-major scan's: both probe every batch worker's skill pool.
 func (a *stepArena) scanHolders(b *Batch, idx *BatchIndex) {
 	pairs := a.pairs[:0]
 	mask := a.buckets.mask
@@ -297,59 +262,24 @@ func (sb *skillBuckets) bucket(sk model.Skill) []int32 {
 	return sb.dat[sb.off[sk]:sb.off[sk+1]]
 }
 
-// prunedScan is one batch's pruned candidate source: skill buckets over
-// the pending tasks and, when the metric admits a Euclidean lower bound, a
-// grid over their locations, keyed by task index.
-type prunedScan struct {
-	buckets  *skillBuckets
-	grid     *geo.GridIndex
-	boxScale float64
-	density  float64
-}
-
-// scan computes batch worker wi's strategy set through whichever pruning
-// promises the smaller pool — its skill buckets, or a radius query around
-// its location — and appends it to the scratch's rows for idx. Both finish with the exact
-// model.FeasibleFrom predicate, so the choice never changes the result.
-func (ps *prunedScan) scan(b *Batch, wi int, idx *BatchIndex, sc *buildScratch) {
+// scanWorker computes batch worker wi's strategy set from the skill
+// buckets of the skills it holds and appends it to the scratch's rows for
+// idx. It reads the arena's buckets and writes only wi's slots, so fanOut
+// may run it for many workers at once.
+func (a *stepArena) scanWorker(b *Batch, wi int, idx *BatchIndex, sc *buildScratch) {
 	bw := &b.Workers[wi]
 	skills := bw.W.Skills
-	mask := ps.buckets.mask
+	mask := a.buckets.mask
 	off := len(sc.rows)
 	examined := 0
-	// Size of the skill-bucket pool for this worker.
-	skillPool := 0
 	for sk := skills.NextCommon(mask, 0); sk >= 0; sk = skills.NextCommon(mask, sk+1) {
-		skillPool += len(ps.buckets.bucket(sk))
-	}
-	// Expected size of the radius-query pool: disc area × task density,
-	// capped at the batch size.
-	useGrid := false
-	if ps.grid != nil {
-		r := ps.boxScale * (bw.DistBudget + model.DistEps)
-		discPool := min(math.Pi*r*r*ps.density, float64(len(b.Tasks)))
-		useGrid = discPool < float64(skillPool)
-	}
-	if useGrid {
-		sc.grid = ps.grid.Within(bw.Loc, ps.boxScale*(bw.DistBudget+model.DistEps), sc.grid[:0])
-		for _, key := range sc.grid {
-			ti := int32(key)
-			if skills.Has(b.Tasks[ti].Requires) {
-				examined++
-				sc.appendFeasible(b, bw, ti)
-			}
-		}
-	} else {
-		for sk := skills.NextCommon(mask, 0); sk >= 0; sk = skills.NextCommon(mask, sk+1) {
-			bucket := ps.buckets.bucket(sk)
-			examined += len(bucket)
-			for _, ti := range bucket {
-				sc.appendFeasible(b, bw, ti)
-			}
+		bucket := a.buckets.bucket(sk)
+		examined += len(bucket)
+		for _, ti := range bucket {
+			sc.appendFeasible(b, bw, ti)
 		}
 	}
-	// Grid hits come back in cell order and buckets of different skills
-	// interleave task indexes.
+	// Buckets of different skills interleave task indexes.
 	sc.sortRow(off)
 	// Two nil-safe recorder calls per worker (not per pair): the counts
 	// accumulate locally above, so the disabled path costs two nil checks
@@ -408,27 +338,6 @@ func (idx *BatchIndex) invertStrategies() {
 			idx.candidates[ti] = append(idx.candidates[ti], int32(wi))
 		}
 	}
-}
-
-// pendingBBox returns a box covering the batch's pending task locations.
-func pendingBBox(b *Batch) geo.BBox {
-	box := geo.BBox{Min: b.Tasks[0].Loc, Max: b.Tasks[0].Loc}
-	for _, t := range b.Tasks[1:] {
-		p := t.Loc
-		if p.X < box.Min.X {
-			box.Min.X = p.X
-		}
-		if p.Y < box.Min.Y {
-			box.Min.Y = p.Y
-		}
-		if p.X > box.Max.X {
-			box.Max.X = p.X
-		}
-		if p.Y > box.Max.Y {
-			box.Max.Y = p.Y
-		}
-	}
-	return box
 }
 
 // strategyByIndex sorts a strategy set ascending by task index, keeping the

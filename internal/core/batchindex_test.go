@@ -13,8 +13,9 @@ import (
 )
 
 // metricsUnderTest pairs every distance function the engine must handle with
-// a label: the Euclidean-boundable trio exercises the spatial-grid path, the
-// rest the skill-bucket fallback.
+// a label: the package's own metrics, nil (Euclidean) and a caller's
+// closure. The engine prunes by skill alone, so each metric checks only the
+// exact feasibility predicate and the travel-time memo under it.
 func metricsUnderTest() []struct {
 	name string
 	dist geo.DistanceFunc
@@ -62,7 +63,7 @@ func TestBatchIndexMatchesScan(t *testing.T) {
 		t.Run(m.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(404))
 			// Trials 8 and 9 put every task on one vertical, then one
-			// horizontal line: the pending box is flat in one axis.
+			// horizontal line.
 			for trial := 0; trial < 10; trial++ {
 				in := randomInstance(rng, 10+rng.Intn(30), 10+rng.Intn(40), 5, true)
 				in.Dist = m.dist

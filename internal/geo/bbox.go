@@ -50,25 +50,5 @@ func (b BBox) Expand(margin float64) BBox {
 	}
 }
 
-// SqDistanceTo returns the squared Euclidean distance from p to the nearest
-// point of the box (0 when p is inside). Used for k-d tree pruning.
-func (b BBox) SqDistanceTo(p Point) float64 {
-	dx := clampResidual(p.X, b.Min.X, b.Max.X)
-	dy := clampResidual(p.Y, b.Min.Y, b.Max.Y)
-	return dx*dx + dy*dy
-}
-
-// clampResidual returns how far v lies outside [lo, hi], signed magnitude only.
-func clampResidual(v, lo, hi float64) float64 {
-	switch {
-	case v < lo:
-		return lo - v
-	case v > hi:
-		return v - hi
-	default:
-		return 0
-	}
-}
-
 // String implements fmt.Stringer.
 func (b BBox) String() string { return fmt.Sprintf("[%v %v]", b.Min, b.Max) }

@@ -48,24 +48,6 @@ func TestBBoxExpand(t *testing.T) {
 	}
 }
 
-func TestBBoxSqDistanceTo(t *testing.T) {
-	b := NewBBox(Pt(0, 0), Pt(1, 1))
-	tests := []struct {
-		p    Point
-		want float64
-	}{
-		{Pt(0.5, 0.5), 0},
-		{Pt(2, 0.5), 1},
-		{Pt(2, 2), 2},
-		{Pt(-3, 0.5), 9},
-	}
-	for _, tc := range tests {
-		if got := b.SqDistanceTo(tc.p); !almostEq(got, tc.want) {
-			t.Errorf("SqDistanceTo(%v) = %v, want %v", tc.p, got, tc.want)
-		}
-	}
-}
-
 func TestPaperRegions(t *testing.T) {
 	if !UnitHalf.Contains(Pt(0.25, 0.25)) || UnitHalf.Contains(Pt(0.6, 0.1)) {
 		t.Error("UnitHalf region wrong")

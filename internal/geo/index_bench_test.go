@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// Each spatial index is benchmarked on the query the system runs on it: the
-// grid's radius query (the batch candidate engine) and the k-d tree's
-// nearest-point query and build (road-network snapping).
+// The k-d tree is benchmarked on what the system runs on it: its
+// nearest-point query and its build (road-network snapping).
 
 func benchUniform(n int) ([]KDItem, []Point) {
 	rng := rand.New(rand.NewSource(42))
@@ -20,21 +19,6 @@ func benchUniform(n int) ([]KDItem, []Point) {
 		queries[i] = Pt(rng.Float64(), rng.Float64())
 	}
 	return items, queries
-}
-
-func BenchmarkGridWithin(b *testing.B) {
-	items, queries := benchUniform(10000)
-	pts := make([]Point, len(items))
-	for i, it := range items {
-		pts[i] = it.Pt
-	}
-	g := NewGridIndex(NewBBox(Pt(0, 0), Pt(1, 1)), len(pts), pts)
-	var buf []int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = g.Within(queries[i%len(queries)], 0.05, buf[:0])
-	}
 }
 
 func BenchmarkKDTreeNearest(b *testing.B) {

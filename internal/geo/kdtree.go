@@ -6,9 +6,9 @@ import (
 )
 
 // KDTree is an immutable 2-d tree built once over a point set. It answers
-// nearest-neighbour queries. Compared with GridIndex it needs no
-// bounding box up front and degrades gracefully on clustered data; the road
-// network snaps points to its nodes with it.
+// nearest-neighbour queries, needs no bounding box up front and degrades
+// gracefully on clustered data; the road network snaps points to its nodes
+// with it.
 type KDTree struct {
 	nodes []kdNode
 	root  int32

@@ -17,7 +17,7 @@ import (
 //
 // The analyzer computes a per-function taint: values produced by
 // (sync.Pool).Get, by free-list pops, or by reading an aliasing field
-// (slice/pointer/map) of an owner type (stepArena, prunedScan), are
+// (slice/pointer/map) of an owner type (stepArena), are
 // pool-owned. It flags:
 //
 //   - returning a pool-owned value from an EXPORTED function or method
@@ -50,10 +50,9 @@ func NewPoolEscape() *Analyzer {
 // are pool-owned. New pool-owning types must be registered here.
 // stepArena owns every per-batch buffer of core's batch step: its memory is
 // reused by the next step, so it must never land in a package variable or
-// leave through an exported function. prunedScan is a build's view of the
-// candidate source (skill buckets and grid): what it holds must never alias
-// into the index.
-var poolOwnerTypes = map[string]bool{"stepArena": true, "prunedScan": true}
+// leave through an exported function, and none of it (the skill buckets
+// included) may alias into the index.
+var poolOwnerTypes = map[string]bool{"stepArena": true}
 
 func runPoolEscape(pass *Pass) error {
 	for _, f := range pass.Files {
@@ -69,7 +68,7 @@ func runPoolEscape(pass *Pass) error {
 }
 
 // ownerRooted reports whether the expression is reached through a value of
-// a pool-owner type (sc.free, ps.buckets, a.tag[i], a local *stepArena).
+// a pool-owner type (sc.free, a.buckets, a.tag[i], a local *stepArena).
 func ownerRooted(pass *Pass, e ast.Expr) bool {
 	root := rootIdent(e)
 	if root == nil {
@@ -102,7 +101,7 @@ func poolSource(pass *Pass, e ast.Expr) (string, bool) {
 			return "free-list memory", true
 		}
 	case *ast.SelectorExpr:
-		// Reading an aliasing field out of an owner (sc.tag, ps.buckets).
+		// Reading an aliasing field out of an owner (sc.tag, a.buckets).
 		if ownerRooted(pass, e.X) && isSliceOrPointer(pass.TypesInfo, e) {
 			return "pool-owned memory", true
 		}

@@ -1,6 +1,6 @@
 // Package poolescape is analyzer testdata. It models pooled-memory
 // ownership shapes locally — the analyzer matches pool owners by type NAME
-// (stepArena, prunedScan).
+// (stepArena).
 package poolescape
 
 import "sync"
@@ -11,19 +11,16 @@ import "sync"
 // result, a package variable or the exported surface.
 type stepArena struct {
 	workers []int32
-	free    []*prunedScan
+	free    []*scanRow
 	scratch []int32
 	tag     []uint32
 	pos     []int32
+	tasks   []int32
+	costs   []float64
 }
 
-// prunedScan models an owner with aliasing fields: nothing it holds may
-// alias into the index.
-type prunedScan struct {
-	tasks []int32
-	costs []float64
-	pos   []uint32
-}
+// scanRow is a recycled struct on the arena's free list.
+type scanRow struct{ tasks []int32 }
 
 type BatchIndex struct {
 	rows [][]int32
@@ -52,29 +49,29 @@ func sendLeak(sc *stepArena, ch chan []int32) {
 	ch <- buf // want "pool-owned memory sent on a channel"
 }
 
-func aliasIntoIndex(b *BatchIndex, ps *prunedScan) {
-	b.rows[0] = ps.tasks // want "pool-owned memory stored into non-owner structure"
+func aliasIntoIndex(b *BatchIndex, a *stepArena) {
+	b.rows[0] = a.tasks // want "pool-owned memory stored into non-owner structure"
 }
 
-func copyInWithoutCopy(ps *prunedScan, foreign []int32) {
-	ps.tasks = foreign // want "foreign slice/pointer stored into pool-owned field without a copy"
+func copyInWithoutCopy(a *stepArena, foreign []int32) {
+	a.tasks = foreign // want "foreign slice/pointer stored into pool-owned field without a copy"
 }
 
-func copyInAlways(ps *prunedScan, foreign []int32) {
+func copyInAlways(a *stepArena, foreign []int32) {
 	// Fresh memory, then copy: the blessed copy-in shape.
-	ps.tasks = make([]int32, len(foreign))
-	copy(ps.tasks, foreign)
+	a.tasks = make([]int32, len(foreign))
+	copy(a.tasks, foreign)
 }
 
-func FreePop(sc *stepArena) *prunedScan {
-	ps := sc.free[len(sc.free)-1]
+func FreePop(sc *stepArena) *scanRow {
+	r := sc.free[len(sc.free)-1]
 	sc.free = sc.free[:len(sc.free)-1]
-	return ps // want "free-list memory returned from exported FreePop"
+	return r // want "free-list memory returned from exported FreePop"
 }
 
-func scalarReadsAreCopies(ps *prunedScan, k int) float64 {
+func scalarReadsAreCopies(a *stepArena, k int) float64 {
 	// Reading an element copies the scalar; no aliasing, no finding.
-	return ps.costs[k]
+	return a.costs[k]
 }
 
 func Scratch(sc *stepArena) []int32 {
@@ -102,12 +99,12 @@ func keepWorkers(a *stepArena) {
 	global = a.workers[:1] // want "pool-owned memory stored in package-level variable global"
 }
 
-func (sc *stepArena) view() prunedScan {
-	var ps prunedScan
-	ps.pos = sc.tag // owner to owner: no finding
-	return ps
+func (sc *stepArena) view() stepArena {
+	var v stepArena
+	v.tag = sc.tag // owner to owner: no finding
+	return v
 }
 
-func leakView(b *BatchIndex, ps prunedScan) {
-	b.tags = ps.pos // want "pool-owned memory stored into non-owner structure"
+func leakView(b *BatchIndex, v stepArena) {
+	b.tags = v.tag // want "pool-owned memory stored into non-owner structure"
 }

@@ -34,9 +34,9 @@ type BatchTrace struct {
 	MemoHits   int64 `json:"memo_hits"`
 	MemoMisses int64 `json:"memo_misses"`
 
-	// Pruning effectiveness: candidate pairs surviving the skill/grid
-	// pruning and probed with the exact feasibility predicate, vs. pairs
-	// admitted into the index.
+	// Pruning effectiveness: candidate pairs surviving the skill pruning
+	// (every batch worker's skill pool) and probed with the exact
+	// feasibility predicate, vs. pairs admitted into the index.
 	CandidatesExamined int64 `json:"candidates_examined"`
 	CandidatesAdmitted int64 `json:"candidates_admitted"`
 

@@ -68,25 +68,6 @@ func (g *Graph) AddEdge(u, v NodeID, weight float64) error {
 	return nil
 }
 
-// EuclideanLowerBounded reports whether every edge weight is at least the
-// straight-line length of its endpoints. When it holds, any path through
-// the network is at least as long as the straight line between its ends
-// (triangle inequality over the segments), so network distances are
-// lower-bounded by Euclidean distance and spatial indexes can prune for
-// them — see Network.DistanceFunc. Weights default to the Euclidean edge
-// length, so graphs only lose the property by explicitly underweighting an
-// edge (a "shortcut" faster than straight-line travel).
-func (g *Graph) EuclideanLowerBounded() bool {
-	for u := range g.adj {
-		for _, e := range g.adj[u] {
-			if e.w < g.pts[u].DistanceTo(g.pts[e.to]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // ShortestDistances runs Dijkstra from src and returns the distance to every
 // vertex (+Inf where unreachable).
 func (g *Graph) ShortestDistances(src NodeID) []float64 {

@@ -15,22 +15,9 @@ type Network struct {
 	g    *Graph
 	tree *geo.KDTree
 
-	// bounded records that every edge weight dominates its straight-line
-	// length, so Distance(a, b) ≥ Euclidean(a, b) for all pairs: the walks
-	// to and from the snap vertices are straight lines, and every path
-	// through the network is at least the straight line between its ends.
-	bounded bool
-
 	mu    sync.Mutex
 	cache map[NodeID][]float64 // memoised single-source distances
 }
-
-// registerBounded announces the straight-line lower bound of Network.Distance
-// to geo.EuclideanBoundScale once per process. All *Network method values
-// share one code pointer, so this must only ever cover networks that
-// actually satisfy the bound — DistanceFunc hands out looseDistance (a
-// distinct, unregistered method) for the rest.
-var registerBounded sync.Once
 
 // NewNetwork indexes an existing graph. The graph must not be mutated
 // afterwards.
@@ -42,16 +29,11 @@ func NewNetwork(g *Graph) (*Network, error) {
 	for i := range items {
 		items[i] = geo.KDItem{ID: i, Pt: g.Node(NodeID(i))}
 	}
-	n := &Network{
-		g:       g,
-		tree:    geo.NewKDTree(items),
-		bounded: g.EuclideanLowerBounded(),
-		cache:   make(map[NodeID][]float64),
-	}
-	if n.bounded {
-		registerBounded.Do(func() { geo.RegisterEuclideanBound(n.Distance, 1) })
-	}
-	return n, nil
+	return &Network{
+		g:     g,
+		tree:  geo.NewKDTree(items),
+		cache: make(map[NodeID][]float64),
+	}, nil
 }
 
 // Graph returns the underlying road graph.
@@ -97,24 +79,8 @@ func (n *Network) Distance(a, b geo.Point) float64 {
 	return da + n.distancesFrom(sa)[sb] + db
 }
 
-// looseDistance is Distance behind a distinct method identity: networks
-// whose edge weights undercut the straight line hand this out instead of
-// Distance, so the RegisterEuclideanBound registration (keyed by code
-// pointer, shared across receivers) never covers them.
-func (n *Network) looseDistance(a, b geo.Point) float64 { return n.Distance(a, b) }
-
-// DistanceFunc adapts the network to the library-wide metric type. For
-// networks whose edge weights all dominate the straight-line length (every
-// generated and default-weighted graph), the returned metric is recognised
-// by geo.EuclideanBoundScale with scale 1, so batch engines keep
-// spatial-grid pruning on road-network runs; other networks get an
-// unrecognised metric and exhaustive filtering.
-func (n *Network) DistanceFunc() geo.DistanceFunc {
-	if n.bounded {
-		return n.Distance
-	}
-	return n.looseDistance
-}
+// DistanceFunc adapts the network to the library-wide metric type.
+func (n *Network) DistanceFunc() geo.DistanceFunc { return n.Distance }
 
 // GridNetworkConfig parameterises the synthetic road-network generator.
 type GridNetworkConfig struct {

@@ -206,45 +206,3 @@ func TestGenerateGridValidation(t *testing.T) {
 		t.Error("empty network accepted")
 	}
 }
-
-// TestNetworkEuclideanBoundRecognition: default-weighted networks (every
-// edge weight is the Euclidean edge length) must hand out a metric that
-// geo.EuclideanBoundScale recognises with scale 1, so batch engines keep
-// spatial-grid pruning on road-network runs; a network with an explicitly
-// underweighted edge (a shortcut faster than straight-line travel) must hand
-// out an unrecognised metric instead.
-func TestNetworkEuclideanBoundRecognition(t *testing.T) {
-	net, err := GenerateGrid(DefaultGrid(geo.NewBBox(geo.Pt(0, 0), geo.Pt(1, 1))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !net.Graph().EuclideanLowerBounded() {
-		t.Fatal("default-weighted grid not Euclidean lower bounded")
-	}
-	if s, ok := geo.EuclideanBoundScale(net.DistanceFunc()); !ok || s != 1 {
-		t.Fatalf("bounded network metric: scale=%v ok=%v, want 1 true", s, ok)
-	}
-
-	// A unit-square cycle with one edge undercutting its straight-line
-	// length: the lower bound no longer holds.
-	g := square(t)
-	g.AddNode(geo.Pt(0.5, 0.5))
-	if err := g.AddEdge(0, 4, 0.1); err != nil { // straight line ≈ 0.707
-		t.Fatal(err)
-	}
-	if g.EuclideanLowerBounded() {
-		t.Fatal("underweighted edge not detected")
-	}
-	loose, err := NewNetwork(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := geo.EuclideanBoundScale(loose.DistanceFunc()); ok {
-		t.Fatal("underweighted network metric recognised; pruning would be unsound")
-	}
-	// The loose metric still computes the same distances.
-	a, b := geo.Pt(0.1, 0.1), geo.Pt(0.9, 0.8)
-	if d1, d2 := loose.DistanceFunc()(a, b), loose.Distance(a, b); d1 != d2 {
-		t.Fatalf("looseDistance %v != Distance %v", d1, d2)
-	}
-}

@@ -475,8 +475,8 @@ func TestCollectDelays(t *testing.T) {
 }
 
 // simMetrics are the travel metrics the candidate engine must handle in a
-// real run: the Euclidean-boundable trio (spatial-grid path) and Haversine
-// (no spatial pruning).
+// real run. The engine prunes by skill alone, so each checks the exact
+// feasibility predicate and the travel-time memo under its metric.
 var simMetrics = []struct {
 	name string
 	dist geo.DistanceFunc

@@ -165,11 +165,10 @@ bench_smoke() {
 	go test -run '^$' -bench "${run%|}" -benchtime=1x "$pkg" >/dev/null
 }
 
-# The candidate engine against its scan, and the grid's radius query.
-echo "== candidate engine and grid micro-benchmark smoke"
+# The candidate engine against its scan.
+echo "== candidate engine micro-benchmark smoke"
 bench_smoke ./internal/bench '^BenchmarkBatchCandidatesIndexed$'
-bench_smoke ./internal/geo '^BenchmarkGridWithin$'
-echo "candidate engine and grid smoke: OK"
+echo "candidate engine smoke: OK"
 
 # The DASC_Game worklist engine and the naive best-response sweep on the
 # fig10-max workload; each run first checks the two bit-exact on the bench
