@@ -46,9 +46,6 @@ func TestRangeSampling(t *testing.T) {
 	if got := R(1, 2).Scale(0.01); got != R(0.01, 0.02) {
 		t.Errorf("Scale = %v", got)
 	}
-	if got := R(2, 4).Mid(); got != 3 {
-		t.Errorf("Mid = %v", got)
-	}
 	if got := R(0, 70).String(); got != "[0, 70]" {
 		t.Errorf("String = %q", got)
 	}
@@ -265,7 +262,8 @@ func TestGrowDepsRespectsTargetAndClosure(t *testing.T) {
 		tasks = append(tasks, model.Task{ID: model.TaskID(i), Deps: deps})
 		cands = append(cands, model.TaskID(i))
 	}
-	deps := growDeps(rng, tasks, cands, R(3, 3))
+	g := newDepGrower(rng, len(tasks))
+	deps := g.grow(tasks, cands, R(3, 3))
 	if len(deps) < 3 {
 		t.Errorf("target not reached: %v", deps)
 	}
@@ -275,10 +273,10 @@ func TestGrowDepsRespectsTargetAndClosure(t *testing.T) {
 	if int(maxID) != len(deps)-1 {
 		t.Errorf("deps not closed: %v", deps)
 	}
-	if got := growDeps(rng, tasks, nil, R(5, 5)); got != nil {
+	if got := g.grow(tasks, nil, R(5, 5)); got != nil {
 		t.Errorf("no candidates should yield nil, got %v", got)
 	}
-	if got := growDeps(rng, tasks, cands, R(0, 0)); got != nil {
+	if got := g.grow(tasks, cands, R(0, 0)); got != nil {
 		t.Errorf("zero target should yield nil, got %v", got)
 	}
 }

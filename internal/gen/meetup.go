@@ -191,6 +191,7 @@ func Meetup(c MeetupConfig) (*model.Instance, error) {
 	}
 	sort.Slice(slots, func(a, b int) bool { return slots[a].start < slots[b].start })
 	byGroup := make([][]model.TaskID, len(groups))
+	deps := newDepGrower(rng, c.Tasks)
 	for i, sl := range slots {
 		g := &groups[sl.group]
 		t := model.Task{
@@ -200,7 +201,7 @@ func Meetup(c MeetupConfig) (*model.Instance, error) {
 			Wait:     c.WaitTime.Sample(rng),
 			Requires: g.tags[rng.Intn(len(g.tags))],
 		}
-		t.Deps = growDeps(rng, in.Tasks, byGroup[sl.group], c.DepSize)
+		t.Deps = deps.grow(in.Tasks, byGroup[sl.group], c.DepSize)
 		in.Tasks = append(in.Tasks, t)
 		byGroup[sl.group] = append(byGroup[sl.group], t.ID)
 	}

@@ -36,9 +36,6 @@ func (r Range) SampleInt(rng *rand.Rand) int {
 	return lo + rng.Intn(hi-lo+1)
 }
 
-// Mid returns the interval midpoint.
-func (r Range) Mid() float64 { return (r.Lo + r.Hi) / 2 }
-
 // Scale returns the range with both endpoints multiplied by k — Tables IV
 // and V express the velocity and distance ranges with such factors
 // (e.g. "[1, 1.5] * 0.01").

@@ -192,6 +192,7 @@ func Synthetic(c SyntheticConfig) (*model.Instance, error) {
 	// appear before their dependants.
 	starts := sortedSamples(rng, c.StartTime, c.Tasks)
 	candidates := make([]model.TaskID, 0, c.Tasks)
+	deps := newDepGrower(rng, c.Tasks)
 	for i := 0; i < c.Tasks; i++ {
 		t := model.Task{
 			ID:       model.TaskID(i),
@@ -203,7 +204,7 @@ func Synthetic(c SyntheticConfig) (*model.Instance, error) {
 		if c.TaskWeight.Hi > 1 || (c.TaskWeight.Lo > 0 && c.TaskWeight.Lo != 1) {
 			t.Weight = c.TaskWeight.Sample(weightRng)
 		}
-		t.Deps = growDeps(rng, in.Tasks, candidates, c.DepSize)
+		t.Deps = deps.grow(in.Tasks, candidates, c.DepSize)
 		in.Tasks = append(in.Tasks, t)
 		candidates = append(candidates, t.ID)
 	}
